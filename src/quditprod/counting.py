@@ -2,9 +2,11 @@
 
 Every count here is an exact Python integer; nothing is ever truncated
 to machine precision.  The closed forms are validated against direct
-enumeration (rank_batch over the full matrix space) on every instance
-small enough to enumerate, and only trusted beyond that range once the
-small instances agree.
+enumeration of the full matrix space on every instance small enough to
+enumerate, and only trusted beyond that range once the small instances
+agree.  The oracles rank each enumerated matrix on its own, by walking
+its rows through the subspace-transition table of ``gf``, which is
+built by row reduction and shares nothing with the closed forms.
 
 The headline identity: the number of pairs of reduced cycles with
 prescribed block ranks factors through the rank distribution of the
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import InvolutiveComplex, is_good
-from .gf import FieldSpec, MatGF, kernel_basis, rank_batch
+from .gf import FieldSpec, MatGF, _subspace_table, _table_rank, kernel_basis
 from .product import ProductComplex, product, product_chain_map
 from .reduction import ReductionParams, reduce
 
@@ -216,21 +218,7 @@ def enumerate_reduced_cycles(
         raise ValueError(f"enumeration needs {p**t} vectors, above the limit of {limit}")
     if t == 0:
         return {(0, 0): 1}
-    basis_mat = np.array(basis, dtype=np.int64)
-
-    counts = np.zeros((np1 + 1, np1 + 1), dtype=np.int64)
-    for vecs in _coefficient_chunks(basis_mat, p):
-        g_plus = vecs[:, : np1 * np1].reshape(-1, np1, np1)
-        g_minus = vecs[:, np1 * np1 :].reshape(-1, np1, np1)
-        r_plus = rank_batch(g_plus, p)
-        r_minus = rank_batch(g_minus, p)
-        np.add.at(counts, (r_plus, r_minus), 1)
-    return {
-        (i, j): int(counts[i, j])
-        for i in range(np1 + 1)
-        for j in range(np1 + 1)
-        if counts[i, j]
-    }
+    return _block_rank_census(np.array(basis, dtype=np.int64), p, (np1, np1), (np1, np1))
 
 
 def enumerate_plus_cycle_ranks(
@@ -248,22 +236,32 @@ def enumerate_plus_cycle_ranks(
     t = len(basis)
     if p**t > limit:
         raise ValueError(f"enumeration needs {p**t} vectors, above the limit of {limit}")
-    (p1, p2), (m1, m2) = pc.block_shapes
-    counts: dict[tuple[int, int], int] = {}
     if t == 0:
         return {(0, 0): 1}
-    basis_mat = np.array(basis, dtype=np.int64)
-    for vecs in _coefficient_chunks(basis_mat, p):
-        g_plus = vecs[:, : p1 * p2].reshape(-1, p1, p2)
-        g_minus = vecs[:, p1 * p2 :].reshape(-1, m1, m2)
-        r_plus = rank_batch(g_plus, p)
-        r_minus = rank_batch(g_minus, p)
-        for i, j in zip(r_plus.tolist(), r_minus.tolist()):
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-    return counts
+    plus_shape, minus_shape = pc.block_shapes
+    return _block_rank_census(np.array(basis, dtype=np.int64), p, plus_shape, minus_shape)
+
+
+def _block_rank_census(
+    basis: np.ndarray, p: int, plus_shape: tuple[int, int], minus_shape: tuple[int, int]
+) -> dict[tuple[int, int], int]:
+    """Count every GF(p) combination of the basis rows by the ranks of
+    its two blocks: the leading plus_shape entries (row major), then the
+    minus_shape entries.  Only nonzero buckets are returned."""
+    (p1, p2), (m1, m2) = plus_shape, minus_shape
+    counts = np.zeros((min(p1, p2) + 1, min(m1, m2) + 1), dtype=np.int64)
+    for vecs in _coefficient_chunks(basis, p):
+        r_plus = _table_rank(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
+        r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
+        flat = r_plus * counts.shape[1] + r_minus
+        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    return {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
 
 
 _BRUTE_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
+
+# Largest batch of matrices ranked in one array.
+_CHUNK = 1 << 20
 
 
 def _enumerate_ranks(
@@ -274,32 +272,46 @@ def _enumerate_ranks(
     limit: int,
 ) -> dict[int, int]:
     """Rank histogram over all matrices with an optional fixed top-left
-    block, by direct enumeration of the free entries."""
+    block, by direct enumeration of the free entries.
+
+    Every matrix is ranked on its own: the states of the subspace table
+    are stepped through the Cartesian product of each row's codes (a row
+    in the fixed corner has its fixed part plus every value of its free
+    digits), so the final state array holds one state per matrix.  A
+    wide space is walked along its columns.  The trailing rows are
+    enumerated in blocks from each state of the leading rows, so no
+    array outgrows _CHUNK entries.
+    """
     p = field.order
-    fr, fc = (0, 0) if fixed is None else fixed.shape
-    free_cells = [
-        (i, j) for i in range(rows) for j in range(cols) if i >= fr or j >= fc
-    ]
-    e = len(free_cells)
-    total = p**e
+    corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else np.asarray(fixed) % p
+    fr, fc = corner.shape
+    total = p ** (rows * cols - fr * fc)
     if total > limit:
         raise ValueError(f"enumeration needs {total} matrices, above the limit of {limit}")
-    template = np.zeros((rows, cols), dtype=np.int64)
-    if fixed is not None:
-        template[:fr, :fc] = fixed % p
-    powers = np.array([p**i for i in range(e)], dtype=np.int64)
-    hist = np.zeros(min(rows, cols) + 1, dtype=np.int64)
-    chunk = 1 << 17
-    rows_idx = np.array([c[0] for c in free_cells], dtype=np.intp)
-    cols_idx = np.array([c[1] for c in free_cells], dtype=np.intp)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        vals = (idx[:, None] // powers[None, :]) % p if e else np.zeros((stop - start, 0), dtype=np.int64)
-        batch = np.broadcast_to(template, (stop - start, rows, cols)).copy()
-        batch[:, rows_idx, cols_idx] = vals
-        ranks = rank_batch(batch, p)
-        hist += np.bincount(ranks, minlength=hist.size)
+    if cols > rows:
+        rows, cols, fr, fc, corner = cols, rows, fc, fr, corner.T
+    step, dim = _subspace_table(p, cols)
+    free = p**fc * np.arange(p ** (cols - fc))
+    fixed_codes = corner @ p ** np.arange(fc)
+    moves = [step[:, fixed_codes[i] + free if i < fr else slice(None)] for i in range(rows)]
+
+    # The trailing rows are the longest suffix, of at least one row,
+    # whose code counts multiply to at most _CHUNK.
+    split, block = rows, 1
+    while split and (split == rows or block * moves[split - 1].shape[1] <= _CHUNK):
+        split -= 1
+        block *= moves[split].shape[1]
+    leading = np.zeros(1, dtype=step.dtype)
+    for move in moves[:split]:
+        leading = move[leading].ravel()
+
+    hist = np.zeros(cols + 1, dtype=np.int64)
+    per = max(1, _CHUNK // block)
+    for start in range(0, leading.size, per):
+        state = leading[start : start + per]
+        for move in moves[split:]:
+            state = move[state].ravel()
+        hist += np.bincount(dim[state], minlength=hist.size)
     return {r: int(c) for r, c in enumerate(hist) if c}
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .complexes import ComplexShape, is_good, random_boundary
-from .gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank_batch
+from .gf import FieldSpec, MatGF, _table_rank, kernel_basis, random_invertible
 from .reduction import weights_within
 
 __all__ = [
@@ -331,7 +331,7 @@ def exhaustive_ulw_probability(
         stop = min(start + chunk, total)
         idx = np.arange(start, stop, dtype=np.int64)
         mats = ((idx[:, None] // powers[None, :]) % p).reshape(-1, n_prime, n_prime)
-        in_stratum = rank_batch(mats, p) == rank
+        in_stratum = _table_rank(mats, p) == rank
         stratum += int(in_stratum.sum())
         if not in_stratum.any():
             continue

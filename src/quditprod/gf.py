@@ -11,6 +11,7 @@ followed by ``nrows`` lines of space-separated residues.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -338,9 +339,10 @@ def matrix_from_text(text: str) -> MatGF:
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of matrices, shape (N, rows, cols), over GF(p).
 
-    Vectorized Gauss-Jordan elimination across the whole batch; used by
-    the brute-force enumeration oracles where N is large and the
-    matrices are tiny.  Intermediate products stay below p**2, so int16
+    Vectorized Gauss-Jordan elimination across the whole batch.  The
+    enumeration oracles rank through the subspace-transition table
+    instead; this elimination is the independent cross-check the tests
+    hold that table to.  Intermediate products stay below p**2, so int16
     storage is safe for p <= 11 and int64 is used beyond that.
     """
     dtype = np.int16 if p <= 11 else np.int64
@@ -372,3 +374,86 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         m[sel] = (m[sel] - fac[:, :, None] * m[sel, cur, :][:, None, :]) % p
         cursor[sel] += 1
     return cursor
+
+
+# Largest subspace-transition table built, in cells (states x codes).
+# GF(3)^5 needs 647k and GF(5)^4 700k; GF(3)^6 would need 41M.
+_TABLE_CELLS_LIMIT = 1 << 22
+
+
+@functools.lru_cache(maxsize=None)
+def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition table of the subspaces of GF(p)^w under adding a row.
+
+    A state is a subspace, held as its canonical reduced row echelon
+    form; state 0 is the zero subspace.  A code is a row vector v
+    written as the integer sum_j v_j p^j.  ``step[s, code]`` is the
+    state spanned by subspace s and that row, and ``dim[s]`` is the
+    dimension of s, so the rank of a matrix is ``dim`` of the state
+    reached by stepping from 0 through its rows.
+
+    Built by row reduction alone: each state reduces every code against
+    its echelon basis at once, and each new residual extends the basis
+    by one more echelon row.  Both arrays are read-only and shared by
+    every caller.  Raises ValueError above ``_TABLE_CELLS_LIMIT`` cells.
+    """
+    if w == 0:  # the zero space alone, stepped by the empty row
+        return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.int64))
+    ncodes = p**w
+    too_big = f"subspace table of GF({p})^{w} exceeds {_TABLE_CELLS_LIMIT} cells"
+    if ncodes > _TABLE_CELLS_LIMIT:
+        raise ValueError(too_big)
+    weights = p ** np.arange(w, dtype=np.int64)
+    vecs = (np.arange(ncodes, dtype=np.int64)[:, None] // weights) % p
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    every = np.arange(ncodes)
+    # A state's key is the sorted codes of its echelon rows.
+    keys: list[tuple[int, ...]] = [()]
+    index = {(): 0}
+    rows_out: list[np.ndarray] = []
+    for key in keys:  # grows while it is walked: a breadth-first search
+        basis = vecs[list(key)]
+        pivots = np.argmax(basis != 0, axis=1)
+        resid = (vecs - vecs[:, pivots] @ basis) % p
+        lead = np.argmax(resid != 0, axis=1)
+        resid = (resid * inv[resid[every, lead]][:, None]) % p
+        uniq, back = np.unique(resid @ weights, return_inverse=True)
+        # uniq[0] is 0, the codes already in the span; every other
+        # residual r has leading entry 1 in a non-pivot column c, so the
+        # new echelon rows are r and each basis row with column c cleared.
+        new = vecs[uniq[1:]]
+        cols = np.argmax(new != 0, axis=1)
+        cleared = (basis[None, :, :] - basis[:, cols].T[:, :, None] * new[:, None, :]) % p
+        new_keys = np.sort(np.concatenate([cleared @ weights, uniq[1:, None]], axis=1), axis=1)
+        targets = [index[key]]
+        for nk in map(tuple, new_keys.tolist()):
+            if nk not in index:
+                index[nk] = len(keys)
+                keys.append(nk)
+                if len(keys) * ncodes > _TABLE_CELLS_LIMIT:
+                    raise ValueError(too_big)
+            targets.append(index[nk])
+        rows_out.append(np.array(targets)[back.ravel()])
+    step = np.array(rows_out, dtype=np.min_scalar_type(len(keys) - 1))
+    return _read_only(step), _read_only(np.array([len(k) for k in keys], dtype=np.int64))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _table_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a batch (N, rows, cols) of reduced matrices over GF(p),
+    read from :func:`_subspace_table` one row at a time.  A wide batch
+    is walked along its columns, so the table width is min(rows, cols)."""
+    m = np.asarray(mats, dtype=np.int64)
+    if m.shape[2] > m.shape[1]:
+        m = m.transpose(0, 2, 1)
+    w = m.shape[2]
+    step, dim = _subspace_table(p, w)
+    codes = m @ p ** np.arange(w, dtype=np.int64)
+    state = np.zeros(m.shape[0], dtype=step.dtype)
+    for i in range(m.shape[1]):
+        state = step[state, codes[:, i]]
+    return dim[state]

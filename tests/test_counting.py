@@ -28,6 +28,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
+import quditprod.counting as counting
 from quditprod.gf import random_invertible
 
 from support import FIELD3, FIELD5, SHAPE3
@@ -126,6 +127,10 @@ class TestCountRankMatrices:
         with pytest.raises(ValueError, match="nonnegative"):
             count_rank_matrices(-1, 2, 0, FIELD3)
 
+    def test_brute_enumeration_of_empty_shapes(self):
+        assert brute_count_rank_matrices(FIELD3, 0, 3) == {0: 1}
+        assert brute_count_rank_matrices(FIELD3, 3, 0) == {0: 1}
+
     def test_partition_of_full_space(self):
         # Every matrix has exactly one rank.
         for d in (3, 5, 7):
@@ -201,6 +206,25 @@ class TestCountRankExtensions:
             corner = u @ MatGF(FIELD3, canon) @ v
             hist = brute_count_rank_extensions(FIELD3, corner, 3, 3)
             assert hist == reference
+
+    def test_corner_in_wide_matrix_gf5(self):
+        """A fixed 1x2 corner in a 2x3 matrix: the oracle walks the
+        transposed space, with the corner as a fixed column."""
+        for corner, r in (([[0, 0]], 0), ([[2, 3]], 1), ([[0, 4]], 1)):
+            hist = brute_count_rank_extensions(FIELD5, MatGF(FIELD5, corner), 2, 3)
+            assert sum(hist.values()) == 5**4
+            for R in range(3):
+                assert hist.get(R, 0) == count_rank_extensions(1, 2, r, 2, 3, R, FIELD5)
+
+    def test_over_limit_raises_before_building_anything(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("the subspace table was built")
+
+        monkeypatch.setattr(counting, "_subspace_table", untouched)
+        with pytest.raises(ValueError, match="above the limit"):
+            brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 1, 1), 4, 4, limit=3**14)
+        with pytest.raises(ValueError, match="above the limit"):
+            brute_count_rank_matrices(FIELD3, 10, 10)
 
     def test_brute_extension_rejects_oversized_corner(self):
         with pytest.raises(ValueError, match="does not fit"):

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from quditprod.counting import gaussian_binomial
 from quditprod.gf import (
     FieldSpec,
     MatGF,
+    _subspace_table,
+    _table_rank,
     col_weights,
     inverse,
     kernel_basis,
@@ -214,10 +219,51 @@ def test_matrix_text_rejects_malformed_input(text: str) -> None:
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
 def test_rank_batch_matches_scalar_rank(order: int) -> None:
+    """rank_batch and the subspace-table rank against scalar rank on
+    tall, square and wide shapes (wide ones take the transposed walk),
+    including shapes with no rows or no columns."""
     f = FieldSpec(order)
     rng = np.random.default_rng(order)
-    for shape in ((2, 2), (3, 4), (4, 3)):
+    for shape in ((2, 2), (3, 4), (4, 3), (3, 3), (1, 3), (3, 1), (0, 3), (3, 0)):
         mats = rng.integers(0, order, (200, *shape))
-        got = rank_batch(mats, order)
         expected = [rank(MatGF(f, m)) for m in mats]
-        assert got.tolist() == expected
+        assert rank_batch(mats, order).tolist() == expected
+        assert _table_rank(mats, order).tolist() == expected
+
+
+@pytest.mark.parametrize("order, width, states", [(3, 4, 212), (5, 3, 64), (7, 2, 10), (3, 0, 1)])
+def test_subspace_table_has_one_state_per_subspace(order: int, width: int, states: int) -> None:
+    step, dim = _subspace_table(order, width)
+    assert step.shape == (states, order**width)
+    assert states == sum(gaussian_binomial(width, k, order) for k in range(width + 1))
+    for k in range(width + 1):
+        assert np.count_nonzero(dim == k) == gaussian_binomial(width, k, order)
+    # a row adds at most one dimension, and code 0 adds none
+    grow = dim[step] - dim[:, None]
+    assert ((grow == 0) | (grow == 1)).all()
+    assert (step[:, 0] == np.arange(states)).all()
+    assert not step.flags.writeable and not dim.flags.writeable
+
+
+def test_subspace_table_refuses_oversized_width() -> None:
+    with pytest.raises(ValueError, match="exceeds"):
+        _subspace_table(3, 6)  # 729 codes, but 56k states
+    with pytest.raises(ValueError, match="exceeds"):
+        _subspace_table(11, 9)  # 2.4e9 codes
+
+
+@st.composite
+def small_matrices(draw):
+    order = draw(st.sampled_from([3, 5, 7, 11]))
+    side = 4 if order <= 5 else 3
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, side if rows > side else 5))
+    cells = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols, max_size=rows * cols))
+    return order, np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_table_rank_equals_rank(case) -> None:
+    order, m = case
+    assert _table_rank(m[None], order).tolist() == [rank(MatGF(FieldSpec(order), m))]
