@@ -8,10 +8,15 @@ boundary are stored:
     d_pm : C- -> C+   (rows indexed by C+, columns by C-)
     d_mp : C+ -> C-   (rows indexed by C-, columns by C+)
 
-With this representation P is implicit in the sector split, P**2 = I
-and the anticommutation of P with the boundary hold by construction,
-and the boundary-squares-to-zero condition becomes d_pm @ d_mp = 0 and
-d_mp @ d_pm = 0.
+With this representation P is implicit in the sector split, P**2 = I,
+the anticommutation of P with the boundary and the vanishing of the
+sector-diagonal blocks hold by construction, and the
+boundary-squares-to-zero condition becomes the two block checks
+d_pm @ d_mp = 0 (on C+) and d_mp @ d_pm = 0 (on C-).  validate() makes
+exactly those two checks.  It runs where a complex enters from outside
+or is built by a long computation: complex_from_text, product() and
+reduce().  The standard boundary and its random conjugates square to
+zero algebraically and are checked in the tests, not on every draw.
 
 The shape family used throughout has sector dimension n = H + 2L: the
 standard boundary has an L x L identity coupling the middle block of
@@ -136,12 +141,6 @@ class InvolutiveComplex:
         )
         return MatGF(self.field, np.diag(signs % self.field.order), _reduced=True)
 
-    def sector_signs(self) -> np.ndarray:
-        """+1 for C+ coordinates, -1 for C- coordinates."""
-        return np.concatenate(
-            [np.ones(self.dim_plus, dtype=np.int64), np.full(self.dim_minus, -1, dtype=np.int64)]
-        )
-
 
 def standard_boundary(shape: ComplexShape, field: FieldSpec) -> InvolutiveComplex:
     """The canonical complex for a shape: both blocks carry the same
@@ -151,11 +150,7 @@ def standard_boundary(shape: ComplexShape, field: FieldSpec) -> InvolutiveComple
     d0 = np.zeros((n, n), dtype=np.int64)
     d0[H : H + L, H + L :] = np.eye(L, dtype=np.int64)
     block = MatGF(field, d0, _reduced=True)
-    c = InvolutiveComplex(field, block, block)
-    problems = validate(c)
-    if problems:
-        raise AssertionError(f"standard complex failed validation: {problems}")
-    return c
+    return InvolutiveComplex(field, block, block)
 
 
 def random_boundary(
@@ -173,38 +168,22 @@ def random_boundary(
     u_minus = random_invertible(field, shape.n, rng)
     d_pm = u_plus @ base.d_pm @ inverse(u_minus)
     d_mp = u_minus @ base.d_mp @ inverse(u_plus)
-    c = InvolutiveComplex(field, d_pm, d_mp)
-    problems = validate(c)
-    if problems:
-        raise AssertionError(f"random complex failed validation: {problems}")
-    return c, u_plus, u_minus
+    return InvolutiveComplex(field, d_pm, d_mp), u_plus, u_minus
 
 
 def validate(c: InvolutiveComplex) -> list[str]:
-    """Check the defining identities exactly; returns a list of violations.
+    """Check that the boundary squares to zero; returns a list of violations.
 
-    Verifies, on materialized full matrices, that the boundary squares
-    to zero, that the involution squares to the identity, that the
-    involution anticommutes with the boundary, and that the boundary has
-    no sector-diagonal blocks.  An empty list means the complex is valid.
+    Two exact block products: d_pm @ d_mp = 0 on C+ and d_mp @ d_pm = 0
+    on C-.  The other identities of a complex with involution hold by
+    the two-block representation, so no full matrix is built.  An empty
+    list means the complex is valid.
     """
     problems: list[str] = []
-    field = c.field
     if not (c.d_pm @ c.d_mp).is_zero():
         problems.append("boundary does not square to zero on C+ (d_pm @ d_mp != 0)")
     if not (c.d_mp @ c.d_pm).is_zero():
         problems.append("boundary does not square to zero on C- (d_mp @ d_pm != 0)")
-    full = c.full_boundary()
-    invol = c.involution()
-    if not (full @ full).is_zero():
-        problems.append("full boundary does not square to zero")
-    if invol @ invol != MatGF.identity(field, c.dim_total):
-        problems.append("involution does not square to the identity")
-    if not (full @ invol + invol @ full).is_zero():
-        problems.append("involution does not anticommute with the boundary")
-    dp = c.dim_plus
-    if full.data[:dp, :dp].any() or full.data[dp:, dp:].any():
-        problems.append("boundary has nonzero sector-diagonal blocks")
     return problems
 
 
@@ -251,14 +230,11 @@ def _header_shape(c: InvolutiveComplex) -> tuple[int, int, int]:
     n = c.dim_plus
     if c.dim_minus != n:
         raise ValueError("serialization requires equal sector dimensions")
-    rk_pm = rank(c.d_pm)
-    rk_mp = rank(c.d_mp)
-    if rk_pm != rk_mp:
+    rk = rank(c.d_pm)
+    if rank(c.d_mp) != rk:
         raise ValueError("serialization requires equal boundary block ranks")
-    h_plus, h_minus = homology_dimensions(c)
-    if h_plus != h_minus:
-        raise ValueError("serialization requires equal sector homology dimensions")
-    return n, h_plus, rk_pm
+    # Equal sector dimensions and block ranks give h+ = h- = n - 2 rk.
+    return n, n - 2 * rk, rk
 
 
 def complex_to_text(c: InvolutiveComplex) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import InvolutiveComplex, is_good
-from .gf import FieldSpec, MatGF, _subspace_table, _table_rank, kernel_basis
+from .gf import FieldSpec, MatGF, _subspace_table, _table_rank, kernel_basis, span_blocks
 from .product import ProductComplex, product, product_chain_map
 from .reduction import ReductionParams, reduce
 
@@ -159,18 +159,6 @@ def count_reduced_cycles(
     return total
 
 
-def _coefficient_chunks(basis: np.ndarray, p: int, chunk: int = 1 << 16):
-    """Yield all GF(p) combinations of the basis rows, in blocks."""
-    t, width = basis.shape
-    total = p**t
-    powers = np.array([p**i for i in range(t)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = (idx[:, None] // powers[None, :]) % p
-        yield (coeffs @ basis) % p
-
-
 def enumerate_reduced_cycles(
     pc: ProductComplex, params: ReductionParams, limit: int = ENUMERATION_LIMIT
 ) -> dict[tuple[int, int], int]:
@@ -215,7 +203,7 @@ def enumerate_reduced_cycles(
     basis = kernel_basis(m)
     t = len(basis)
     if p**t > limit:
-        raise ValueError(f"enumeration needs {p**t} vectors, above the limit of {limit}")
+        raise ValueError(f"enumeration needs {p}^{t} vectors, above the limit of {limit}")
     if t == 0:
         return {(0, 0): 1}
     return _block_rank_census(np.array(basis, dtype=np.int64), p, (np1, np1), (np1, np1))
@@ -235,7 +223,7 @@ def enumerate_plus_cycle_ranks(
     basis = kernel_basis(cx.d_mp)
     t = len(basis)
     if p**t > limit:
-        raise ValueError(f"enumeration needs {p**t} vectors, above the limit of {limit}")
+        raise ValueError(f"enumeration needs {p}^{t} vectors, above the limit of {limit}")
     if t == 0:
         return {(0, 0): 1}
     plus_shape, minus_shape = pc.block_shapes
@@ -250,7 +238,7 @@ def _block_rank_census(
     minus_shape entries.  Only nonzero buckets are returned."""
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts = np.zeros((min(p1, p2) + 1, min(m1, m2) + 1), dtype=np.int64)
-    for vecs in _coefficient_chunks(basis, p):
+    for vecs in span_blocks(basis, p):
         r_plus = _table_rank(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
         r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
         flat = r_plus * counts.shape[1] + r_minus
@@ -285,9 +273,11 @@ def _enumerate_ranks(
     p = field.order
     corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else np.asarray(fixed) % p
     fr, fc = corner.shape
-    total = p ** (rows * cols - fr * fc)
-    if total > limit:
-        raise ValueError(f"enumeration needs {total} matrices, above the limit of {limit}")
+    free_cells = rows * cols - fr * fc
+    if p**free_cells > limit:
+        raise ValueError(
+            f"enumeration needs {p}^{free_cells} matrices, above the limit of {limit}"
+        )
     if cols > rows:
         rows, cols, fr, fc, corner = cols, rows, fc, fr, corner.T
     step, dim = _subspace_table(p, cols)

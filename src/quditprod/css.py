@@ -23,7 +23,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .complexes import InvolutiveComplex
-from .gf import FieldSpec, MatGF, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve
+from .gf import (
+    FieldSpec, MatGF, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve, span_blocks,
+)
 
 __all__ = [
     "CssCode",
@@ -140,21 +142,15 @@ def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF, budget: in
     p = kernel_of.field.order
     basis = kernel_basis(kernel_of)
     t = len(basis)
-    total = p**t
-    if total > budget:
+    if p**t > budget:
         raise ValueError(
-            f"exhaustive search needs {total} kernel vectors, above the budget of {budget}"
+            f"exhaustive search needs {p}^{t} kernel vectors, above the budget of {budget}"
         )
     rref, pivots = _span_rref(image_of)
     basis_mat = np.array(basis, dtype=np.int64).reshape(t, kernel_of.cols)
     best: int | None = None
-    chunk = 1 << 16
-    powers = np.array([p**i for i in range(t)], dtype=np.int64)
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = (idx[:, None] // powers[None, :]) % p
-        vecs = (coeffs @ basis_mat) % p
+    # The zero combination lies in the image, so _outside_span drops it.
+    for vecs in span_blocks(basis_mat, p):
         logical = _outside_span(vecs, rref, pivots, p)
         if logical.any():
             weights = np.count_nonzero(vecs[logical], axis=1)

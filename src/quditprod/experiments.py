@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .complexes import ComplexShape, is_good, random_boundary
-from .gf import FieldSpec, MatGF, _table_rank, kernel_basis, random_invertible
+from .gf import FieldSpec, MatGF, _table_rank, kernel_basis, random_invertible, span_blocks
 from .reduction import weights_within
 
 __all__ = [
@@ -57,8 +57,6 @@ class TrialConfig:
     H: int | None = None
     rho: Fraction | None = None
     c: Fraction | None = None
-    r: Fraction | None = None
-    epsilon: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -181,17 +179,10 @@ def _kernel_has_light_vector(m: MatGF, w_max: int, budget: int) -> bool:
     if t == 0:
         return False
     if p**t > budget:
-        raise ValueError(f"kernel enumeration needs {p**t} vectors, above the budget {budget}")
-    basis_mat = np.array(basis, dtype=np.int64)
-    total = p**t
-    powers = np.array([p**i for i in range(t)], dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = (idx[:, None] // powers[None, :]) % p
-        vecs = (coeffs @ basis_mat) % p
-        if (np.count_nonzero(vecs, axis=1) <= w_max).any():
+        raise ValueError(f"kernel enumeration needs {p}^{t} vectors, above the budget {budget}")
+    for vecs in span_blocks(np.array(basis, dtype=np.int64), p):
+        weights = np.count_nonzero(vecs, axis=1)
+        if ((0 < weights) & (weights <= w_max)).any():
             return True
     return False
 
@@ -317,20 +308,15 @@ def exhaustive_ulw_probability(
     mc_uniform_low_weight at tiny sizes."""
     p = field.order
     cells = n_prime * n_prime
-    total = p**cells
-    if total > limit:
-        raise ValueError(f"enumeration needs {total} matrices, above the limit {limit}")
+    if p**cells > limit:
+        raise ValueError(f"enumeration needs {p}^{cells} matrices, above the limit {limit}")
     bound = Fraction(c_prime) * n_prime
     # Weights are integers, so w <= bound is w <= floor(bound) exactly.
     ibound = math.floor(bound)
-    powers = np.array([p**i for i in range(cells)], dtype=np.int64)
     hits = 0
     stratum = 0
-    chunk = 1 << 17
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        mats = ((idx[:, None] // powers[None, :]) % p).reshape(-1, n_prime, n_prime)
+    for vecs in span_blocks(np.eye(cells, dtype=np.int64), p):
+        mats = vecs.reshape(-1, n_prime, n_prime)
         in_stratum = _table_rank(mats, p) == rank
         stratum += int(in_stratum.sum())
         if not in_stratum.any():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "matrix_to_text",
     "matrix_from_text",
     "rank_batch",
+    "span_blocks",
 ]
 
 
@@ -313,18 +314,21 @@ def _matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     field = FieldSpec(d)
     if pos + 1 + nrows > len(lines):
         raise ValueError("truncated matrix text")
-    entries = np.zeros((nrows, ncols), dtype=np.int64)
+    # Rows are checked as Python ints, so no header or entry size reaches numpy.
+    entries = []
     for i in range(nrows):
         vals = lines[pos + 1 + i].split()
         if len(vals) != ncols:
             raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
         try:
-            entries[i] = [int(t) for t in vals]
+            row = [int(t) for t in vals]
         except ValueError as exc:
             raise ValueError(f"row {i} has a non-integer entry") from exc
-    if entries.size and (entries.min() < 0 or entries.max() >= d):
-        raise ValueError(f"matrix entry out of range for GF({d})")
-    return MatGF(field, entries, _reduced=True), pos + 1 + nrows
+        if row and (min(row) < 0 or max(row) >= d):
+            raise ValueError(f"matrix entry out of range for GF({d})")
+        entries.append(row)
+    data = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+    return MatGF(field, data, _reduced=True), pos + 1 + nrows
 
 
 def matrix_from_text(text: str) -> MatGF:
@@ -374,6 +378,23 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         m[sel] = (m[sel] - fac[:, :, None] * m[sel, cur, :][:, None, :]) % p
         cursor[sel] += 1
     return cursor
+
+
+def span_blocks(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Every GF(p) combination sum_i c_i basis[i] of the rows of a
+    (t, width) basis, in blocks of at most 2**16 rows.
+
+    Rows come in the order of the index sum_i c_i p**i, so the first row
+    is the zero combination; a basis with t = 0 yields that one zero row.
+    The caller bounds p**t: every combination is produced.
+    """
+    basis = np.asarray(basis, dtype=np.int64)
+    t = basis.shape[0]
+    powers = p ** np.arange(t, dtype=np.int64)
+    total, block = p**t, 1 << 16
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        yield ((idx[:, None] // powers) % p) @ basis % p
 
 
 # Largest subspace-transition table built, in cells (states x codes).

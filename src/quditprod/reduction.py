@@ -123,10 +123,6 @@ class ReducedComplex:
     rep_coords: tuple[int, ...]
 
     @property
-    def v_dim(self) -> int:
-        return self.params.n_prime
-
-    @property
     def s_plus(self) -> int:
         """dim of the plus-sector part of S>."""
         return sum(1 for i in self.pivot_coords if i < self.params.n_prime)
@@ -149,12 +145,6 @@ class ReducedComplex:
         equivalently whether both quotient sectors have dimension K."""
         gap = self.params.n - self.params.n_prime
         return self.s_plus == gap and self.s_minus == gap
-
-    def induced_boundary(self) -> MatGF:
-        return self.quotient.full_boundary()
-
-    def induced_involution(self) -> MatGF:
-        return self.quotient.involution()
 
 
 def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:

@@ -123,6 +123,19 @@ class TestPipeline:
         assert run(["css-extract", "--in", bad, "--out", tmp_path / "c.json"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_matrix_header_fails_cleanly(self, tmp_path):
+        # The header asks for a 1 x 10^11 block; the one row has 1 entry.
+        bad = tmp_path / "huge.txt"
+        bad.write_text("3 1 1 2\n3 1 100000000000\n0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", "css-extract", "--in", str(bad),
+             "--out", str(tmp_path / "c.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: row 0 has 1 entries, expected 100000000000")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDistance:
     def test_report_file_is_deterministic(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditprod import (
     ComplexShape,
@@ -16,7 +18,7 @@ from quditprod import (
     trial_rng,
     validate,
 )
-from quditprod.gf import MatGF, inverse, rank
+from quditprod.gf import FieldSpec, MatGF, inverse, rank
 from support import FIELD3, FIELD5, SHAPE3
 
 
@@ -93,6 +95,27 @@ def test_random_boundary_validates_and_has_expected_homology(field, n: int, H: i
         assert rank(c.d_mp) == shape.L
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_constructed_complexes_validate(order: int, n: int, seed: int, data) -> None:
+    """The standard boundary and its random conjugates are complexes
+    with homology H per sector; the constructors do not check it."""
+    L = data.draw(st.integers(0, n // 2), label="L")
+    H = n - 2 * L
+    shape = ComplexShape(n, H, L)
+    field = FieldSpec(order)
+    std = standard_boundary(shape, field)
+    c, _, _ = random_boundary(shape, field, trial_rng(seed, 0))
+    for cx in (std, c):
+        assert validate(cx) == []
+        assert homology_dimensions(cx) == (H, H)
+
+
 def test_validate_reports_broken_square_and_shape() -> None:
     std = standard_boundary(SHAPE3, FIELD3)
     # d_mp = d_pm.T of the standard complex breaks d_pm @ d_mp = 0
@@ -100,6 +123,15 @@ def test_validate_reports_broken_square_and_shape() -> None:
     problems = validate(broken)
     assert problems
     assert any("square" in p or "zero" in p for p in problems)
+    # Broken on one sector only: d_pm @ d_mp != 0 but d_mp @ d_pm = 0.
+    e00 = MatGF(FIELD3, [[1, 0], [0, 0]])
+    e01 = MatGF(FIELD3, [[0, 1], [0, 0]])
+    assert validate(InvolutiveComplex(FIELD3, e00, e01)) == [
+        "boundary does not square to zero on C+ (d_pm @ d_mp != 0)"
+    ]
+    assert validate(InvolutiveComplex(FIELD3, e01, e00)) == [
+        "boundary does not square to zero on C- (d_mp @ d_pm != 0)"
+    ]
 
 
 def test_mismatched_blocks_rejected_at_construction() -> None:

@@ -225,6 +225,9 @@ class TestCountRankExtensions:
             brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 1, 1), 4, 4, limit=3**14)
         with pytest.raises(ValueError, match="above the limit"):
             brute_count_rank_matrices(FIELD3, 10, 10)
+        # 3^10000 has more digits than int-to-str conversion allows
+        with pytest.raises(ValueError, match=r"3\^10000 matrices, above the limit"):
+            brute_count_rank_matrices(FIELD3, 100, 100)
 
     def test_brute_extension_rejects_oversized_corner(self):
         with pytest.raises(ValueError, match="does not fit"):

@@ -218,6 +218,8 @@ class TestExhaustiveUlw:
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
             exhaustive_ulw_probability(FIELD5, 3, 1, Fraction(1, 2), limit=100)
+        with pytest.raises(ValueError, match=r"3\^10000 matrices, above the limit"):
+            exhaustive_ulw_probability(FIELD3, 100, 1, Fraction(1, 2))
 
 
 class TestCsvEmission:

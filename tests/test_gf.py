@@ -23,6 +23,7 @@ from quditprod.gf import (
     rank_batch,
     row_weights,
     solve,
+    span_blocks,
     weight,
 )
 from support import FIELD3, FIELD5
@@ -210,11 +211,32 @@ def test_matrix_text_round_trip() -> None:
         "3 2 2\n1 0\n0 x\n",  # non-integer
         "3 2 2\n1 0 2\n0 1\n",  # row too long
         "3 2 2\n1 0\n0 1\n1 1\n",  # trailing row
+        "3 1 2\n1 100000000000000000000\n",  # entry beyond int64
+        "3 1 100000000000\n1\n",  # huge column count, short row
     ],
 )
 def test_matrix_text_rejects_malformed_input(text: str) -> None:
     with pytest.raises(ValueError):
         matrix_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "order, t, width", [(3, 3, 5), (5, 2, 4), (7, 2, 3), (3, 11, 12), (5, 0, 4)]
+)
+def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, width: int) -> None:
+    """All order**t combinations, row idx being the combination with
+    coefficients (idx // order**i) % order; 3^11 rows take three blocks."""
+    basis = np.random.default_rng(order + t).integers(0, order, (t, width))
+    blocks = list(span_blocks(basis, order))
+    assert len(blocks) == -(-order**t // (1 << 16))
+    assert all(len(b) <= 1 << 16 for b in blocks)
+    got = np.concatenate(blocks)
+    assert got.shape == (order**t, width)
+    idx = np.arange(order**t)[:, None]
+    coeffs = (idx // order ** np.arange(t)) % order
+    assert (got == coeffs @ basis % order).all()
+    if t == 0:
+        assert got.tolist() == [[0] * width]
 
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
