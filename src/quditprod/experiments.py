@@ -6,6 +6,16 @@ independent of execution order and can be reproduced from the master
 seed alone.  Every per-trial decision is exact (rank computation or
 weight-bounded kernel enumeration); only the trial sampling is random.
 
+Trials run in lockstep chunks of ``_CHUNK``.  A chunk builds every
+trial's own generator, and each rejection round draws one candidate
+from every generator whose matrix is not yet accepted, then tests all
+of them with one batched elimination.  A generator still makes exactly
+the draws the single-trial samplers (``random_boundary``,
+``sample_uniform_rank``) make, in the same order, so each trial sees
+the same matrices as a trial-by-trial loop and every estimate is
+unchanged; only the linear algebra is batched: inverses, conjugations,
+kernels and ranks.
+
 Estimates ship with 95% Wilson score intervals, which behave sanely for
 probabilities near 0 where most of these events live.
 """
@@ -15,13 +25,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import ComplexShape, is_good, random_boundary
-from .gf import FieldSpec, MatGF, _table_rank, kernel_basis, random_invertible, span_blocks
-from .reduction import weights_within
+from .complexes import ComplexShape, _random_boundary_batch
+from .gf import (
+    FieldSpec,
+    MatGF,
+    _mod,
+    _random_invertible_batch,
+    _table_rank,
+    rank_batch,
+    random_invertible,
+    span_blocks,
+)
 
 __all__ = [
     "TrialConfig",
@@ -38,6 +56,11 @@ __all__ = [
 ]
 
 WILSON_Z95 = 1.959963984540054
+
+# Trials per lockstep chunk.
+_CHUNK = 256
+# Most span rows (kernel vectors) the light-kernel test holds at once.
+_SPAN_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -165,26 +188,50 @@ def _report(
     )
 
 
-def _kernel_has_light_vector(m: MatGF, w_max: int, budget: int) -> bool:
-    """Whether ker m contains a nonzero vector of weight <= w_max.
+def _trial_chunks(trials: int, master_seed: int) -> Iterator[list]:
+    """The trials' generators, ``_CHUNK`` at a time, in trial order."""
+    for start in range(0, trials, _CHUNK):
+        yield [trial_rng(master_seed, i) for i in range(start, min(start + _CHUNK, trials))]
 
-    Exact: enumerates the kernel through coefficient tuples over a
-    kernel basis.  The kernel size D^dim must stay within the budget.
+
+def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int, budget: int) -> np.ndarray:
+    """For each matrix of an (N, rows, n) stack of equal rank, whether
+    its kernel holds a nonzero vector of weight <= w_max.
+
+    Exact, from the batched reduced form R of rank r: a kernel vector is
+    fixed by its free coordinates c, any vector of GF(p)^t, and its
+    pivot coordinates are then -R[:r, free] c.  Every c comes from
+    ``span_blocks`` in blocks of ``_SPAN_ROWS // N`` rows (at least
+    one), and a matrix drops out at its first hit.  The kernel size p^t
+    must stay within the budget.
     """
-    if w_max < 1:
-        return False
-    p = m.field.order
-    basis = kernel_basis(m)
-    t = len(basis)
+    hits = np.zeros(len(mats), dtype=bool)
+    if w_max < 1 or len(mats) == 0:
+        return hits
+    rref, pivots, ranks = rank_batch(mats, p)
+    nmat, n = pivots.shape
+    r = int(ranks[0])
+    t = n - r
     if t == 0:
-        return False
+        return hits
     if p**t > budget:
         raise ValueError(f"kernel enumeration needs {p}^{t} vectors, above the budget {budget}")
-    for vecs in span_blocks(np.array(basis, dtype=np.int64), p):
-        weights = np.count_nonzero(vecs, axis=1)
-        if ((0 < weights) & (weights <= w_max)).any():
-            return True
-    return False
+    free = np.nonzero(~pivots)[1].reshape(nmat, t)
+    mat_idx = np.arange(nmat)
+    # gens[j, i, k] = -R_i[k, free_i[j]]: the pivot part is c @ gens[:, i].
+    gens = (-rref[mat_idx, :r, free.T]) % p
+    live = mat_idx
+    for block in span_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
+        pivot_part = _mod(block @ gens[:, live].reshape(t, -1), p)
+        weights = np.count_nonzero(block, axis=1)[:, None] + np.count_nonzero(
+            pivot_part.reshape(len(block), len(live), r), axis=2
+        )
+        found = ((weights > 0) & (weights <= w_max)).any(axis=0)
+        hits[live[found]] = True
+        live = live[~found]
+        if live.size == 0:
+            break
+    return hits
 
 
 def mc_low_weight_kernel(cfg: TrialConfig, budget: int = 10**6) -> EstimateReport:
@@ -201,13 +248,11 @@ def mc_low_weight_kernel(cfg: TrialConfig, budget: int = 10**6) -> EstimateRepor
     field = cfg.field
     w_max = math.ceil(cfg.c * cfg.n) - 1
     successes = 0
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.master_seed, i)
-        c, _, _ = random_boundary(shape, field, rng)
-        hit = _kernel_has_light_vector(c.d_mp, w_max, budget) or _kernel_has_light_vector(
-            c.d_pm, w_max, budget
-        )
-        successes += int(hit)
+    for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
+        d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
+        # Both blocks are conjugates of the standard block: equal ranks.
+        hits = _light_kernel_hits(np.concatenate([d_mp, d_pm]), field.order, w_max, budget)
+        successes += int((hits[: len(rngs)] | hits[len(rngs) :]).sum())
     return _report(
         "kernel",
         successes,
@@ -225,14 +270,22 @@ def mc_low_weight_kernel(cfg: TrialConfig, budget: int = 10**6) -> EstimateRepor
 
 
 def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
-    """Probability that a random boundary operator is good for n'."""
+    """Probability that a random boundary operator is good for n'.
+
+    Decided as ``is_good`` does: both blocks restricted to their last
+    n - n' columns must have full column rank.
+    """
     shape = cfg.shape()
     field = cfg.field
+    n = shape.n
+    if not 0 <= n_prime <= n:
+        raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
+    tail = n - n_prime
     successes = 0
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.master_seed, i)
-        c, _, _ = random_boundary(shape, field, rng)
-        successes += int(is_good(c, n_prime))
+    for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
+        d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
+        _, _, ranks = rank_batch(np.concatenate([d_mp, d_pm])[:, :, n_prime:], field.order)
+        successes += int(((ranks[: len(rngs)] == tail) & (ranks[len(rngs) :] == tail)).sum())
     return _report(
         "goodness",
         successes,
@@ -248,6 +301,19 @@ def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
     )
 
 
+def _check_rank(n_prime: int, rank: int) -> None:
+    if not 0 <= rank <= n_prime:
+        raise ValueError(f"rank must lie in [0, {n_prime}]")
+
+
+def _weights_within(mats: np.ndarray, bound: int) -> np.ndarray:
+    """Per matrix of an (N, rows, cols) stack: all row and column
+    weights at most the integer bound."""
+    row_ok = (np.count_nonzero(mats, axis=2) <= bound).all(axis=1)
+    col_ok = (np.count_nonzero(mats, axis=1) <= bound).all(axis=1)
+    return row_ok & col_ok
+
+
 def sample_uniform_rank(
     field: FieldSpec, n_prime: int, rank: int, rng: np.random.Generator
 ) -> MatGF:
@@ -258,8 +324,7 @@ def sample_uniform_rank(
     indicator is exactly the rank-r stratum and every point has the
     same number of (u, v) preimages, so the output is uniform.
     """
-    if not 0 <= rank <= n_prime:
-        raise ValueError(f"rank must lie in [0, {n_prime}]")
+    _check_rank(n_prime, rank)
     u = random_invertible(field, n_prime, rng)
     v = random_invertible(field, n_prime, rng)
     core = np.zeros((n_prime, n_prime), dtype=np.int64)
@@ -276,16 +341,24 @@ def mc_uniform_low_weight(
     master_seed: int,
 ) -> EstimateReport:
     """Probability that a uniform rank-R matrix has all row and column
-    weights at most c'*n'."""
+    weights at most c'*n'.
+
+    Each trial's matrix is the one ``sample_uniform_rank`` draws from
+    the trial's generator (u, then v), drawn in lockstep.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_rank(n_prime, rank)
     c_prime = Fraction(c_prime)
-    bound = c_prime * n_prime
+    # Weights are integers, so w <= c'n' is w <= floor(c'n') exactly.
+    ibound = math.floor(c_prime * n_prime)
+    p = field.order
     successes = 0
-    for i in range(trials):
-        rng = trial_rng(master_seed, i)
-        m = sample_uniform_rank(field, n_prime, rank, rng)
-        successes += int(weights_within(m, bound))
+    for rngs in _trial_chunks(trials, master_seed):
+        u = _random_invertible_batch(field, n_prime, rngs)
+        v = _random_invertible_batch(field, n_prime, rngs)
+        mats = u[:, :, :rank] @ v[:, :rank, :] % p
+        successes += int(_weights_within(mats, ibound).sum())
     return _report(
         "ulw",
         successes,
@@ -321,10 +394,7 @@ def exhaustive_ulw_probability(
         stratum += int(in_stratum.sum())
         if not in_stratum.any():
             continue
-        sel = mats[in_stratum]
-        row_ok = (np.count_nonzero(sel, axis=2) <= ibound).all(axis=1)
-        col_ok = (np.count_nonzero(sel, axis=1) <= ibound).all(axis=1)
-        hits += int((row_ok & col_ok).sum())
+        hits += int(_weights_within(mats[in_stratum], ibound).sum())
     if stratum == 0:
         raise ValueError(f"no matrices of rank {rank}")
     return Fraction(hits, stratum)

@@ -5,6 +5,11 @@ the range 0..D-1.  All arithmetic is integer arithmetic followed by
 reduction mod D, so ranks, kernels and solves are exact; no floating
 point enters anywhere in this module.
 
+The field order is bounded by ``ORDER_LIMIT`` = 2**16, so every
+product this library forms stays exact in int64: a sum of k products
+of two residues is below (D - 1)**2 * k < 2**63 for every inner
+dimension k < 2**31.
+
 The text wire format for a matrix is one header line ``D nrows ncols``
 followed by ``nrows`` lines of space-separated residues.
 """
@@ -36,6 +41,10 @@ __all__ = [
 ]
 
 
+# Field orders must lie below this bound; see the module docstring.
+ORDER_LIMIT = 1 << 16
+
+
 def _is_prime(v: int) -> bool:
     if v < 2:
         return False
@@ -49,12 +58,23 @@ def _is_prime(v: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The prime field GF(order) for an odd prime order >= 3."""
+    """The prime field GF(order) for an odd prime 3 <= order < 2**16.
+
+    Orders from ``ORDER_LIMIT`` on are refused: their int64 products
+    could overflow and answer wrongly.
+    """
 
     order: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 3 or not _is_prime(self.order):
+        if not isinstance(self.order, int) or self.order < 3:
+            raise ValueError(f"field order must be an odd prime >= 3, got {self.order!r}")
+        if self.order >= ORDER_LIMIT:
+            raise ValueError(
+                f"field order must be below 2^16 = {ORDER_LIMIT} for exact int64 "
+                f"arithmetic, got {self.order}"
+            )
+        if not _is_prime(self.order):
             raise ValueError(f"field order must be an odd prime >= 3, got {self.order!r}")
 
     def inv(self, a: int) -> int:
@@ -71,16 +91,22 @@ class MatGF:
     The underlying array is marked read-only; every operation returns a
     fresh matrix.  ``@``, ``+``, ``-`` and scalar ``*`` act mod D and
     require matching fields.
+
+    ``_reduced=True`` is for library code holding an int64 array already
+    reduced mod D: the array is taken without a copy and marked
+    read-only, so the caller must not write to it (or to an array it is
+    a view of) afterwards.
     """
 
     __slots__ = ("field", "_data")
 
     def __init__(self, field: FieldSpec, data, *, _reduced: bool = False):
-        arr = np.array(data, dtype=np.int64, copy=True)
+        if _reduced:
+            arr = np.asarray(data, dtype=np.int64)
+        else:
+            arr = np.array(data, dtype=np.int64) % field.order
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        if not _reduced:
-            arr %= field.order
         arr.flags.writeable = False
         self.field = field
         self._data = arr
@@ -140,7 +166,8 @@ class MatGF:
         return MatGF(self.field, (-self._data) % self.field.order, _reduced=True)
 
     def __mul__(self, scalar: int) -> "MatGF":
-        return MatGF(self.field, (self._data * int(scalar)) % self.field.order, _reduced=True)
+        p = self.field.order
+        return MatGF(self.field, (self._data * (int(scalar) % p)) % p, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -340,49 +367,105 @@ def matrix_from_text(text: str) -> MatGF:
     return m
 
 
-def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices, shape (N, rows, cols), over GF(p).
+@functools.lru_cache(maxsize=32)
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only table of the inverses mod p, indexed by residue; entry 0
+    is 0.  Shared by the batched elimination and the subspace table."""
+    return _read_only(np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64))
 
-    Vectorized Gauss-Jordan elimination across the whole batch.  The
-    enumeration oracles rank through the subspace-transition table
-    instead; this elimination is the independent cross-check the tests
-    hold that table to.  Intermediate products stay below p**2, so int16
-    storage is safe for p <= 11 and int64 is used beyond that.
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """A new array a mod p, for an integer array a: computed through floor
+    division, which numpy runs several times faster than ``%`` on
+    integers, with one temporary."""
+    q = a // p
+    q *= p
+    return np.subtract(a, q, out=q)
+
+
+def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of a stack (N, rows, cols) over GF(p).
+
+    Returns ``(rref, pivots, ranks)``: the int64 reduced row echelon
+    forms (N, rows, cols), the (N, cols) boolean mask of pivot columns,
+    and the (N,) ranks.  Every matrix is eliminated column by column at
+    once, choosing the pivot as :func:`_row_reduce` does (the first
+    nonzero entry at or below the current row, swapped into place), so
+    ``rref[i]`` and the pivot columns of ``pivots[i]`` are exactly what
+    ``_row_reduce(mats[i], p)`` returns.  A matrix with no pivot in a
+    column takes the same steps with a zero multiplier.
     """
-    dtype = np.int16 if p <= 11 else np.int64
-    m = np.array(mats, dtype=dtype, copy=True) % p
+    m = np.asarray(mats, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError("expected a (N, rows, cols) array")
+    # Entries stay within [-(p-1)**2, p-1] during a step, so small
+    # fields run in int16: a quarter of the memory traffic.
+    dtype = np.int16 if (p - 1) * p <= np.iinfo(np.int16).max else np.int64
+    m = _mod(m, p).astype(dtype, copy=False)
     nmat, nrows, ncols = m.shape
-    if nmat == 0 or nrows == 0 or ncols == 0:
-        return np.zeros(nmat, dtype=np.int64)
-    inv_table = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dtype)
+    pivots = np.zeros((nmat, ncols), dtype=bool)
     cursor = np.zeros(nmat, dtype=np.int64)
+    inv = _inverse_table(p)
+    k = np.arange(nmat)
     row_index = np.arange(nrows)
     for c in range(ncols):
-        live = row_index[None, :] >= cursor[:, None]
-        nz = (m[:, :, c] != 0) & live
+        nz = (m[:, :, c] != 0) & (row_index >= cursor[:, None])
         has = nz.any(axis=1)
         if not has.any():
             continue
-        sel = np.nonzero(has)[0]
-        cur = cursor[sel]
-        pivrow = np.argmax(nz[sel], axis=1)
-        tmp = m[sel, cur, :].copy()
-        m[sel, cur, :] = m[sel, pivrow, :]
-        m[sel, pivrow, :] = tmp
-        pv = m[sel, cur, c]
-        m[sel, cur, :] = (m[sel, cur, :] * inv_table[pv][:, None]) % p
-        fac = m[sel, :, c].copy()
-        fac[np.arange(len(sel)), cur] = 0
-        m[sel] = (m[sel] - fac[:, :, None] * m[sel, cur, :][:, None, :]) % p
-        cursor[sel] += 1
-    return cursor
+        cur = np.minimum(cursor, nrows - 1)
+        lead = np.where(has, nz.argmax(axis=1), cur)
+        row = m[k, lead]
+        m[k, lead] = m[k, cur]
+        row = _mod(row * np.where(has, inv[row[:, c]], 1)[:, None], p).astype(dtype, copy=False)
+        m[k, cur] = row
+        fac = m[:, :, c] * has[:, None]
+        fac[k, cur] = 0
+        # Live rows are zero left of c, so only columns c.. change.
+        upd = fac[:, :, None] * row[:, None, c:]
+        m[:, :, c:] = _mod(np.subtract(m[:, :, c:], upd, out=upd), p)
+        pivots[:, c] = has
+        cursor += has
+    return m.astype(np.int64, copy=False), pivots, cursor
 
 
-def span_blocks(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
+def _random_invertible_batch(
+    field: FieldSpec, n: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """:func:`random_invertible` for every generator in lockstep: a
+    (len(rngs), n, n) stack.
+
+    Generator i makes exactly the draws ``random_invertible(field, n,
+    rngs[i])`` makes, so entry i is the matrix that call returns and the
+    generator ends in the same state.  Each rejection round draws one
+    candidate from every generator still drawing and ranks them all in
+    one elimination.
+    """
+    p = field.order
+    mats = np.empty((len(rngs), n, n), dtype=np.int64)
+    todo = np.arange(len(rngs))
+    while todo.size:
+        # n*n draws in a flat call give the same entries as the (n, n)
+        # call of random_invertible, with less overhead per call.
+        cand = np.stack([rngs[i].integers(0, p, size=n * n, dtype=np.int64) for i in todo])
+        cand = cand.reshape(len(todo), n, n)
+        ok = rank_batch(cand, p)[2] == n
+        mats[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    return mats
+
+
+def _inverse_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of a stack (N, n, n) of invertible matrices over GF(p),
+    from one elimination of the stack augmented by the identity."""
+    n = mats.shape[1]
+    aug = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)], axis=2)
+    return rank_batch(aug, p)[0][:, :, n:]
+
+
+def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.ndarray]:
     """Every GF(p) combination sum_i c_i basis[i] of the rows of a
-    (t, width) basis, in blocks of at most 2**16 rows.
+    (t, width) basis, in blocks of at most ``rows`` rows.
 
     Rows come in the order of the index sum_i c_i p**i, so the first row
     is the zero combination; a basis with t = 0 yields that one zero row.
@@ -391,9 +474,9 @@ def span_blocks(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
     basis = np.asarray(basis, dtype=np.int64)
     t = basis.shape[0]
     powers = p ** np.arange(t, dtype=np.int64)
-    total, block = p**t, 1 << 16
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+    total = p**t
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
         yield ((idx[:, None] // powers) % p) @ basis % p
 
 
@@ -426,7 +509,7 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(too_big)
     weights = p ** np.arange(w, dtype=np.int64)
     vecs = (np.arange(ncodes, dtype=np.int64)[:, None] // weights) % p
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    inv = _inverse_table(p)
     every = np.arange(ncodes)
     # A state's key is the sorted codes of its echelon rows.
     keys: list[tuple[int, ...]] = [()]

@@ -24,8 +24,10 @@ from quditprod import (
     trial_rng,
     wilson_interval,
 )
-from quditprod.experiments import CSV_COLUMNS
-from quditprod.gf import rank
+from quditprod import experiments, is_good, random_boundary
+from quditprod.experiments import _CHUNK, CSV_COLUMNS
+from quditprod.gf import kernel_basis, rank, span_blocks
+from quditprod.reduction import weights_within
 
 from support import FIELD3, FIELD5
 
@@ -120,6 +122,16 @@ class TestGoodness:
         rep = mc_goodness(cfg, 3)
         assert rep.successes == 40
 
+    def test_out_of_range_nprime_raises_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a trial generator was built")
+
+        monkeypatch.setattr(experiments, "trial_rng", no_draws)
+        cfg = TrialConfig(field=FIELD3, n=3, trials=5, master_seed=0, H=1)
+        for n_prime in (-1, 4):
+            with pytest.raises(ValueError, match="n_prime"):
+                mc_goodness(cfg, n_prime)
+
 
 class TestLowWeightKernel:
     def test_frozen_estimate(self):
@@ -143,6 +155,39 @@ class TestLowWeightKernel:
         )
         with pytest.raises(ValueError, match="budget"):
             mc_low_weight_kernel(cfg, budget=2)
+        # the kernels have dimension H + L = 2: exactly 3^2 vectors
+        assert mc_low_weight_kernel(cfg, budget=9).trials == 1
+
+
+def _has_light_kernel_vector(m, w_max: int) -> bool:
+    basis = kernel_basis(m)
+    if w_max < 1 or not basis:
+        return False
+    for vecs in span_blocks(np.array(basis), m.field.order):
+        weights = np.count_nonzero(vecs, axis=1)
+        if ((weights > 0) & (weights <= w_max)).any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK + 1])
+def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
+    """One trial and one chunk plus one: the same successes as a loop
+    over the single-draw API, each trial on its own generator."""
+    cfg = TrialConfig(field=FIELD5, n=5, trials=trials, master_seed=3, H=1, c=Fraction(2, 5))
+    shape, w_max = cfg.shape(), 1  # c n = 2: weights up to 1 are light
+    kernel = goodness = ulw = 0
+    for i in range(trials):
+        c, _, _ = random_boundary(shape, FIELD5, trial_rng(3, i))
+        kernel += _has_light_kernel_vector(c.d_mp, w_max) or _has_light_kernel_vector(c.d_pm, w_max)
+        goodness += is_good(c, 3)
+        m = sample_uniform_rank(FIELD3, 4, 2, trial_rng(3, i))
+        ulw += weights_within(m, Fraction(2))
+    assert mc_low_weight_kernel(cfg).successes == kernel
+    assert mc_goodness(cfg, 3).successes == goodness
+    assert mc_uniform_low_weight(FIELD3, 4, 2, Fraction(1, 2), trials, 3).successes == ulw
+    if trials > 1:
+        assert 0 < kernel < trials and 0 < goodness < trials and 0 < ulw < trials
 
 
 class TestUniformRankSampler:

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from quditprod.counting import gaussian_binomial
+from quditprod.experiments import _CHUNK
 from quditprod.gf import (
+    ORDER_LIMIT,
     FieldSpec,
     MatGF,
+    _inverse_table,
+    _random_invertible_batch,
+    _row_reduce,
     _subspace_table,
     _table_rank,
     col_weights,
@@ -40,6 +45,36 @@ def test_field_inverse_table(order: int) -> None:
 def test_field_rejects_non_odd_primes(order: int) -> None:
     with pytest.raises(ValueError):
         FieldSpec(order)
+
+
+def test_field_order_bound_keeps_int64_products_exact() -> None:
+    """The largest prime below 2^16 is accepted and its products are
+    exact; the first prime above is refused, as is 10^9+7, where a 1x40
+    by 40x1 product of (D-1) entries would overflow int64."""
+    assert ORDER_LIMIT == 1 << 16
+    top = FieldSpec(65521)
+    row = MatGF(top, np.full((1, 40), top.order - 1))
+    assert (row @ row.T).data.tolist() == [[40]]
+    assert (MatGF(top, [[top.order - 1]]) * 10**30).data.tolist() == [[(-(10**30)) % top.order]]
+    for order in (65537, 10**9 + 7):
+        with pytest.raises(ValueError, match="below 2\\^16"):
+            FieldSpec(order)
+
+
+def test_inverse_table_is_cached_and_read_only() -> None:
+    table = _inverse_table(7)
+    assert table is _inverse_table(7)
+    assert table.tolist() == [0, 1, 4, 5, 2, 3, 6]
+    assert not table.flags.writeable
+
+
+def test_reduced_data_is_taken_without_a_copy() -> None:
+    arr = np.array([[1, 2], [0, 1]], dtype=np.int64)
+    m = MatGF(FIELD3, arr, _reduced=True)
+    assert np.shares_memory(m.data, arr) and not m.data.flags.writeable
+    raw = np.array([[4, 2], [0, 1]], dtype=np.int64)
+    assert not np.shares_memory(MatGF(FIELD3, raw).data, raw)
+    assert raw.flags.writeable and raw[0, 0] == 4
 
 
 def test_matrix_reduces_entries_mod_p() -> None:
@@ -237,6 +272,9 @@ def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, widt
     assert (got == coeffs @ basis % order).all()
     if t == 0:
         assert got.tolist() == [[0] * width]
+    small = list(span_blocks(basis, order, rows=1000))
+    assert all(len(b) <= 1000 for b in small)
+    assert (np.concatenate(small) == got).all()
 
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
@@ -249,7 +287,7 @@ def test_rank_batch_matches_scalar_rank(order: int) -> None:
     for shape in ((2, 2), (3, 4), (4, 3), (3, 3), (1, 3), (3, 1), (0, 3), (3, 0)):
         mats = rng.integers(0, order, (200, *shape))
         expected = [rank(MatGF(f, m)) for m in mats]
-        assert rank_batch(mats, order).tolist() == expected
+        assert rank_batch(mats, order)[2].tolist() == expected
         assert _table_rank(mats, order).tolist() == expected
 
 
@@ -289,3 +327,52 @@ def small_matrices(draw):
 def test_table_rank_equals_rank(case) -> None:
     order, m = case
     assert _table_rank(m[None], order).tolist() == [rank(MatGF(FieldSpec(order), m))]
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Stacks of 0 to 5 matrices over GF(3/5/7), GF(181) (the largest
+    order eliminated in int16), and GF(191) and GF(65521) (in int64):
+    tall, wide, square, and with no rows or no columns."""
+    order = draw(st.sampled_from([3, 5, 7, 181, 191, 65521]))
+    count, rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mats = np.random.default_rng(seed).integers(0, order, (count, rows, cols))
+    if draw(st.booleans()):  # the largest residues make the largest products
+        mats = order - 1 - mats % 3
+    # Low-rank rows make pivot-free columns and rank deficits common.
+    if rows > 1 and draw(st.booleans()):
+        mats[:, -1] = mats[:, 0] * 2 % order
+    return order, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_stacks())
+def test_rank_batch_equals_row_reduce(case) -> None:
+    order, mats = case
+    rref, pivots, ranks = rank_batch(mats, order)
+    assert rref.shape == mats.shape and pivots.shape == (len(mats), mats.shape[2])
+    for i, m in enumerate(mats):
+        want, want_pivots = _row_reduce(m, order)
+        assert (rref[i] == want).all()
+        assert np.nonzero(pivots[i])[0].tolist() == want_pivots
+        assert ranks[i] == len(want_pivots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    n=st.integers(0, 6),
+    count=st.integers(1, _CHUNK + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed) -> None:
+    """Each generator yields random_invertible's matrix and ends in the
+    same state: its next draw is equal."""
+    field = FieldSpec(order)
+    rngs = [np.random.default_rng([seed, i]) for i in range(count)]
+    mats = _random_invertible_batch(field, n, rngs)
+    for i, rng in enumerate(rngs):
+        ref = np.random.default_rng([seed, i])
+        assert (mats[i] == random_invertible(field, n, ref).data).all()
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
