@@ -72,11 +72,20 @@ def _print_json(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """The value of a fraction flag such as ``--rho 1/3``; a zero
+    denominator is bad input like any other, so it raises ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{flag} {text!r} has a zero denominator") from exc
+
+
 def _shape_from_args(args) -> ComplexShape:
     if args.H is not None:
         return ComplexShape.from_hom_dim(args.n, args.H)
     if args.rho is not None:
-        return ComplexShape.from_rho(args.n, Fraction(args.rho))
+        return ComplexShape.from_rho(args.n, _fraction("--rho", args.rho))
     raise ValueError("one of --H or --rho is required")
 
 
@@ -134,7 +143,7 @@ def cmd_distance(args) -> int:
         c = complex_from_text(fh.read())
     code = extract_css(c)
     started = time.perf_counter()
-    report = min_distance(code, mode=args.mode, w_max=args.wmax, budget=args.budget)
+    report = min_distance(code, mode=args.mode, w_max=args.wmax)
     elapsed = time.perf_counter() - started
     payload = {
         "n_phys": code.n_phys,
@@ -149,7 +158,7 @@ def cmd_distance(args) -> int:
         _write_manifest(
             args.out,
             "distance",
-            {"in": args.infile, "mode": args.mode, "wmax": args.wmax, "budget": args.budget},
+            {"in": args.infile, "mode": args.mode, "wmax": args.wmax},
             [args.out],
         )
     if args.json or not args.out:
@@ -269,7 +278,8 @@ def cmd_mc(args) -> int:
             raise ValueError("kernel experiment needs --c")
         cfg = TrialConfig(
             field=field, n=args.n, trials=args.trials, master_seed=args.seed,
-            H=args.H, rho=Fraction(args.rho) if args.rho else None, c=Fraction(args.c),
+            H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
+            c=_fraction("--c", args.c),
         )
         report = mc_low_weight_kernel(cfg)
     elif args.experiment == "goodness":
@@ -277,14 +287,15 @@ def cmd_mc(args) -> int:
             raise ValueError("goodness experiment needs --nprime")
         cfg = TrialConfig(
             field=field, n=args.n, trials=args.trials, master_seed=args.seed,
-            H=args.H, rho=Fraction(args.rho) if args.rho else None,
+            H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
         )
         report = mc_goodness(cfg, args.nprime)
     elif args.experiment == "ulw":
         if args.nprime is None or args.rank is None or args.cprime is None:
             raise ValueError("ulw experiment needs --nprime, --rank and --cprime")
         report = mc_uniform_low_weight(
-            field, args.nprime, args.rank, Fraction(args.cprime), args.trials, args.seed
+            field, args.nprime, args.rank, _fraction("--cprime", args.cprime), args.trials,
+            args.seed,
         )
     else:
         raise ValueError(f"unknown experiment {args.experiment!r}")
@@ -335,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--in", dest="infile", required=True)
     di.add_argument("--mode", choices=["exhaustive", "bounded"], default="exhaustive")
     di.add_argument("--wmax", type=int, default=None)
-    di.add_argument("--budget", type=int, default=None)
     di.add_argument("--json", action="store_true", help="print the report to stdout")
     di.add_argument("--out", default=None, help="write the deterministic report here")
     di.set_defaults(func=cmd_distance)

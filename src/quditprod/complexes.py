@@ -65,15 +65,12 @@ class ComplexShape:
     """Sector dimension n split as n = H + 2L.
 
     H is the homology dimension per sector and L the rank of each
-    boundary block.  ``rho`` records the density the shape was derived
-    from, when it was; it does not participate in equality-sensitive
-    logic.
+    boundary block.
     """
 
     n: int
     H: int
     L: int
-    rho: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.H < 0 or self.L < 0:
@@ -92,7 +89,7 @@ class ComplexShape:
                 f"floor(rho*n) = {H} leaves n - H = {n - H} odd; "
                 f"choose a compatible rho or build the shape from an explicit H"
             )
-        return cls(n=n, H=H, L=(n - H) // 2, rho=float(rho))
+        return cls(n=n, H=H, L=(n - H) // 2)
 
     @classmethod
     def from_hom_dim(cls, n: int, H: int) -> "ComplexShape":

@@ -6,7 +6,9 @@ enumeration of the full matrix space on every instance small enough to
 enumerate, and only trusted beyond that range once the small instances
 agree.  The oracles rank each enumerated matrix on its own, by walking
 its rows through the subspace-transition table of ``gf``, which is
-built by row reduction and shares nothing with the closed forms.
+built by row reduction and shares nothing with the closed forms.  Every
+oracle is refused above ``gf.ENUMERATION_LIMIT`` matrices or vectors,
+the one cap on enumeration in the library.
 
 The headline identity: the number of pairs of reduced cycles with
 prescribed block ranks factors through the rank distribution of the
@@ -22,7 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import InvolutiveComplex, is_good
-from .gf import FieldSpec, MatGF, _subspace_table, _table_rank, kernel_basis, span_blocks
+from .gf import (
+    FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, span_blocks,
+)
 from .product import ProductComplex, product, product_chain_map
 from .reduction import ReductionParams, reduce
 
@@ -37,10 +41,7 @@ __all__ = [
     "brute_count_rank_matrices",
     "brute_count_rank_extensions",
     "evaluate_bounds",
-    "ENUMERATION_LIMIT",
 ]
-
-ENUMERATION_LIMIT = 10**7
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -160,7 +161,7 @@ def count_reduced_cycles(
 
 
 def enumerate_reduced_cycles(
-    pc: ProductComplex, params: ReductionParams, limit: int = ENUMERATION_LIMIT
+    pc: ProductComplex, params: ReductionParams
 ) -> dict[tuple[int, int], int]:
     """Brute-force rank census of reduced cycles of a product complex.
 
@@ -169,7 +170,7 @@ def enumerate_reduced_cycles(
     whose image under the tensor square of the factor quotient maps is
     a cycle of the quotient product.  Both factors must be good for n'.
     The census enumerates the kernel of the composite map (size D^dim),
-    so dim must satisfy D^dim <= limit.
+    and is refused when D^dim exceeds ``gf.ENUMERATION_LIMIT``.
     """
     c1, c2 = pc.factor1, pc.factor2
     n = params.n
@@ -199,35 +200,21 @@ def enumerate_reduced_cycles(
     embed_cols = np.concatenate([corner, n * n + corner])
 
     constraint = (qprod.complex.d_mp.data @ phi_pp) % p
-    m = MatGF(pc.field, constraint[:, embed_cols], _reduced=True)
-    basis = kernel_basis(m)
-    t = len(basis)
-    if p**t > limit:
-        raise ValueError(f"enumeration needs {p}^{t} vectors, above the limit of {limit}")
-    if t == 0:
-        return {(0, 0): 1}
-    return _block_rank_census(np.array(basis, dtype=np.int64), p, (np1, np1), (np1, np1))
+    basis = kernel_basis(MatGF(pc.field, constraint[:, embed_cols], _reduced=True))
+    return _block_rank_census(basis, p, (np1, np1), (np1, np1))
 
 
-def enumerate_plus_cycle_ranks(
-    pc: ProductComplex, limit: int = ENUMERATION_LIMIT
-) -> dict[tuple[int, int], int]:
+def enumerate_plus_cycle_ranks(pc: ProductComplex) -> dict[tuple[int, int], int]:
     """Brute-force rank census of the full plus-sector cycle space,
     bucketed by the ranks of the two blocks.
 
     Oracle for count_cycles_by_rank: on a product of standard-shape
-    factors the bucket sizes must match it exactly.
+    factors the bucket sizes must match it exactly.  Refused when the
+    cycle space exceeds ``gf.ENUMERATION_LIMIT`` vectors.
     """
     cx = pc.complex
-    p = cx.field.order
-    basis = kernel_basis(cx.d_mp)
-    t = len(basis)
-    if p**t > limit:
-        raise ValueError(f"enumeration needs {p}^{t} vectors, above the limit of {limit}")
-    if t == 0:
-        return {(0, 0): 1}
     plus_shape, minus_shape = pc.block_shapes
-    return _block_rank_census(np.array(basis, dtype=np.int64), p, plus_shape, minus_shape)
+    return _block_rank_census(kernel_basis(cx.d_mp), cx.field.order, plus_shape, minus_shape)
 
 
 def _block_rank_census(
@@ -246,8 +233,6 @@ def _block_rank_census(
     return {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
 
 
-_BRUTE_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
-
 # Largest batch of matrices ranked in one array.
 _CHUNK = 1 << 20
 
@@ -257,7 +242,6 @@ def _enumerate_ranks(
     rows: int,
     cols: int,
     fixed: np.ndarray | None,
-    limit: int,
 ) -> dict[int, int]:
     """Rank histogram over all matrices with an optional fixed top-left
     block, by direct enumeration of the free entries.
@@ -268,16 +252,13 @@ def _enumerate_ranks(
     digits), so the final state array holds one state per matrix.  A
     wide space is walked along its columns.  The trailing rows are
     enumerated in blocks from each state of the leading rows, so no
-    array outgrows _CHUNK entries.
+    array outgrows _CHUNK entries.  Refused when the free entries span
+    more than ``gf.ENUMERATION_LIMIT`` matrices.
     """
     p = field.order
     corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else np.asarray(fixed) % p
     fr, fc = corner.shape
-    free_cells = rows * cols - fr * fc
-    if p**free_cells > limit:
-        raise ValueError(
-            f"enumeration needs {p}^{free_cells} matrices, above the limit of {limit}"
-        )
+    _check_enumeration(p, rows * cols - fr * fc)
     if cols > rows:
         rows, cols, fr, fc, corner = cols, rows, fc, fr, corner.T
     step, dim = _subspace_table(p, cols)
@@ -305,27 +286,23 @@ def _enumerate_ranks(
     return {r: int(c) for r, c in enumerate(hist) if c}
 
 
-def brute_count_rank_matrices(
-    field: FieldSpec, rows: int, cols: int, limit: int = ENUMERATION_LIMIT
-) -> dict[int, int]:
-    """Rank histogram of the full rows x cols matrix space, cached.
+def brute_count_rank_matrices(field: FieldSpec, rows: int, cols: int) -> dict[int, int]:
+    """Rank histogram of the full rows x cols matrix space.
 
-    Requires D^(rows*cols) <= limit.  Oracle for count_rank_matrices.
+    Refused when D^(rows*cols) exceeds ``gf.ENUMERATION_LIMIT``.  Oracle
+    for count_rank_matrices.
     """
-    key = (field.order, rows, cols)
-    if key not in _BRUTE_CACHE:
-        _BRUTE_CACHE[key] = _enumerate_ranks(field, rows, cols, None, limit)
-    return _BRUTE_CACHE[key]
+    return _enumerate_ranks(field, rows, cols, None)
 
 
 def brute_count_rank_extensions(
-    field: FieldSpec, fixed: MatGF, rows: int, cols: int, limit: int = ENUMERATION_LIMIT
+    field: FieldSpec, fixed: MatGF, rows: int, cols: int
 ) -> dict[int, int]:
     """Rank histogram of all rows x cols matrices extending the given
     top-left block.  Oracle for count_rank_extensions."""
     if fixed.rows > rows or fixed.cols > cols:
         raise ValueError("fixed block does not fit")
-    return _enumerate_ranks(field, rows, cols, fixed.data, limit)
+    return _enumerate_ranks(field, rows, cols, fixed.data)
 
 
 def _pow_fraction(base: int, expo: Fraction) -> float:

@@ -7,16 +7,15 @@ condition.  The number of logical qudits equals the plus-sector
 homology dimension.
 
 Distances are computed exactly, either by exhausting the relevant
-kernel (coefficient enumeration over a kernel basis) or by a bounded
-search over all vectors of weight <= w_max.  Both searches are
-deterministic, so they can be played against each other as independent
-oracles.
+kernel (coefficient enumeration over a kernel basis, refused above
+``gf.ENUMERATION_LIMIT`` kernel vectors) or by a bounded search over
+all vectors of weight <= w_max.  Both searches are deterministic, so
+they can be played against each other as independent oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -34,12 +33,7 @@ __all__ = [
     "min_distance",
     "clean_cocycle",
     "vanishing_reduced_implies_boundary",
-    "DEFAULT_BUDGET",
-    "BUDGET_ENV_VAR",
 ]
-
-DEFAULT_BUDGET = 10**7
-BUDGET_ENV_VAR = "QUDITPROD_BUDGET"
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +104,6 @@ class DistanceReport:
         }
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return val
-
-
 def _span_rref(m: MatGF) -> tuple[np.ndarray, list[int]]:
     """Row echelon data for the column space of m (rows span im m)."""
     return _row_reduce(m.data.T, m.field.order)
@@ -136,21 +117,15 @@ def _outside_span(vectors: np.ndarray, rref: np.ndarray, pivots: list[int], p: i
     return rem.any(axis=1)
 
 
-def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF, budget: int) -> int:
+def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF) -> int:
     """Minimum weight over (ker kernel_of) \\ (im image_of), by exhausting
     the kernel via coefficient tuples over a kernel basis."""
     p = kernel_of.field.order
-    basis = kernel_basis(kernel_of)
-    t = len(basis)
-    if p**t > budget:
-        raise ValueError(
-            f"exhaustive search needs {p}^{t} kernel vectors, above the budget of {budget}"
-        )
+    kernel = span_blocks(kernel_basis(kernel_of), p)
     rref, pivots = _span_rref(image_of)
-    basis_mat = np.array(basis, dtype=np.int64).reshape(t, kernel_of.cols)
     best: int | None = None
     # The zero combination lies in the image, so _outside_span drops it.
-    for vecs in span_blocks(basis_mat, p):
+    for vecs in kernel:
         logical = _outside_span(vecs, rref, pivots, p)
         if logical.any():
             weights = np.count_nonzero(vecs[logical], axis=1)
@@ -205,24 +180,21 @@ def min_distance(
     code: CssCode,
     mode: str = "exhaustive",
     w_max: int | None = None,
-    budget: int | None = None,
 ) -> DistanceReport:
     """Exact minimum distances of both logical operator types.
 
     d_z is the minimum weight over ker(x_gens) outside the column space
     of z_gens; d_x is the same with the roles transposed.  Exhaustive
-    mode enumerates the full kernels and requires the kernel sizes to
-    stay within ``budget`` (default 10**7, overridable via the
-    QUDITPROD_BUDGET environment variable).  Bounded mode scans weights
-    1..w_max and reports a lower bound for a side where nothing is
-    found.  A code with k = 0 has no logical operators and raises.
+    mode enumerates the full kernels and is refused when a kernel holds
+    more than ``gf.ENUMERATION_LIMIT`` vectors.  Bounded mode scans
+    weights 1..w_max and reports a lower bound for a side where nothing
+    is found.  A code with k = 0 has no logical operators and raises.
     """
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
     if mode == "exhaustive":
-        limit = _default_budget() if budget is None else budget
-        d_z = _min_weight_logical_exhaustive(code.x_gens, code.z_gens, limit)
-        d_x = _min_weight_logical_exhaustive(code.z_gens.T, code.x_gens.T, limit)
+        d_z = _min_weight_logical_exhaustive(code.x_gens, code.z_gens)
+        d_x = _min_weight_logical_exhaustive(code.z_gens.T, code.x_gens.T)
         return DistanceReport(
             d_z=d_z, d_x=d_x, d_z_lower=d_z, d_x_lower=d_x, method="exhaustive", search_bound=None
         )

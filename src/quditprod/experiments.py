@@ -33,6 +33,7 @@ from .complexes import ComplexShape, _random_boundary_batch
 from .gf import (
     FieldSpec,
     MatGF,
+    _check_enumeration,
     _mod,
     _random_invertible_batch,
     _table_rank,
@@ -194,7 +195,7 @@ def _trial_chunks(trials: int, master_seed: int) -> Iterator[list]:
         yield [trial_rng(master_seed, i) for i in range(start, min(start + _CHUNK, trials))]
 
 
-def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int, budget: int) -> np.ndarray:
+def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int) -> np.ndarray:
     """For each matrix of an (N, rows, n) stack of equal rank, whether
     its kernel holds a nonzero vector of weight <= w_max.
 
@@ -202,8 +203,8 @@ def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int, budget: int) -> np.
     fixed by its free coordinates c, any vector of GF(p)^t, and its
     pivot coordinates are then -R[:r, free] c.  Every c comes from
     ``span_blocks`` in blocks of ``_SPAN_ROWS // N`` rows (at least
-    one), and a matrix drops out at its first hit.  The kernel size p^t
-    must stay within the budget.
+    one), and a matrix drops out at its first hit.  Refused when the
+    kernel size p^t exceeds ``gf.ENUMERATION_LIMIT``.
     """
     hits = np.zeros(len(mats), dtype=bool)
     if w_max < 1 or len(mats) == 0:
@@ -214,8 +215,6 @@ def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int, budget: int) -> np.
     t = n - r
     if t == 0:
         return hits
-    if p**t > budget:
-        raise ValueError(f"kernel enumeration needs {p}^{t} vectors, above the budget {budget}")
     free = np.nonzero(~pivots)[1].reshape(nmat, t)
     mat_idx = np.arange(nmat)
     # gens[j, i, k] = -R_i[k, free_i[j]]: the pivot part is c @ gens[:, i].
@@ -234,13 +233,15 @@ def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int, budget: int) -> np.
     return hits
 
 
-def mc_low_weight_kernel(cfg: TrialConfig, budget: int = 10**6) -> EstimateReport:
+def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
     """Probability that the kernel of a random boundary operator
     contains a nonzero vector of weight below c*n.
 
     The kernel of the full operator is the direct sum of the two sector
     kernels, so the lightest nonzero vector lives entirely in one
-    sector; both sector kernels are enumerated exactly per trial.
+    sector; both sector kernels are enumerated exactly per trial, and
+    the run is refused when a kernel exceeds ``gf.ENUMERATION_LIMIT``
+    vectors.
     """
     if cfg.c is None:
         raise ValueError("this experiment needs the weight density c")
@@ -251,7 +252,7 @@ def mc_low_weight_kernel(cfg: TrialConfig, budget: int = 10**6) -> EstimateRepor
     for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
         d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
         # Both blocks are conjugates of the standard block: equal ranks.
-        hits = _light_kernel_hits(np.concatenate([d_mp, d_pm]), field.order, w_max, budget)
+        hits = _light_kernel_hits(np.concatenate([d_mp, d_pm]), field.order, w_max)
         successes += int((hits[: len(rngs)] | hits[len(rngs) :]).sum())
     return _report(
         "kernel",
@@ -374,15 +375,16 @@ def mc_uniform_low_weight(
 
 
 def exhaustive_ulw_probability(
-    field: FieldSpec, n_prime: int, rank: int, c_prime: Fraction, limit: int = 10**7
+    field: FieldSpec, n_prime: int, rank: int, c_prime: Fraction
 ) -> Fraction:
     """Exact P[uniform rank-R matrix has all row/col weights <= c'*n'],
     by enumerating the whole matrix space.  Ground truth for
-    mc_uniform_low_weight at tiny sizes."""
+    mc_uniform_low_weight at tiny sizes; refused when the space exceeds
+    ``gf.ENUMERATION_LIMIT`` matrices."""
     p = field.order
     cells = n_prime * n_prime
-    if p**cells > limit:
-        raise ValueError(f"enumeration needs {p}^{cells} matrices, above the limit {limit}")
+    # Checked before the cells x cells identity basis is built.
+    _check_enumeration(p, cells)
     bound = Fraction(c_prime) * n_prime
     # Weights are integers, so w <= bound is w <= floor(bound) exactly.
     ibound = math.floor(bound)

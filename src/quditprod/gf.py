@@ -10,6 +10,11 @@ product this library forms stays exact in int64: a sum of k products
 of two residues is below (D - 1)**2 * k < 2**63 for every inner
 dimension k < 2**31.
 
+Exhaustive enumerations (rank censuses, exhaustive distances and
+probabilities, the Monte Carlo kernel search) walk at most
+``ENUMERATION_LIMIT`` = 10**7 vectors or matrices: ``span_blocks`` and
+the count oracles refuse anything larger with one ValueError.
+
 The text wire format for a matrix is one header line ``D nrows ncols``
 followed by ``nrows`` lines of space-separated residues.
 """
@@ -227,25 +232,23 @@ def rank(m: MatGF) -> int:
     return len(_row_reduce(m.data, m.field.order)[1])
 
 
-def kernel_basis(m: MatGF) -> list[np.ndarray]:
-    """Basis of the right kernel {v : m v = 0}, one 1-D array per vector.
+def kernel_basis(m: MatGF) -> np.ndarray:
+    """Basis of the right kernel {v : m v = 0}, one row per vector of a
+    (t, cols) int64 array.
 
-    Computed from the reduced row echelon form: each non-pivot column
-    contributes one basis vector.  The list is ordered by free-column
-    index and is deterministic for a fixed input.
+    Computed from the reduced row echelon form: each non-pivot column f
+    contributes the vector with 1 at f and -rref[i, f] at the i-th pivot
+    column.  Rows are ordered by free-column index, so the basis is
+    deterministic for a fixed input.
     """
     p = m.field.order
     rref, pivots = _row_reduce(m.data, p)
-    pivot_set = set(pivots)
-    basis: list[np.ndarray] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rref[i, f]) % p
-        basis.append(v)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[: len(pivots), free].T) % p
     return basis
 
 
@@ -463,21 +466,41 @@ def _inverse_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return rank_batch(aug, p)[0][:, :, n:]
 
 
+# Most vectors (or matrices) any exhaustive enumeration may walk: every
+# span, census and exhaustive search is refused above it.
+ENUMERATION_LIMIT = 10**7
+
+
+def _check_enumeration(p: int, t: int) -> None:
+    """Refuse an enumeration of p**t vectors above ``ENUMERATION_LIMIT``,
+    which is read at each call."""
+    if p**t > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"enumeration needs {p}^{t} vectors, above the limit of {ENUMERATION_LIMIT}"
+        )
+
+
 def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.ndarray]:
     """Every GF(p) combination sum_i c_i basis[i] of the rows of a
     (t, width) basis, in blocks of at most ``rows`` rows.
 
     Rows come in the order of the index sum_i c_i p**i, so the first row
     is the zero combination; a basis with t = 0 yields that one zero row.
-    The caller bounds p**t: every combination is produced.
+    Refused with ValueError, before any block is built, when p**t
+    exceeds ``ENUMERATION_LIMIT``.
     """
     basis = np.asarray(basis, dtype=np.int64)
     t = basis.shape[0]
+    _check_enumeration(p, t)
     powers = p ** np.arange(t, dtype=np.int64)
     total = p**t
-    for start in range(0, total, rows):
-        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        yield ((idx[:, None] // powers) % p) @ basis % p
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, total, rows):
+            idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+            yield ((idx[:, None] // powers) % p) @ basis % p
+
+    return blocks()
 
 
 # Largest subspace-transition table built, in cells (states x codes).

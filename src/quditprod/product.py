@@ -124,8 +124,9 @@ def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     return ProductComplex(factor1=c1, factor2=c2, complex=cx, plus_raw=plus_raw, minus_raw=minus_raw)
 
 
-def cycle_space_plus(pc: ProductComplex) -> list[np.ndarray]:
-    """Basis of the cycles lying in the plus sector (ker of d_mp)."""
+def cycle_space_plus(pc: ProductComplex) -> np.ndarray:
+    """Basis of the cycles lying in the plus sector (ker of d_mp), one
+    row per vector."""
     return kernel_basis(pc.complex.d_mp)
 
 

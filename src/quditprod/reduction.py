@@ -107,10 +107,8 @@ class ReducedComplex:
 
     phi sends full-space vectors (length 2n) to quotient coordinates;
     embed sends quotient coordinates back to the canonical coset
-    representative (a full-space vector supported on V).  s_gt holds a
-    row-echelon basis of S> written in V coordinates, and pivot_coords /
-    rep_coords record which V coordinates were consumed by S> and which
-    represent the quotient.
+    representative (a full-space vector supported on V).  pivot_coords
+    records which V coordinates were consumed by S>.
     """
 
     base: InvolutiveComplex
@@ -118,9 +116,7 @@ class ReducedComplex:
     quotient: InvolutiveComplex
     phi: MatGF
     embed: MatGF
-    s_gt: MatGF
     pivot_coords: tuple[int, ...]
-    rep_coords: tuple[int, ...]
 
     @property
     def s_plus(self) -> int:
@@ -218,9 +214,7 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
         quotient=quotient,
         phi=phi,
         embed=embed,
-        s_gt=MatGF(c.field, s_basis, _reduced=True),
         pivot_coords=tuple(int(i) for i in piv),
-        rep_coords=rep,
     )
 
 
@@ -236,10 +230,8 @@ def _same_column_space(a: MatGF, b: MatGF) -> bool:
 
 
 def _kernel_matrix(m: MatGF) -> MatGF:
-    basis = kernel_basis(m)
-    if not basis:
-        return MatGF.zeros(m.field, m.cols, 0)
-    return MatGF(m.field, np.array(basis, dtype=np.int64).T, _reduced=True)
+    """The kernel basis of m as the columns of a matrix."""
+    return MatGF(m.field, kernel_basis(m).T, _reduced=True)
 
 
 def reduced_kerim_check(rc: ReducedComplex) -> list[str]:

@@ -47,13 +47,12 @@ from quditprod import (
     validate,
     vanishing_reduced_implies_boundary,
 )
+from quditprod import gf
 from quditprod.cli import main as cli_main
 
 from support import FIELD3, FIELD5, SHAPE3, distance3_complex, good_complexes
 
 RESULTS: dict[int, tuple[str, bool, str]] = {}
-
-ENUM_CAP = 10**7
 
 
 def _record(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -156,9 +155,9 @@ def test_criterion_04_reduction_identities():
     _record(4, "reduction-identities", ok, f"{checked} good complexes across three shapes")
 
 
-def test_criterion_05_count_oracles():
+def test_criterion_05_count_oracles(monkeypatch):
     """Closed-form counts equal brute-force enumeration on every
-    instance within the enumeration budget, including the full 4x4
+    instance within the enumeration limit, including the full 4x4
     census over GF(3), and rank counts partition the matrix space."""
     started = time.perf_counter()
     ok = True
@@ -177,11 +176,13 @@ def test_criterion_05_count_oracles():
         for a in range(1, 5):
             for b in range(1, 5):
                 space = d ** (a * b)
-                if space > ENUM_CAP and (d, a, b) != (3, 4, 4):
+                if space > gf.ENUMERATION_LIMIT and (d, a, b) != (3, 4, 4):
                     continue
                 # the 4x4 GF(3) census (3^16 matrices) is the largest
-                # instance run, with its own explicit budget
-                hist = brute_count_rank_matrices(field, a, b, limit=max(space, ENUM_CAP))
+                # instance run, with the enumeration limit raised for it
+                with monkeypatch.context() as mp:
+                    mp.setattr(gf, "ENUMERATION_LIMIT", max(space, gf.ENUMERATION_LIMIT))
+                    hist = brute_count_rank_matrices(field, a, b)
                 for r in range(min(a, b) + 1):
                     ok = ok and hist.get(r, 0) == count_rank_matrices(a, b, r, field)
                     instances += 1

@@ -8,7 +8,9 @@ compared structurally instead.
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,6 +39,17 @@ class TestTopLevel:
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+    def test_every_module_all_entry_resolves(self):
+        """The benchmark tracer wraps every ``__all__`` name of every
+        module, so a stale entry would break it.  ``__main__`` runs the
+        CLI on import and has no ``__all__``."""
+        for info in pkgutil.iter_modules(quditprod.__path__):
+            if info.name == "__main__":
+                continue
+            mod = importlib.import_module(f"quditprod.{info.name}")
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), f"quditprod.{info.name}.__all__ names missing {name!r}"
 
     def test_version_via_module_entry(self):
         proc = subprocess.run(
@@ -134,6 +147,30 @@ class TestPipeline:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: row 0 has 1 entries, expected 100000000000")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--experiment", "kernel", "--dim", "3", "--n", "3", "--H", "1", "--c", "1/0"],
+            ["mc", "--experiment", "kernel", "--dim", "3", "--n", "3", "--rho", "1/0", "--c", "1/2"],
+            ["mc", "--experiment", "ulw", "--dim", "3", "--nprime", "2", "--rank", "1",
+             "--cprime", "1/0"],
+            ["sample-complex", "--dim", "3", "--n", "3", "--rho", "1/0"],
+        ],
+        ids=["mc-c", "mc-rho", "mc-cprime", "sample-complex-rho"],
+    )
+    def test_zero_denominator_fails_cleanly(self, tmp_path, argv):
+        if argv[0] == "sample-complex":
+            extra = ["--out", str(tmp_path / "c.txt")]
+        else:
+            extra = ["--trials", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", *argv, *extra, "--seed", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
 

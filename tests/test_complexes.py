@@ -46,6 +46,7 @@ def test_shape_from_rho() -> None:
 
     s = ComplexShape.from_rho(6, Fraction(1, 3))
     assert (s.n, s.H, s.L) == (6, 2, 2)
+    assert ComplexShape.from_rho(3, Fraction(1, 3)) == ComplexShape(3, 1, 1)
     # floor(rho*n) odd against even n has no valid L
     with pytest.raises(ValueError, match="odd"):
         ComplexShape.from_rho(6, Fraction(1, 5))

@@ -29,6 +29,7 @@ from quditprod import (
     trial_rng,
 )
 import quditprod.counting as counting
+import quditprod.gf as gf
 from quditprod.gf import random_invertible
 
 from support import FIELD3, FIELD5, SHAPE3
@@ -221,12 +222,13 @@ class TestCountRankExtensions:
             raise AssertionError("the subspace table was built")
 
         monkeypatch.setattr(counting, "_subspace_table", untouched)
-        with pytest.raises(ValueError, match="above the limit"):
-            brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 1, 1), 4, 4, limit=3**14)
+        # 15 free cells: 3^15 is above the 10^7 limit
+        with pytest.raises(ValueError, match=r"3\^15 vectors, above the limit"):
+            brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 1, 1), 4, 4)
         with pytest.raises(ValueError, match="above the limit"):
             brute_count_rank_matrices(FIELD3, 10, 10)
         # 3^10000 has more digits than int-to-str conversion allows
-        with pytest.raises(ValueError, match=r"3\^10000 matrices, above the limit"):
+        with pytest.raises(ValueError, match=r"3\^10000 vectors, above the limit"):
             brute_count_rank_matrices(FIELD3, 100, 100)
 
     def test_brute_extension_rejects_oversized_corner(self):
@@ -292,10 +294,11 @@ class TestCountCyclesByRank:
             for rm in range(3):
                 assert census.get((rp, rm), 0) == count_cycles_by_rank(0, 1, rp, rm, FIELD5)
 
-    def test_enumeration_respects_limit(self):
+    def test_enumeration_respects_limit(self, monkeypatch):
         std = standard_boundary(SHAPE3, FIELD3)
-        with pytest.raises(ValueError, match="limit"):
-            enumerate_plus_cycle_ranks(product(std, std), limit=100)
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 100)
+        with pytest.raises(ValueError, match=r"3\^10 vectors, above the limit of 100"):
+            enumerate_plus_cycle_ranks(product(std, std))
 
 
 class TestCountReducedCycles:
@@ -362,12 +365,11 @@ class TestCountReducedCycles:
         with pytest.raises(ValueError, match="sector dimension"):
             enumerate_reduced_cycles(product(std, std), ReductionParams(n=5, n_prime=4))
 
-    def test_enumeration_respects_limit(self):
+    def test_enumeration_respects_limit(self, monkeypatch):
         c1, c2 = first_good_pair(SHAPE3, FIELD3, 2, 620, 621)
-        with pytest.raises(ValueError, match="limit"):
-            enumerate_reduced_cycles(
-                product(c1, c2), ReductionParams(n=3, n_prime=2), limit=10
-            )
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 10)
+        with pytest.raises(ValueError, match="above the limit of 10$"):
+            enumerate_reduced_cycles(product(c1, c2), ReductionParams(n=3, n_prime=2))
 
 
 class TestEvaluateBounds:

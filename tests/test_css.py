@@ -18,7 +18,7 @@ from quditprod import (
     trial_rng,
     vanishing_reduced_implies_boundary,
 )
-from quditprod.css import BUDGET_ENV_VAR
+from quditprod import gf
 from quditprod.gf import MatGF, kernel_basis, solve
 from support import FIELD3, FIELD5, SHAPE3, SHAPE5, distance3_complex
 
@@ -83,19 +83,14 @@ def test_distance_rejects_zero_k() -> None:
         min_distance(code)
 
 
-def test_distance_budget_and_env_override(monkeypatch) -> None:
+def test_distance_refuses_above_the_enumeration_limit(monkeypatch) -> None:
     code = extract_css(_standard_product(FIELD3).complex)
-    with pytest.raises(ValueError, match="budget"):
-        min_distance(code, mode="exhaustive", budget=10)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "10")
-    with pytest.raises(ValueError, match="budget"):
-        min_distance(code, mode="exhaustive")
-    # an explicit budget wins over the environment
-    rep = min_distance(code, mode="exhaustive", budget=10**7)
+    with monkeypatch.context() as mp:
+        mp.setattr(gf, "ENUMERATION_LIMIT", 10)
+        with pytest.raises(ValueError, match="above the limit of 10$"):
+            min_distance(code, mode="exhaustive")
+    rep = min_distance(code, mode="exhaustive")
     assert rep.d_z == 1
-    monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
-        min_distance(code, mode="exhaustive")
 
 
 def test_bounded_mode_reports_lower_bound_when_nothing_found() -> None:

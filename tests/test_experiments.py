@@ -24,7 +24,7 @@ from quditprod import (
     trial_rng,
     wilson_interval,
 )
-from quditprod import experiments, is_good, random_boundary
+from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
 from quditprod.gf import kernel_basis, rank, span_blocks
 from quditprod.reduction import weights_within
@@ -147,23 +147,24 @@ class TestLowWeightKernel:
         with pytest.raises(ValueError, match="density"):
             mc_low_weight_kernel(cfg)
 
-    def test_budget_guard(self):
-        # n=3, H=1 kernels are nonempty, so a budget of 2 cannot hold
+    def test_budget_guard(self, monkeypatch):
+        # n=3, H=1 kernels are nonempty, so a limit of 2 cannot hold
         # even one kernel's worth of vectors.
         cfg = TrialConfig(
             field=FIELD3, n=3, trials=1, master_seed=7, H=1, c=Fraction(1, 2)
         )
-        with pytest.raises(ValueError, match="budget"):
-            mc_low_weight_kernel(cfg, budget=2)
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 2)
+        with pytest.raises(ValueError, match=r"3\^2 vectors, above the limit of 2$"):
+            mc_low_weight_kernel(cfg)
         # the kernels have dimension H + L = 2: exactly 3^2 vectors
-        assert mc_low_weight_kernel(cfg, budget=9).trials == 1
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 9)
+        assert mc_low_weight_kernel(cfg).trials == 1
 
 
 def _has_light_kernel_vector(m, w_max: int) -> bool:
-    basis = kernel_basis(m)
-    if w_max < 1 or not basis:
+    if w_max < 1:
         return False
-    for vecs in span_blocks(np.array(basis), m.field.order):
+    for vecs in span_blocks(kernel_basis(m), m.field.order):
         weights = np.count_nonzero(vecs, axis=1)
         if ((weights > 0) & (weights <= w_max)).any():
             return True
@@ -260,11 +261,12 @@ class TestExhaustiveUlw:
         with pytest.raises(ValueError, match="no matrices of rank"):
             exhaustive_ulw_probability(FIELD3, 2, 3, Fraction(1, 2))
 
-    def test_limit_guard(self):
-        with pytest.raises(ValueError, match="limit"):
-            exhaustive_ulw_probability(FIELD5, 3, 1, Fraction(1, 2), limit=100)
-        with pytest.raises(ValueError, match=r"3\^10000 matrices, above the limit"):
+    def test_limit_guard(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"3\^10000 vectors, above the limit"):
             exhaustive_ulw_probability(FIELD3, 100, 1, Fraction(1, 2))
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 100)
+        with pytest.raises(ValueError, match=r"5\^9 vectors, above the limit of 100$"):
+            exhaustive_ulw_probability(FIELD5, 3, 1, Fraction(1, 2))
 
 
 class TestCsvEmission:

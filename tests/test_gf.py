@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from quditprod.counting import gaussian_binomial
+from quditprod import gf
+from quditprod.complexes import complex_from_text
+from quditprod.counting import brute_count_rank_matrices, gaussian_binomial
 from quditprod.experiments import _CHUNK
 from quditprod.gf import (
     ORDER_LIMIT,
@@ -132,14 +134,12 @@ def test_kernel_basis_annihilates_and_has_right_dimension() -> None:
         assert len(basis) == 6 - rank(m)
         for v in basis:
             assert not (m @ v).any()
-        if basis:
-            stacked = MatGF(FIELD3, np.array(basis))
-            assert rank(stacked) == len(basis)
+        assert rank(MatGF(FIELD3, basis)) == len(basis)
 
 
 def test_kernel_of_invertible_matrix_is_trivial() -> None:
     u = random_invertible(FIELD5, 4, np.random.default_rng(0))
-    assert kernel_basis(u) == []
+    assert kernel_basis(u).shape == (0, 4)
 
 
 def test_solve_consistent_and_inconsistent() -> None:
@@ -277,6 +277,20 @@ def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, widt
     assert (np.concatenate(small) == got).all()
 
 
+def test_enumeration_limit_boundary(monkeypatch) -> None:
+    """p^t equal to the limit is enumerated and p^(t+1) is refused at
+    the call, by span_blocks and by the count oracles alike."""
+    assert gf.ENUMERATION_LIMIT == 10**7
+    monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 3**5)
+    assert sum(len(b) for b in span_blocks(np.eye(5, dtype=np.int64), 3)) == 3**5
+    assert sum(brute_count_rank_matrices(FIELD3, 1, 5).values()) == 3**5
+    refusal = r"^enumeration needs 3\^6 vectors, above the limit of 243$"
+    with pytest.raises(ValueError, match=refusal):
+        span_blocks(np.eye(6, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=refusal):
+        brute_count_rank_matrices(FIELD3, 2, 3)
+
+
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
 def test_rank_batch_matches_scalar_rank(order: int) -> None:
     """rank_batch and the subspace-table rank against scalar rank on
@@ -327,6 +341,45 @@ def small_matrices(draw):
 def test_table_rank_equals_rank(case) -> None:
     order, m = case
     assert _table_rank(m[None], order).tolist() == [rank(MatGF(FieldSpec(order), m))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.integers(0, 2**32 - 1))
+def test_kernel_basis_rank_nullity_and_solve(case, seed) -> None:
+    """Rank-nullity, m @ kernel^T = 0, the basis is the identity on the
+    free columns (so its rows are fixed, in free-column order), and
+    solve(m, m x) solves the system for a random x."""
+    order, data = case
+    m = MatGF(FieldSpec(order), data)
+    basis = kernel_basis(m)
+    assert basis.shape == (m.cols - rank(m), m.cols)
+    assert not (data @ basis.T % order).any()
+    free = sorted(set(range(m.cols)) - set(_row_reduce(data, order)[1]))
+    assert (basis[:, free] == np.eye(len(free), dtype=np.int64)).all()
+    b = m @ np.random.default_rng(seed).integers(0, order, m.cols)
+    x = solve(m, b)
+    assert x is not None and ((m @ x) == b).all()
+
+
+_TOKENS = ["3", "5", "0", "1", "2", "4", "-1", "9", "65537", "100000000000", "x", "1/2", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parse=st.sampled_from([matrix_from_text, complex_from_text]),
+    text=st.one_of(
+        st.text(max_size=60),
+        st.lists(st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=9).map(
+            "\n".join
+        ),
+    ),
+)
+def test_parsers_raise_only_value_error(parse, text) -> None:
+    """Arbitrary text parses or raises ValueError, never anything else."""
+    try:
+        parse(text)
+    except ValueError:
+        pass
 
 
 @st.composite
