@@ -269,13 +269,32 @@ def cmd_count(args) -> int:
     return 0
 
 
+# The flags each Monte Carlo experiment reads, besides --dim, --trials,
+# --seed and --csv: (required, optional).  Any other flag is refused.
+MC_FLAGS = {
+    "kernel": (("n", "c"), ("H", "rho")),
+    "goodness": (("n", "nprime"), ("H", "rho")),
+    "ulw": (("nprime", "rank", "cprime"), ()),
+}
+
+
+def _check_mc_flags(args) -> None:
+    required, optional = MC_FLAGS[args.experiment]
+    every = {flag for flags in MC_FLAGS.values() for group in flags for flag in group}
+    extra = sorted(f for f in every - {*required, *optional} if getattr(args, f) is not None)
+    if extra:
+        flags = ", ".join(f"--{name}" for name in extra)
+        raise ValueError(f"{args.experiment} experiment does not take {flags}")
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join(f"--{name}" for name in missing)
+        raise ValueError(f"{args.experiment} experiment needs {flags}")
+
+
 def cmd_mc(args) -> int:
     field = FieldSpec(args.dim)
-    if args.experiment in ("kernel", "goodness") and args.n < 1:
-        raise ValueError(f"{args.experiment} experiment needs --n")
+    _check_mc_flags(args)
     if args.experiment == "kernel":
-        if args.c is None:
-            raise ValueError("kernel experiment needs --c")
         cfg = TrialConfig(
             field=field, n=args.n, trials=args.trials, master_seed=args.seed,
             H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
@@ -283,22 +302,16 @@ def cmd_mc(args) -> int:
         )
         report = mc_low_weight_kernel(cfg)
     elif args.experiment == "goodness":
-        if args.nprime is None:
-            raise ValueError("goodness experiment needs --nprime")
         cfg = TrialConfig(
             field=field, n=args.n, trials=args.trials, master_seed=args.seed,
             H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
         )
         report = mc_goodness(cfg, args.nprime)
-    elif args.experiment == "ulw":
-        if args.nprime is None or args.rank is None or args.cprime is None:
-            raise ValueError("ulw experiment needs --nprime, --rank and --cprime")
+    else:
         report = mc_uniform_low_weight(
             field, args.nprime, args.rank, _fraction("--cprime", args.cprime), args.trials,
             args.seed,
         )
-    else:
-        raise ValueError(f"unknown experiment {args.experiment!r}")
     payload = asdict(report)
     payload["params"] = {k: str(v) for k, v in report.params.items() if v is not None}
     _print_json(payload)
@@ -307,7 +320,8 @@ def cmd_mc(args) -> int:
         _write_manifest(
             args.csv,
             "mc",
-            {"experiment": args.experiment, "n": args.n, "dim": args.dim,
+            # ulw takes no --n; its manifest has always recorded n = 0.
+            {"experiment": args.experiment, "n": args.n or 0, "dim": args.dim,
              "trials": args.trials, "seed": args.seed},
             [args.csv],
         )
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="seeded Monte Carlo experiments")
     mc.add_argument("--experiment", choices=["kernel", "goodness", "ulw"], required=True)
     mc.add_argument("--dim", type=int, required=True)
-    mc.add_argument("--n", type=int, default=0)
+    mc.add_argument("--n", type=int, default=None)
     mc.add_argument("--H", type=int, default=None)
     mc.add_argument("--rho", default=None)
     mc.add_argument("--c", default=None)

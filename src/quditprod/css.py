@@ -6,24 +6,38 @@ generators; d_mp @ d_pm = 0 is exactly the CSS orthogonality
 condition.  The number of logical qudits equals the plus-sector
 homology dimension.
 
-Distances are computed exactly, either by exhausting the relevant
-kernel (coefficient enumeration over a kernel basis, refused above
-``gf.ENUMERATION_LIMIT`` kernel vectors) or by a bounded search over
-all vectors of weight <= w_max.  Both searches are deterministic, so
-they can be played against each other as independent oracles.
+Distances are computed exactly by two batched searches, which can be
+played against each other as independent oracles.  Both rest on a
+coset basis: a basis of a kernel whose first r rows span the image
+(the stabilizers) and whose last k rows represent the logical classes,
+picked by one row reduction.
+
+- Exhaustive mode enumerates the kernel over that basis with
+  ``gf.span_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
+  vectors).  The logicals are exactly the combinations of span index
+  at least p**r, so only their weights are computed.
+- Bounded mode scans weights 1..w_max.  It multiplies blocks of
+  supports and value tuples against the dual coset basis at once: a
+  vector is a logical when its syndromes vanish on the row space of
+  the checks and not on the k dual representatives.  It has no
+  enumeration cap; weight w costs C(n, w) (p-1)**(w-1) syndromes.
+
+Both need the X and Z generators to commute, which ``min_distance``
+checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    FieldSpec, MatGF, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve, span_blocks,
+    FieldSpec, MatGF, _mod, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve,
+    span_blocks,
 )
 
 __all__ = [
@@ -53,13 +67,17 @@ class CssCode:
     stab_weight: int
 
 
+def _check_commute(x_gens: MatGF, z_gens: MatGF) -> None:
+    if not (x_gens @ z_gens).is_zero():
+        raise ValueError("X and Z generators do not commute; boundary does not square to zero")
+
+
 def extract_css(c: InvolutiveComplex) -> CssCode:
     """Read the CSS code off a complex; raises if the generator families
     fail to commute (i.e. if the complex is not a complex)."""
     z_gens = c.d_pm
     x_gens = c.d_mp
-    if not (x_gens @ z_gens).is_zero():
-        raise ValueError("X and Z generators do not commute; boundary does not square to zero")
+    _check_commute(x_gens, z_gens)
     n_phys = c.dim_plus
     k = (n_phys - rank(x_gens)) - rank(z_gens)
     gen_weights = [0]
@@ -104,74 +122,89 @@ class DistanceReport:
         }
 
 
-def _span_rref(m: MatGF) -> tuple[np.ndarray, list[int]]:
-    """Row echelon data for the column space of m (rows span im m)."""
-    return _row_reduce(m.data.T, m.field.order)
+# Cells (supports x value tuples x checks) in one syndrome block of the
+# bounded search, so its memory stays flat as the code grows.
+_BLOCK_CELLS = 1 << 17
 
 
-def _outside_span(vectors: np.ndarray, rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Boolean mask of rows of ``vectors`` not lying in the given span."""
-    rem = vectors % p
-    if pivots:
-        rem = (rem - rem[:, pivots] @ rref[: len(pivots)]) % p
-    return rem.any(axis=1)
+def _coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
+    """A basis of ker kernel_of as rows, and r = rank image_of: the first
+    r rows span im image_of and the remaining k represent the classes of
+    ker / im.
+
+    One row reduction of [columns of image_of; a kernel basis], stacked
+    as columns, picks the first maximal independent subset: the r
+    independent image columns, then k kernel vectors.  This needs
+    im image_of inside ker kernel_of, which ``min_distance`` checks.
+    Raises when k = 0.
+    """
+    stacked = np.concatenate([image_of.data.T, kernel_basis(kernel_of)])
+    _, picked = _row_reduce(stacked.T, kernel_of.field.order)
+    r = sum(1 for i in picked if i < image_of.cols)
+    if r == len(picked):
+        raise ValueError("code has no logical operators")
+    return stacked[picked], r
 
 
 def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF) -> int:
     """Minimum weight over (ker kernel_of) \\ (im image_of), by exhausting
-    the kernel via coefficient tuples over a kernel basis."""
+    the kernel over the basis [r image rows; k logical representatives].
+
+    A combination is a logical exactly when one of its k logical
+    coefficients is nonzero, that is when its span index (see
+    ``span_blocks``) is at least p**r; only weights are computed.
+    """
     p = kernel_of.field.order
-    kernel = span_blocks(kernel_basis(kernel_of), p)
-    rref, pivots = _span_rref(image_of)
-    best: int | None = None
-    # The zero combination lies in the image, so _outside_span drops it.
-    for vecs in kernel:
-        logical = _outside_span(vecs, rref, pivots, p)
-        if logical.any():
-            weights = np.count_nonzero(vecs[logical], axis=1)
-            cand = int(weights.min())
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise ValueError("code has no logical operators")
+    basis, r = _coset_basis(kernel_of, image_of)
+    first_logical = p**r
+    best = kernel_of.cols
+    start = 0
+    for vecs in span_blocks(basis, p):
+        skip = max(first_logical - start, 0)
+        start += len(vecs)
+        if skip < len(vecs):
+            best = min(best, int(np.count_nonzero(vecs[skip:], axis=1).min()))
     return best
-
-
-def _colex_supports(n: int, w: int) -> Iterator[tuple[int, ...]]:
-    """Size-w subsets of range(n) in colexicographic order."""
-    if w == 0:
-        yield ()
-        return
-    for top in range(w - 1, n):
-        for rest in itertools.combinations(range(top), w - 1):
-            yield rest + (top,)
 
 
 def _min_weight_logical_bounded(
     kernel_of: MatGF, image_of: MatGF, w_max: int
 ) -> tuple[int | None, int]:
-    """First weight w <= w_max carrying a logical operator, searching
-    supports in colex order and nonzero value tuples per support.
+    """First weight w <= w_max carrying a logical operator.
+
+    The checks are [a basis of the row space of kernel_of; k
+    representatives of ker image_of^T modulo that row space].  Since
+    im image_of is the annihilator of ker image_of^T, a vector is a
+    logical exactly when its first r syndromes vanish and one of its
+    last k does not.  A logical times a nonzero scalar is one of the same
+    weight, so value tuples start with 1: each weight costs
+    C(n, w) (p-1)**(w-1) syndromes, computed in blocks of supports of at
+    most ``_BLOCK_CELLS`` cells.
 
     Returns (d, lower): d is the exact distance when found, otherwise
     None with lower = w_max + 1.
     """
     p = kernel_of.field.order
     n = kernel_of.cols
-    rref, pivots = _span_rref(image_of)
-    stab = kernel_of.data
-    nonzero_vals = np.arange(1, p, dtype=np.int64)
-    for w in range(1, w_max + 1):
-        value_tuples = np.array(list(itertools.product(nonzero_vals, repeat=w)), dtype=np.int64)
-        for support in _colex_supports(n, w):
-            cols = stab[:, support]
-            syndromes = (value_tuples @ cols.T) % p
-            in_kernel = ~syndromes.any(axis=1)
-            if not in_kernel.any():
-                continue
-            vecs = np.zeros((int(in_kernel.sum()), n), dtype=np.int64)
-            vecs[:, support] = value_tuples[in_kernel]
-            if _outside_span(vecs, rref, pivots, p).any():
+    checks, r = _coset_basis(image_of.T, kernel_of.T)
+    for w in range(1, min(w_max, n) + 1):
+        # The smallest dtype holding a sum of w products of residues: a
+        # syndrome block then moves a fraction of the int64 bytes.
+        dtype = np.min_scalar_type(w * (p - 1) ** 2)
+        values = np.array(
+            [(1, *rest) for rest in itertools.product(range(1, p), repeat=w - 1)], dtype=dtype
+        )
+        cols = checks.T.astype(dtype)
+        block = max(1, _BLOCK_CELLS // (len(values) * len(checks)))
+        supports = itertools.combinations(range(n), w)
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(supports, block))
+            chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, w)
+            if not len(chunk):
+                break
+            syn = _mod(np.einsum("vw,bwc->bvc", values, cols[chunk]), p)
+            logical = ~syn[:, :, :r].any(axis=2) & syn[:, :, r:].any(axis=2)
+            if logical.any():
                 return w, w
     return None, w_max + 1
 
@@ -188,10 +221,12 @@ def min_distance(
     mode enumerates the full kernels and is refused when a kernel holds
     more than ``gf.ENUMERATION_LIMIT`` vectors.  Bounded mode scans
     weights 1..w_max and reports a lower bound for a side where nothing
-    is found.  A code with k = 0 has no logical operators and raises.
+    is found.  A code with k = 0 has no logical operators and raises,
+    and so does a code whose generators do not commute.
     """
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
+    _check_commute(code.x_gens, code.z_gens)
     if mode == "exhaustive":
         d_z = _min_weight_logical_exhaustive(code.x_gens, code.z_gens)
         d_x = _min_weight_logical_exhaustive(code.z_gens.T, code.x_gens.T)

@@ -304,7 +304,7 @@ def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
 
 def _check_rank(n_prime: int, rank: int) -> None:
     if not 0 <= rank <= n_prime:
-        raise ValueError(f"rank must lie in [0, {n_prime}]")
+        raise ValueError(f"no matrices of rank {rank}: rank must lie in [0, {n_prime}]")
 
 
 def _weights_within(mats: np.ndarray, bound: int) -> np.ndarray:
@@ -381,6 +381,7 @@ def exhaustive_ulw_probability(
     by enumerating the whole matrix space.  Ground truth for
     mc_uniform_low_weight at tiny sizes; refused when the space exceeds
     ``gf.ENUMERATION_LIMIT`` matrices."""
+    _check_rank(n_prime, rank)
     p = field.order
     cells = n_prime * n_prime
     # Checked before the cells x cells identity basis is built.
@@ -397,8 +398,6 @@ def exhaustive_ulw_probability(
         if not in_stratum.any():
             continue
         hits += int(_weights_within(mats[in_stratum], ibound).sum())
-    if stratum == 0:
-        raise ValueError(f"no matrices of rank {rank}")
     return Fraction(hits, stratum)
 
 

@@ -11,6 +11,8 @@ weight exactly 3.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from quditprod import (
@@ -22,7 +24,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, inverse, rank
+from quditprod.gf import MatGF, _row_reduce, inverse, rank
 
 FIELD3 = FieldSpec(3)
 FIELD5 = FieldSpec(5)
@@ -81,3 +83,29 @@ def good_complexes(
     raise AssertionError(
         f"only {len(out)} good complexes in {max_attempts} attempts"
     )
+
+
+def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int | None:
+    """Reference for the bounded distance search: the first weight
+    w <= w_max carrying a vector of ker kernel_of outside im image_of,
+    else None.
+
+    One support at a time, every nonzero value tuple, each kernel
+    vector tested against the row echelon form of im image_of.
+    """
+    p = kernel_of.field.order
+    n = kernel_of.cols
+    rref, pivots = _row_reduce(image_of.data.T, p)
+    for w in range(1, w_max + 1):
+        values = np.array(list(itertools.product(range(1, p), repeat=w)), dtype=np.int64)
+        for support in itertools.combinations(range(n), w):
+            in_kernel = ~((values @ kernel_of.data[:, support].T) % p).any(axis=1)
+            if not in_kernel.any():
+                continue
+            vecs = np.zeros((int(in_kernel.sum()), n), dtype=np.int64)
+            vecs[:, support] = values[in_kernel]
+            if pivots:
+                vecs = (vecs - vecs[:, pivots] @ rref[: len(pivots)]) % p
+            if vecs.any():
+                return w
+    return None

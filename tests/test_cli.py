@@ -8,17 +8,33 @@ compared structurally instead.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditprod
-from quditprod import complex_from_text, matrix_from_text, mc_uniform_low_weight, validate
+from quditprod import (
+    ComplexShape,
+    complex_from_text,
+    complex_to_text,
+    matrix_from_text,
+    mc_uniform_low_weight,
+    random_boundary,
+    trial_rng,
+    validate,
+)
+from quditprod.gf import FieldSpec
 from quditprod.cli import main
 
 from support import FIELD3
@@ -174,6 +190,54 @@ class TestPipeline:
         assert "Traceback" not in proc.stderr
 
 
+@st.composite
+def damaged_complex_texts(draw):
+    """The text of a seeded complex over GF(3/5/7), either cut before
+    the last entry of its last row or with one token replaced by a
+    token no valid file holds (dropped, non-integer or negative)."""
+    order = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    L = draw(st.integers(0, n // 2))
+    c, _, _ = random_boundary(
+        ComplexShape(n, n - 2 * L, L), FieldSpec(order), trial_rng(draw(st.integers(0, 99)), 0)
+    )
+    text = complex_to_text(c)
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, text.rstrip().rindex(" ")))]
+    tokens = [line.split(" ") for line in text.splitlines()]
+    i = draw(st.integers(0, len(tokens) - 1))
+    j = draw(st.integers(0, len(tokens[i]) - 1))
+    tokens[i][j] = draw(st.sampled_from(["", "x", "-1", "1/2"]))
+    return "\n".join(" ".join(t for t in line if t) for line in tokens) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=damaged_complex_texts(),
+    command=st.sampled_from(["product", "css-extract", "distance", "reduce"]),
+)
+def test_damaged_input_file_exits_1(text, command):
+    """Every subcommand that reads a complex file refuses a truncated or
+    corrupted one with exit 1 and an ``error:`` line, raising nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        bad = root / "bad.txt"
+        bad.write_text(text)
+        good = sample(root, "good.txt")
+        out = root / "out"
+        argv = {
+            "product": ["product", "--in1", bad, "--in2", good, "--out", out],
+            "css-extract": ["css-extract", "--in", bad, "--out", out],
+            "distance": ["distance", "--in", bad, "--out", out],
+            "reduce": ["reduce", "--in", bad, "--nprime", 1, "--out", out],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == 1
+        assert err.getvalue().startswith("error: ")
+        assert not out.exists()
+
+
 class TestDistance:
     def test_report_file_is_deterministic(self, tmp_path, capsys):
         cfile = sample(tmp_path, "c.txt", seed=5)
@@ -293,3 +357,25 @@ class TestMonteCarlo:
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] == 20
         assert 0 <= payload["successes"] <= 20
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["--experiment", "ulw", "--nprime", "2", "--rank", "1", "--cprime", "1/2",
+              "--n", "7", "--rho", "abc"], "ulw experiment does not take --n, --rho"),
+            (["--experiment", "kernel", "--n", "3", "--H", "1", "--c", "1/2", "--rank", "1"],
+             "kernel experiment does not take --rank"),
+            (["--experiment", "goodness", "--n", "3", "--H", "1", "--nprime", "2",
+              "--c", "1/2"], "goodness experiment does not take --c"),
+        ],
+        ids=["ulw-n-rho", "kernel-rank", "goodness-c"],
+    )
+    def test_flag_the_experiment_ignores_fails(self, argv, refused):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", "mc", "--dim", "3", *argv,
+             "--trials", "5", "--seed", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {refused}\n"
+        assert proc.stdout == ""

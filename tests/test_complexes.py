@@ -223,6 +223,22 @@ def test_complex_text_round_trip() -> None:
         assert back.field == c.field
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7, 65521]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_complex_text_round_trip_property(order, n, seed, data) -> None:
+    L = data.draw(st.integers(0, n // 2), label="L")
+    c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), FieldSpec(order), trial_rng(seed, 0))
+    text = complex_to_text(c)
+    back = complex_from_text(text)
+    assert back.field == c.field and back.d_pm == c.d_pm and back.d_mp == c.d_mp
+    assert complex_to_text(back) == text
+
+
 @pytest.mark.parametrize(
     "text",
     [

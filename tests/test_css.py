@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quditprod import (
     ComplexShape,
@@ -19,8 +21,8 @@ from quditprod import (
     vanishing_reduced_implies_boundary,
 )
 from quditprod import gf
-from quditprod.gf import MatGF, kernel_basis, solve
-from support import FIELD3, FIELD5, SHAPE3, SHAPE5, distance3_complex
+from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank, solve
+from support import FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex
 
 
 def _standard_product(field):
@@ -133,6 +135,64 @@ def test_repetition_analogue_matches_hand_count() -> None:
         if any(v) and (v[0] + 2 * v[1]) % 3 == 0
     )
     assert (rep.d_z, rep.d_x) == (d_z, d_x) == (1, 2)
+
+
+def test_distance_refuses_non_commuting_generators() -> None:
+    """A hand-built code whose X and Z generators do not commute has no
+    distance: both modes refuse it with extract_css's message."""
+    z = MatGF(FIELD3, [[1], [2]])
+    x = MatGF(FIELD3, [[1, 0]])
+    code = CssCode(field=FIELD3, z_gens=z, x_gens=x, n_phys=2, k=1, stab_weight=2)
+    for mode, w_max in (("exhaustive", None), ("bounded", 2)):
+        with pytest.raises(ValueError, match="^X and Z generators do not commute"):
+            min_distance(code, mode=mode, w_max=w_max)
+
+
+@st.composite
+def distance_codes(draw):
+    """CSS codes of the product of two seeded factors with n <= 3 over
+    GF(3/5/7), or of a distance-3 GF(5) factor; either sign of the
+    involution."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.integers(0, 3)) == 0:
+        c = distance3_complex(trial_rng(seed, 0))
+    else:
+        field = FieldSpec(draw(st.sampled_from([3, 5, 7])))
+        # Every shape with n <= 3; n = 3, H = 1 (the [[18,2]] products,
+        # whose distance is often 2) is drawn most often.
+        shapes = st.sampled_from([(3, 1, 1), (1, 1, 0), (2, 2, 0), (2, 0, 1), (3, 3, 0), (3, 1, 1)])
+        factors = [
+            random_boundary(ComplexShape(*draw(shapes)), field, trial_rng(seed, i))[0]
+            for i in range(2)
+        ]
+        c = product(*factors).complex
+    if draw(st.booleans()):
+        c = flip_sectors(c)
+    return extract_css(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distance_codes())
+def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
+    """For w_max = 1..3 bounded mode reports the first logical weight of
+    the one-support-at-a-time reference search, and the exhaustive
+    distance wherever that is at most w_max.  Exhaustive mode runs on
+    kernels of at most 10^5 vectors, to keep the property fast."""
+    assume(code.k > 0)
+    p = code.field.order
+    sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
+    first = [bounded_logical_weight(k_of, i_of, 3) for k_of, i_of in sides]
+    small = all(p ** (k_of.cols - rank(k_of)) <= 10**5 for k_of, _ in sides)
+    exact = min_distance(code, mode="exhaustive") if small else None
+    for w_max in (1, 2, 3):
+        rep = min_distance(code, mode="bounded", w_max=w_max)
+        found = [d if d is not None and d <= w_max else None for d in first]
+        assert [rep.d_z, rep.d_x] == found
+        for d, lower in zip(found, (rep.d_z_lower, rep.d_x_lower)):
+            assert lower == (w_max + 1 if d is None else d)
+        if exact is not None:
+            for d, e in zip(found, (exact.d_z, exact.d_x)):
+                assert d == (e if e <= w_max else None)
 
 
 def test_clean_cocycle_trivial_cases() -> None:

@@ -261,6 +261,15 @@ class TestExhaustiveUlw:
         with pytest.raises(ValueError, match="no matrices of rank"):
             exhaustive_ulw_probability(FIELD3, 2, 3, Fraction(1, 2))
 
+    @pytest.mark.parametrize("rank", [4, -1])
+    def test_rank_refused_before_enumerating(self, monkeypatch, rank):
+        def walked(*args, **kwargs):
+            raise AssertionError("enumerated a rank that has no matrices")
+
+        monkeypatch.setattr(experiments, "span_blocks", walked)
+        with pytest.raises(ValueError, match=rf"no matrices of rank {rank}: rank must lie in \[0, 3\]"):
+            exhaustive_ulw_probability(FIELD5, 3, rank, Fraction(1, 2))
+
     def test_limit_guard(self, monkeypatch):
         with pytest.raises(ValueError, match=r"3\^10000 vectors, above the limit"):
             exhaustive_ulw_probability(FIELD3, 100, 1, Fraction(1, 2))

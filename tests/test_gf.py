@@ -14,6 +14,7 @@ from quditprod.gf import (
     ORDER_LIMIT,
     FieldSpec,
     MatGF,
+    _inverse_batch,
     _inverse_table,
     _random_invertible_batch,
     _row_reduce,
@@ -429,3 +430,33 @@ def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed
         ref = np.random.default_rng([seed, i])
         assert (mats[i] == random_invertible(field, n, ref).data).all()
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7, 181, 191, 65521]),
+    n=st.integers(1, 6),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_and_batched_inverse_agree(order, n, count, seed) -> None:
+    """inverse(u) @ u is the identity, and _inverse_batch gives
+    inverse's matrix for every member of a stack."""
+    field = FieldSpec(order)
+    rng = np.random.default_rng(seed)
+    us = [random_invertible(field, n, rng) for _ in range(count)]
+    batch = _inverse_batch(np.stack([u.data for u in us]), order)
+    for u, inv_b in zip(us, batch):
+        inv = inverse(u)
+        assert inv @ u == MatGF.identity(field, n)
+        assert (inv_b == inv.data).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_matrix_text_round_trip_property(case) -> None:
+    order, data = case
+    m = MatGF(FieldSpec(order), data)
+    text = matrix_to_text(m)
+    assert matrix_from_text(text) == m
+    assert matrix_to_text(matrix_from_text(text)) == text
