@@ -76,7 +76,6 @@ from .counting import (
     enumerate_plus_cycle_ranks,
     brute_count_rank_matrices,
     brute_count_rank_extensions,
-    evaluate_bounds,
 )
 from .experiments import (
     TrialConfig,

@@ -82,6 +82,8 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 def _shape_from_args(args) -> ComplexShape:
+    if args.H is not None and args.rho is not None:
+        raise ValueError("give only one of --H or --rho")
     if args.H is not None:
         return ComplexShape.from_hom_dim(args.n, args.H)
     if args.rho is not None:

@@ -19,8 +19,6 @@ recomputes the same map by brute force on an actual product complex.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .complexes import InvolutiveComplex, is_good
@@ -40,7 +38,6 @@ __all__ = [
     "enumerate_plus_cycle_ranks",
     "brute_count_rank_matrices",
     "brute_count_rank_extensions",
-    "evaluate_bounds",
 ]
 
 
@@ -303,121 +300,3 @@ def brute_count_rank_extensions(
     if fixed.rows > rows or fixed.cols > cols:
         raise ValueError("fixed block does not fit")
     return _enumerate_ranks(field, rows, cols, fixed.data)
-
-
-def _pow_fraction(base: int, expo: Fraction) -> float:
-    return float(base) ** float(expo)
-
-
-def evaluate_bounds(
-    field: FieldSpec,
-    grid_max: int = 6,
-    ext_grid_max: int = 3,
-    n: int = 20,
-    rho: Fraction = Fraction(1, 100),
-    r: Fraction = Fraction(1, 10),
-    epsilon: Fraction = Fraction(1, 20),
-) -> dict:
-    """Measured ratios between exact counts and the exponential parts
-    of their asymptotic bounds, constants taken as 1.
-
-    Sections: rank counts against D^((A+B)R - R^2); rank extensions
-    against D^((A+B-b)R - br - R^2 + (b-a+r+R)^2/4); cycle counts
-    against D^(2(H+L)(r+ + r-) - r+^2 - r-^2) * sum_l D^(-l^2 + (r+ +
-    r- - 2H)l); and the value of the n^6 * D^(-2(1-2r-2eps+2r*eps-rho)n)
-    rare-event bound at the given parameters.  Ratios are exact
-    rationals converted to float only here at the reporting boundary.
-    """
-    d = field.order
-    report: dict = {"field": d}
-
-    entries = []
-    ratios = []
-    for A in range(1, grid_max + 1):
-        for B in range(1, grid_max + 1):
-            for R in range(0, min(A, B) + 1):
-                exact = count_rank_matrices(A, B, R, field)
-                expo = (A + B) * R - R * R
-                ratio = Fraction(exact, d**expo)
-                ratios.append(ratio)
-                entries.append(
-                    {"A": A, "B": B, "R": R, "exact": exact, "exponent": expo,
-                     "ratio": float(ratio)}
-                )
-    report["rank_count"] = {
-        "grid_max": grid_max,
-        "entries": entries,
-        "ratio_min": float(min(ratios)),
-        "ratio_max": float(max(ratios)),
-    }
-
-    entries = []
-    fratios = []
-    g = ext_grid_max
-    for a in range(0, g + 1):
-        for b in range(0, g + 1):
-            for rr in range(0, min(a, b) + 1):
-                for A in range(a, g + 2):
-                    for B in range(b, g + 2):
-                        for R in range(rr, min(A, B) + 1):
-                            exact = count_rank_extensions(a, b, rr, A, B, R, field)
-                            if exact == 0:
-                                continue
-                            expo = Fraction((A + B - b) * R - b * rr - R * R) + Fraction(
-                                (b - a + rr + R) ** 2, 4
-                            )
-                            ratio = exact / _pow_fraction(d, expo)
-                            fratios.append(ratio)
-                            entries.append(
-                                {"a": a, "b": b, "r": rr, "A": A, "B": B, "R": R,
-                                 "exact": exact, "exponent": str(expo), "ratio": ratio}
-                            )
-    report["rank_extension"] = {
-        "grid_max": g,
-        "entries": entries,
-        "ratio_min": min(fratios),
-        "ratio_max": max(fratios),
-    }
-
-    entries = []
-    zratios = []
-    for H in range(0, 3):
-        for L in range(0, 3):
-            nn = H + 2 * L
-            if nn == 0:
-                continue
-            for rp in range(0, nn + 1):
-                for rm in range(0, nn + 1):
-                    exact = count_cycles_by_rank(H, L, rp, rm, field)
-                    if exact == 0:
-                        continue
-                    core = 2 * (H + L) * (rp + rm) - rp * rp - rm * rm
-                    tail = sum(
-                        Fraction(d) ** ((rp + rm - 2 * H) * l - l * l)
-                        for l in range(0, 2 * L + 1)
-                    )
-                    form = Fraction(d) ** core * tail
-                    ratio = Fraction(exact) / form
-                    zratios.append(ratio)
-                    entries.append(
-                        {"H": H, "L": L, "r_plus": rp, "r_minus": rm, "exact": exact,
-                         "ratio": float(ratio), "within_n_factor": ratio <= nn}
-                    )
-    report["cycle_count"] = {
-        "entries": entries,
-        "ratio_min": float(min(zratios)),
-        "ratio_max": float(max(zratios)),
-    }
-
-    bracket = 1 - 2 * r - 2 * epsilon + 2 * r * epsilon - rho
-    expo = -2 * bracket * n
-    report["rare_event_bound"] = {
-        "n": n,
-        "rho": str(rho),
-        "r": str(r),
-        "epsilon": str(epsilon),
-        "bracket": float(bracket),
-        "exponent": float(expo),
-        "bound_value": n**6 * _pow_fraction(d, Fraction(expo)),
-    }
-    return report

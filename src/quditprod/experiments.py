@@ -68,7 +68,7 @@ _SPAN_ROWS = 1 << 12
 class TrialConfig:
     """Shared knobs for the complex-sampling experiments.
 
-    The shape comes from H when given, otherwise from rho.  The weight
+    The shape comes from exactly one of H and rho.  The weight
     density c, when set, must satisfy c < 1 - 1/D; beyond that point
     even a uniformly random kernel vector is likely to be light and the
     decay regime being probed does not exist.
@@ -87,6 +87,8 @@ class TrialConfig:
             raise ValueError("need at least one trial")
         if self.H is None and self.rho is None:
             raise ValueError("one of H or rho must be given")
+        if self.H is not None and self.rho is not None:
+            raise ValueError("give only one of H or rho")
         if self.c is not None:
             object.__setattr__(self, "c", Fraction(self.c))
             if not 0 < self.c < 1 - Fraction(1, self.field.order):

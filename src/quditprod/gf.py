@@ -321,11 +321,20 @@ def kron(a: MatGF, b: MatGF) -> MatGF:
     return MatGF(a.field, np.kron(a.data, b.data) % a.field.order, _reduced=True)
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The int64 block-diagonal matrix of 2-d arrays, zero off the blocks."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def matrix_to_text(m: MatGF) -> str:
     """Serialize to the ``D nrows ncols`` text format, one row per line."""
     lines = [f"{m.field.order} {m.rows} {m.cols}"]
-    for row in m.data:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines.extend(" ".join(map(str, row)) for row in m.data.tolist())
     return "\n".join(lines) + "\n"
 
 

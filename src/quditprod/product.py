@@ -2,11 +2,19 @@
 
 The product of complexes (C1, d1, P1) and (C2, d2, P2) lives on
 C1 (x) C2 with boundary d1 (x) I + P1 (x) d2 and involution P1 (x) P2.
-The raw tensor basis is ordered C1-major / C2-minor; the product
-complex then re-sorts it into the plus sector followed by the minus
-sector, keeping the raw order within each (a stable partition).  With
-that ordering a plus-sector vector splits into two contiguous matrix
-blocks:
+Its sectors are
+
+    C+ = (C1+ (x) C2+) (+) (C1- (x) C2-)
+    C- = (C1+ (x) C2-) (+) (C1- (x) C2+)
+
+each part ordered C1-major / C2-minor, and its two boundary blocks are
+built directly from the factor blocks:
+
+    d_pm = [[I (x) d2_pm, d1_pm (x) I], [d1_mp (x) I, -I (x) d2_mp]]
+    d_mp = [[I (x) d2_mp, d1_pm (x) I], [d1_mp (x) I, -I (x) d2_pm]]
+
+With that ordering a plus-sector vector splits into two contiguous
+matrix blocks:
 
     psi_plus  on  C1+ (x) C2+   (dim C1+ rows, dim C2+ columns)
     psi_minus on  C1- (x) C2-
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, homology_dimensions, validate
-from .gf import FieldSpec, MatGF, kernel_basis
+from .gf import FieldSpec, MatGF, _block_diag, kernel_basis
 
 __all__ = [
     "ProductComplex",
@@ -35,14 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProductComplex:
-    """A product complex plus the index bookkeeping linking its sorted
-    basis back to the raw tensor basis of the factors."""
+    """A product complex together with its two factors."""
 
     factor1: InvolutiveComplex
     factor2: InvolutiveComplex
     complex: InvolutiveComplex
-    plus_raw: np.ndarray
-    minus_raw: np.ndarray
 
     @property
     def field(self) -> FieldSpec:
@@ -55,10 +60,6 @@ class ProductComplex:
             (self.factor1.dim_plus, self.factor2.dim_plus),
             (self.factor1.dim_minus, self.factor2.dim_minus),
         )
-
-    def sorted_raw(self) -> np.ndarray:
-        """Raw tensor index of each sorted basis position."""
-        return np.concatenate([self.plus_raw, self.minus_raw])
 
     def vector_to_blocks(self, v: np.ndarray) -> tuple[MatGF, MatGF]:
         """Split a C+ vector into its two matrix blocks."""
@@ -77,51 +78,34 @@ class ProductComplex:
         return np.concatenate([psi_plus.data.reshape(-1), psi_minus.data.reshape(-1)])
 
 
-def _sector_orders(c1: InvolutiveComplex, c2: InvolutiveComplex) -> tuple[np.ndarray, np.ndarray]:
-    p1, m1 = c1.dim_plus, c1.dim_minus
-    p2, m2 = c2.dim_plus, c2.dim_minus
-    t2 = p2 + m2
-    plus_raw = np.array(
-        [i * t2 + j for i in range(p1) for j in range(p2)]
-        + [(p1 + i) * t2 + (p2 + j) for i in range(m1) for j in range(m2)],
-        dtype=np.intp,
-    )
-    minus_raw = np.array(
-        [i * t2 + (p2 + j) for i in range(p1) for j in range(m2)]
-        + [(p1 + i) * t2 + j for i in range(m1) for j in range(p2)],
-        dtype=np.intp,
-    )
-    return plus_raw, minus_raw
-
-
 def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     """The product complex, validated on construction."""
     if c1.field != c2.field:
         raise ValueError("factors must share a field")
     field = c1.field
     p = field.order
-    d1 = c1.full_boundary().data
-    d2 = c2.full_boundary().data
-    p1 = c1.involution().data
-    eye2 = np.eye(c2.dim_total, dtype=np.int64)
-    raw = (np.kron(d1, eye2) + np.kron(p1, d2)) % p
-    plus_raw, minus_raw = _sector_orders(c1, c2)
-    order = np.concatenate([plus_raw, minus_raw])
-    full = raw[np.ix_(order, order)]
-    dp = len(plus_raw)
-    if full[:dp, :dp].any() or full[dp:, dp:].any():
-        raise AssertionError("product boundary has sector-diagonal entries")
+    eye1p, eye1m, eye2p, eye2m = (
+        np.eye(k, dtype=np.int64) for k in (c1.dim_plus, c1.dim_minus, c2.dim_plus, c2.dim_minus)
+    )
+    d1_pm, d1_mp = c1.d_pm.data, c1.d_mp.data
+    d2_pm, d2_mp = c2.d_pm.data, c2.d_mp.data
+    d_pm = np.block([
+        [np.kron(eye1p, d2_pm), np.kron(d1_pm, eye2p)],
+        [np.kron(d1_mp, eye2m), -np.kron(eye1m, d2_mp)],
+    ])
+    d_mp = np.block([
+        [np.kron(eye1p, d2_mp), np.kron(d1_pm, eye2m)],
+        [np.kron(d1_mp, eye2p), -np.kron(eye1m, d2_pm)],
+    ])
     cx = InvolutiveComplex(
         field,
-        d_pm=MatGF(field, full[:dp, dp:], _reduced=True),
-        d_mp=MatGF(field, full[dp:, :dp], _reduced=True),
+        d_pm=MatGF(field, d_pm % p, _reduced=True),
+        d_mp=MatGF(field, d_mp % p, _reduced=True),
     )
     problems = validate(cx)
     if problems:
         raise AssertionError(f"product complex failed validation: {problems}")
-    plus_raw.flags.writeable = False
-    minus_raw.flags.writeable = False
-    return ProductComplex(factor1=c1, factor2=c2, complex=cx, plus_raw=plus_raw, minus_raw=minus_raw)
+    return ProductComplex(factor1=c1, factor2=c2, complex=cx)
 
 
 def cycle_space_plus(pc: ProductComplex) -> np.ndarray:
@@ -177,13 +161,14 @@ def kunneth_check(pc: ProductComplex) -> KunnethReport:
 def product_chain_map(
     f1: MatGF, f2: MatGF, source: ProductComplex, target: ProductComplex
 ) -> MatGF:
-    """Matrix of f1 (x) f2 between two product complexes, in sorted coords.
+    """Matrix of f1 (x) f2 between two product complexes, in sector coords.
 
     ``f1`` maps source.factor1 to target.factor1 (full sector-sorted
     coordinates, plus block first) and ``f2`` likewise for the second
     factors.  Both must preserve sectors, i.e. be block diagonal with
     respect to the sector splits; the tensor map then preserves the
-    product sectors and its sorted matrix is block diagonal as well.
+    four parts of the product sectors and is
+    block-diag(f1+ (x) f2+, f1- (x) f2-, f1+ (x) f2-, f1- (x) f2+).
     """
     if f1.field != source.field or f2.field != source.field or target.field != source.field:
         raise ValueError("chain map factors must share the product field")
@@ -191,10 +176,12 @@ def product_chain_map(
         raise ValueError(f"f1 has shape {f1.shape}, incompatible with the factors")
     if f2.shape != (target.factor2.dim_total, source.factor2.dim_total):
         raise ValueError(f"f2 has shape {f2.shape}, incompatible with the factors")
+    blocks = []
     for f, src, tgt in ((f1, source.factor1, target.factor1), (f2, source.factor2, target.factor2)):
-        if f.data[: tgt.dim_plus, src.dim_plus :].any() or f.data[tgt.dim_plus :, : src.dim_plus].any():
+        tp, sp = tgt.dim_plus, src.dim_plus
+        if f.data[:tp, sp:].any() or f.data[tp:, :sp].any():
             raise ValueError("chain map factor does not preserve sectors")
-    raw = np.kron(f1.data, f2.data) % source.field.order
-    rows = target.sorted_raw()
-    cols = source.sorted_raw()
-    return MatGF(source.field, raw[np.ix_(rows, cols)], _reduced=True)
+        blocks.append((f.data[:tp, :sp], f.data[tp:, sp:]))
+    (f1p, f1m), (f2p, f2m) = blocks
+    parts = (np.kron(f1p, f2p), np.kron(f1m, f2m), np.kron(f1p, f2m), np.kron(f1m, f2p))
+    return MatGF(source.field, _block_diag(*parts) % source.field.order, _reduced=True)

@@ -4,20 +4,21 @@ For a complex with equal sector dimensions n, fix 1 <= n' <= n and let
 V be the span of the first n' basis vectors in each sector, V> the span
 of the rest, and W the coordinate projection onto V.  The subspace
 S> = W d(V>) sits inside V, and the quotient V' = V / S> inherits a
-boundary d'(x + S>) = phi(d x) and involution P'(x + S>) = phi(P x),
-where phi: full space -> V' is projection followed by the quotient map.
-Well-definedness is not assumed; reduce() asserts it on a basis of S>.
-
-Coset representatives are chosen canonically: row-reduce a generator
-basis of S>, then represent each class by the non-pivot coordinates of
-its canonically reduced element.  This makes phi a concrete matrix and
-keeps every downstream identity checkable exactly.
+boundary d'(x + S>) = phi(d x), where phi: full space -> V' is
+projection followed by the quotient map.  Well-definedness is not
+assumed; reduce() asserts it on the generators of S>.
 
 Because d swaps sectors and W preserves them, S> splits as a direct sum
-of sector-homogeneous pieces, so the quotient is again a two-sector
-complex.  The complex is called good for n' when both pieces have the
-largest possible dimension n - n'; then each quotient sector has
-dimension K = 2n' - n.
+of sector pieces, and each sector is quotiented on its own: the plus
+piece is the column span of d_pm[:n', n':] and the minus piece that of
+d_mp[:n', n':].  Coset representatives are chosen canonically: row-reduce
+the generators of a piece, then represent each class by the non-pivot
+coordinates of its canonically reduced element.  This makes phi a
+concrete block-diagonal matrix, the quotient is again a two-sector
+complex, and every downstream identity stays checkable exactly.  The
+complex is called good for n' when both pieces have the largest
+possible dimension n - n'; then each quotient sector has dimension
+K = 2n' - n.
 
 The same parameter object carries the weight thresholds used to cut an
 n' x n' reduced matrix out of a low-density n x n one and to test the
@@ -28,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .complexes import InvolutiveComplex, validate
-from .gf import MatGF, _row_reduce, col_weights, kernel_basis, rank, row_weights
+from .gf import MatGF, _block_diag, _row_reduce, col_weights, kernel_basis, rank, row_weights
 
 __all__ = [
     "ReductionParams",
@@ -143,14 +143,33 @@ class ReducedComplex:
         return self.s_plus == gap and self.s_minus == gap
 
 
+def _sector_quotient(gens: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """One sector of the quotient by the column span S of ``gens``, an
+    n' x t matrix in the sector's V coordinates.
+
+    Returns (phi, embed, pivots): phi (q x n) projects the sector onto V
+    and reduces modulo S to the non-pivot coordinates of the row echelon
+    basis of S, embed (n x q) sends those coordinates back to their
+    coset representatives, and pivots are the V coordinates S consumed.
+    """
+    np1 = gens.shape[0]
+    s_rref, piv = _row_reduce(gens.T, p)
+    sel_v = np.eye(np1, n, dtype=np.int64)
+    canon = (sel_v - s_rref[: len(piv)].T @ sel_v[piv]) % p
+    rep = sorted(set(range(np1)) - set(piv))
+    embed = np.zeros((n, len(rep)), dtype=np.int64)
+    embed[rep, np.arange(len(rep))] = 1
+    return canon[rep], embed, piv
+
+
 def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     """Quotient of c by S> = W d(V>), with V the leading n' coordinates
     of each sector.
 
-    Always succeeds; goodness only affects the dimensions, never the
+    Each sector is quotiented on its own.  A non-complex is refused with
+    ValueError; goodness only affects the dimensions, never the
     construction.  Raises AssertionError if the quotient maps fail the
-    identities they are constructed to satisfy (which would indicate a
-    broken input complex rather than a usage error).
+    identities they are constructed to satisfy.
     """
     n = c.dim_plus
     if c.dim_minus != n:
@@ -158,52 +177,28 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     np1 = params.n_prime
     if params.n != n:
         raise ValueError(f"params built for n = {params.n}, complex has n = {n}")
+    problems = validate(c)
+    if problems:
+        raise ValueError(f"cannot reduce a non-complex: {problems}")
     p = c.field.order
-    v_idx = np.concatenate([np.arange(np1), n + np.arange(np1)])
-    tail_idx = np.concatenate([np.arange(np1, n), n + np.arange(np1, n)])
-    dfull = c.full_boundary()
-    pfull = c.involution()
+    gens_p = c.d_pm.data[:np1, np1:]
+    gens_m = c.d_mp.data[:np1, np1:]
+    phi_p, embed_p, piv_p = _sector_quotient(gens_p, n, p)
+    phi_m, embed_m, piv_m = _sector_quotient(gens_m, n, p)
 
-    gens = dfull.data[np.ix_(v_idx, tail_idx)]
-    s_rref, piv = _row_reduce(gens.T, p)
-    s_rank = len(piv)
-    s_basis = s_rref[:s_rank, :]
-    piv_set = set(piv)
-    rep = tuple(i for i in range(2 * np1) if i not in piv_set)
-    q = len(rep)
-
-    sel_v = np.zeros((2 * np1, 2 * n), dtype=np.int64)
-    sel_v[np.arange(2 * np1), v_idx] = 1
-    canon = sel_v if s_rank == 0 else (sel_v - s_basis.T @ sel_v[piv, :]) % p
-    phi = MatGF(c.field, canon[list(rep), :], _reduced=True)
-
-    embed_data = np.zeros((2 * n, q), dtype=np.int64)
-    embed_data[v_idx[list(rep)], np.arange(q)] = 1
-    embed = MatGF(c.field, embed_data, _reduced=True)
-
-    # phi kills S> by construction; the quotient maps are well defined
-    # because d and P also send S> into ker(phi).  Checked, not assumed.
-    s_full = MatGF.zeros(c.field, 2 * n, s_rank).data.copy()
-    s_full[v_idx, :] = s_basis.T
-    s_full_m = MatGF(c.field, s_full, _reduced=True)
-    assert (phi @ s_full_m).is_zero(), "phi does not kill S>"
-    assert (phi @ (dfull @ s_full_m)).is_zero(), "boundary does not descend to the quotient"
-    assert (phi @ (pfull @ s_full_m)).is_zero(), "involution does not descend to the quotient"
-
-    d_q = phi @ dfull @ embed
-    p_q = phi @ pfull @ embed
-
-    q_plus = sum(1 for i in rep if i < np1)
-    signs = np.concatenate([np.ones(q_plus, dtype=np.int64), -np.ones(q - q_plus, dtype=np.int64)])
-    expected_p = MatGF(c.field, np.diag(signs % p), _reduced=True)
-    assert p_q == expected_p, "quotient involution is not the sector sign matrix"
-    assert not d_q.data[:q_plus, :q_plus].any(), "quotient boundary has a ++ block"
-    assert not d_q.data[q_plus:, q_plus:].any(), "quotient boundary has a -- block"
+    # phi kills S> by construction, and the boundary descends when d
+    # sends S> into ker(phi): d_mp takes the plus part of S> to C-, and
+    # d_pm the minus part to C+.  Checked, not assumed.
+    sectors = ((phi_p, gens_p, phi_m, c.d_mp.data), (phi_m, gens_m, phi_p, c.d_pm.data))
+    for phi_s, gens, phi_t, d in sectors:
+        assert not (phi_s[:, :np1] @ gens % p).any(), "phi does not kill S>"
+        descent = (phi_t @ d[:, :np1] % p) @ gens % p
+        assert not descent.any(), "boundary does not descend to the quotient"
 
     quotient = InvolutiveComplex(
         field=c.field,
-        d_pm=MatGF(c.field, d_q.data[:q_plus, q_plus:], _reduced=True),
-        d_mp=MatGF(c.field, d_q.data[q_plus:, :q_plus], _reduced=True),
+        d_pm=MatGF(c.field, (phi_p @ c.d_pm.data % p) @ embed_m, _reduced=True),
+        d_mp=MatGF(c.field, (phi_m @ c.d_mp.data % p) @ embed_p, _reduced=True),
     )
     problems = validate(quotient)
     assert not problems, f"quotient fails complex axioms: {problems}"
@@ -212,9 +207,9 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
         base=c,
         params=params,
         quotient=quotient,
-        phi=phi,
-        embed=embed,
-        pivot_coords=tuple(int(i) for i in piv),
+        phi=MatGF(c.field, _block_diag(phi_p, phi_m), _reduced=True),
+        embed=MatGF(c.field, _block_diag(embed_p, embed_m), _reduced=True),
+        pivot_coords=tuple(piv_p) + tuple(np1 + i for i in piv_m),
     )
 
 

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite.
+"""Shared builders and reference oracles for the test suite.
 
 The distance-3 factor construction conjugates the standard boundary by
 matrices whose leading columns are Vandermonde evaluations over GF(5):
@@ -109,3 +109,39 @@ def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int
             if vecs.any():
                 return w
     return None
+
+
+def _sector_orders(c1: InvolutiveComplex, c2: InvolutiveComplex) -> np.ndarray:
+    """Raw tensor index (C1-major / C2-minor) of each product basis
+    position: C1+ (x) C2+, C1- (x) C2-, then C1+ (x) C2-, C1- (x) C2+."""
+    p1, m1 = c1.dim_plus, c1.dim_minus
+    p2, m2 = c2.dim_plus, c2.dim_minus
+    t2 = p2 + m2
+    return np.array(
+        [i * t2 + j for i in range(p1) for j in range(p2)]
+        + [(p1 + i) * t2 + (p2 + j) for i in range(m1) for j in range(m2)]
+        + [i * t2 + (p2 + j) for i in range(p1) for j in range(m2)]
+        + [(p1 + i) * t2 + j for i in range(m1) for j in range(p2)],
+        dtype=np.intp,
+    )
+
+
+def reference_product_boundary(c1: InvolutiveComplex, c2: InvolutiveComplex) -> np.ndarray:
+    """Reference for product(): the full raw boundary d1 (x) I + P1 (x) d2
+    on C1 (x) C2, reordered into the product's sector coordinates."""
+    p = c1.field.order
+    d1, d2 = c1.full_boundary().data, c2.full_boundary().data
+    eye2 = np.eye(c2.dim_total, dtype=np.int64)
+    raw = (np.kron(d1, eye2) + np.kron(c1.involution().data, d2)) % p
+    order = _sector_orders(c1, c2)
+    return raw[np.ix_(order, order)]
+
+
+def reference_product_chain_map(
+    f1: MatGF, f2: MatGF, source: tuple[InvolutiveComplex, InvolutiveComplex],
+    target: tuple[InvolutiveComplex, InvolutiveComplex],
+) -> np.ndarray:
+    """Reference for product_chain_map(): the raw f1 (x) f2, reordered
+    from the source factors' sector coordinates to the target's."""
+    raw = np.kron(f1.data, f2.data) % f1.field.order
+    return raw[np.ix_(_sector_orders(*target), _sector_orders(*source))]

@@ -112,6 +112,17 @@ class TestSampleComplex:
                     "--seed", 1, "--out", out]) == 1
         assert "--H or --rho" in capsys.readouterr().err
 
+    def test_h_and_rho_together_refused(self, tmp_path):
+        out = tmp_path / "x.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", "sample-complex", "--dim", "3", "--n", "3",
+             "--H", "1", "--rho", "1/3", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: give only one of --H or --rho\n"
+        assert not out.exists()
+
     def test_composite_dim_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         assert run(["sample-complex", "--dim", 4, "--n", 3, "--H", 1,
@@ -350,6 +361,19 @@ class TestMonteCarlo:
         assert run(["mc", "--experiment", "kernel", "--dim", 3, "--n", 3,
                     "--H", 1, "--trials", 5, "--seed", 1]) == 1
         assert "--c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, extra", [("kernel", ["--c", "1/2"]), ("goodness", ["--nprime", "2"])]
+    )
+    def test_h_and_rho_together_refused(self, experiment, extra):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", "mc", "--experiment", experiment, "--dim", "3",
+             "--n", "3", "--H", "1", "--rho", "1/3", *extra, "--trials", "5", "--seed", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: give only one of H or rho\n"
+        assert proc.stdout == ""
 
     def test_kernel_small_run(self, capsys):
         assert run(["mc", "--experiment", "kernel", "--dim", 3, "--n", 3,

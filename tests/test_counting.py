@@ -19,7 +19,6 @@ from quditprod import (
     count_reduced_cycles,
     enumerate_plus_cycle_ranks,
     enumerate_reduced_cycles,
-    evaluate_bounds,
     gaussian_binomial,
     is_good,
     kernel_basis,
@@ -371,29 +370,3 @@ class TestCountReducedCycles:
         with pytest.raises(ValueError, match="above the limit of 10$"):
             enumerate_reduced_cycles(product(c1, c2), ReductionParams(n=3, n_prime=2))
 
-
-class TestEvaluateBounds:
-    def test_report_structure_and_brackets(self):
-        rep = evaluate_bounds(FIELD3, grid_max=3, ext_grid_max=2)
-        assert rep["field"] == 3
-        rc = rep["rank_count"]
-        assert 0.5 < rc["ratio_min"] <= 1.0 <= rc["ratio_max"] < 2.0
-        assert len(rc["entries"]) == sum(min(a, b) + 1 for a in range(1, 4) for b in range(1, 4))
-        ext = rep["rank_extension"]
-        assert 0 < ext["ratio_min"] <= ext["ratio_max"] < 2.0
-        cyc = rep["cycle_count"]
-        assert 0 < cyc["ratio_min"] <= cyc["ratio_max"] < 4.0
-        assert all(e["within_n_factor"] for e in cyc["entries"])
-
-    def test_rare_event_bound_value(self):
-        rep = evaluate_bounds(FIELD3, grid_max=1, ext_grid_max=0)
-        rare = rep["rare_event_bound"]
-        assert rare["n"] == 20
-        assert rare["bracket"] == pytest.approx(0.7)
-        assert 0 < rare["bound_value"] < 1e-5
-
-    def test_brackets_tighten_with_field_size(self):
-        r3 = evaluate_bounds(FIELD3, grid_max=3, ext_grid_max=0)["rank_count"]
-        r5 = evaluate_bounds(FIELD5, grid_max=3, ext_grid_max=0)["rank_count"]
-        assert r5["ratio_min"] > r3["ratio_min"]
-        assert r5["ratio_max"] < r3["ratio_max"]

@@ -94,8 +94,10 @@ class TestTrialConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="trial"):
             TrialConfig(field=FIELD3, n=3, trials=0, master_seed=0, H=1)
-        with pytest.raises(ValueError, match="H or rho"):
+        with pytest.raises(ValueError, match="one of H or rho must"):
             TrialConfig(field=FIELD3, n=3, trials=1, master_seed=0)
+        with pytest.raises(ValueError, match="only one of H or rho"):
+            TrialConfig(field=FIELD3, n=3, trials=1, master_seed=0, H=1, rho=Fraction(1, 3))
         # c must stay strictly below 1 - 1/D
         with pytest.raises(ValueError, match="1 - 1/D"):
             TrialConfig(field=FIELD3, n=3, trials=1, master_seed=0, H=1, c=Fraction(2, 3))

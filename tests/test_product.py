@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditprod import (
     ComplexShape,
+    FieldSpec,
+    InvolutiveComplex,
     cycle_space_plus,
     extract_css,
+    flip_sectors,
     homology_dimensions,
     kunneth_check,
     product,
@@ -16,8 +21,14 @@ from quditprod import (
     trial_rng,
     validate,
 )
-from quditprod.gf import MatGF, rank
-from support import FIELD3, FIELD5, SHAPE3
+from quditprod.gf import MatGF, inverse, random_invertible, rank
+from support import (
+    FIELD3,
+    FIELD5,
+    SHAPE3,
+    reference_product_boundary,
+    reference_product_chain_map,
+)
 
 
 def _standard_product():
@@ -40,12 +51,6 @@ def test_product_rejects_mixed_fields() -> None:
         product(a, b)
 
 
-def test_sorted_raw_is_a_permutation() -> None:
-    pc = _standard_product()
-    order = pc.sorted_raw()
-    assert sorted(order.tolist()) == list(range(36))
-
-
 def test_vector_block_round_trip() -> None:
     pc = _standard_product()
     rng = np.random.default_rng(0)
@@ -58,17 +63,67 @@ def test_vector_block_round_trip() -> None:
 
 
 def test_product_boundary_matches_raw_tensor_formula() -> None:
-    """The sorted boundary must be the raw d1 (x) I + P1 (x) d2 matrix
-    under the sorted-to-raw index map."""
+    """The block-built boundary must be the raw d1 (x) I + P1 (x) d2
+    matrix reordered into sector coordinates."""
     c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(30, 0))
     c2, _, _ = random_boundary(ComplexShape(4, 2, 1), FIELD3, trial_rng(30, 1))
     pc = product(c1, c2)
-    raw = (
-        np.kron(c1.full_boundary().data, np.eye(c2.dim_total, dtype=np.int64))
-        + np.kron(c1.involution().data, c2.full_boundary().data)
-    ) % 3
-    order = pc.sorted_raw()
-    assert (pc.complex.full_boundary().data == raw[np.ix_(order, order)]).all()
+    assert (pc.complex.full_boundary().data == reference_product_boundary(c1, c2)).all()
+
+
+def _factor(data, field: FieldSpec) -> InvolutiveComplex:
+    """A random factor: a member of the shape family, or a hand-built
+    complex with unequal sectors (possibly empty), optionally flipped."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="shape family"):
+        n = data.draw(st.integers(1, 4), label="n")
+        L = data.draw(st.integers(0, n // 2), label="L")
+        c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), field, rng)
+    else:
+        a = data.draw(st.integers(0, 3), label="dim C+")
+        b = data.draw(st.integers(0 if a else 1, 3), label="dim C-")
+        k = data.draw(st.integers(0, min(a, b)), label="rank d_pm")
+        j = data.draw(st.integers(0, min(a, b) - k), label="rank d_mp")
+        # d_pm sends the first k C- coordinates to the first k of C+, d_mp
+        # the next j C+ coordinates to the next j of C-: both products vanish.
+        e_pm = np.zeros((a, b), dtype=np.int64)
+        e_mp = np.zeros((b, a), dtype=np.int64)
+        e_pm[range(k), range(k)] = 1
+        e_mp[range(k, k + j), range(k, k + j)] = 1
+        u_plus = random_invertible(field, a, rng)
+        u_minus = random_invertible(field, b, rng)
+        c = InvolutiveComplex(
+            field,
+            u_plus @ MatGF(field, e_pm) @ inverse(u_minus),
+            u_minus @ MatGF(field, e_mp) @ inverse(u_plus),
+        )
+    return flip_sectors(c) if data.draw(st.booleans(), label="flip") else c
+
+
+def _sector_map(rng, field: FieldSpec, src: InvolutiveComplex, tgt: InvolutiveComplex) -> MatGF:
+    """A random sector-preserving map from src to tgt."""
+    m = np.zeros((tgt.dim_total, src.dim_total), dtype=np.int64)
+    m[: tgt.dim_plus, : src.dim_plus] = rng.integers(0, field.order, (tgt.dim_plus, src.dim_plus))
+    m[tgt.dim_plus :, src.dim_plus :] = rng.integers(0, field.order, (tgt.dim_minus, src.dim_minus))
+    return MatGF(field, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_product_and_chain_map_match_raw_reference(order: int, seed: int, data) -> None:
+    """product and product_chain_map, built from the sector blocks, equal
+    the raw tensor construction reordered into sector coordinates."""
+    field = FieldSpec(order)
+    c1, c2, t1, t2 = (_factor(data, field) for _ in range(4))
+    pc = product(c1, c2)
+    assert (pc.complex.full_boundary().data == reference_product_boundary(c1, c2)).all()
+    target = product(t1, t2)
+    rng = np.random.default_rng(seed)
+    f1 = _sector_map(rng, field, c1, t1)
+    f2 = _sector_map(rng, field, c2, t2)
+    got = product_chain_map(f1, f2, pc, target)
+    assert (got.data == reference_product_chain_map(f1, f2, (c1, c2), (t1, t2))).all()
 
 
 @pytest.mark.parametrize("h1,h2", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
@@ -147,8 +202,6 @@ def test_product_chain_map_commutes_with_boundaries() -> None:
     # build f1: c1 -> c2 as the change of basis linking the two conjugates
     _, u1p, u1m = random_boundary(SHAPE3, FIELD3, trial_rng(33, 0))
     _, u2p, u2m = random_boundary(SHAPE3, FIELD3, trial_rng(33, 1))
-    from quditprod.gf import inverse
-
     blk = np.zeros((6, 6), dtype=np.int64)
     blk[:3, :3] = (u2p @ inverse(u1p)).data
     blk[3:, 3:] = (u2m @ inverse(u1m)).data

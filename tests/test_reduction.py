@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditprod import (
     ComplexShape,
+    FieldSpec,
+    InvolutiveComplex,
     ReductionParams,
     is_good,
     random_boundary,
@@ -107,6 +111,43 @@ def test_reduce_chain_maps_explicitly() -> None:
     assert (phi @ c.involution()) == (rc.quotient.involution() @ phi)
     # embed is a section of phi
     assert (phi @ rc.embed) == MatGF.identity(FIELD3, rc.quotient.dim_total)
+
+
+def test_reduce_refuses_a_non_complex() -> None:
+    """Pairs of random blocks with d_pm @ d_mp != 0 are refused before
+    any quotient is built."""
+    rng = np.random.default_rng(0)
+    refused = 0
+    while refused < 200:
+        d_pm, d_mp = (MatGF(FIELD3, rng.integers(0, 3, (3, 3))) for _ in range(2))
+        c = InvolutiveComplex(FIELD3, d_pm, d_mp)
+        if validate(c) == []:
+            continue
+        with pytest.raises(ValueError, match="cannot reduce a non-complex"):
+            reduce(c, ReductionParams(n=3, n_prime=2))
+        refused += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reduce_properties(order: int, n: int, seed: int, data) -> None:
+    """For every n' in (n/2, n], good or not (L = 0 is never good below
+    n' = n): the kernel/image description holds, phi is block diagonal
+    by sector, and embed is a section of phi."""
+    L = data.draw(st.integers(0, n // 2), label="L")
+    field = FieldSpec(order)
+    c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), field, trial_rng(seed, 0))
+    for n_prime in range(n // 2 + 1, n + 1):
+        rc = reduce(c, ReductionParams(n=n, n_prime=n_prime))
+        assert reduced_kerim_check(rc) == []
+        q_plus = rc.quotient.dim_plus
+        assert not rc.phi.data[:q_plus, n:].any() and not rc.phi.data[q_plus:, :n].any()
+        assert rc.phi @ rc.embed == MatGF.identity(field, rc.quotient.dim_total)
 
 
 def test_select_reduced_support_hand_case() -> None:
