@@ -319,12 +319,15 @@ def cmd_mc(args) -> int:
     _print_json(payload)
     if args.csv:
         emit_csv([report], args.csv)
+        # Every flag given, as its command-line string: the manifest's
+        # parameters are the argv that re-runs this CSV.
+        given = {f: str(getattr(args, f)) for group in MC_FLAGS[args.experiment]
+                 for f in group if getattr(args, f) is not None}
         _write_manifest(
             args.csv,
             "mc",
-            # ulw takes no --n; its manifest has always recorded n = 0.
-            {"experiment": args.experiment, "n": args.n or 0, "dim": args.dim,
-             "trials": args.trials, "seed": args.seed},
+            {"experiment": args.experiment, "dim": args.dim, "trials": args.trials,
+             "seed": args.seed, **given},
             [args.csv],
         )
     return 0

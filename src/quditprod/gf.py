@@ -1,14 +1,27 @@
 """Exact dense linear algebra over the prime field GF(D), D an odd prime.
 
 Matrices are stored as numpy int64 arrays with every entry reduced to
-the range 0..D-1.  All arithmetic is integer arithmetic followed by
-reduction mod D, so ranks, kernels and solves are exact; no floating
-point enters anywhere in this module.
+the range 0..D-1.  Every result is exact: ranks, kernels, solves and
+products are the same integers as in exact arithmetic mod D.
 
 The field order is bounded by ``ORDER_LIMIT`` = 2**16, so every
 product this library forms stays exact in int64: a sum of k products
 of two residues is below (D - 1)**2 * k < 2**63 for every inner
 dimension k < 2**31.
+
+Two kernels run in narrower or other types, each with its exactness
+argument:
+
+- Elimination (``_row_reduce``, ``rank_batch``) works in the smallest
+  signed integer type holding (D - 1) * D (``_work_dtype``): int16 for
+  D <= 181, int64 above.  Entries stay within that magnitude during a
+  step and are reduced after it.
+- Matrix products (``_matmul``, behind ``MatGF @``) run in float64
+  through BLAS when k * (D - 1)**2 < 2**53: every product and partial
+  sum of residues is then a nonnegative integer below 2**53, which
+  float64 holds exactly whatever order the sum is taken in, and the
+  result is cast back to int64 and reduced.  Larger products stay in
+  int64.
 
 Exhaustive enumerations (rank censuses, exhaustive distances and
 probabilities, the Monte Carlo kernel search) walk at most
@@ -155,9 +168,8 @@ class MatGF:
             self._check_field(other)
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch for @: {self.shape} and {other.shape}")
-            return MatGF(self.field, (self._data @ other._data) % p, _reduced=True)
-        vec = np.asarray(other, dtype=np.int64) % p
-        return (self._data @ vec) % p
+            return MatGF(self.field, _matmul(self._data, other._data, p), _reduced=True)
+        return _matmul(self._data, _mod(np.asarray(other, dtype=np.int64), p), p)
 
     def __add__(self, other: "MatGF") -> "MatGF":
         self._check_field(other)
@@ -199,32 +211,41 @@ class MatGF:
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``a`` mod p and the pivot column list.
+    """Reduced row echelon form of ``a`` mod p, as int64, and the pivot
+    column list.
 
     Pivots are chosen as the first nonzero entry scanning down each
-    column, so the result is deterministic for a fixed input.
+    column, so the result is deterministic for a fixed input.  The
+    elimination runs in :func:`_work_dtype`; each pivot touches only
+    columns c.. of the pivot row and of the rows nonzero in column c,
+    since every live row is zero left of c.
     """
-    m = np.array(a, dtype=np.int64, copy=True) % p
+    m = _mod(np.asarray(a, dtype=np.int64), p).astype(_work_dtype(p), copy=False)
     nrows, ncols = m.shape
+    inv = _inverse_table(p)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
+        if nz[0]:
+            pr = r + int(nz[0])
+            m[r, c:], m[pr, c:] = m[pr, c:], m[r, c:].copy()
+        lead = int(m[r, c])
+        if lead != 1:
+            m[r, c:] = _mod(m[r, c:] * int(inv[lead]), p)
+        col = m[:, c].copy()
+        col[r] = 0
+        others = col.nonzero()[0]
         if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+            upd = np.multiply.outer(col[others], m[r, c:])
+            m[others, c:] = _mod(np.subtract(m[others, c:], upd, out=upd), p)
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m.astype(np.int64, copy=False), pivots
 
 
 def rank(m: MatGF) -> int:
@@ -267,8 +288,7 @@ def solve(m: MatGF, b) -> np.ndarray | None:
     if m.cols in pivots:
         return None
     x = np.zeros(m.cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = rref[i, -1]
+    x[pivots] = rref[: len(pivots), -1]
     return x
 
 
@@ -395,6 +415,38 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(a, q, out=q)
 
 
+def _work_dtype(p: int) -> type:
+    """The elimination dtype for GF(p): the smallest signed integer type
+    holding (p - 1) * p, so int16 for p <= 181 and int64 above.
+
+    During an elimination step entries stay within [-(p-1)**2, p-1],
+    and ``_mod``'s temporaries within (p - 1) * p + 1 in magnitude;
+    int16 moves a quarter of int64's bytes.
+    """
+    return np.int16 if (p - 1) * p < 1 << 15 else np.int64
+
+
+# float64 holds every integer of magnitude below 2**53 exactly.
+_FLOAT_EXACT = 1 << 53
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p, as int64, for integer arrays with entries in
+    0..p-1.
+
+    Multiplied in float64 through BLAS when k * (p - 1)**2 < 2**53, k
+    the inner dimension: every product and partial sum is then a
+    nonnegative integer below 2**53, so each is exact in float64
+    whatever order BLAS adds in.  Otherwise multiplied in int64.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < _FLOAT_EXACT:
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    else:
+        prod = a @ b
+    return _mod(prod, p)
+
+
 def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Jordan elimination of a stack (N, rows, cols) over GF(p).
 
@@ -410,9 +462,7 @@ def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     m = np.asarray(mats, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError("expected a (N, rows, cols) array")
-    # Entries stay within [-(p-1)**2, p-1] during a step, so small
-    # fields run in int16: a quarter of the memory traffic.
-    dtype = np.int16 if (p - 1) * p <= np.iinfo(np.int16).max else np.int64
+    dtype = _work_dtype(p)
     m = _mod(m, p).astype(dtype, copy=False)
     nmat, nrows, ncols = m.shape
     pivots = np.zeros((nmat, ncols), dtype=bool)

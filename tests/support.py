@@ -24,7 +24,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, _row_reduce, inverse, rank
+from quditprod.gf import MatGF, inverse, rank
 
 FIELD3 = FieldSpec(3)
 FIELD5 = FieldSpec(5)
@@ -85,6 +85,37 @@ def good_complexes(
     )
 
 
+def reference_row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reference for gf._row_reduce: the plain int64 elimination, whole
+    rows at a time, reduced with %.  The reduced row echelon form is
+    unique, so the library's must equal it entry for entry.
+
+    Pivots are chosen as the first nonzero entry scanning down each
+    column, so the result is deterministic for a fixed input.
+    """
+    m = np.array(a, dtype=np.int64, copy=True) % p
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
 def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int | None:
     """Reference for the bounded distance search: the first weight
     w <= w_max carrying a vector of ker kernel_of outside im image_of,
@@ -95,7 +126,7 @@ def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int
     """
     p = kernel_of.field.order
     n = kernel_of.cols
-    rref, pivots = _row_reduce(image_of.data.T, p)
+    rref, pivots = reference_row_reduce(image_of.data.T, p)
     for w in range(1, w_max + 1):
         values = np.array(list(itertools.product(range(1, p), repeat=w)), dtype=np.int64)
         for support in itertools.combinations(range(n), w):

@@ -383,6 +383,33 @@ class TestMonteCarlo:
         assert 0 <= payload["successes"] <= 20
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "kernel", "--n", "6", "--rho", "1/3", "--c", "1/3"],
+            ["--experiment", "goodness", "--n", "5", "--H", "1", "--nprime", "4"],
+            ["--experiment", "ulw", "--nprime", "3", "--rank", "2", "--cprime", "1/3"],
+        ],
+        ids=["kernel", "goodness", "ulw"],
+    )
+    def test_manifest_reruns_its_csv(self, argv, tmp_path):
+        """The mc manifest's parameters are the flags given: the argv
+        rebuilt from them writes the same CSV bytes."""
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run(["mc", "--dim", 5, *argv, "--trials", 30, "--seed", 3, "--csv", first]) == 0
+        params = json.loads((tmp_path / "first.csv.manifest.json").read_text())["parameters"]
+        assert params == {
+            "dim": 5, "trials": 30, "seed": 3,
+            **{key.lstrip("-"): value for key, value in zip(argv[::2], argv[1::2])},
+        }
+        rebuilt = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditprod", "mc", *rebuilt, "--csv", str(again)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
         "argv, refused",
         [
             (["--experiment", "ulw", "--nprime", "2", "--rank", "1", "--cprime", "1/2",

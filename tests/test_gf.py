@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from quditprod.gf import (
     MatGF,
     _inverse_batch,
     _inverse_table,
+    _matmul,
     _random_invertible_batch,
     _row_reduce,
     _subspace_table,
@@ -34,7 +37,7 @@ from quditprod.gf import (
     span_blocks,
     weight,
 )
-from support import FIELD3, FIELD5
+from support import FIELD3, FIELD5, reference_row_reduce
 
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
@@ -407,10 +410,68 @@ def test_rank_batch_equals_row_reduce(case) -> None:
     rref, pivots, ranks = rank_batch(mats, order)
     assert rref.shape == mats.shape and pivots.shape == (len(mats), mats.shape[2])
     for i, m in enumerate(mats):
-        want, want_pivots = _row_reduce(m, order)
-        assert (rref[i] == want).all()
-        assert np.nonzero(pivots[i])[0].tolist() == want_pivots
-        assert ranks[i] == len(want_pivots)
+        for want, want_pivots in (_row_reduce(m, order), reference_row_reduce(m, order)):
+            assert (rref[i] == want).all()
+            assert np.nonzero(pivots[i])[0].tolist() == want_pivots
+            assert ranks[i] == len(want_pivots)
+
+
+_ORDERS = [3, 5, 7, 181, 191, 65521]
+
+
+@st.composite
+def unreduced_matrices(draw):
+    """Matrices over GF(3/5/7/181) (eliminated in int16) and
+    GF(191/65521) (in int64), 0 to 40 rows and columns: empty, wide and
+    tall, of any rank up to full, with entries negative or >= p."""
+    order = draw(st.sampled_from(_ORDERS))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank_cap = draw(st.integers(0, min(rows, cols)))
+    data = rng.integers(0, order, (rows, rank_cap)) @ rng.integers(0, order, (rank_cap, cols))
+    if draw(st.booleans()):  # full support, usually full rank
+        data = rng.integers(0, order, (rows, cols))
+    # Unreduced representatives: the same residues, shifted by multiples of p.
+    shift = rng.integers(-3, 4, (rows, cols)) * draw(st.sampled_from([0, 1, order]))
+    return order, data % order + shift * order
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices())
+def test_row_reduce_matches_reference(case) -> None:
+    """The trailing-block elimination in its small dtype gives the plain
+    int64 elimination's rref and pivots, as int64."""
+    order, data = case
+    rref, pivots = _row_reduce(data, order)
+    want, want_pivots = reference_row_reduce(data, order)
+    assert rref.dtype == np.int64 and rref.shape == data.shape
+    assert pivots == want_pivots
+    assert (rref == want).all()
+
+
+@pytest.mark.parametrize("float_exact", [gf._FLOAT_EXACT, 0], ids=["float64", "int64"])
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.sampled_from(_ORDERS),
+    shape=st.tuples(st.integers(0, 12), st.integers(0, 300), st.integers(0, 12)),
+    largest=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_int64(float_exact, order, shape, largest, seed) -> None:
+    """_matmul is (a @ b) % p in int64, through float64 below 2**53 and
+    through int64 when the bound is patched to 0."""
+    rows, k, cols = shape
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, order, (rows, k)), rng.integers(0, order, (k, cols))
+    if largest:  # the largest residues make the largest partial sums
+        a, b = order - 1 - a % 2, order - 1 - b % 2
+    with mock.patch.object(gf, "_FLOAT_EXACT", float_exact):
+        got = _matmul(a, b, order)
+        vec = _matmul(a, b[:, 0], order) if cols else None
+    assert got.dtype == np.int64
+    assert (got == (a @ b) % order).all()
+    if cols:
+        assert (vec == (a @ b[:, 0]) % order).all()
 
 
 @settings(max_examples=30, deadline=None)
