@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from .gf import (
     FieldSpec,
     MatGF,
     _matrix_from_lines,
-    _inverse_batch,
-    _random_invertible_batch,
     inverse,
     matrix_to_text,
     random_invertible,
@@ -170,26 +167,6 @@ def random_boundary(
     d_pm = u_plus @ base.d_pm @ inverse(u_minus)
     d_mp = u_minus @ base.d_mp @ inverse(u_plus)
     return InvolutiveComplex(field, d_pm, d_mp), u_plus, u_minus
-
-
-def _random_boundary_batch(
-    shape: ComplexShape, field: FieldSpec, rngs: Sequence[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`random_boundary` for every generator in lockstep: the
-    (len(rngs), n, n) stacks of d_pm and d_mp.
-
-    Every generator draws u_plus's candidates, then (after all of them
-    have) u_minus's, so generator i makes exactly the draws of
-    ``random_boundary(shape, field, rngs[i])``: entry i holds that call's
-    blocks and the generator ends in the same state.
-    """
-    p = field.order
-    d0 = standard_boundary(shape, field).d_pm.data
-    u_plus = _random_invertible_batch(field, shape.n, rngs)
-    u_minus = _random_invertible_batch(field, shape.n, rngs)
-    d_pm = (u_plus @ d0 % p) @ _inverse_batch(u_minus, p) % p
-    d_mp = (u_minus @ d0 % p) @ _inverse_batch(u_plus, p) % p
-    return d_pm, d_mp
 
 
 def validate(c: InvolutiveComplex) -> list[str]:

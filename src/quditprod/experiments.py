@@ -13,8 +13,16 @@ of them with one batched elimination.  A generator still makes exactly
 the draws the single-trial samplers (``random_boundary``,
 ``sample_uniform_rank``) make, in the same order, so each trial sees
 the same matrices as a trial-by-trial loop and every estimate is
-unchanged; only the linear algebra is batched: inverses, conjugations,
-kernels and ranks.
+unchanged.
+
+The complex experiments build no boundary block and no inverse.
+``random_boundary`` forms d_mp = u_minus d0 u_plus^-1 and
+d_pm = u_plus d0 u_minus^-1 from the standard block d0, whose kernel is
+spanned by e_0 .. e_{t-1}, t = H + L.  So ker d_mp = u_plus ker d0 is
+spanned by the first t columns of u_plus, and ker d_pm by those of
+u_minus: each trial's two kernel bases are read off its conjugating
+matrices, and only the draws, kernel enumerations and ranks are
+batched.
 
 Estimates ship with 95% Wilson score intervals, which behave sanely for
 probabilities near 0 where most of these events live.
@@ -29,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import ComplexShape, _random_boundary_batch
+from .complexes import ComplexShape
 from .gf import (
     FieldSpec,
     MatGF,
@@ -197,36 +205,42 @@ def _trial_chunks(trials: int, master_seed: int) -> Iterator[list]:
         yield [trial_rng(master_seed, i) for i in range(start, min(start + _CHUNK, trials))]
 
 
-def _light_kernel_hits(mats: np.ndarray, p: int, w_max: int) -> np.ndarray:
-    """For each matrix of an (N, rows, n) stack of equal rank, whether
-    its kernel holds a nonzero vector of weight <= w_max.
+def _kernel_bases(
+    shape: ComplexShape, field: FieldSpec, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """The kernel bases of ``random_boundary``'s blocks for every
+    generator in lockstep: a (2 len(rngs), t, n) stack, t = H + L, whose
+    rows span ker d_mp for each generator and then ker d_pm.
 
-    Exact, from the batched reduced form R of rank r: a kernel vector is
-    fixed by its free coordinates c, any vector of GF(p)^t, and its
-    pivot coordinates are then -R[:r, free] c.  Every c comes from
-    ``span_blocks`` in blocks of ``_SPAN_ROWS // N`` rows (at least
-    one), and a matrix drops out at its first hit.  Refused when the
-    kernel size p^t exceeds ``gf.ENUMERATION_LIMIT``.
+    Draws u_plus, then u_minus, as ``random_boundary`` does, so each
+    generator ends in that call's state.  The bases are the transposed
+    leading t columns of u_plus (for d_mp) and of u_minus (for d_pm).
     """
-    hits = np.zeros(len(mats), dtype=bool)
-    if w_max < 1 or len(mats) == 0:
+    t = shape.H + shape.L
+    u_plus = _random_invertible_batch(field, shape.n, rngs)
+    u_minus = _random_invertible_batch(field, shape.n, rngs)
+    return np.concatenate([u_plus, u_minus])[:, :, :t].transpose(0, 2, 1)
+
+
+def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
+    """For each basis of an (N, t, n) stack of t independent rows,
+    whether its span holds a nonzero vector of weight <= w_max.
+
+    Exact: every coefficient vector c comes from ``span_blocks`` in
+    blocks of ``_SPAN_ROWS // N`` rows (at least one), c @ basis is
+    nonzero exactly when c is, and a basis drops out at its first hit.
+    Refused when the span size p^t exceeds ``gf.ENUMERATION_LIMIT``.
+    """
+    nmat, t, n = bases.shape
+    hits = np.zeros(nmat, dtype=bool)
+    if w_max < 1 or nmat == 0:
         return hits
-    rref, pivots, ranks = rank_batch(mats, p)
-    nmat, n = pivots.shape
-    r = int(ranks[0])
-    t = n - r
-    if t == 0:
-        return hits
-    free = np.nonzero(~pivots)[1].reshape(nmat, t)
-    mat_idx = np.arange(nmat)
-    # gens[j, i, k] = -R_i[k, free_i[j]]: the pivot part is c @ gens[:, i].
-    gens = (-rref[mat_idx, :r, free.T]) % p
-    live = mat_idx
+    # gens[k, i] is row k of basis i, so block @ gens[:, live] spans every live basis.
+    gens = bases.transpose(1, 0, 2)
+    live = np.arange(nmat)
     for block in span_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
-        pivot_part = _mod(block @ gens[:, live].reshape(t, -1), p)
-        weights = np.count_nonzero(block, axis=1)[:, None] + np.count_nonzero(
-            pivot_part.reshape(len(block), len(live), r), axis=2
-        )
+        vecs = _mod(block @ gens[:, live].reshape(t, -1), p)
+        weights = np.count_nonzero(vecs.reshape(len(block), len(live), n), axis=2)
         found = ((weights > 0) & (weights <= w_max)).any(axis=0)
         hits[live[found]] = True
         live = live[~found]
@@ -252,9 +266,7 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
     w_max = math.ceil(cfg.c * cfg.n) - 1
     successes = 0
     for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
-        d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
-        # Both blocks are conjugates of the standard block: equal ranks.
-        hits = _light_kernel_hits(np.concatenate([d_mp, d_pm]), field.order, w_max)
+        hits = _light_kernel_hits(_kernel_bases(shape, field, rngs), field.order, w_max)
         successes += int((hits[: len(rngs)] | hits[len(rngs) :]).sum())
     return _report(
         "kernel",
@@ -275,20 +287,22 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
 def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
     """Probability that a random boundary operator is good for n'.
 
-    Decided as ``is_good`` does: both blocks restricted to their last
-    n - n' columns must have full column rank.
+    Decides what ``is_good`` decides, from the kernel bases: with U the
+    (n, t) matrix whose columns span a sector's kernel, the kernel
+    vector U c lies on the trailing n - n' coordinates exactly when
+    U[:n'] c = 0.  So a trial is good when rank U[:n', :t] = t in both
+    sectors.
     """
     shape = cfg.shape()
     field = cfg.field
     n = shape.n
     if not 0 <= n_prime <= n:
         raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
-    tail = n - n_prime
+    t = shape.H + shape.L
     successes = 0
     for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
-        d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
-        _, _, ranks = rank_batch(np.concatenate([d_mp, d_pm])[:, :, n_prime:], field.order)
-        successes += int(((ranks[: len(rngs)] == tail) & (ranks[len(rngs) :] == tail)).sum())
+        ranks = rank_batch(_kernel_bases(shape, field, rngs)[:, :, :n_prime], field.order)
+        successes += int(((ranks[: len(rngs)] == t) & (ranks[len(rngs) :] == t)).sum())
     return _report(
         "goodness",
         successes,

@@ -373,20 +373,26 @@ def _matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     field = FieldSpec(d)
     if pos + 1 + nrows > len(lines):
         raise ValueError("truncated matrix text")
-    # Rows are checked as Python ints, so no header or entry size reaches numpy.
-    entries = []
-    for i in range(nrows):
-        vals = lines[pos + 1 + i].split()
+    rows = [line.split() for line in lines[pos + 1 : pos + 1 + nrows]]
+    for i, vals in enumerate(rows):
         if len(vals) != ncols:
             raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
-        try:
-            row = [int(t) for t in vals]
-        except ValueError as exc:
-            raise ValueError(f"row {i} has a non-integer entry") from exc
-        if row and (min(row) < 0 or max(row) >= d):
-            raise ValueError(f"matrix entry out of range for GF({d})")
-        entries.append(row)
-    data = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+    # numpy parses each entry with int(), in order, and refuses one
+    # beyond int64 with OverflowError.
+    try:
+        data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry out of range for GF({d})") from exc
+    except ValueError as exc:
+        # The first entry int() refuses is in the first row numpy refuses.
+        for i, vals in enumerate(rows):
+            try:
+                np.array(vals, dtype=np.int64)
+            except ValueError:
+                raise ValueError(f"row {i} has a non-integer entry") from exc
+        raise
+    if data.size and (data.min() < 0 or data.max() >= d):
+        raise ValueError(f"matrix entry out of range for GF({d})")
     return MatGF(field, data, _reduced=True), pos + 1 + nrows
 
 
@@ -447,17 +453,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mod(prod, p)
 
 
-def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination of a stack (N, rows, cols) over GF(p).
+def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
-    Returns ``(rref, pivots, ranks)``: the int64 reduced row echelon
-    forms (N, rows, cols), the (N, cols) boolean mask of pivot columns,
-    and the (N,) ranks.  Every matrix is eliminated column by column at
-    once, choosing the pivot as :func:`_row_reduce` does (the first
-    nonzero entry at or below the current row, swapped into place), so
-    ``rref[i]`` and the pivot columns of ``pivots[i]`` are exactly what
-    ``_row_reduce(mats[i], p)`` returns.  A matrix with no pivot in a
-    column takes the same steps with a zero multiplier.
+    Every matrix is eliminated column by column at once: the first
+    nonzero entry at or below the current row is swapped into place,
+    scaled to 1 and cleared from every other row.  A matrix with no
+    pivot in a column takes the same steps with a zero multiplier.
     """
     m = np.asarray(mats, dtype=np.int64)
     if m.ndim != 3:
@@ -465,7 +467,6 @@ def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     dtype = _work_dtype(p)
     m = _mod(m, p).astype(dtype, copy=False)
     nmat, nrows, ncols = m.shape
-    pivots = np.zeros((nmat, ncols), dtype=bool)
     cursor = np.zeros(nmat, dtype=np.int64)
     inv = _inverse_table(p)
     k = np.arange(nmat)
@@ -486,9 +487,8 @@ def rank_batch(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
         # Live rows are zero left of c, so only columns c.. change.
         upd = fac[:, :, None] * row[:, None, c:]
         m[:, :, c:] = _mod(np.subtract(m[:, :, c:], upd, out=upd), p)
-        pivots[:, c] = has
         cursor += has
-    return m.astype(np.int64, copy=False), pivots, cursor
+    return cursor
 
 
 def _random_invertible_batch(
@@ -511,18 +511,10 @@ def _random_invertible_batch(
         # call of random_invertible, with less overhead per call.
         cand = np.stack([rngs[i].integers(0, p, size=n * n, dtype=np.int64) for i in todo])
         cand = cand.reshape(len(todo), n, n)
-        ok = rank_batch(cand, p)[2] == n
+        ok = rank_batch(cand, p) == n
         mats[todo[ok]] = cand[ok]
         todo = todo[~ok]
     return mats
-
-
-def _inverse_batch(mats: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of a stack (N, n, n) of invertible matrices over GF(p),
-    from one elimination of the stack augmented by the identity."""
-    n = mats.shape[1]
-    aug = np.concatenate([mats, np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)], axis=2)
-    return rank_batch(aug, p)[0][:, :, n:]
 
 
 # Most vectors (or matrices) any exhaustive enumeration may walk: every

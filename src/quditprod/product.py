@@ -123,15 +123,10 @@ class KunnethReport:
     expected_plus: int
     h_minus: int
     expected_minus: int
-    cocycle_h_plus: int
-    cocycle_h_minus: int
 
     @property
     def ok(self) -> bool:
-        return (
-            self.h_plus == self.expected_plus == self.cocycle_h_plus
-            and self.h_minus == self.expected_minus == self.cocycle_h_minus
-        )
+        return self.h_plus == self.expected_plus and self.h_minus == self.expected_minus
 
 
 def kunneth_check(pc: ProductComplex) -> KunnethReport:
@@ -140,21 +135,16 @@ def kunneth_check(pc: ProductComplex) -> KunnethReport:
     For factors with sector homology (h1+, h1-) and (h2+, h2-) the
     product satisfies h+ = h1+ h2+ + h1- h2- and
     h- = h1+ h2- + h1- h2+; for the equal-sector shape family both
-    reduce to 2 H1 H2.  The transposed (cocycle) dimensions are checked
-    as well.
+    reduce to 2 H1 H2.
     """
     h1p, h1m = homology_dimensions(pc.factor1)
     h2p, h2m = homology_dimensions(pc.factor2)
     hp, hm = homology_dimensions(pc.complex)
-    transposed = InvolutiveComplex(pc.field, d_pm=pc.complex.d_mp.T, d_mp=pc.complex.d_pm.T)
-    cp, cm = homology_dimensions(transposed)
     return KunnethReport(
         h_plus=hp,
         expected_plus=h1p * h2p + h1m * h2m,
         h_minus=hm,
         expected_minus=h1p * h2m + h1m * h2p,
-        cocycle_h_plus=cp,
-        cocycle_h_minus=cm,
     )
 
 

@@ -12,6 +12,7 @@ weight exactly 3.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +115,40 @@ def reference_row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def reference_matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
+    """Reference for gf._matrix_from_lines: every entry parsed with
+    int() and range-checked one row at a time, in Python."""
+    if pos >= len(lines):
+        raise ValueError("missing matrix header line")
+    head = lines[pos].split()
+    if len(head) != 3:
+        raise ValueError(f"bad matrix header {lines[pos]!r}")
+    try:
+        d, nrows, ncols = (int(t) for t in head)
+    except ValueError as exc:
+        raise ValueError(f"bad matrix header {lines[pos]!r}") from exc
+    if nrows < 0 or ncols < 0:
+        raise ValueError("negative matrix dimensions")
+    field = FieldSpec(d)
+    if pos + 1 + nrows > len(lines):
+        raise ValueError("truncated matrix text")
+    # Rows are checked as Python ints, so no header or entry size reaches numpy.
+    entries = []
+    for i in range(nrows):
+        vals = lines[pos + 1 + i].split()
+        if len(vals) != ncols:
+            raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
+        try:
+            row = [int(t) for t in vals]
+        except ValueError as exc:
+            raise ValueError(f"row {i} has a non-integer entry") from exc
+        if row and (min(row) < 0 or max(row) >= d):
+            raise ValueError(f"matrix entry out of range for GF({d})")
+        entries.append(row)
+    data = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+    return MatGF(field, data, _reduced=True), pos + 1 + nrows
 
 
 def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int | None:

@@ -18,8 +18,6 @@ from quditprod import (
     trial_rng,
     validate,
 )
-from quditprod.complexes import _random_boundary_batch
-from quditprod.experiments import _CHUNK
 from quditprod.gf import FieldSpec, MatGF, inverse, rank
 from support import FIELD3, FIELD5, SHAPE3
 
@@ -117,29 +115,6 @@ def test_constructed_complexes_validate(order: int, n: int, seed: int, data) -> 
     for cx in (std, c):
         assert validate(cx) == []
         assert homology_dimensions(cx) == (H, H)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    order=st.sampled_from([3, 5, 7]),
-    n=st.integers(1, 6),
-    count=st.integers(1, _CHUNK + 1),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_lockstep_boundaries_match_random_boundary(order, n, count, seed, data) -> None:
-    """Each trial generator yields random_boundary's blocks and ends in
-    the same state: its next draw is equal."""
-    L = data.draw(st.integers(0, n // 2), label="L")
-    shape = ComplexShape(n, n - 2 * L, L)
-    field = FieldSpec(order)
-    rngs = [trial_rng(seed, i) for i in range(count)]
-    d_pm, d_mp = _random_boundary_batch(shape, field, rngs)
-    for i, rng in enumerate(rngs):
-        ref = trial_rng(seed, i)
-        c, _, _ = random_boundary(shape, field, ref)
-        assert (d_pm[i] == c.d_pm.data).all() and (d_mp[i] == c.d_mp.data).all()
-        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 def test_validate_reports_broken_square_and_shape() -> None:

@@ -11,9 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from quditprod import (
+    ComplexShape,
     TrialConfig,
     emit_csv,
     exhaustive_ulw_probability,
@@ -26,7 +29,7 @@ from quditprod import (
 )
 from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
-from quditprod.gf import kernel_basis, rank, span_blocks
+from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank, span_blocks
 from quditprod.reduction import weights_within
 
 from support import FIELD3, FIELD5
@@ -176,21 +179,62 @@ def _has_light_kernel_vector(m, w_max: int) -> bool:
 @pytest.mark.parametrize("trials", [1, _CHUNK + 1])
 def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
     """One trial and one chunk plus one: the same successes as a loop
-    over the single-draw API, each trial on its own generator."""
-    cfg = TrialConfig(field=FIELD5, n=5, trials=trials, master_seed=3, H=1, c=Fraction(2, 5))
-    shape, w_max = cfg.shape(), 1  # c n = 2: weights up to 1 are light
-    kernel = goodness = ulw = 0
+    over the single-draw API, each trial on its own generator.  The
+    kernel test runs at w_max = 1 and 2; goodness at n' = 0 and t - 1
+    (never good), t, and n (always good)."""
+    shape = ComplexShape(5, 1, 2)  # t = H + L = 3
+    w_max_of = {Fraction(2, 5): 1, Fraction(3, 5): 2}  # w_max = ceil(c n) - 1
+    n_primes = (0, 2, 3, 5)
+    kernel = dict.fromkeys(w_max_of.values(), 0)
+    goodness = dict.fromkeys(n_primes, 0)
+    ulw = 0
     for i in range(trials):
         c, _, _ = random_boundary(shape, FIELD5, trial_rng(3, i))
-        kernel += _has_light_kernel_vector(c.d_mp, w_max) or _has_light_kernel_vector(c.d_pm, w_max)
-        goodness += is_good(c, 3)
+        for w_max in kernel:
+            kernel[w_max] += _has_light_kernel_vector(c.d_mp, w_max) or _has_light_kernel_vector(
+                c.d_pm, w_max
+            )
+        for n_prime in n_primes:
+            goodness[n_prime] += is_good(c, n_prime)
         m = sample_uniform_rank(FIELD3, 4, 2, trial_rng(3, i))
         ulw += weights_within(m, Fraction(2))
-    assert mc_low_weight_kernel(cfg).successes == kernel
-    assert mc_goodness(cfg, 3).successes == goodness
+    for density, w_max in w_max_of.items():
+        cfg = TrialConfig(field=FIELD5, n=5, trials=trials, master_seed=3, H=1, c=density)
+        assert mc_low_weight_kernel(cfg).successes == kernel[w_max]
+    cfg = TrialConfig(field=FIELD5, n=5, trials=trials, master_seed=3, H=1)
+    for n_prime in n_primes:
+        assert mc_goodness(cfg, n_prime).successes == goodness[n_prime]
+    assert goodness[0] == goodness[2] == 0 and goodness[5] == trials
     assert mc_uniform_low_weight(FIELD3, 4, 2, Fraction(1, 2), trials, 3).successes == ulw
     if trials > 1:
-        assert 0 < kernel < trials and 0 < goodness < trials and 0 < ulw < trials
+        assert 0 < kernel[1] < trials and 0 < goodness[3] < trials and 0 < ulw < trials
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    n=st.integers(1, 6),
+    count=st.integers(1, _CHUNK + 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kernel_bases_span_the_boundary_kernels(order, n, count, seed, data) -> None:
+    """Each trial's two bases have rank t = H + L and span the kernels
+    of random_boundary's d_mp and d_pm from the same generator, which
+    ends in that call's state: its next draw is equal."""
+    L = data.draw(st.integers(0, n // 2), label="L")
+    shape = ComplexShape(n, n - 2 * L, L)
+    field, t = FieldSpec(order), n - L
+    rngs = [trial_rng(seed, i) for i in range(count)]
+    bases = experiments._kernel_bases(shape, field, rngs)
+    assert bases.shape == (2 * count, t, n)
+    for i, rng in enumerate(rngs):
+        ref = trial_rng(seed, i)
+        c, _, _ = random_boundary(shape, field, ref)
+        for basis, block in ((bases[i], c.d_mp), (bases[count + i], c.d_pm)):
+            assert rank(MatGF(field, basis)) == t
+            assert rank(MatGF(field, np.concatenate([basis, kernel_basis(block)]))) == t
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 class TestUniformRankSampler:

@@ -16,9 +16,9 @@ from quditprod.gf import (
     ORDER_LIMIT,
     FieldSpec,
     MatGF,
-    _inverse_batch,
     _inverse_table,
     _matmul,
+    _matrix_from_lines,
     _random_invertible_batch,
     _row_reduce,
     _subspace_table,
@@ -37,7 +37,7 @@ from quditprod.gf import (
     span_blocks,
     weight,
 )
-from support import FIELD3, FIELD5, reference_row_reduce
+from support import FIELD3, FIELD5, reference_matrix_from_lines, reference_row_reduce
 
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
@@ -295,20 +295,6 @@ def test_enumeration_limit_boundary(monkeypatch) -> None:
         brute_count_rank_matrices(FIELD3, 2, 3)
 
 
-@pytest.mark.parametrize("order", [3, 5, 7, 11])
-def test_rank_batch_matches_scalar_rank(order: int) -> None:
-    """rank_batch and the subspace-table rank against scalar rank on
-    tall, square and wide shapes (wide ones take the transposed walk),
-    including shapes with no rows or no columns."""
-    f = FieldSpec(order)
-    rng = np.random.default_rng(order)
-    for shape in ((2, 2), (3, 4), (4, 3), (3, 3), (1, 3), (3, 1), (0, 3), (3, 0)):
-        mats = rng.integers(0, order, (200, *shape))
-        expected = [rank(MatGF(f, m)) for m in mats]
-        assert rank_batch(mats, order)[2].tolist() == expected
-        assert _table_rank(mats, order).tolist() == expected
-
-
 @pytest.mark.parametrize("order, width, states", [(3, 4, 212), (5, 3, 64), (7, 2, 10), (3, 0, 1)])
 def test_subspace_table_has_one_state_per_subspace(order: int, width: int, states: int) -> None:
     step, dim = _subspace_table(order, width)
@@ -350,12 +336,14 @@ def test_table_rank_equals_rank(case) -> None:
 @settings(max_examples=200, deadline=None)
 @given(small_matrices(), st.integers(0, 2**32 - 1))
 def test_kernel_basis_rank_nullity_and_solve(case, seed) -> None:
-    """Rank-nullity, m @ kernel^T = 0, the basis is the identity on the
-    free columns (so its rows are fixed, in free-column order), and
-    solve(m, m x) solves the system for a random x."""
+    """Rank-nullity, rank(m.T) = rank(m), m @ kernel^T = 0, the basis
+    is the identity on the free columns (so its rows are fixed, in
+    free-column order), and solve(m, m x) solves the system for a
+    random x."""
     order, data = case
     m = MatGF(FieldSpec(order), data)
     basis = kernel_basis(m)
+    assert rank(m.T) == rank(m)
     assert basis.shape == (m.cols - rank(m), m.cols)
     assert not (data @ basis.T % order).any()
     free = sorted(set(range(m.cols)) - set(_row_reduce(data, order)[1]))
@@ -386,37 +374,85 @@ def test_parsers_raise_only_value_error(parse, text) -> None:
         pass
 
 
+# Entries out of range, entries int() reads in full (a sign,
+# underscores, a non-ASCII digit), entries beyond int64, and entries
+# int() refuses.
+_ENTRIES = ["9", "-1", "1_0", "+1", "\u0661", str(10**30), "-" + str(10**30), "x", "1.0", "0x1",
+            "0", "2"]
+
+
 @st.composite
-def matrix_stacks(draw):
-    """Stacks of 0 to 5 matrices over GF(3/5/7), GF(181) (the largest
-    order eliminated in int16), and GF(191) and GF(65521) (in int64):
-    tall, wide, square, and with no rows or no columns."""
-    order = draw(st.sampled_from([3, 5, 7, 181, 191, 65521]))
-    count, rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    seed = draw(st.integers(0, 2**32 - 1))
-    mats = np.random.default_rng(seed).integers(0, order, (count, rows, cols))
-    if draw(st.booleans()):  # the largest residues make the largest products
-        mats = order - 1 - mats % 3
-    # Low-rank rows make pivot-free columns and rank deficits common.
-    if rows > 1 and draw(st.booleans()):
-        mats[:, -1] = mats[:, 0] * 2 % order
-    return order, mats
+def matrix_lines(draw):
+    """Lines of a valid nonempty matrix text over GF(3/5/11) after up to
+    two corruptions of its rows (an entry replaced, a row shortened or
+    an entry appended), and the number of corruptions."""
+    order = draw(st.sampled_from([3, 5, 11]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols, max_size=rows * cols))
+    lines = [[str(order), str(rows), str(cols)]]
+    lines += [list(map(str, cells[i * cols : (i + 1) * cols])) for i in range(rows)]
+    faults = draw(st.integers(0, 2))
+    for _ in range(faults):
+        tokens = lines[draw(st.integers(1, rows))]
+        kind = draw(st.sampled_from(["replace", "replace", "shorten", "append"]))
+        if kind == "append":
+            tokens.append(draw(st.sampled_from(_ENTRIES)))
+        elif tokens and kind == "shorten":
+            tokens.pop()
+        elif tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ENTRIES))
+    return [" ".join(tokens) for tokens in lines], faults
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrix_stacks())
-def test_rank_batch_equals_row_reduce(case) -> None:
-    order, mats = case
-    rref, pivots, ranks = rank_batch(mats, order)
-    assert rref.shape == mats.shape and pivots.shape == (len(mats), mats.shape[2])
-    for i, m in enumerate(mats):
-        for want, want_pivots in (_row_reduce(m, order), reference_row_reduce(m, order)):
-            assert (rref[i] == want).all()
-            assert np.nonzero(pivots[i])[0].tolist() == want_pivots
-            assert ranks[i] == len(want_pivots)
+@settings(max_examples=300, deadline=None)
+@given(matrix_lines())
+def test_matrix_from_lines_matches_reference(case) -> None:
+    """The vectorised parser and the row-by-row reference return equal
+    matrices and end positions, or both raise ValueError; on a text with
+    one fault, with the same message."""
+    lines, faults = case
+    try:
+        want = reference_matrix_from_lines(lines, 0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _matrix_from_lines(lines, 0)
+        if faults == 1:
+            assert str(got.value) == str(exc)
+        return
+    assert _matrix_from_lines(lines, 0) == want
 
 
 _ORDERS = [3, 5, 7, 181, 191, 65521]
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 11, 181, 191, 65521])
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(0, 5),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    largest=st.booleans(),
+    low_rank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_batch_matches_scalar_rank(order, count, shape, largest, low_rank, seed) -> None:
+    """Every rank of a stack is the pivot count of the plain int64
+    elimination, over GF(3/5/7/11/181) (eliminated in int16) and
+    GF(191/65521) (in int64): tall, wide and square stacks, with no
+    rows or no columns, and of no matrices.  The subspace-table rank
+    agrees wherever its table (up to GF(3)^5 or GF(5)^4) is built;
+    wide stacks take its transposed walk."""
+    rows, cols = shape
+    mats = np.random.default_rng(seed).integers(0, order, (count, rows, cols))
+    if largest:  # the largest residues make the largest products
+        mats = order - 1 - mats % 3
+    # Low-rank rows make pivot-free columns and rank deficits common.
+    if low_rank and rows > 1:
+        mats[:, -1] = mats[:, 0] * 2 % order
+    ranks = rank_batch(mats, order)
+    assert ranks.shape == (count,)
+    assert ranks.tolist() == [len(reference_row_reduce(m, order)[1]) for m in mats]
+    if order ** min(rows, cols) <= 5**4:
+        assert _table_rank(mats, order).tolist() == ranks.tolist()
 
 
 @st.composite
@@ -495,22 +531,15 @@ def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed
 
 @settings(max_examples=100, deadline=None)
 @given(
-    order=st.sampled_from([3, 5, 7, 181, 191, 65521]),
+    order=st.sampled_from(_ORDERS),
     n=st.integers(1, 6),
-    count=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_inverse_and_batched_inverse_agree(order, n, count, seed) -> None:
-    """inverse(u) @ u is the identity, and _inverse_batch gives
-    inverse's matrix for every member of a stack."""
+def test_inverse_undoes_random_invertible(order, n, seed) -> None:
+    """inverse(u) @ u is the identity."""
     field = FieldSpec(order)
-    rng = np.random.default_rng(seed)
-    us = [random_invertible(field, n, rng) for _ in range(count)]
-    batch = _inverse_batch(np.stack([u.data for u in us]), order)
-    for u, inv_b in zip(us, batch):
-        inv = inverse(u)
-        assert inv @ u == MatGF.identity(field, n)
-        assert (inv_b == inv.data).all()
+    u = random_invertible(field, n, np.random.default_rng(seed))
+    assert inverse(u) @ u == MatGF.identity(field, n)
 
 
 @settings(max_examples=200, deadline=None)
