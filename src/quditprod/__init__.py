@@ -20,10 +20,8 @@ from .gf import (
     solve,
     inverse,
     random_invertible,
-    weight,
     row_weights,
     col_weights,
-    kron,
     matrix_to_text,
     matrix_from_text,
 )
@@ -42,7 +40,6 @@ from .complexes import (
 from .product import (
     ProductComplex,
     product,
-    cycle_space_plus,
     KunnethReport,
     kunneth_check,
     product_chain_map,

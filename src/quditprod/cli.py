@@ -8,6 +8,10 @@ version, subcommand, parameters and output paths; re-running with the
 same parameters reproduces the primary outputs byte for byte (the
 manifest itself carries the only timestamp).
 
+``count``, ``mc`` and ``distance`` each have modes (``--what`` or
+``--verify``, ``--experiment``, ``--mode``); ``MODE_FLAGS`` lists the
+flags each mode reads, and any flag of another mode is refused.
+
 Exit codes: 0 success; 1 failed verification or bad input data;
 2 usage error.
 """
@@ -141,6 +145,7 @@ def cmd_css_extract(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    given = _mode_flags(args, args.mode, f"distance --mode {args.mode}")
     with open(args.infile, encoding="utf-8") as fh:
         c = complex_from_text(fh.read())
     code = extract_css(c)
@@ -151,7 +156,7 @@ def cmd_distance(args) -> int:
         "n_phys": code.n_phys,
         "k": code.k,
         "stab_weight": code.stab_weight,
-        **report.as_dict(),
+        **asdict(report),
     }
     if args.out:
         # The saved report is deterministic; timing goes to stdout only.
@@ -160,7 +165,7 @@ def cmd_distance(args) -> int:
         _write_manifest(
             args.out,
             "distance",
-            {"in": args.infile, "mode": args.mode, "wmax": args.wmax},
+            {"in": args.infile, "mode": args.mode, **given},
             [args.out],
         )
     if args.json or not args.out:
@@ -229,9 +234,59 @@ def _verify_counts(field: FieldSpec) -> list[str]:
     return failures
 
 
+# The flags each mode reads, besides the subcommand's common flags:
+# (required, optional).  A flag another mode of the same subcommand
+# reads is refused.  count passes its flags to the closed form in this
+# order, with the field last.
+MODE_FLAGS = {
+    "count": {
+        "E": (("A", "B", "R"), ()),
+        "Eext": (("a", "b", "r", "A", "B", "R"), ()),
+        "Z": (("H", "L", "rplus", "rminus"), ()),
+        "Gamma": (("n", "nprime", "H", "L", "Rplus", "Rminus"), ()),
+        "verify": ((), ()),
+    },
+    "mc": {
+        "kernel": (("n", "c"), ("H", "rho")),
+        "goodness": (("n", "nprime"), ("H", "rho")),
+        "ulw": (("nprime", "rank", "cprime"), ()),
+    },
+    "distance": {
+        "exhaustive": ((), ()),
+        "bounded": (("wmax",), ()),
+    },
+}
+
+_COUNTS = {
+    "E": count_rank_matrices,
+    "Eext": count_rank_extensions,
+    "Z": count_cycles_by_rank,
+    "Gamma": count_reduced_cycles,
+}
+
+
+def _mode_flags(args, mode: str, label: str) -> dict:
+    """The flags of ``mode`` given in args, in table order.  Raises
+    ValueError, naming them, for a flag of another mode or a missing
+    required flag; ``label`` names the mode in the message."""
+    modes = MODE_FLAGS[args.command]
+    required, optional = modes[mode]
+    every = {flag for flags in modes.values() for group in flags for flag in group}
+    extra = sorted(f for f in every - {*required, *optional} if getattr(args, f) is not None)
+    if extra:
+        raise ValueError(f"{label} does not take {', '.join(f'--{f}' for f in extra)}")
+    missing = [f for f in required if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"{label} needs {', '.join(f'--{f}' for f in missing)}")
+    return {f: getattr(args, f) for f in (*required, *optional) if getattr(args, f) is not None}
+
+
 def cmd_count(args) -> int:
     field = FieldSpec(args.dim)
     if args.verify:
+        if args.what is not None:
+            raise ValueError("count --verify does not take --what")
+        _mode_flags(args, "verify", "count --verify")
         failures = _verify_counts(field)
         if failures:
             for item in failures:
@@ -239,63 +294,17 @@ def cmd_count(args) -> int:
             return 1
         print("all count oracles agree")
         return 0
-    needed = {
-        "E": ("A", "B", "R"),
-        "Eext": ("a", "b", "r", "A", "B", "R"),
-        "Z": ("H", "L", "rplus", "rminus"),
-        "Gamma": ("n", "nprime", "H", "L", "Rplus", "Rminus"),
-    }
-    if args.what in needed:
-        missing = [name for name in needed[args.what] if getattr(args, name) is None]
-        if missing:
-            flags = ", ".join(f"--{name}" for name in missing)
-            raise ValueError(f"count --what {args.what} needs {flags}")
-    if args.what == "E":
-        value = count_rank_matrices(args.A, args.B, args.R, field)
-        params = {"A": args.A, "B": args.B, "R": args.R}
-    elif args.what == "Eext":
-        value = count_rank_extensions(args.a, args.b, args.r, args.A, args.B, args.R, field)
-        params = {"a": args.a, "b": args.b, "r": args.r, "A": args.A, "B": args.B, "R": args.R}
-    elif args.what == "Z":
-        value = count_cycles_by_rank(args.H, args.L, args.rplus, args.rminus, field)
-        params = {"H": args.H, "L": args.L, "rplus": args.rplus, "rminus": args.rminus}
-    elif args.what == "Gamma":
-        value = count_reduced_cycles(
-            args.n, args.nprime, args.H, args.L, args.Rplus, args.Rminus, field
-        )
-        params = {"n": args.n, "nprime": args.nprime, "H": args.H, "L": args.L,
-                  "Rplus": args.Rplus, "Rminus": args.Rminus}
-    else:
+    if args.what is None:
         raise ValueError("--what is required (one of E, Eext, Z, Gamma)")
+    params = _mode_flags(args, args.what, f"count --what {args.what}")
+    value = _COUNTS[args.what](*params.values(), field)
     _print_json({"what": args.what, "dim": args.dim, "params": params, "count": value})
     return 0
 
 
-# The flags each Monte Carlo experiment reads, besides --dim, --trials,
-# --seed and --csv: (required, optional).  Any other flag is refused.
-MC_FLAGS = {
-    "kernel": (("n", "c"), ("H", "rho")),
-    "goodness": (("n", "nprime"), ("H", "rho")),
-    "ulw": (("nprime", "rank", "cprime"), ()),
-}
-
-
-def _check_mc_flags(args) -> None:
-    required, optional = MC_FLAGS[args.experiment]
-    every = {flag for flags in MC_FLAGS.values() for group in flags for flag in group}
-    extra = sorted(f for f in every - {*required, *optional} if getattr(args, f) is not None)
-    if extra:
-        flags = ", ".join(f"--{name}" for name in extra)
-        raise ValueError(f"{args.experiment} experiment does not take {flags}")
-    missing = [name for name in required if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise ValueError(f"{args.experiment} experiment needs {flags}")
-
-
 def cmd_mc(args) -> int:
     field = FieldSpec(args.dim)
-    _check_mc_flags(args)
+    given = _mode_flags(args, args.experiment, f"{args.experiment} experiment")
     if args.experiment == "kernel":
         cfg = TrialConfig(
             field=field, n=args.n, trials=args.trials, master_seed=args.seed,
@@ -321,13 +330,11 @@ def cmd_mc(args) -> int:
         emit_csv([report], args.csv)
         # Every flag given, as its command-line string: the manifest's
         # parameters are the argv that re-runs this CSV.
-        given = {f: str(getattr(args, f)) for group in MC_FLAGS[args.experiment]
-                 for f in group if getattr(args, f) is not None}
         _write_manifest(
             args.csv,
             "mc",
             {"experiment": args.experiment, "dim": args.dim, "trials": args.trials,
-             "seed": args.seed, **given},
+             "seed": args.seed, **{f: str(v) for f, v in given.items()}},
             [args.csv],
         )
     return 0
@@ -381,20 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--dim", type=int, default=3)
     co.add_argument("--verify", action="store_true",
                     help="compare closed forms against brute force and exit")
-    co.add_argument("--A", type=int, default=None)
-    co.add_argument("--B", type=int, default=None)
-    co.add_argument("--R", type=int, default=None)
-    co.add_argument("--a", type=int, default=None)
-    co.add_argument("--b", type=int, default=None)
-    co.add_argument("--r", type=int, default=None)
-    co.add_argument("--H", type=int, default=None)
-    co.add_argument("--L", type=int, default=None)
-    co.add_argument("--rplus", type=int, default=None)
-    co.add_argument("--rminus", type=int, default=None)
-    co.add_argument("--n", type=int, default=None)
-    co.add_argument("--nprime", type=int, default=None)
-    co.add_argument("--Rplus", type=int, default=None)
-    co.add_argument("--Rminus", type=int, default=None)
+    for flag in dict.fromkeys(f for flags in MODE_FLAGS["count"].values()
+                              for group in flags for f in group):
+        co.add_argument(f"--{flag}", type=int, default=None)
     co.set_defaults(func=cmd_count)
 
     mc = sub.add_parser("mc", help="seeded Monte Carlo experiments")

@@ -111,16 +111,6 @@ class DistanceReport:
     method: str
     search_bound: int | None
 
-    def as_dict(self) -> dict:
-        return {
-            "d_z": self.d_z,
-            "d_x": self.d_x,
-            "d_z_lower": self.d_z_lower,
-            "d_x_lower": self.d_x_lower,
-            "method": self.method,
-            "search_bound": self.search_bound,
-        }
-
 
 # Cells (supports x value tuples x checks) in one syndrome block of the
 # bounded search, so its memory stays flat as the code grows.
@@ -218,16 +208,19 @@ def min_distance(
 
     d_z is the minimum weight over ker(x_gens) outside the column space
     of z_gens; d_x is the same with the roles transposed.  Exhaustive
-    mode enumerates the full kernels and is refused when a kernel holds
-    more than ``gf.ENUMERATION_LIMIT`` vectors.  Bounded mode scans
-    weights 1..w_max and reports a lower bound for a side where nothing
-    is found.  A code with k = 0 has no logical operators and raises,
-    and so does a code whose generators do not commute.
+    mode enumerates the full kernels, takes no w_max, and is refused
+    when a kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
+    Bounded mode scans weights 1..w_max and reports a lower bound for a
+    side where nothing is found.  A code with k = 0 has no logical
+    operators and raises, and so does a code whose generators do not
+    commute.
     """
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
     _check_commute(code.x_gens, code.z_gens)
     if mode == "exhaustive":
+        if w_max is not None:
+            raise ValueError("exhaustive mode takes no w_max")
         d_z = _min_weight_logical_exhaustive(code.x_gens, code.z_gens)
         d_x = _min_weight_logical_exhaustive(code.z_gens.T, code.x_gens.T)
         return DistanceReport(

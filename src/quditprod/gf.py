@@ -48,10 +48,8 @@ __all__ = [
     "solve",
     "inverse",
     "random_invertible",
-    "weight",
     "row_weights",
     "col_weights",
-    "kron",
     "matrix_to_text",
     "matrix_from_text",
     "rank_batch",
@@ -328,19 +326,6 @@ def col_weights(m: MatGF) -> np.ndarray:
     return np.count_nonzero(m.data, axis=0)
 
 
-def weight(m: MatGF) -> int:
-    """Largest number of nonzero entries in any single row or column."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return int(max(row_weights(m).max(initial=0), col_weights(m).max(initial=0)))
-
-
-def kron(a: MatGF, b: MatGF) -> MatGF:
-    """Kronecker product over the common field; fields must match."""
-    a._check_field(b)
-    return MatGF(a.field, np.kron(a.data, b.data) % a.field.order, _reduced=True)
-
-
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
     """The int64 block-diagonal matrix of 2-d arrays, zero off the blocks."""
     out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=np.int64)
@@ -549,7 +534,7 @@ def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.n
     def blocks() -> Iterator[np.ndarray]:
         for start in range(0, total, rows):
             idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-            yield ((idx[:, None] // powers) % p) @ basis % p
+            yield _mod(_mod(idx[:, None] // powers, p) @ basis, p)
 
     return blocks()
 

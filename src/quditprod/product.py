@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, homology_dimensions, validate
-from .gf import FieldSpec, MatGF, _block_diag, kernel_basis
+from .gf import FieldSpec, MatGF, _block_diag
 
 __all__ = [
     "ProductComplex",
     "KunnethReport",
     "product",
-    "cycle_space_plus",
     "kunneth_check",
     "product_chain_map",
 ]
@@ -106,12 +105,6 @@ def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     if problems:
         raise AssertionError(f"product complex failed validation: {problems}")
     return ProductComplex(factor1=c1, factor2=c2, complex=cx)
-
-
-def cycle_space_plus(pc: ProductComplex) -> np.ndarray:
-    """Basis of the cycles lying in the plus sector (ker of d_mp), one
-    row per vector."""
-    return kernel_basis(pc.complex.d_mp)
 
 
 @dataclass(frozen=True)

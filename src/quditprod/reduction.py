@@ -128,14 +128,6 @@ class ReducedComplex:
         return len(self.pivot_coords) - self.s_plus
 
     @property
-    def quotient_dim_plus(self) -> int:
-        return self.quotient.dim_plus
-
-    @property
-    def quotient_dim_minus(self) -> int:
-        return self.quotient.dim_minus
-
-    @property
     def good(self) -> bool:
         """Whether both parts of S> reach the maximal dimension n - n',
         equivalently whether both quotient sectors have dimension K."""

@@ -8,6 +8,7 @@ compared structurally instead.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -35,7 +36,7 @@ from quditprod import (
     validate,
 )
 from quditprod.gf import FieldSpec
-from quditprod.cli import main
+from quditprod.cli import MODE_FLAGS, build_parser, main
 
 from support import FIELD3
 
@@ -66,6 +67,15 @@ class TestTopLevel:
             mod = importlib.import_module(f"quditprod.{info.name}")
             for name in getattr(mod, "__all__", ()):
                 assert hasattr(mod, name), f"quditprod.{info.name}.__all__ names missing {name!r}"
+
+    def test_every_mode_flag_is_registered(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for command, modes in MODE_FLAGS.items():
+            dests = {a.dest for a in subcommands[command]._actions}
+            for required, optional in modes.values():
+                assert {*required, *optional} <= dests, command
 
     def test_version_via_module_entry(self):
         proc = subprocess.run(
@@ -263,6 +273,8 @@ class TestDistance:
         assert payload["d_z"] >= 1 and payload["d_x"] >= 1
         # wall time never lands in the artifact
         assert "elapsed" not in payload
+        manifest = json.loads((tmp_path / "d1.json.manifest.json").read_text())
+        assert manifest["parameters"] == {"in": str(cfile), "mode": "exhaustive"}
 
     def test_stdout_report_carries_timing(self, tmp_path, capsys):
         cfile = sample(tmp_path, "c.txt", seed=5)
@@ -412,21 +424,33 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "argv, refused",
         [
-            (["--experiment", "ulw", "--nprime", "2", "--rank", "1", "--cprime", "1/2",
+            (["mc", "--experiment", "ulw", "--nprime", "2", "--rank", "1", "--cprime", "1/2",
               "--n", "7", "--rho", "abc"], "ulw experiment does not take --n, --rho"),
-            (["--experiment", "kernel", "--n", "3", "--H", "1", "--c", "1/2", "--rank", "1"],
-             "kernel experiment does not take --rank"),
-            (["--experiment", "goodness", "--n", "3", "--H", "1", "--nprime", "2",
+            (["mc", "--experiment", "kernel", "--n", "3", "--H", "1", "--c", "1/2",
+              "--rank", "1"], "kernel experiment does not take --rank"),
+            (["mc", "--experiment", "goodness", "--n", "3", "--H", "1", "--nprime", "2",
               "--c", "1/2"], "goodness experiment does not take --c"),
+            (["count", "--what", "E", "--A", "2", "--B", "2", "--R", "1", "--H", "7"],
+             "count --what E does not take --H"),
+            (["count", "--verify", "--what", "Z"], "count --verify does not take --what"),
+            (["count", "--verify", "--A", "2"], "count --verify does not take --A"),
+            (["distance", "--mode", "exhaustive", "--wmax", "2"],
+             "distance --mode exhaustive does not take --wmax"),
+            (["distance", "--mode", "bounded"], "distance --mode bounded needs --wmax"),
         ],
-        ids=["ulw-n-rho", "kernel-rank", "goodness-c"],
+        ids=["ulw-n-rho", "kernel-rank", "goodness-c", "count-E-H", "count-verify-what",
+             "count-verify-A", "distance-exhaustive-wmax", "distance-bounded"],
     )
-    def test_flag_the_experiment_ignores_fails(self, argv, refused):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quditprod", "mc", "--dim", "3", *argv,
-             "--trials", "5", "--seed", "1"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {refused}\n"
-        assert proc.stdout == ""
+    def test_flag_the_experiment_ignores_fails(self, argv, refused, tmp_path, capsys):
+        """count, mc and distance take only the flags their mode reads
+        (``cli.MODE_FLAGS``): anything else, or a missing required flag,
+        exits 1 with one error line, before any output is written."""
+        out = tmp_path / "out"
+        if argv[0] == "mc":
+            argv = [*argv, "--dim", 3, "--trials", 5, "--seed", 1, "--csv", out]
+        elif argv[0] == "distance":
+            argv = [*argv, "--in", sample(tmp_path, "c.txt", seed=5), "--out", out]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {refused}\n")
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()

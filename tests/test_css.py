@@ -71,14 +71,6 @@ def test_standard_product_distance_golden() -> None:
     assert bd.search_bound == 1
 
 
-def test_distance_report_as_dict_round_trip() -> None:
-    code = extract_css(_standard_product(FIELD3).complex)
-    rep = min_distance(code, mode="exhaustive")
-    d = rep.as_dict()
-    assert d["d_z"] == 1 and d["d_x"] == 1
-    assert set(d) == {"d_z", "d_x", "d_z_lower", "d_x_lower", "method", "search_bound"}
-
-
 def test_distance_rejects_zero_k() -> None:
     code = extract_css(standard_boundary(ComplexShape(2, 0, 1), FIELD3))
     with pytest.raises(ValueError, match="no logical operators"):
@@ -111,6 +103,8 @@ def test_bounded_mode_needs_positive_w_max() -> None:
         min_distance(code, mode="bounded")
     with pytest.raises(ValueError):
         min_distance(code, mode="unknown")
+    with pytest.raises(ValueError, match="exhaustive mode takes no w_max"):
+        min_distance(code, mode="exhaustive", w_max=2)
 
 
 def test_repetition_analogue_matches_hand_count() -> None:

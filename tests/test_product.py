@@ -9,7 +9,6 @@ from quditprod import (
     ComplexShape,
     FieldSpec,
     InvolutiveComplex,
-    cycle_space_plus,
     extract_css,
     flip_sectors,
     homology_dimensions,
@@ -21,7 +20,7 @@ from quditprod import (
     trial_rng,
     validate,
 )
-from quditprod.gf import MatGF, inverse, random_invertible, rank
+from quditprod.gf import MatGF, inverse, random_invertible
 from support import (
     FIELD3,
     FIELD5,
@@ -154,16 +153,6 @@ def test_kunneth_mixed_sector_homologies() -> None:
     h2p, h2m = homology_dimensions(c2)
     assert rep.expected_plus == h1p * h2p + h1m * h2m
     assert rep.expected_minus == h1p * h2m + h1m * h2p
-
-
-def test_cycle_space_plus_spans_the_kernel() -> None:
-    pc = _standard_product()
-    basis = cycle_space_plus(pc)
-    d_mp = pc.complex.d_mp
-    assert len(basis) == pc.complex.dim_plus - rank(d_mp)
-    for v in basis:
-        assert not (d_mp @ v).any()
-    assert rank(MatGF(FIELD3, np.array(basis))) == len(basis)
 
 
 def test_product_code_parameters_at_desk_scale() -> None:

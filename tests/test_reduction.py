@@ -61,7 +61,7 @@ def test_reduce_standard_complex() -> None:
     rc = reduce(std, ReductionParams(n=3, n_prime=2))
     assert rc.good
     assert rc.s_plus == rc.s_minus == 1
-    assert rc.quotient_dim_plus == rc.quotient_dim_minus == 1
+    assert rc.quotient.dim_plus == rc.quotient.dim_minus == 1
     assert validate(rc.quotient) == []
     assert reduced_kerim_check(rc) == []
 
@@ -82,8 +82,8 @@ def test_reduce_good_complexes_identities(n: int, H: int, n_prime: int) -> None:
         rc = reduce(c, ReductionParams(n=n, n_prime=n_prime))
         assert rc.good
         # quotient dimension corollary: dim V' = 2n' - n per sector
-        assert rc.quotient_dim_plus == 2 * n_prime - n
-        assert rc.quotient_dim_minus == 2 * n_prime - n
+        assert rc.quotient.dim_plus == 2 * n_prime - n
+        assert rc.quotient.dim_minus == 2 * n_prime - n
         assert validate(rc.quotient) == []
         assert reduced_kerim_check(rc) == []
         # kernel dimension corollary, recomputed directly
