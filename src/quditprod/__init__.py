@@ -2,10 +2,10 @@
 
 The pipeline: two-sector chain complexes with involution over GF(D)
 (complexes), their tensor products (product), the CSS codes they induce
-and exact distance search (css), leading-coordinate quotients and the
-uniform low weight condition (reduction), exact rank-enumeration counts
-with brute-force oracles (counting), and seeded Monte Carlo harnesses
-(experiments).  All linear algebra is exact (gf).
+and exact distance search (css), leading-coordinate quotients
+(reduction), exact rank-enumeration counts with brute-force oracles
+(counting), and seeded Monte Carlo harnesses with the uniform low
+weight condition (experiments).  All linear algebra is exact (gf).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .css import (
     DistanceReport,
     extract_css,
     min_distance,
-    clean_cocycle,
     vanishing_reduced_implies_boundary,
 )
 from .reduction import (
@@ -57,11 +56,6 @@ from .reduction import (
     ReducedComplex,
     reduce,
     reduced_kerim_check,
-    SupportSelection,
-    select_reduced_support,
-    reduced_matrix,
-    weights_within,
-    uniform_low_weight,
 )
 from .counting import (
     gaussian_binomial,

@@ -12,14 +12,15 @@ manifest itself carries the only timestamp).
 ``--verify``, ``--experiment``, ``--mode``); ``MODE_FLAGS`` lists the
 flags each mode reads, and any flag of another mode is refused.
 
-Exit codes: 0 success; 1 failed verification or bad input data;
-2 usage error.
+Exit codes: 0 success; 1 failed verification, bad input data or a
+stdout closed early (silently); 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -298,7 +299,16 @@ def cmd_count(args) -> int:
         raise ValueError("--what is required (one of E, Eext, Z, Gamma)")
     params = _mode_flags(args, args.what, f"count --what {args.what}")
     value = _COUNTS[args.what](*params.values(), field)
-    _print_json({"what": args.what, "dim": args.dim, "params": params, "count": value})
+    # An exact count can pass Python's int-to-str digit limit (3.11+),
+    # so the limit is lifted for this print only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _print_json({"what": args.what, "dim": args.dim, "params": params, "count": value})
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -418,9 +428,17 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here so that a closed stdout is caught below.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early, which is not bad input.  Point
+        # stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,6 +145,8 @@ def count_reduced_cycles(
     K = 2 * n_prime - n
     if K < 0:
         raise ValueError("need n_prime >= n/2")
+    if gap < 0:
+        raise ValueError("need n_prime <= n")
     if L < gap:
         raise ValueError(f"need L >= n - n_prime, got L = {L}, gap = {gap}")
     total = 0

@@ -45,7 +45,6 @@ __all__ = [
     "DistanceReport",
     "extract_css",
     "min_distance",
-    "clean_cocycle",
     "vanishing_reduced_implies_boundary",
 ]
 
@@ -236,45 +235,6 @@ def min_distance(
             method="bounded", search_bound=w_max,
         )
     raise ValueError(f"unknown distance mode {mode!r}")
-
-
-def clean_cocycle(
-    c: InvolutiveComplex, side: str, hbar: np.ndarray, support: Sequence[int]
-) -> np.ndarray:
-    """A coboundary omega with (hbar + omega) vanishing on ``support``.
-
-    For side "plus" the cocycle lives in the C- coordinate space
-    (ker d_mp^T) and coboundaries are im d_pm^T; side "minus" swaps the
-    roles.  Solves the restricted system (T x)|_S = -hbar|_S for the
-    appropriate transposed block T and returns omega = T x.  Raises if
-    hbar is not a cocycle or if the system is unsolvable, which signals
-    a support at least as large as the relevant distance.
-    """
-    p = c.field.order
-    if side == "plus":
-        cocycle_test = c.d_mp.T
-        cobound = c.d_pm.T
-    elif side == "minus":
-        cocycle_test = c.d_pm.T
-        cobound = c.d_mp.T
-    else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    vec = np.asarray(hbar, dtype=np.int64) % p
-    if vec.shape != (cobound.rows,):
-        raise ValueError(f"cocycle has shape {vec.shape}, expected ({cobound.rows},)")
-    if (cocycle_test @ vec).any():
-        raise ValueError("hbar is not a cocycle")
-    idx = sorted(set(int(i) for i in support))
-    if idx and not (0 <= idx[0] and idx[-1] < cobound.rows):
-        raise ValueError("support index out of range")
-    restricted = MatGF(c.field, cobound.data[idx, :], _reduced=True)
-    x = solve(restricted, (-vec[idx]) % p)
-    if x is None:
-        raise ValueError("cleaning system unsolvable; support too large for this complex")
-    omega = cobound @ x
-    if ((vec + omega) % p)[idx].any():
-        raise AssertionError("cleaned cocycle still meets the support")
-    return omega
 
 
 def vanishing_reduced_implies_boundary(

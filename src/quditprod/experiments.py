@@ -323,11 +323,13 @@ def _check_rank(n_prime: int, rank: int) -> None:
         raise ValueError(f"no matrices of rank {rank}: rank must lie in [0, {n_prime}]")
 
 
-def _weights_within(mats: np.ndarray, bound: int) -> np.ndarray:
-    """Per matrix of an (N, rows, cols) stack: all row and column
-    weights at most the integer bound."""
-    row_ok = (np.count_nonzero(mats, axis=2) <= bound).all(axis=1)
-    col_ok = (np.count_nonzero(mats, axis=1) <= bound).all(axis=1)
+def _uniform_low_weight(mats: np.ndarray, bound: Fraction) -> np.ndarray:
+    """The uniform low weight condition per matrix of an (N, rows, cols)
+    stack: every row and column weight at most ``bound`` = c'n'."""
+    # Weights are integers, so w <= bound is w <= floor(bound) exactly.
+    ibound = math.floor(bound)
+    row_ok = (np.count_nonzero(mats, axis=2) <= ibound).all(axis=1)
+    col_ok = (np.count_nonzero(mats, axis=1) <= ibound).all(axis=1)
     return row_ok & col_ok
 
 
@@ -367,15 +369,13 @@ def mc_uniform_low_weight(
         raise ValueError("need at least one trial")
     _check_rank(n_prime, rank)
     c_prime = Fraction(c_prime)
-    # Weights are integers, so w <= c'n' is w <= floor(c'n') exactly.
-    ibound = math.floor(c_prime * n_prime)
     p = field.order
     successes = 0
     for rngs in _trial_chunks(trials, master_seed):
         u = _random_invertible_batch(field, n_prime, rngs)
         v = _random_invertible_batch(field, n_prime, rngs)
         mats = u[:, :, :rank] @ v[:, :rank, :] % p
-        successes += int(_weights_within(mats, ibound).sum())
+        successes += int(_uniform_low_weight(mats, c_prime * n_prime).sum())
     return _report(
         "ulw",
         successes,
@@ -403,8 +403,6 @@ def exhaustive_ulw_probability(
     # Checked before the cells x cells identity basis is built.
     _check_enumeration(p, cells)
     bound = Fraction(c_prime) * n_prime
-    # Weights are integers, so w <= bound is w <= floor(bound) exactly.
-    ibound = math.floor(bound)
     hits = 0
     stratum = 0
     for vecs in span_blocks(np.eye(cells, dtype=np.int64), p):
@@ -413,7 +411,7 @@ def exhaustive_ulw_probability(
         stratum += int(in_stratum.sum())
         if not in_stratum.any():
             continue
-        hits += int(_weights_within(mats[in_stratum], ibound).sum())
+        hits += int(_uniform_low_weight(mats[in_stratum], bound).sum())
     return Fraction(hits, stratum)
 
 

@@ -19,85 +19,37 @@ complex, and every downstream identity stays checkable exactly.  The
 complex is called good for n' when both pieces have the largest
 possible dimension n - n'; then each quotient sector has dimension
 K = 2n' - n.
-
-The same parameter object carries the weight thresholds used to cut an
-n' x n' reduced matrix out of a low-density n x n one and to test the
-uniform low weight condition on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .complexes import InvolutiveComplex, validate
-from .gf import MatGF, _block_diag, _row_reduce, col_weights, kernel_basis, rank, row_weights
+from .gf import MatGF, _block_diag, _row_reduce, kernel_basis, rank
 
 __all__ = [
     "ReductionParams",
     "ReducedComplex",
     "reduce",
     "reduced_kerim_check",
-    "SupportSelection",
-    "select_reduced_support",
-    "reduced_matrix",
-    "uniform_low_weight",
-    "weights_within",
 ]
 
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Reduction size n' for ambient sector dimension n, plus the
-    optional weight-density parameter c.
-
-    Derived quantities: r = (n - n')/n, K = 2n' - n, and when c is set,
-    c' = c / (r(1-r)).  All of them are exact fractions.  The density
-    parameter must satisfy 0 < c < r, which forces n' < n.
-    """
+    """Reduction size n' for ambient sector dimension n, n/2 < n' <= n."""
 
     n: int
     n_prime: int
-    c: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
         if not (2 * self.n_prime > self.n and self.n_prime <= self.n):
             raise ValueError(f"need n/2 < n_prime <= n, got n={self.n}, n_prime={self.n_prime}")
-        if self.c is not None:
-            object.__setattr__(self, "c", Fraction(self.c))
-            if not (0 < self.c < self.r):
-                raise ValueError(f"need 0 < c < r = {self.r}, got c = {self.c}")
-
-    @property
-    def r(self) -> Fraction:
-        return Fraction(self.n - self.n_prime, self.n)
-
-    @property
-    def K(self) -> int:
-        return 2 * self.n_prime - self.n
-
-    @property
-    def c_prime(self) -> Fraction:
-        if self.c is None:
-            raise ValueError("c was not set")
-        return self.c / (self.r * (1 - self.r))
-
-    @property
-    def row_col_threshold(self) -> Fraction:
-        """Weight cap c*n/r for rows and columns kept by the support
-        selection."""
-        if self.c is None:
-            raise ValueError("c was not set")
-        return self.c * self.n / self.r
-
-    @property
-    def ulw_threshold(self) -> Fraction:
-        """Weight cap c'*n' of the uniform low weight condition."""
-        return self.c_prime * self.n_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +59,7 @@ class ReducedComplex:
 
     phi sends full-space vectors (length 2n) to quotient coordinates;
     embed sends quotient coordinates back to the canonical coset
-    representative (a full-space vector supported on V).  pivot_coords
-    records which V coordinates were consumed by S>.
+    representative (a full-space vector supported on V).
     """
 
     base: InvolutiveComplex
@@ -116,33 +67,23 @@ class ReducedComplex:
     quotient: InvolutiveComplex
     phi: MatGF
     embed: MatGF
-    pivot_coords: tuple[int, ...]
-
-    @property
-    def s_plus(self) -> int:
-        """dim of the plus-sector part of S>."""
-        return sum(1 for i in self.pivot_coords if i < self.params.n_prime)
-
-    @property
-    def s_minus(self) -> int:
-        return len(self.pivot_coords) - self.s_plus
 
     @property
     def good(self) -> bool:
-        """Whether both parts of S> reach the maximal dimension n - n',
-        equivalently whether both quotient sectors have dimension K."""
-        gap = self.params.n - self.params.n_prime
-        return self.s_plus == gap and self.s_minus == gap
+        """Whether both quotient sectors have dimension 2n' - n, that is
+        whether both parts of S> reach the maximal dimension n - n'."""
+        k = 2 * self.params.n_prime - self.params.n
+        return self.quotient.dim_plus == self.quotient.dim_minus == k
 
 
-def _sector_quotient(gens: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _sector_quotient(gens: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """One sector of the quotient by the column span S of ``gens``, an
     n' x t matrix in the sector's V coordinates.
 
-    Returns (phi, embed, pivots): phi (q x n) projects the sector onto V
-    and reduces modulo S to the non-pivot coordinates of the row echelon
-    basis of S, embed (n x q) sends those coordinates back to their
-    coset representatives, and pivots are the V coordinates S consumed.
+    Returns (phi, embed): phi (q x n) projects the sector onto V and
+    reduces modulo S to the non-pivot coordinates of the row echelon
+    basis of S, and embed (n x q) sends those coordinates back to their
+    coset representatives.
     """
     np1 = gens.shape[0]
     s_rref, piv = _row_reduce(gens.T, p)
@@ -151,7 +92,7 @@ def _sector_quotient(gens: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.n
     rep = sorted(set(range(np1)) - set(piv))
     embed = np.zeros((n, len(rep)), dtype=np.int64)
     embed[rep, np.arange(len(rep))] = 1
-    return canon[rep], embed, piv
+    return canon[rep], embed
 
 
 def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
@@ -175,8 +116,8 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     p = c.field.order
     gens_p = c.d_pm.data[:np1, np1:]
     gens_m = c.d_mp.data[:np1, np1:]
-    phi_p, embed_p, piv_p = _sector_quotient(gens_p, n, p)
-    phi_m, embed_m, piv_m = _sector_quotient(gens_m, n, p)
+    phi_p, embed_p = _sector_quotient(gens_p, n, p)
+    phi_m, embed_m = _sector_quotient(gens_m, n, p)
 
     # phi kills S> by construction, and the boundary descends when d
     # sends S> into ker(phi): d_mp takes the plus part of S> to C-, and
@@ -201,7 +142,6 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
         quotient=quotient,
         phi=MatGF(c.field, _block_diag(phi_p, phi_m), _reduced=True),
         embed=MatGF(c.field, _block_diag(embed_p, embed_m), _reduced=True),
-        pivot_coords=tuple(piv_p) + tuple(np1 + i for i in piv_m),
     )
 
 
@@ -280,73 +220,3 @@ def reduced_kerim_check(rc: ReducedComplex) -> list[str]:
                     f"{label}: expected kernel dim {base_ker - gap}, got {q_ker}"
                 )
     return problems
-
-
-@dataclass(frozen=True)
-class SupportSelection:
-    """Row and column index sets cutting an n' x n' submatrix out of
-    each sector block."""
-
-    rows_plus: tuple[int, ...]
-    cols_plus: tuple[int, ...]
-    rows_minus: tuple[int, ...]
-    cols_minus: tuple[int, ...]
-
-
-def _light_indices(weights: np.ndarray, bound: Fraction, count: int) -> tuple[int, ...] | None:
-    picked = [int(i) for i, w in enumerate(weights) if int(w) <= bound]
-    if len(picked) < count:
-        return None
-    return tuple(picked[:count])
-
-
-def select_reduced_support(
-    psi_plus: MatGF, psi_minus: MatGF, params: ReductionParams
-) -> SupportSelection | None:
-    """First n' rows and columns of each block whose weight is at most
-    c*n/r, independently per block; None when a block has too few.
-
-    A block of total weight below c*n^2 always has at least n' = (1-r)n
-    rows (and columns) below the cap, so None can only occur when that
-    density hypothesis fails.
-    """
-    n = params.n
-    for name, m in (("plus", psi_plus), ("minus", psi_minus)):
-        if m.shape != (n, n):
-            raise ValueError(f"{name} block has shape {m.shape}, expected ({n}, {n})")
-    bound = params.row_col_threshold
-    np1 = params.n_prime
-    parts = (
-        _light_indices(row_weights(psi_plus), bound, np1),
-        _light_indices(col_weights(psi_plus), bound, np1),
-        _light_indices(row_weights(psi_minus), bound, np1),
-        _light_indices(col_weights(psi_minus), bound, np1),
-    )
-    if any(part is None for part in parts):
-        return None
-    return SupportSelection(*parts)
-
-
-def reduced_matrix(
-    psi_plus: MatGF, psi_minus: MatGF, supports: SupportSelection
-) -> tuple[MatGF, MatGF]:
-    """Restrict each block to its selected rows and columns."""
-    return (
-        psi_plus.submatrix(supports.rows_plus, supports.cols_plus),
-        psi_minus.submatrix(supports.rows_minus, supports.cols_minus),
-    )
-
-
-def weights_within(m: MatGF, bound: Fraction) -> bool:
-    """Whether every row and column weight of m is at most ``bound``."""
-    if m.rows == 0 or m.cols == 0:
-        return True
-    return int(row_weights(m).max()) <= bound and int(col_weights(m).max()) <= bound
-
-
-def uniform_low_weight(m: MatGF, params: ReductionParams) -> bool:
-    """The uniform low weight condition: every row and column of the
-    n' x n' matrix has weight at most c'*n'."""
-    if m.shape != (params.n_prime, params.n_prime):
-        raise ValueError(f"expected a {params.n_prime} x {params.n_prime} matrix, got {m.shape}")
-    return weights_within(m, params.ulw_threshold)

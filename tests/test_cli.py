@@ -13,10 +13,12 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from quditprod import (
     ComplexShape,
     complex_from_text,
     complex_to_text,
+    count_rank_matrices,
     matrix_from_text,
     mc_uniform_low_weight,
     random_boundary,
@@ -84,6 +87,23 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"quditprod {quditprod.__version__}"
+
+    def test_closed_stdout_exits_1_silently(self):
+        """A stdout whose reader is gone is not bad input: no error line
+        and no shutdown traceback.  Run in a subprocess, since main
+        points the closed fd 1 at devnull."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quditprod", "count", "--what", "E", "--dim", "3",
+                 "--A", "2", "--B", "2", "--R", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
 
 class TestSampleComplex:
@@ -332,21 +352,33 @@ class TestCount:
         assert run(["count", "--dim", 3, "--verify"]) == 0
         assert "all count oracles agree" in capsys.readouterr().out
 
+    def test_count_above_the_int_digit_limit_prints(self, capsys):
+        """A count of about 4770 digits prints whole, and main leaves the
+        int-to-str digit limit as it found it."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run(["count", "--dim", 3, "--what", "E", "--A", 100, "--B", 100, "--R", 100]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        digits = json.loads(capsys.readouterr().out, parse_int=str)["count"]
+        assert len(digits) > 4300
+        assert int(Decimal(digits)) == count_rank_matrices(100, 100, 100, FIELD3)
+
     def test_what_required_without_verify(self, capsys):
         assert run(["count", "--dim", 3]) == 1
         assert "--what" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args, missing",
+        "args, message",
         [
             (["--what", "E", "--A", 2], "--B, --R"),
             (["--what", "Z", "--rplus", 1, "--rminus", 1], "--H, --L"),
             (["--what", "Gamma", "--n", 3, "--nprime", 2], "--H, --L, --Rplus, --Rminus"),
+            (["--what", "Gamma", "--n", 3, "--nprime", 4, "--H", 1, "--L", 1,
+              "--Rplus", 0, "--Rminus", 0], "need n_prime <= n"),
         ],
     )
-    def test_missing_count_flags_fail_cleanly(self, args, missing, capsys):
+    def test_missing_count_flags_fail_cleanly(self, args, message, capsys):
         assert run(["count", "--dim", 3, *args]) == 1
-        assert missing in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestMonteCarlo:

@@ -329,6 +329,8 @@ class TestCountReducedCycles:
             count_reduced_cycles(4, 3, 1, 1, 0, 0, FIELD3)
         with pytest.raises(ValueError, match="n/2"):
             count_reduced_cycles(6, 2, 0, 3, 0, 0, FIELD3)
+        with pytest.raises(ValueError, match="n_prime <= n"):
+            count_reduced_cycles(3, 4, 1, 1, 0, 0, FIELD3)
         with pytest.raises(ValueError, match="L >="):
             count_reduced_cycles(3, 2, 3, 0, 0, 0, FIELD3)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quditprod import (
     ComplexShape,
     CssCode,
-    clean_cocycle,
     extract_css,
     flip_sectors,
     min_distance,
@@ -21,7 +20,7 @@ from quditprod import (
     vanishing_reduced_implies_boundary,
 )
 from quditprod import gf
-from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank, solve
+from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank
 from support import FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex
 
 
@@ -187,67 +186,6 @@ def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
         if exact is not None:
             for d, e in zip(found, (exact.d_z, exact.d_x)):
                 assert d == (e if e <= w_max else None)
-
-
-def test_clean_cocycle_trivial_cases() -> None:
-    c = distance3_complex(trial_rng(52, 0))
-    hbar = kernel_basis(c.d_mp.T)[0]
-    omega = clean_cocycle(c, "plus", hbar, [])
-    assert not omega.any()
-    # a support the cocycle already misses also yields omega = 0
-    zero_at = int(np.flatnonzero(hbar == 0)[0]) if (hbar == 0).any() else None
-    if zero_at is not None:
-        omega = clean_cocycle(c, "plus", hbar, [zero_at])
-        assert not omega.any()
-
-
-def test_clean_cocycle_on_distance3_complexes() -> None:
-    c = distance3_complex(trial_rng(52, 1))
-    for side, cocycle_block, cobound_block in (
-        ("plus", c.d_mp, c.d_pm),
-        ("minus", c.d_pm, c.d_mp),
-    ):
-        for hbar in kernel_basis(cocycle_block.T):
-            for support in ([0], [2], [4], [0, 3], [1, 4]):
-                omega = clean_cocycle(c, side, hbar, support)
-                cleaned = (hbar + omega) % 5
-                assert not cleaned[support].any()
-                assert solve(cobound_block.T, omega) is not None
-
-
-def test_clean_cocycle_small_complex_seeded_success() -> None:
-    # frozen: at master seed 1000 trial 2 every single-coordinate
-    # support is cleanable
-    c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(1000, 2))
-    hbar = next(
-        v for v in kernel_basis(c.d_mp.T) if solve(c.d_pm.T, v) is None
-    )
-    for s in range(3):
-        omega = clean_cocycle(c, "plus", hbar, [s])
-        assert ((hbar + omega) % 3)[s] == 0
-
-
-def test_clean_cocycle_unsolvable_support_raises() -> None:
-    # frozen: at master seed 1000 trial 0 the cocycle (1, 1, 0) cannot
-    # be cleaned off coordinate 1; the factor code distance is 1
-    c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(1000, 0))
-    hbar = np.array([1, 1, 0])
-    with pytest.raises(ValueError, match="unsolvable"):
-        clean_cocycle(c, "plus", hbar, [1])
-
-
-def test_clean_cocycle_input_validation() -> None:
-    c = distance3_complex(trial_rng(52, 2))
-    not_cocycle = np.array([1, 0, 0, 0, 0])
-    if not (c.d_mp.T @ not_cocycle).any():  # pragma: no cover
-        not_cocycle = np.array([0, 1, 0, 0, 0])
-    with pytest.raises(ValueError, match="not a cocycle"):
-        clean_cocycle(c, "plus", not_cocycle, [0])
-    hbar = kernel_basis(c.d_mp.T)[0]
-    with pytest.raises(ValueError, match="side"):
-        clean_cocycle(c, "sideways", hbar, [0])
-    with pytest.raises(ValueError, match="out of range"):
-        clean_cocycle(c, "plus", hbar, [7])
 
 
 def test_vanishing_reduced_trivial_and_boundary_cases() -> None:

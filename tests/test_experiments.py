@@ -30,7 +30,6 @@ from quditprod import (
 from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank, span_blocks
-from quditprod.reduction import weights_within
 
 from support import FIELD3, FIELD5
 
@@ -197,7 +196,7 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
         for n_prime in n_primes:
             goodness[n_prime] += is_good(c, n_prime)
         m = sample_uniform_rank(FIELD3, 4, 2, trial_rng(3, i))
-        ulw += weights_within(m, Fraction(2))
+        ulw += max(gf.row_weights(m).max(), gf.col_weights(m).max()) <= 2
     for density, w_max in w_max_of.items():
         cfg = TrialConfig(field=FIELD5, n=5, trials=trials, master_seed=3, H=1, c=density)
         assert mc_low_weight_kernel(cfg).successes == kernel[w_max]
@@ -296,6 +295,12 @@ class TestExhaustiveUlw:
     def test_threshold_floor_semantics(self):
         # bound 2/3 floors to 0, and no rank-1 matrix is all zero
         assert exhaustive_ulw_probability(FIELD3, 2, 1, Fraction(1, 3)) == 0
+        # the predicate itself: max weight 2 passes c'n' = 2 but not 3/2,
+        # and a matrix with no rows passes any bound
+        m = np.array([[[1, 1, 0], [0, 1, 0], [0, 0, 0]]])
+        assert experiments._uniform_low_weight(m, Fraction(2)).all()
+        assert not experiments._uniform_low_weight(m, Fraction(3, 2)).any()
+        assert experiments._uniform_low_weight(np.zeros((1, 0, 3)), Fraction(0)).all()
 
     def test_full_rank_case(self):
         # 2x2 invertible with row/col weights <= 1: the 4 diagonal and
