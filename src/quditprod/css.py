@@ -15,7 +15,7 @@ picked by one row reduction.
 - Exhaustive mode enumerates the kernel over that basis with
   ``gf.span_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
   vectors).  The logicals are exactly the combinations of span index
-  at least p**r, so only their weights are computed.
+  sum_i c_i p**i at least p**r, so only their weights are computed.
 - Bounded mode scans weights 1..w_max.  It multiplies blocks of
   supports and value tuples against the dual coset basis at once: a
   vector is a logical when its syndromes vanish on the row space of
@@ -140,8 +140,9 @@ def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF) -> int:
     the kernel over the basis [r image rows; k logical representatives].
 
     A combination is a logical exactly when one of its k logical
-    coefficients is nonzero, that is when its span index (see
-    ``span_blocks``) is at least p**r; only weights are computed.
+    coefficients is nonzero, that is when its span index sum_i c_i p**i
+    (the order ``span_blocks`` yields rows in) is at least p**r; only
+    weights are computed.
     """
     p = kernel_of.field.order
     basis, r = _coset_basis(kernel_of, image_of)

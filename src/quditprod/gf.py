@@ -9,7 +9,7 @@ product this library forms stays exact in int64: a sum of k products
 of two residues is below (D - 1)**2 * k < 2**63 for every inner
 dimension k < 2**31.
 
-Two kernels run in narrower or other types, each with its exactness
+Three kernels run in narrower or other types, each with its exactness
 argument:
 
 - Elimination (``_row_reduce``, ``rank_batch``) works in the smallest
@@ -22,6 +22,17 @@ argument:
   float64 holds exactly whatever order the sum is taken in, and the
   result is cast back to int64 and reduced.  Larger products stay in
   int64.
+- Span enumeration (``span_blocks``) builds each block by adding rows
+  instead of decoding every index and multiplying by the basis.  A
+  table of the span of the leading basis rows (at most sqrt(rows) / D
+  rows for blocks of ``rows`` rows) is built level by level, and each
+  block adds a few decoded combinations of the trailing rows to the
+  whole table.  A sum of two residues lies in 0..2D-2, so one
+  subtraction of D where it is >= D reduces it exactly; the sums run in
+  the smallest unsigned type holding 2D - 2, where that subtraction is
+  an unsigned minimum (``_add_residues``), and land in the int64
+  block.  A block costs its int64 array and one narrow array of its
+  sums.
 
 Exhaustive enumerations (rank censuses, exhaustive distances and
 probabilities, the Monte Carlo kernel search) walk at most
@@ -516,25 +527,70 @@ def _check_enumeration(p: int, t: int) -> None:
         )
 
 
+def _add_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> None:
+    """(a + b) mod p into ``out``, for residue arrays a and b of an
+    unsigned dtype that holds 2p - 2.
+
+    The sum s lies in 0..2p-2.  Where s < p, s - p wraps past the
+    dtype's maximum to at least p; so min(s, s - p) is s mod p exactly,
+    with no division and no mask.
+    """
+    s = np.add(a, b)
+    np.subtract(s, s.dtype.type(p), out=out)
+    np.minimum(out, s, out=out)
+
+
 def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.ndarray]:
     """Every GF(p) combination sum_i c_i basis[i] of the rows of a
     (t, width) basis, in blocks of at most ``rows`` rows.
 
     Rows come in the order of the index sum_i c_i p**i, so the first row
     is the zero combination; a basis with t = 0 yields that one zero row.
-    Refused with ValueError, before any block is built, when p**t
+    Each block is int64 with entries in 0..p-1.  Refused with
+    ValueError, before any block is built, when rows < 1 or when p**t
     exceeds ``ENUMERATION_LIMIT``.
+
+    The span is built, not decoded.  A low table holds the span of the
+    leading j rows in index order, j the largest with p**(2j + 2) <=
+    rows (0 if none, at most t), so it has at most max(1, sqrt(rows) /
+    p) rows.  Level k of the table is p copies of level k - 1, copy c
+    being copy c - 1 plus basis[k].  A block is m = rows // p**j
+    consecutive combinations of the trailing t - j rows, the only rows
+    still decoded and multiplied, each added to the whole low table by
+    ``_add_residues``.  A block costs its own int64 array and one array
+    of the same shape in the smallest unsigned dtype holding 2p - 2 (one
+    byte for p <= 127).
     """
+    if rows < 1:
+        raise ValueError(f"need rows >= 1, got {rows}")
     basis = np.asarray(basis, dtype=np.int64)
-    t = basis.shape[0]
+    t, width = basis.shape
     _check_enumeration(p, t)
-    powers = p ** np.arange(t, dtype=np.int64)
-    total = p**t
+    basis = _mod(basis, p)
+    j = 0
+    while j < t and p ** (2 * j + 4) <= rows:
+        j += 1
+    small = np.min_scalar_type(2 * p - 2)
+    low = np.zeros((p**j, width), dtype=small)
+    for k in range(j):
+        size, row = p**k, basis[k].astype(small)
+        for c in range(1, p):
+            _add_residues(low[(c - 1) * size : c * size], row, p, low[c * size : (c + 1) * size])
+    high = basis[j:]
+    powers = p ** np.arange(t - j, dtype=np.int64)
+    total = p ** (t - j)
+    m = rows // len(low)
 
     def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, total, rows):
-            idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-            yield _mod(_mod(idx[:, None] // powers, p) @ basis, p)
+        for start in range(0, total, m):
+            idx = np.arange(start, min(start + m, total), dtype=np.int64)
+            tops = _mod(_mod(idx[:, None] // powers, p) @ high, p)
+            if j == 0:
+                yield tops
+                continue
+            out = np.empty((len(idx), len(low), width), dtype=np.int64)
+            _add_residues(tops.astype(small)[:, None, :], low, p, out)
+            yield out.reshape(len(idx) * len(low), width)
 
     return blocks()
 

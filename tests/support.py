@@ -12,7 +12,7 @@ weight exactly 3.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +115,18 @@ def reference_row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def reference_span(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Reference for gf.span_blocks: decode each span index idx into its
+    coefficients (idx // p**i) % p and multiply by the basis, in blocks
+    of 2^16 indices, reduced with %."""
+    basis = np.asarray(basis, dtype=np.int64)
+    powers = p ** np.arange(basis.shape[0], dtype=np.int64)
+    total = p ** basis.shape[0]
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        yield (idx[:, None] // powers % p) @ basis % p
 
 
 def reference_matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:

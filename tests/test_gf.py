@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,13 @@ from quditprod.gf import (
     solve,
     span_blocks,
 )
-from support import FIELD3, FIELD5, reference_matrix_from_lines, reference_row_reduce
+from support import (
+    FIELD3,
+    FIELD5,
+    reference_matrix_from_lines,
+    reference_row_reduce,
+    reference_span,
+)
 
 
 @pytest.mark.parametrize("order", [3, 5, 7, 11])
@@ -265,6 +272,87 @@ def test_enumeration_limit_boundary(monkeypatch) -> None:
         span_blocks(np.eye(6, dtype=np.int64), 3)
     with pytest.raises(ValueError, match=refusal):
         brute_count_rank_matrices(FIELD3, 2, 3)
+
+
+_SPAN_ORDERS = [3, 5, 7, 181, 65521]
+
+
+@st.composite
+def span_cases(draw):
+    """A (t, width) basis over GF(3/5/7/181/65521) with entries negative
+    or >= p, width 0..20, and a block size of 1, 2, p - 1, p, p + 1, an
+    odd value, 2^16, p^6 or p^8 (so that every order builds a table of
+    one or more levels, in uint8, uint16 or uint32).  Spans hold at most
+    2^16 rows in 2000 blocks."""
+    order = draw(st.sampled_from(_SPAN_ORDERS))
+    odd = st.integers(0, 3000).map(lambda r: 2 * r + 1)
+    sizes = [1, 2, order - 1, order, order + 1, 1 << 16, order**6, order**8]
+    rows = draw(st.sampled_from(sizes) | odd)
+    t = 0
+    while order ** (t + 1) <= min(1 << 16, 2000 * rows):
+        t += 1
+    t = draw(st.integers(0, t))
+    width = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.integers(-3, 4, (t, width)) * draw(st.sampled_from([0, 1, order]))
+    return order, rng.integers(0, order, (t, width)) + shift * order, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_cases())
+def test_span_blocks_matches_reference(case) -> None:
+    """The built span is the decoded one, row for row in index order, for
+    every block size; each block is int64 with 1..rows rows of residues."""
+    order, basis, rows = case
+    blocks = list(span_blocks(basis, order, rows))
+    for b in blocks:
+        assert b.dtype == np.int64
+        assert 1 <= len(b) <= rows
+        assert ((b >= 0) & (b < order)).all()
+    expected = np.concatenate(list(reference_span(basis, order)))
+    assert expected.shape == (order ** len(basis), basis.shape[1])
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("order", _SPAN_ORDERS)
+def test_span_blocks_matches_reference_at_the_enumeration_cap(order: int) -> None:
+    """The largest span the cap allows (3^14, 5^10, 7^8, 181^3, 65521^1
+    rows), compared with the reference block by block."""
+    t = 0
+    while order ** (t + 1) <= gf.ENUMERATION_LIMIT:
+        t += 1
+    basis = np.random.default_rng(order).integers(-order, 2 * order, (t, 2))
+    expected = reference_span(basis, order)
+    pending = np.empty((0, 2), dtype=np.int64)
+    for block in span_blocks(basis, order):
+        while len(pending) < len(block):
+            pending = np.concatenate([pending, next(expected)])
+        assert np.array_equal(block, pending[: len(block)])
+        pending = pending[len(block) :]
+    assert len(pending) == 0 and next(expected, None) is None
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_span_blocks_refuses_rows_below_one(rows: int) -> None:
+    with pytest.raises(ValueError, match=rf"^need rows >= 1, got {rows}$"):
+        span_blocks(np.eye(2, dtype=np.int64), 3, rows)
+
+
+@pytest.mark.parametrize("order, t, decoded_mib", [(3, 10, 16.67), (5, 8, 27.50)])
+def test_span_blocks_memory_peak(order: int, t: int, decoded_mib: float) -> None:
+    """Walking the span of a t x 18 basis stays below the traced peak of
+    decoding every index and multiplying by the basis (16.67 MiB for
+    GF(3) 10x18, 27.50 MiB for GF(5) 8x18): no block-sized temporaries
+    beyond the block and one narrow array of its sums."""
+    basis = np.random.default_rng(order).integers(0, order, (t, 18))
+    tracemalloc.start()
+    try:
+        for _ in span_blocks(basis, order):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < decoded_mib * 2**20
 
 
 @pytest.mark.parametrize("order, width, states", [(3, 4, 212), (5, 3, 64), (7, 2, 10), (3, 0, 1)])
