@@ -96,7 +96,14 @@ def _shape_from_args(args) -> ComplexShape:
     raise ValueError("one of --H or --rho is required")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative --seed by name, before any draw."""
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_sample_complex(args) -> int:
+    _check_seed(args.seed)
     shape = _shape_from_args(args)
     field = FieldSpec(args.dim)
     rng = trial_rng(args.seed, 0)
@@ -313,6 +320,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    _check_seed(args.seed)
     field = FieldSpec(args.dim)
     given = _mode_flags(args, args.experiment, f"{args.experiment} experiment")
     if args.experiment == "kernel":

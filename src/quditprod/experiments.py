@@ -1,19 +1,40 @@
 """Seeded Monte Carlo harnesses for the rare-event probabilities.
 
-Each experiment draws its per-trial randomness from
-SeedSequence(master_seed, spawn_key=(trial_index,)), so estimates are
-independent of execution order and can be reproduced from the master
-seed alone.  Every per-trial decision is exact (rank computation or
-weight-bounded kernel enumeration); only the trial sampling is random.
+Trial i of a run uses the stream of ``trial_rng(master_seed, i)``: a
+PCG64 seeded by SeedSequence(master_seed, spawn_key=(i,)).  Estimates
+are therefore independent of execution order and can be reproduced from
+the master seed alone.  Every per-trial decision is exact (rank
+computation or weight-bounded kernel enumeration); only the trial
+sampling is random.
 
-Trials run in lockstep chunks of ``_CHUNK``.  A chunk builds every
-trial's own generator, and each rejection round draws one candidate
-from every generator whose matrix is not yet accepted, then tests all
-of them with one batched elimination.  A generator still makes exactly
-the draws the single-trial samplers (``random_boundary``,
-``sample_uniform_rank``) make, in the same order, so each trial sees
-the same matrices as a trial-by-trial loop and every estimate is
-unchanged.
+The harnesses build no per-trial Generator.  Trials run in chunks of
+``_CHUNK``, and a chunk's streams are reproduced with numpy arrays:
+
+- Seeding.  SeedSequence's entropy mixing and ``generate_state(4,
+  uint64)`` run for the whole chunk at once in uint32 arrays, and each
+  trial's PCG64 (state, inc) is derived from those words as
+  ``pcg64_set_seed`` does (``_pcg64_states``).
+- Draws.  Each stream's 64-bit outputs come from ``PCG64.random_raw``
+  and are read as 32-bit words, low half first, as PCG64's
+  ``next_uint32`` reads them.  A vectorized copy of the bounded draw
+  that ``Generator.integers(0, D)`` makes for every field order (Lemire's
+  method, arXiv:1805.10941) decodes them: word w gives (w D) >> 32 and
+  is dropped where (w D) mod 2**32 < 2**32 mod D (``_bounded_values``,
+  ``_stream_values``).
+- Candidates.  A trial's values form one sequence, cut in order into
+  n x n candidates; the matrices that two successive
+  ``random_invertible`` calls return are its first two invertible
+  candidates.  Each rejection round cuts further candidates for every
+  trial still short of two and ranks them all in one ``rank_batch``
+  (``_invertible_pairs``).
+
+So each trial sees exactly the matrices that the single-draw samplers
+(``random_boundary``, ``sample_uniform_rank``) draw from its generator,
+and every estimate equals that of a trial-by-trial loop.  This couples
+the harnesses to numpy's SeedSequence, PCG64 and bounded-integer
+algorithms, as the frozen estimates already were; the tests pin the
+seeding, the decoding and the matrices to numpy's own, so a change
+there fails them instead of silently moving estimates.
 
 The complex experiments build no boundary block and no inverse.
 ``random_boundary`` forms d_mp = u_minus d0 u_plus^-1 and
@@ -31,6 +52,7 @@ probabilities near 0 where most of these events live.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -43,7 +65,6 @@ from .gf import (
     MatGF,
     _check_enumeration,
     _mod,
-    _random_invertible_batch,
     _table_rank,
     rank_batch,
     random_invertible,
@@ -68,6 +89,14 @@ WILSON_Z95 = 1.959963984540054
 
 # Trials per lockstep chunk.
 _CHUNK = 256
+# Candidates a rejection round cuts per live trial, and the most
+# candidate entries a round holds, its redrawn prefixes included; a
+# round always cuts at least one candidate per live trial.
+_ROUND_CANDIDATES = 6
+_ROUND_CELLS = 1 << 18
+# Spawn keys are hashed as one 32-bit word, so trial indices stay below
+# 2**32.
+_TRIALS_LIMIT = 1 << 32
 # Most span rows (kernel vectors) the light-kernel test holds at once.
 _SPAN_ROWS = 1 << 12
 
@@ -91,8 +120,7 @@ class TrialConfig:
     c: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        _check_run(self.trials, self.master_seed)
         if self.H is None and self.rho is None:
             raise ValueError("one of H or rho must be given")
         if self.H is not None and self.rho is not None:
@@ -183,6 +211,176 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _check_run(trials: int, master_seed: int) -> None:
+    """Refuse, before any draw, a run whose trial streams cannot be
+    built: no trials, a trial index of 2**32 or more, or a negative
+    master seed."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials > _TRIALS_LIMIT:
+        raise ValueError(f"trials must be at most 2^32 = {_TRIALS_LIMIT}, got {trials}")
+    if operator.index(master_seed) < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+
+
+# SeedSequence's hash constants and pool size, and PCG64's 128-bit
+# multiplier, as numpy defines them (numpy/random/bit_generator.pyx and
+# numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``trial_rng(master_seed, i)`` for each i
+    in [start, stop), for master_seed >= 0 and stop <= 2**32.
+
+    SeedSequence(master_seed, spawn_key=(i,)) hashes its entropy words
+    into a pool of four uint32: master_seed's 32-bit words, low first
+    and zero-padded to the pool size, then the spawn word i.
+    ``generate_state(4, uint64)`` hashes the pool into eight words,
+    which pair into four uint64, low word first.  Both run here for
+    every trial at once, one uint32 array per word.  PCG64 reads the
+    four uint64 as two 128-bit integers s and q, high half first, and
+    ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M + inc
+    mod 2**128, M its multiplier.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> 16)
+
+    master_seed = operator.index(master_seed)
+    run = [master_seed >> s & _MASK32 for s in range(0, max(1, master_seed.bit_length()), 32)]
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(stop - start, word, dtype=np.uint32) for word in run]
+    entropy.append(np.arange(start, stop).astype(np.uint32))
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> 16)).tolist())
+    states = []
+    for w in zip(*words):
+        s = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _MASK128
+        states.append(((inc + s) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in 0..p-1, p < 2**32, on each 32-bit word of
+    an (N, k) array of PCG64 outputs: an (N, 2k) int64 array of values
+    and a same-shape mask of the words kept.
+
+    The words of an output are its low and then its high half, the
+    order of PCG64's ``next_uint32``.  As in numpy's
+    ``buffered_bounded_lemire_uint32`` (Lemire, arXiv:1805.10941), word w
+    gives (w p) >> 32 and is dropped where (w p) mod 2**32 is below
+    2**32 mod p; a word is dropped with probability below p / 2**32.
+    """
+    scaled = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+    scaled *= p
+    kept = (scaled & _MASK32) >= (1 << 32) % p
+    scaled >>= 32
+    return scaled.view(np.int64), kept
+
+
+def _stream_values(states: list[tuple[int, int]], p: int, count: int) -> np.ndarray:
+    """The first ``count`` values of each stream, as a (len(states),
+    count) int64 array.
+
+    A stream is what ``Generator.integers(0, p)`` draws from a fresh
+    generator whose PCG64 is at (state, inc), however the draws are
+    split into calls: the kept values of :func:`_bounded_values` on its
+    outputs, in order.  Each stream's outputs come from one
+    ``random_raw`` call; when a row keeps fewer than ``count`` values,
+    every stream is drawn again with more outputs.
+    """
+    bitgen = np.random.PCG64(0)
+    words = -(-count // 2)
+    while True:
+        raw = np.empty((len(states), words), dtype=np.uint64)
+        for row, (state, inc) in zip(raw, states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            row[:] = bitgen.random_raw(words)
+        values, kept = _bounded_values(raw, p)
+        short = count - int(kept.sum(axis=1).min())
+        if short <= 0:
+            break
+        words += -(-short // 2)
+    if not kept.all():
+        # Kept values first, each row in stream order.
+        values = np.take_along_axis(values, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    return values[:, :count]
+
+
+def _invertible_pairs(
+    field: FieldSpec, n: int, trials: int, master_seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each chunk of ``_CHUNK`` trials, in trial order, two
+    (chunk, n, n) stacks: for trial i, the matrices that two successive
+    ``random_invertible(field, n, trial_rng(master_seed, i))`` calls
+    return.
+
+    Candidate k of a trial is its stream's values k n^2 .. (k + 1) n^2 - 1
+    in row-major order, and the pair is its first two invertible
+    candidates.  A round redraws every live stream from its start and
+    cuts the next ``_ROUND_CANDIDATES`` candidates (fewer, but at least
+    one, when the redraw would pass ``_ROUND_CELLS`` entries); all of
+    them are ranked in one ``rank_batch``.
+    """
+    p, cells = field.order, n * n
+    for start in range(0, trials, _CHUNK):
+        states = _pcg64_states(master_seed, start, min(start + _CHUNK, trials))
+        pair = np.empty((2, len(states), n, n), dtype=np.int64)
+        found = np.zeros(len(states), dtype=np.int64)
+        live = np.arange(len(states))
+        lo = 0
+        while live.size:
+            room = _ROUND_CELLS // (live.size * max(cells, 1)) - lo
+            hi = lo + max(1, min(_ROUND_CANDIDATES, room))
+            values = _stream_values([states[i] for i in live], p, hi * cells)
+            cand = values[:, lo * cells :].reshape(live.size, hi - lo, n, n)
+            ranks = rank_batch(cand.reshape(live.size * (hi - lo), n, n), p)
+            ok = (ranks == n).reshape(live.size, hi - lo)
+            # slot[j, k]: how many invertible candidates trial live[j] has
+            # found up to candidate lo + k, minus one.
+            slot = found[live, None] + np.cumsum(ok, axis=1) - 1
+            row, col = np.nonzero(ok & (slot < 2))
+            pair[slot[row, col], live[row]] = cand[row, col]
+            found[live] = slot[:, -1] + 1
+            live = live[found[live] < 2]
+            lo = hi
+        yield pair[0], pair[1]
+
+
 def _report(
     experiment: str, successes: int, cfg_trials: int, master_seed: int, params: dict
 ) -> EstimateReport:
@@ -199,27 +397,20 @@ def _report(
     )
 
 
-def _trial_chunks(trials: int, master_seed: int) -> Iterator[list]:
-    """The trials' generators, ``_CHUNK`` at a time, in trial order."""
-    for start in range(0, trials, _CHUNK):
-        yield [trial_rng(master_seed, i) for i in range(start, min(start + _CHUNK, trials))]
-
-
 def _kernel_bases(
-    shape: ComplexShape, field: FieldSpec, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """The kernel bases of ``random_boundary``'s blocks for every
-    generator in lockstep: a (2 len(rngs), t, n) stack, t = H + L, whose
-    rows span ker d_mp for each generator and then ker d_pm.
+    shape: ComplexShape, field: FieldSpec, trials: int, master_seed: int
+) -> Iterator[np.ndarray]:
+    """For each chunk of trials, the kernel bases of ``random_boundary``'s
+    blocks from each trial's generator: a (2 chunk, t, n) stack, t = H + L,
+    whose rows span ker d_mp for each trial and then ker d_pm.
 
-    Draws u_plus, then u_minus, as ``random_boundary`` does, so each
-    generator ends in that call's state.  The bases are the transposed
-    leading t columns of u_plus (for d_mp) and of u_minus (for d_pm).
+    ``random_boundary`` draws u_plus, then u_minus, with
+    ``random_invertible``; the bases are the transposed leading t
+    columns of u_plus (for d_mp) and of u_minus (for d_pm).
     """
     t = shape.H + shape.L
-    u_plus = _random_invertible_batch(field, shape.n, rngs)
-    u_minus = _random_invertible_batch(field, shape.n, rngs)
-    return np.concatenate([u_plus, u_minus])[:, :, :t].transpose(0, 2, 1)
+    for u_plus, u_minus in _invertible_pairs(field, shape.n, trials, master_seed):
+        yield np.concatenate([u_plus, u_minus])[:, :, :t].transpose(0, 2, 1)
 
 
 def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
@@ -265,9 +456,9 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
     field = cfg.field
     w_max = math.ceil(cfg.c * cfg.n) - 1
     successes = 0
-    for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
-        hits = _light_kernel_hits(_kernel_bases(shape, field, rngs), field.order, w_max)
-        successes += int((hits[: len(rngs)] | hits[len(rngs) :]).sum())
+    for bases in _kernel_bases(shape, field, cfg.trials, cfg.master_seed):
+        hits = _light_kernel_hits(bases, field.order, w_max).reshape(2, -1)
+        successes += int((hits[0] | hits[1]).sum())
     return _report(
         "kernel",
         successes,
@@ -300,9 +491,9 @@ def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
         raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
     t = shape.H + shape.L
     successes = 0
-    for rngs in _trial_chunks(cfg.trials, cfg.master_seed):
-        ranks = rank_batch(_kernel_bases(shape, field, rngs)[:, :, :n_prime], field.order)
-        successes += int(((ranks[: len(rngs)] == t) & (ranks[len(rngs) :] == t)).sum())
+    for bases in _kernel_bases(shape, field, cfg.trials, cfg.master_seed):
+        good = (rank_batch(bases[:, :, :n_prime], field.order) == t).reshape(2, -1)
+        successes += int((good[0] & good[1]).sum())
     return _report(
         "goodness",
         successes,
@@ -365,15 +556,12 @@ def mc_uniform_low_weight(
     Each trial's matrix is the one ``sample_uniform_rank`` draws from
     the trial's generator (u, then v), drawn in lockstep.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_run(trials, master_seed)
     _check_rank(n_prime, rank)
     c_prime = Fraction(c_prime)
     p = field.order
     successes = 0
-    for rngs in _trial_chunks(trials, master_seed):
-        u = _random_invertible_batch(field, n_prime, rngs)
-        v = _random_invertible_batch(field, n_prime, rngs)
+    for u, v in _invertible_pairs(field, n_prime, trials, master_seed):
         mats = u[:, :, :rank] @ v[:, :rank, :] % p
         successes += int(_uniform_low_weight(mats, c_prime * n_prime).sum())
     return _report(

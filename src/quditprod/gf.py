@@ -487,32 +487,6 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return cursor
 
 
-def _random_invertible_batch(
-    field: FieldSpec, n: int, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """:func:`random_invertible` for every generator in lockstep: a
-    (len(rngs), n, n) stack.
-
-    Generator i makes exactly the draws ``random_invertible(field, n,
-    rngs[i])`` makes, so entry i is the matrix that call returns and the
-    generator ends in the same state.  Each rejection round draws one
-    candidate from every generator still drawing and ranks them all in
-    one elimination.
-    """
-    p = field.order
-    mats = np.empty((len(rngs), n, n), dtype=np.int64)
-    todo = np.arange(len(rngs))
-    while todo.size:
-        # n*n draws in a flat call give the same entries as the (n, n)
-        # call of random_invertible, with less overhead per call.
-        cand = np.stack([rngs[i].integers(0, p, size=n * n, dtype=np.int64) for i in todo])
-        cand = cand.reshape(len(todo), n, n)
-        ok = rank_batch(cand, p) == n
-        mats[todo[ok]] = cand[ok]
-        todo = todo[~ok]
-    return mats
-
-
 # Most vectors (or matrices) any exhaustive enumeration may walk: every
 # span, census and exhaustive search is refused above it.
 ENUMERATION_LIMIT = 10**7
@@ -665,14 +639,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _table_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch (N, rows, cols) of reduced matrices over GF(p),
     read from :func:`_subspace_table` one row at a time.  A wide batch
-    is walked along its columns, so the table width is min(rows, cols)."""
+    is walked along its columns, so the table width is min(rows, cols).
+
+    Row codes are built by Horner's rule, and each step is one gather
+    from the flattened table at state * ncodes + code.  That index is
+    below the table's cell count, at most ``_TABLE_CELLS_LIMIT`` = 2**22,
+    so codes and states are held in int32; the table's own narrow dtype
+    would wrap."""
     m = np.asarray(mats, dtype=np.int64)
     if m.shape[2] > m.shape[1]:
         m = m.transpose(0, 2, 1)
-    w = m.shape[2]
+    nmat, rows, w = m.shape
     step, dim = _subspace_table(p, w)
-    codes = m @ p ** np.arange(w, dtype=np.int64)
-    state = np.zeros(m.shape[0], dtype=step.dtype)
-    for i in range(m.shape[1]):
-        state = step[state, codes[:, i]]
+    codes = np.zeros((nmat, rows), dtype=np.int32)
+    for j in range(w - 1, -1, -1):
+        codes *= p
+        codes += m[:, :, j]
+    flat, ncodes = step.ravel(), step.shape[1]
+    state = np.zeros(nmat, dtype=np.int32)
+    for i in range(rows):
+        state *= ncodes
+        state += codes[:, i]
+        state = flat.take(state).astype(np.int32)
     return dim[state]

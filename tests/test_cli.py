@@ -454,6 +454,24 @@ class TestMonteCarlo:
         assert again.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-complex", "--dim", "3", "--n", "3", "--H", "1", "--out"],
+            ["mc", "--experiment", "kernel", "--dim", "3", "--n", "3", "--H", "1", "--c", "1/2",
+             "--trials", "5", "--csv"],
+            ["mc", "--experiment", "ulw", "--dim", "3", "--nprime", "2", "--rank", "1",
+             "--cprime", "1/2", "--trials", "5", "--csv"],
+        ],
+        ids=["sample-complex", "mc-kernel", "mc-ulw"],
+    )
+    def test_negative_seed_refused_by_name(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([*argv, out, "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "argv, refused",
         [
             (["mc", "--experiment", "ulw", "--nprime", "2", "--rank", "1", "--cprime", "1/2",

@@ -29,7 +29,7 @@ from quditprod import (
 )
 from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
-from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank, span_blocks
+from quditprod.gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank, span_blocks
 
 from support import FIELD3, FIELD5
 
@@ -106,6 +106,16 @@ class TestTrialConfig:
         cfg = TrialConfig(field=FIELD5, n=3, trials=1, master_seed=0, H=1, c=Fraction(2, 3))
         assert cfg.c == Fraction(2, 3)
 
+    def test_run_refused_before_any_draw(self, monkeypatch):
+        """A negative master seed and a trial index of 2**32 are refused
+        by name, at construction; 2**32 trials is the most accepted."""
+        monkeypatch.setattr(experiments, "_pcg64_states", _no_streams)
+        with pytest.raises(ValueError, match="master seed must be non-negative, got -1"):
+            TrialConfig(field=FIELD3, n=3, trials=1, master_seed=-1, H=1)
+        with pytest.raises(ValueError, match=r"trials must be at most 2\^32"):
+            TrialConfig(field=FIELD3, n=3, trials=2**32 + 1, master_seed=0, H=1)
+        assert TrialConfig(field=FIELD3, n=3, trials=2**32, master_seed=0, H=1).trials == 2**32
+
     def test_c_coerced_to_fraction(self):
         cfg = TrialConfig(field=FIELD3, n=3, trials=1, master_seed=0, H=1, c="1/2")
         assert cfg.c == Fraction(1, 2)
@@ -127,10 +137,7 @@ class TestGoodness:
         assert rep.successes == 40
 
     def test_out_of_range_nprime_raises_before_any_draw(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("a trial generator was built")
-
-        monkeypatch.setattr(experiments, "trial_rng", no_draws)
+        monkeypatch.setattr(experiments, "_pcg64_states", _no_streams)
         cfg = TrialConfig(field=FIELD3, n=3, trials=5, master_seed=0, H=1)
         for n_prime in (-1, 4):
             with pytest.raises(ValueError, match="n_prime"):
@@ -218,22 +225,185 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
     data=st.data(),
 )
 def test_kernel_bases_span_the_boundary_kernels(order, n, count, seed, data) -> None:
-    """Each trial's two bases have rank t = H + L and span the kernels
-    of random_boundary's d_mp and d_pm from the same generator, which
-    ends in that call's state: its next draw is equal."""
+    """Each trial's two bases are the leading t = H + L columns of the
+    u_plus and u_minus that random_boundary draws from the trial's
+    generator, have rank t and span the kernels of its d_mp and d_pm."""
     L = data.draw(st.integers(0, n // 2), label="L")
     shape = ComplexShape(n, n - 2 * L, L)
     field, t = FieldSpec(order), n - L
-    rngs = [trial_rng(seed, i) for i in range(count)]
-    bases = experiments._kernel_bases(shape, field, rngs)
-    assert bases.shape == (2 * count, t, n)
-    for i, rng in enumerate(rngs):
-        ref = trial_rng(seed, i)
-        c, _, _ = random_boundary(shape, field, ref)
-        for basis, block in ((bases[i], c.d_mp), (bases[count + i], c.d_pm)):
-            assert rank(MatGF(field, basis)) == t
-            assert rank(MatGF(field, np.concatenate([basis, kernel_basis(block)]))) == t
-        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+    chunks = list(experiments._kernel_bases(shape, field, count, seed))
+    assert [len(bases) for bases in chunks] == [2 * len(r) for r in _chunk_ranges(count)]
+    for bases, trials in zip(chunks, _chunk_ranges(count)):
+        for j, i in enumerate(trials):
+            c, u_plus, u_minus = random_boundary(shape, field, trial_rng(seed, i))
+            plus, minus = bases[j], bases[len(trials) + j]
+            assert (plus == u_plus.data[:, :t].T).all() and (minus == u_minus.data[:, :t].T).all()
+            for basis, block in ((plus, c.d_mp), (minus, c.d_pm)):
+                assert rank(MatGF(field, basis)) == t
+                assert rank(MatGF(field, np.concatenate([basis, kernel_basis(block)]))) == t
+
+
+def _chunk_ranges(trials: int) -> list[range]:
+    return [range(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
+
+
+def _no_streams(*args):
+    raise AssertionError("a trial stream was built")
+
+
+def _numpy_lemire(words: list[int], p: int) -> list[int]:
+    """numpy's buffered_bounded_lemire_uint32 with range p - 1, applied
+    to a sequence of 32-bit words, transcribed line by line."""
+    rng_excl, out, it = p, [], iter(words)
+    for word in it:
+        m = word * rng_excl
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng_excl:
+            threshold = (0xFFFFFFFF - (p - 1)) % rng_excl
+            while leftover < threshold:
+                word = next(it, None)
+                if word is None:
+                    return out
+                m = word * rng_excl
+                leftover = m & 0xFFFFFFFF
+        out.append(m >> 32)
+    return out
+
+
+class TestTrialStreams:
+    """The vectorized trial streams against numpy's own seeding, bounded
+    draw and random_invertible."""
+
+    @staticmethod
+    def assert_numpy_seeding(master: int, start: int, stop: int) -> None:
+        for i, (state, inc) in enumerate(experiments._pcg64_states(master, start, stop), start):
+            ref = trial_rng(master, i).bit_generator.state["state"]
+            assert (state, inc) == (ref["state"], ref["inc"])
+
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3])
+    def test_seeding_equals_numpy(self, master):
+        # 2**128 + 3 has five entropy words, more than the pool: no padding.
+        self.assert_numpy_seeding(master, 0, _CHUNK + 1)
+        self.assert_numpy_seeding(master, 2**32 - 2, 2**32)
+
+    @settings(max_examples=50, deadline=None)
+    @given(master=st.integers(0, 2**160), start=st.integers(0, 2**32 - 3))
+    def test_seeding_equals_numpy_property(self, master, start):
+        self.assert_numpy_seeding(master, start, start + 3)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 181, 65521])
+    def test_decode_equals_numpy_lemire(self, p):
+        """Crafted words around the rejection threshold 2**32 mod p,
+        including word 0, which every odd p rejects."""
+        threshold = (1 << 32) % p
+        inverse = pow(p, -1, 1 << 32)
+        # w p mod 2**32 = r for w = r p^-1: rejected below the threshold.
+        leftovers = sorted({0, 1, threshold - 1, threshold, threshold + 1, p, 2**32 - 1})
+        crafted = [r * inverse % (1 << 32) for r in leftovers]
+        random_words = np.random.default_rng(p).integers(0, 1 << 32, 64).tolist()
+        words = crafted + random_words + crafted[::-1]
+        raw = np.array([[lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]],
+                       dtype=np.uint64)
+        values, kept = experiments._bounded_values(raw, p)
+        assert values.shape == kept.shape == (1, len(words))
+        assert values[kept].tolist() == _numpy_lemire(words, p)
+        assert kept.tolist()[0] == [(w * p) % (1 << 32) >= threshold for w in words]
+        assert not kept[0, leftovers.index(0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11, 13, 181, 65521]),
+        count=st.integers(0, 40),
+        master=st.integers(0, 2**64),
+        index=st.integers(0, 2**32 - 1),
+    )
+    def test_stream_values_equal_integers(self, p, count, master, index):
+        states = experiments._pcg64_states(master, index, index + 1)
+        values = experiments._stream_values(states, p, count)
+        rng = trial_rng(master, index)
+        assert values.shape == (1, count)
+        # Split into two calls, so that numpy's carried half word is crossed.
+        half = count // 2
+        ref = np.concatenate([rng.integers(0, p, half), rng.integers(0, p, count - half)])
+        assert values[0].tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_rejected_output_matches_random_invertible(self, monkeypatch, p):
+        """A PCG64 state whose next output is 0: the stepped state has
+        equal 128-bit halves, so both of its words are rejected."""
+        inc = experiments._pcg64_states(5, 0, 1)[0][1]
+        stepped = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+        mult = experiments._PCG64_MULT
+        state = (stepped - inc) * pow(mult, -1, 1 << 128) % (1 << 128)
+
+        def generator():
+            bitgen = np.random.PCG64(0)
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            return np.random.Generator(bitgen)
+
+        assert generator().bit_generator.random_raw() == 0
+        values = experiments._stream_values([(state, inc)], p, 9)
+        assert values[0].tolist() == generator().integers(0, p, 9).tolist()
+        monkeypatch.setattr(experiments, "_pcg64_states", lambda *args: [(state, inc)])
+        ((u, v),) = experiments._invertible_pairs(FieldSpec(p), 3, 1, 0)
+        rng = generator()
+        field = FieldSpec(p)
+        assert (u[0] == random_invertible(field, 3, rng).data).all()
+        assert (v[0] == random_invertible(field, 3, rng).data).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7, 65521]),
+    n=st.integers(0, 6),
+    count=st.integers(1, _CHUNK + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed) -> None:
+    """Each trial's pair is what two successive random_invertible calls
+    return from the trial's generator."""
+    field = FieldSpec(order)
+    chunks = list(experiments._invertible_pairs(field, n, count, seed))
+    for (u, v), trials in zip(chunks, _chunk_ranges(count), strict=True):
+        assert u.shape == v.shape == (len(trials), n, n)
+        for j, i in enumerate(trials):
+            rng = trial_rng(seed, i)
+            assert (u[j] == random_invertible(field, n, rng).data).all()
+            assert (v[j] == random_invertible(field, n, rng).data).all()
+
+
+@pytest.mark.parametrize("candidates, cells", [(1, 1 << 18), (6, 1), (2, 200)])
+def test_round_sizes_leave_the_pairs_unchanged(monkeypatch, candidates, cells) -> None:
+    """One candidate per round, the cell cap forcing one per round, and
+    a cap that shrinks rounds as they redraw longer prefixes: the same
+    pairs as the default rounds."""
+    field = FieldSpec(3)
+    want = list(experiments._invertible_pairs(field, 4, 40, 8))
+    monkeypatch.setattr(experiments, "_ROUND_CANDIDATES", candidates)
+    monkeypatch.setattr(experiments, "_ROUND_CELLS", cells)
+    ((u, v),) = experiments._invertible_pairs(field, 4, 40, 8)
+    assert (u == want[0][0]).all() and (v == want[0][1]).all()
+
+
+def test_harnesses_build_no_generator(monkeypatch) -> None:
+    """The harnesses draw through the trial streams alone: no Generator,
+    no trial_rng and no scalar random_invertible."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-trial generator or draw")
+
+    for module, name in ((np.random, "Generator"), (experiments, "trial_rng"),
+                         (experiments, "random_invertible")):
+        monkeypatch.setattr(module, name, refused)
+    cfg = TrialConfig(field=FIELD3, n=5, trials=30, master_seed=2, H=1, c=Fraction(2, 5))
+    assert mc_low_weight_kernel(cfg).trials == 30
+    assert mc_goodness(cfg, 3).trials == 30
+    assert mc_uniform_low_weight(FIELD3, 3, 1, Fraction(1, 2), 30, 2).trials == 30
 
 
 class TestUniformRankSampler:
@@ -286,6 +456,13 @@ class TestUniformLowWeight:
     def test_trials_validation(self):
         with pytest.raises(ValueError, match="trial"):
             mc_uniform_low_weight(FIELD3, 2, 1, Fraction(1, 2), 0, 0)
+
+    def test_run_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_pcg64_states", _no_streams)
+        with pytest.raises(ValueError, match="master seed must be non-negative, got -3"):
+            mc_uniform_low_weight(FIELD3, 2, 1, Fraction(1, 2), 10, -3)
+        with pytest.raises(ValueError, match=r"trials must be at most 2\^32"):
+            mc_uniform_low_weight(FIELD3, 2, 1, Fraction(1, 2), 2**32 + 1, 0)
 
 
 class TestExhaustiveUlw:

@@ -12,7 +12,6 @@ from scipy.stats import chi2
 from quditprod import gf
 from quditprod.complexes import complex_from_text
 from quditprod.counting import brute_count_rank_matrices, gaussian_binomial
-from quditprod.experiments import _CHUNK
 from quditprod.gf import (
     ORDER_LIMIT,
     FieldSpec,
@@ -20,7 +19,6 @@ from quditprod.gf import (
     _inverse_table,
     _matmul,
     _matrix_from_lines,
-    _random_invertible_batch,
     _row_reduce,
     _subspace_table,
     _table_rank,
@@ -568,25 +566,6 @@ def test_matmul_matches_int64(float_exact, order, shape, largest, seed) -> None:
     assert (got == (a @ b) % order).all()
     if cols:
         assert (vec == (a @ b[:, 0]) % order).all()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    order=st.sampled_from([3, 5, 7]),
-    n=st.integers(0, 6),
-    count=st.integers(1, _CHUNK + 1),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed) -> None:
-    """Each generator yields random_invertible's matrix and ends in the
-    same state: its next draw is equal."""
-    field = FieldSpec(order)
-    rngs = [np.random.default_rng([seed, i]) for i in range(count)]
-    mats = _random_invertible_batch(field, n, rngs)
-    for i, rng in enumerate(rngs):
-        ref = np.random.default_rng([seed, i])
-        assert (mats[i] == random_invertible(field, n, ref).data).all()
-        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 @settings(max_examples=100, deadline=None)
