@@ -121,24 +121,6 @@ class InvolutiveComplex:
     def dim_minus(self) -> int:
         return self.d_mp.rows
 
-    @property
-    def dim_total(self) -> int:
-        return self.dim_plus + self.dim_minus
-
-    def full_boundary(self) -> MatGF:
-        """The boundary on C+ (+) C- with the plus block first."""
-        dp, dm = self.dim_plus, self.dim_minus
-        full = np.zeros((dp + dm, dp + dm), dtype=np.int64)
-        full[:dp, dp:] = self.d_pm.data
-        full[dp:, :dp] = self.d_mp.data
-        return MatGF(self.field, full, _reduced=True)
-
-    def involution(self) -> MatGF:
-        signs = np.concatenate(
-            [np.ones(self.dim_plus, dtype=np.int64), np.full(self.dim_minus, -1, dtype=np.int64)]
-        )
-        return MatGF(self.field, np.diag(signs % self.field.order), _reduced=True)
-
 
 def standard_boundary(shape: ComplexShape, field: FieldSpec) -> InvolutiveComplex:
     """The canonical complex for a shape: both blocks carry the same

@@ -184,11 +184,7 @@ def enumerate_reduced_cycles(
     rc1 = reduce(c1, params)
     rc2 = reduce(c2, params)
     qprod = product(rc1.quotient, rc2.quotient)
-    phi_prod = product_chain_map(rc1.phi, rc2.phi, source=pc, target=qprod)
-
-    q_plus = qprod.complex.dim_plus
-    src_plus = pc.complex.dim_plus
-    phi_pp = phi_prod.data[:q_plus, :src_plus]
+    phi_plus, _ = product_chain_map(rc1.phi, rc2.phi, source=pc, target=qprod)
 
     # Column positions of the embedded pair inside the plus sector:
     # psi_plus occupies the first n*n coordinates (row major), psi_minus
@@ -198,7 +194,7 @@ def enumerate_reduced_cycles(
     )
     embed_cols = np.concatenate([corner, n * n + corner])
 
-    constraint = (qprod.complex.d_mp.data @ phi_pp) % p
+    constraint = (qprod.complex.d_mp.data @ phi_plus.data) % p
     basis = kernel_basis(MatGF(pc.field, constraint[:, embed_cols], _reduced=True))
     return _block_rank_census(basis, p, (np1, np1), (np1, np1))
 

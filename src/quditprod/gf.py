@@ -180,23 +180,6 @@ class MatGF:
             return MatGF(self.field, _matmul(self._data, other._data, p), _reduced=True)
         return _matmul(self._data, _mod(np.asarray(other, dtype=np.int64), p), p)
 
-    def __add__(self, other: "MatGF") -> "MatGF":
-        self._check_field(other)
-        return MatGF(self.field, (self._data + other._data) % self.field.order, _reduced=True)
-
-    def __sub__(self, other: "MatGF") -> "MatGF":
-        self._check_field(other)
-        return MatGF(self.field, (self._data - other._data) % self.field.order, _reduced=True)
-
-    def __neg__(self) -> "MatGF":
-        return MatGF(self.field, (-self._data) % self.field.order, _reduced=True)
-
-    def __mul__(self, scalar: int) -> "MatGF":
-        p = self.field.order
-        return MatGF(self.field, (self._data * (int(scalar) % p)) % p, _reduced=True)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatGF):
             return NotImplemented

@@ -70,12 +70,6 @@ class ProductComplex:
         psi_minus = MatGF(self.field, vec[p1 * p2 :].reshape(m1, m2), _reduced=True)
         return psi_plus, psi_minus
 
-    def blocks_to_vector(self, psi_plus: MatGF, psi_minus: MatGF) -> np.ndarray:
-        (p1, p2), (m1, m2) = self.block_shapes
-        if psi_plus.shape != (p1, p2) or psi_minus.shape != (m1, m2):
-            raise ValueError("block shapes do not match the product sectors")
-        return np.concatenate([psi_plus.data.reshape(-1), psi_minus.data.reshape(-1)])
-
 
 def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     """The product complex, validated on construction."""
@@ -142,29 +136,34 @@ def kunneth_check(pc: ProductComplex) -> KunnethReport:
 
 
 def product_chain_map(
-    f1: MatGF, f2: MatGF, source: ProductComplex, target: ProductComplex
-) -> MatGF:
-    """Matrix of f1 (x) f2 between two product complexes, in sector coords.
+    f1: tuple[MatGF, MatGF],
+    f2: tuple[MatGF, MatGF],
+    source: ProductComplex,
+    target: ProductComplex,
+) -> tuple[MatGF, MatGF]:
+    """The (plus, minus) blocks of f1 (x) f2 between two product complexes.
 
-    ``f1`` maps source.factor1 to target.factor1 (full sector-sorted
-    coordinates, plus block first) and ``f2`` likewise for the second
-    factors.  Both must preserve sectors, i.e. be block diagonal with
-    respect to the sector splits; the tensor map then preserves the
-    four parts of the product sectors and is
-    block-diag(f1+ (x) f2+, f1- (x) f2-, f1+ (x) f2-, f1- (x) f2+).
+    ``f1`` is the (plus, minus) pair of sector blocks of a map from
+    source.factor1 to target.factor1, and ``f2`` likewise for the second
+    factors.  The tensor map preserves the two parts of each product
+    sector, so its blocks are
+
+        plus:  block-diag(f1+ (x) f2+, f1- (x) f2-)
+        minus: block-diag(f1+ (x) f2-, f1- (x) f2+)
     """
-    if f1.field != source.field or f2.field != source.field or target.field != source.field:
-        raise ValueError("chain map factors must share the product field")
-    if f1.shape != (target.factor1.dim_total, source.factor1.dim_total):
-        raise ValueError(f"f1 has shape {f1.shape}, incompatible with the factors")
-    if f2.shape != (target.factor2.dim_total, source.factor2.dim_total):
-        raise ValueError(f"f2 has shape {f2.shape}, incompatible with the factors")
-    blocks = []
-    for f, src, tgt in ((f1, source.factor1, target.factor1), (f2, source.factor2, target.factor2)):
-        tp, sp = tgt.dim_plus, src.dim_plus
-        if f.data[:tp, sp:].any() or f.data[tp:, :sp].any():
-            raise ValueError("chain map factor does not preserve sectors")
-        blocks.append((f.data[:tp, :sp], f.data[tp:, sp:]))
-    (f1p, f1m), (f2p, f2m) = blocks
-    parts = (np.kron(f1p, f2p), np.kron(f1m, f2m), np.kron(f1p, f2m), np.kron(f1m, f2p))
-    return MatGF(source.field, _block_diag(*parts) % source.field.order, _reduced=True)
+    field = source.field
+    if target.field != field:
+        raise ValueError("source and target products must share a field")
+    pairs = ((f1, source.factor1, target.factor1), (f2, source.factor2, target.factor2))
+    for i, ((fp, fm), src, tgt) in enumerate(pairs, start=1):
+        if fp.field != field or fm.field != field:
+            raise ValueError("chain map factors must share the product field")
+        if fp.shape != (tgt.dim_plus, src.dim_plus) or fm.shape != (tgt.dim_minus, src.dim_minus):
+            raise ValueError(
+                f"f{i} has block shapes {fp.shape} and {fm.shape}, incompatible with the factors"
+            )
+    (f1p, f1m), (f2p, f2m) = ((f.data for f in pair) for pair in (f1, f2))
+    p = field.order
+    plus = _block_diag(np.kron(f1p, f2p), np.kron(f1m, f2m)) % p
+    minus = _block_diag(np.kron(f1p, f2m), np.kron(f1m, f2p)) % p
+    return MatGF(field, plus, _reduced=True), MatGF(field, minus, _reduced=True)

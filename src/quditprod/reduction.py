@@ -14,11 +14,11 @@ piece is the column span of d_pm[:n', n':] and the minus piece that of
 d_mp[:n', n':].  Coset representatives are chosen canonically: row-reduce
 the generators of a piece, then represent each class by the non-pivot
 coordinates of its canonically reduced element.  This makes phi a
-concrete block-diagonal matrix, the quotient is again a two-sector
-complex, and every downstream identity stays checkable exactly.  The
-complex is called good for n' when both pieces have the largest
-possible dimension n - n'; then each quotient sector has dimension
-K = 2n' - n.
+concrete pair of sector matrices (phi+, phi-), the quotient is again a
+two-sector complex, and every downstream identity stays checkable
+exactly, one boundary block at a time.  The complex is called good for
+n' when both pieces have the largest possible dimension n - n'; then
+each quotient sector has dimension K = 2n' - n.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, validate
-from .gf import MatGF, _block_diag, _row_reduce, kernel_basis, rank
+from .gf import MatGF, _row_reduce, kernel_basis, rank
 
 __all__ = [
     "ReductionParams",
@@ -57,16 +57,17 @@ class ReducedComplex:
     """Output of reduce(): the quotient complex together with the maps
     relating it to the base.
 
-    phi sends full-space vectors (length 2n) to quotient coordinates;
+    phi and embed are chain maps given by their (plus, minus) sector
+    blocks.  phi sends a base sector (length n) to quotient coordinates;
     embed sends quotient coordinates back to the canonical coset
-    representative (a full-space vector supported on V).
+    representative (a base sector vector supported on V).
     """
 
     base: InvolutiveComplex
     params: ReductionParams
     quotient: InvolutiveComplex
-    phi: MatGF
-    embed: MatGF
+    phi: tuple[MatGF, MatGF]
+    embed: tuple[MatGF, MatGF]
 
     @property
     def good(self) -> bool:
@@ -140,8 +141,8 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
         base=c,
         params=params,
         quotient=quotient,
-        phi=MatGF(c.field, _block_diag(phi_p, phi_m), _reduced=True),
-        embed=MatGF(c.field, _block_diag(embed_p, embed_m), _reduced=True),
+        phi=(MatGF(c.field, phi_p, _reduced=True), MatGF(c.field, phi_m, _reduced=True)),
+        embed=(MatGF(c.field, embed_p, _reduced=True), MatGF(c.field, embed_m, _reduced=True)),
     )
 
 
@@ -164,57 +165,42 @@ def _kernel_matrix(m: MatGF) -> MatGF:
 def reduced_kerim_check(rc: ReducedComplex) -> list[str]:
     """Exact verification of the quotient's kernel/image description.
 
-    Checks, as subspace equalities: ker d' = phi(d^{-1}(V>)) and
-    im d' = phi(im d), plus the chain-map identities phi d = d' phi and
-    phi P = P' phi.  When the base is good for n', also checks that each
-    off-diagonal block of d' loses exactly n - n' kernel and image
-    dimensions relative to the corresponding block of d.  Returns a
-    list of violated properties, empty when everything holds.
+    Every identity splits by sector, so each boundary block d of the
+    base is checked against its quotient block d', with phi_s the phi
+    block on the source sector of d and phi_t the one on its target:
+    the chain-map identity phi_t d = d' phi_s, and as subspace
+    equalities ker d' = phi_s(ker d[:n']), the source part of
+    phi(d^{-1}(V>)), and im d' = phi_t(im d).  When the base is good
+    for n', also checks that d' loses exactly n - n' kernel and image
+    dimensions relative to d.  Returns a list of violated properties,
+    empty when everything holds.
     """
     problems: list[str] = []
-    c = rc.base
-    params = rc.params
-    n = params.n
-    np1 = params.n_prime
-    dfull = c.full_boundary()
-    pfull = c.involution()
-    d_q = rc.quotient.full_boundary()
-    p_q = rc.quotient.involution()
-
-    if rc.phi @ dfull != d_q @ rc.phi:
-        problems.append("chain map fails: phi d != d' phi")
-    if rc.phi @ pfull != p_q @ rc.phi:
-        problems.append("chain map fails: phi P != P' phi")
-
-    # d^{-1}(V>) is the kernel of d with its V-coordinate rows kept,
-    # i.e. of the 2n' x 2n matrix (W d) restricted to V rows.
-    v_idx = np.concatenate([np.arange(np1), n + np.arange(np1)])
-    wd = MatGF(c.field, dfull.data[v_idx, :], _reduced=True)
-    preimage = _kernel_matrix(wd)
-    lhs_ker = _kernel_matrix(d_q)
-    rhs_ker = rc.phi @ preimage
-    if not _same_column_space(lhs_ker, rhs_ker):
-        problems.append("ker d' != phi(d^{-1}(V>))")
-
-    rhs_im = rc.phi @ dfull
-    if not _same_column_space(d_q, rhs_im):
-        problems.append("im d' != phi(im d)")
-
-    if rc.good:
-        gap = n - np1
-        pairs = [
-            ("+- block", c.d_pm, rc.quotient.d_pm),
-            ("-+ block", c.d_mp, rc.quotient.d_mp),
-        ]
-        for label, base_block, q_block in pairs:
-            base_rank = rank(base_block)
-            q_rank = rank(q_block)
+    c, q = rc.base, rc.quotient
+    np1 = rc.params.n_prime
+    gap = rc.params.n - np1
+    phi_p, phi_m = rc.phi
+    blocks = (
+        ("+- block", c.d_pm, q.d_pm, phi_m, phi_p),
+        ("-+ block", c.d_mp, q.d_mp, phi_p, phi_m),
+    )
+    for label, d, d_q, phi_s, phi_t in blocks:
+        if phi_t @ d != d_q @ phi_s:
+            problems.append(f"{label}: chain map fails, phi d != d' phi")
+        preimage = _kernel_matrix(MatGF(c.field, d.data[:np1], _reduced=True))
+        if not _same_column_space(_kernel_matrix(d_q), phi_s @ preimage):
+            problems.append(f"{label}: ker d' != phi(d^-1(V>))")
+        if not _same_column_space(d_q, phi_t @ d):
+            problems.append(f"{label}: im d' != phi(im d)")
+        if rc.good:
+            base_rank = rank(d)
+            q_rank = rank(d_q)
             if q_rank != base_rank - gap:
                 problems.append(
                     f"{label}: expected image dim {base_rank - gap}, got {q_rank}"
                 )
-            base_ker = base_block.cols - base_rank
-            q_ker = q_block.cols - q_rank
+            base_ker = d.cols - base_rank
+            q_ker = d_q.cols - q_rank
             if q_ker != base_ker - gap:
                 problems.append(
                     f"{label}: expected kernel dim {base_ker - gap}, got {q_ker}"

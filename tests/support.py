@@ -20,12 +20,14 @@ from quditprod import (
     ComplexShape,
     FieldSpec,
     InvolutiveComplex,
+    ReducedComplex,
     is_good,
     random_boundary,
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, inverse, rank
+from quditprod.gf import MatGF, _block_diag, inverse, rank
+from quditprod.reduction import _kernel_matrix, _same_column_space
 
 FIELD3 = FieldSpec(3)
 FIELD5 = FieldSpec(5)
@@ -204,22 +206,79 @@ def _sector_orders(c1: InvolutiveComplex, c2: InvolutiveComplex) -> np.ndarray:
     )
 
 
+def full_boundary(c: InvolutiveComplex) -> MatGF:
+    """The boundary on C+ (+) C- with the plus block first."""
+    dp, dm = c.dim_plus, c.dim_minus
+    zp, zm = np.zeros((dp, dp), dtype=np.int64), np.zeros((dm, dm), dtype=np.int64)
+    return MatGF(c.field, np.block([[zp, c.d_pm.data], [c.d_mp.data, zm]]))
+
+
+def sector_map(pair: tuple[MatGF, MatGF]) -> MatGF:
+    """The full block-diagonal matrix of a (plus, minus) chain map pair."""
+    fp, fm = pair
+    return MatGF(fp.field, _block_diag(fp.data, fm.data))
+
+
 def reference_product_boundary(c1: InvolutiveComplex, c2: InvolutiveComplex) -> np.ndarray:
     """Reference for product(): the full raw boundary d1 (x) I + P1 (x) d2
     on C1 (x) C2, reordered into the product's sector coordinates."""
     p = c1.field.order
-    d1, d2 = c1.full_boundary().data, c2.full_boundary().data
-    eye2 = np.eye(c2.dim_total, dtype=np.int64)
-    raw = (np.kron(d1, eye2) + np.kron(c1.involution().data, d2)) % p
+    d1, d2 = full_boundary(c1).data, full_boundary(c2).data
+    eye2 = np.eye(c2.dim_plus + c2.dim_minus, dtype=np.int64)
+    p1 = np.diag(np.array([1] * c1.dim_plus + [-1] * c1.dim_minus, dtype=np.int64))
+    raw = (np.kron(d1, eye2) + np.kron(p1, d2)) % p
     order = _sector_orders(c1, c2)
     return raw[np.ix_(order, order)]
 
 
 def reference_product_chain_map(
-    f1: MatGF, f2: MatGF, source: tuple[InvolutiveComplex, InvolutiveComplex],
+    f1: tuple[MatGF, MatGF], f2: tuple[MatGF, MatGF],
+    source: tuple[InvolutiveComplex, InvolutiveComplex],
     target: tuple[InvolutiveComplex, InvolutiveComplex],
 ) -> np.ndarray:
-    """Reference for product_chain_map(): the raw f1 (x) f2, reordered
-    from the source factors' sector coordinates to the target's."""
-    raw = np.kron(f1.data, f2.data) % f1.field.order
+    """Reference for product_chain_map(): the raw f1 (x) f2 of the full
+    block-diagonal factor maps, reordered from the source factors'
+    sector coordinates to the target's."""
+    raw = np.kron(sector_map(f1).data, sector_map(f2).data) % f1[0].field.order
     return raw[np.ix_(_sector_orders(*target), _sector_orders(*source))]
+
+
+def reference_kerim_check(rc: ReducedComplex) -> list[str]:
+    """Reference for reduced_kerim_check(): the same identities checked
+    once on the full space C+ (+) C-, with the block-diagonal phi and
+    the full boundaries of base and quotient.
+
+    Checks ker d' = phi(d^{-1}(V>)) and im d' = phi(im d) as subspace
+    equalities, phi d = d' phi, and, when the base is good for n', that
+    each boundary block of the quotient loses exactly n - n' kernel and
+    image dimensions.  phi P = P' phi is not checked: a block-diagonal
+    phi commutes with P.
+    """
+    problems: list[str] = []
+    c = rc.base
+    n, np1 = rc.params.n, rc.params.n_prime
+    phi = sector_map(rc.phi)
+    dfull, d_q = full_boundary(c), full_boundary(rc.quotient)
+
+    if phi @ dfull != d_q @ phi:
+        problems.append("chain map fails: phi d != d' phi")
+
+    # d^{-1}(V>) is the kernel of d with its V-coordinate rows kept.
+    v_idx = np.concatenate([np.arange(np1), n + np.arange(np1)])
+    preimage = _kernel_matrix(MatGF(c.field, dfull.data[v_idx, :]))
+    if not _same_column_space(_kernel_matrix(d_q), phi @ preimage):
+        problems.append("ker d' != phi(d^{-1}(V>))")
+    if not _same_column_space(d_q, phi @ dfull):
+        problems.append("im d' != phi(im d)")
+
+    if rc.good:
+        gap = n - np1
+        pairs = [("+- block", c.d_pm, rc.quotient.d_pm), ("-+ block", c.d_mp, rc.quotient.d_mp)]
+        for label, base_block, q_block in pairs:
+            base_rank, q_rank = rank(base_block), rank(q_block)
+            if q_rank != base_rank - gap:
+                problems.append(f"{label}: expected image dim {base_rank - gap}, got {q_rank}")
+            base_ker, q_ker = base_block.cols - base_rank, q_block.cols - q_rank
+            if q_ker != base_ker - gap:
+                problems.append(f"{label}: expected kernel dim {base_ker - gap}, got {q_ker}")
+    return problems

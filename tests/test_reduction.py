@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from quditprod import (
     validate,
 )
 from quditprod.gf import MatGF, kernel_basis
-from support import FIELD3, SHAPE3, good_complexes
+from support import FIELD3, SHAPE3, good_complexes, reference_kerim_check
 
 
 def test_params_rejects_bad_values() -> None:
@@ -78,11 +80,12 @@ def test_reduce_non_good_complex_reports_not_good() -> None:
 def test_reduce_chain_maps_explicitly() -> None:
     c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(900, 1))
     rc = reduce(c, ReductionParams(n=3, n_prime=2))
-    phi = rc.phi
-    assert (phi @ c.full_boundary()) == (rc.quotient.full_boundary() @ phi)
-    assert (phi @ c.involution()) == (rc.quotient.involution() @ phi)
-    # embed is a section of phi
-    assert (phi @ rc.embed) == MatGF.identity(FIELD3, rc.quotient.dim_total)
+    (phi_p, phi_m), q = rc.phi, rc.quotient
+    assert phi_m @ c.d_mp == q.d_mp @ phi_p
+    assert phi_p @ c.d_pm == q.d_pm @ phi_m
+    # embed is a section of phi, sector by sector
+    for phi_s, embed_s in zip(rc.phi, rc.embed):
+        assert phi_s @ embed_s == MatGF.identity(FIELD3, phi_s.rows)
 
 
 def test_reduce_refuses_a_non_complex() -> None:
@@ -109,8 +112,9 @@ def test_reduce_refuses_a_non_complex() -> None:
 )
 def test_reduce_properties(order: int, n: int, seed: int, data) -> None:
     """For every n' in (n/2, n], good or not (L = 0 is never good below
-    n' = n): the kernel/image description holds, phi is block diagonal
-    by sector, embed is a section of phi, and rc.good is is_good."""
+    n' = n): the kernel/image description holds, each sector block of
+    phi maps the n base coordinates onto its quotient sector, embed is a
+    section of phi per sector, and rc.good is is_good."""
     L = data.draw(st.integers(0, n // 2), label="L")
     field = FieldSpec(order)
     c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), field, trial_rng(seed, 0))
@@ -121,6 +125,102 @@ def test_reduce_properties(order: int, n: int, seed: int, data) -> None:
         # if W d_pm y = 0 with y != 0 on the tail, x = d_pm y != 0 lies on
         # the tail with d_mp x = 0, against goodness; likewise swapped.
         assert rc.good == is_good(c, n_prime)
-        q_plus = rc.quotient.dim_plus
-        assert not rc.phi.data[:q_plus, n:].any() and not rc.phi.data[q_plus:, :n].any()
-        assert rc.phi @ rc.embed == MatGF.identity(field, rc.quotient.dim_total)
+        q_dims = (rc.quotient.dim_plus, rc.quotient.dim_minus)
+        for q_dim, phi_s, embed_s in zip(q_dims, rc.phi, rc.embed):
+            assert phi_s.shape == (q_dim, n) and embed_s.shape == (n, q_dim)
+            assert phi_s @ embed_s == MatGF.identity(field, q_dim)
+
+
+def _tamper(m: MatGF, i: int, j: int, delta: int) -> MatGF:
+    data = m.data.copy()
+    data[i, j] += delta
+    return MatGF(m.field, data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from([None, "phi+", "phi-", "d'_pm", "d'_mp"]),
+    data=st.data(),
+)
+def test_kerim_check_flags_exactly_when_full_space_reference_does(
+    order: int, n: int, seed: int, target, data
+) -> None:
+    """The per-sector check and the full-space reference agree on
+    every reduction, untouched or with one entry of phi or of a
+    quotient boundary block changed, and an untouched one passes."""
+    L = data.draw(st.integers(0, n // 2), label="L")
+    n_prime = data.draw(st.integers(n // 2 + 1, n), label="n_prime")
+    field = FieldSpec(order)
+    c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), field, trial_rng(seed, 0))
+    rc = reduce(c, ReductionParams(n=n, n_prime=n_prime))
+    if target is not None:
+        q = rc.quotient
+        m = {"phi+": rc.phi[0], "phi-": rc.phi[1], "d'_pm": q.d_pm, "d'_mp": q.d_mp}[target]
+        i = data.draw(st.integers(0, m.rows - 1), label="row")
+        j = data.draw(st.integers(0, m.cols - 1), label="col")
+        bad = _tamper(m, i, j, data.draw(st.integers(1, order - 1), label="delta"))
+        rc = {
+            "phi+": lambda: replace(rc, phi=(bad, rc.phi[1])),
+            "phi-": lambda: replace(rc, phi=(rc.phi[0], bad)),
+            "d'_pm": lambda: replace(rc, quotient=replace(q, d_pm=bad)),
+            "d'_mp": lambda: replace(rc, quotient=replace(q, d_mp=bad)),
+        }[target]()
+    problems = reduced_kerim_check(rc)
+    assert bool(problems) == bool(reference_kerim_check(rc))
+    if target is None:
+        assert problems == []
+
+
+def _m(rows) -> MatGF:
+    return MatGF(FIELD3, rows)
+
+
+# The standard n = 3 complex sends e2 to e1 in both blocks.
+_D0 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+_KER = "ker d' != phi(d^-1(V>))"
+_IM = "im d' != phi(im d)"
+
+
+@pytest.mark.parametrize(
+    "base, n_prime, phi, d_pm, d_mp, expected",
+    [
+        pytest.param(
+            # d'_mp = 2 d0 has the kernel and image of d0 but is not phi d phi^-1
+            SHAPE3, 3, None, None, _m([[0, 0, 0], [0, 0, 2], [0, 0, 0]]),
+            ["-+ block: chain map fails, phi d != d' phi"], id="chain map",
+        ),
+        pytest.param(
+            # phi+ kills the cycle e0 of d_mp, so phi+(ker d_mp) misses it
+            SHAPE3, 3, (_m([[0, 0, 0], [0, 1, 0], [0, 0, 1]]), _m(np.eye(3, dtype=int))),
+            None, None, ["-+ block: " + _KER], id="ker",
+        ),
+        pytest.param(
+            # over the zero complex, each quotient block sends e1 to e0,
+            # which phi(im 0) = 0 cannot reach; the base is not good
+            ComplexShape(1, 1, 0), 1, (_m([[1], [0]]), _m([[1], [0]])),
+            _m([[0, 1], [0, 0]]), _m([[0, 1], [0, 0]]),
+            ["+- block: " + _IM, "-+ block: " + _IM], id="im",
+        ),
+        pytest.param(
+            # a chain map onto a quotient whose d'_mp keeps the rank of
+            # d_mp: every identity holds but the good-case rank deltas
+            SHAPE3, 2, (_m([[0, 0, 1]]), _m([[0, 1, 0]])), _m([[0]]), _m([[1]]),
+            ["-+ block: expected image dim 0, got 1", "-+ block: expected kernel dim 1, got 0"],
+            id="rank deltas",
+        ),
+    ],
+)
+def test_kerim_check_names_each_failure(base, n_prime, phi, d_pm, d_mp, expected) -> None:
+    std = standard_boundary(base, FIELD3)
+    rc = reduce(std, ReductionParams(n=base.n, n_prime=n_prime))
+    q = rc.quotient
+    rc = replace(
+        rc,
+        phi=phi or rc.phi,
+        quotient=InvolutiveComplex(FIELD3, d_pm or q.d_pm, d_mp or q.d_mp),
+    )
+    assert reduced_kerim_check(rc) == expected
+    assert reference_kerim_check(rc) != []
