@@ -192,8 +192,10 @@ def cmd_reduce(args) -> int:
             for item in problems:
                 print(f"check failed: {item}", file=sys.stderr)
             return 1
+    # Rendered before the file is opened, so a refusal leaves no file.
+    text = complex_to_text(rc.quotient)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(complex_to_text(rc.quotient))
+        fh.write(text)
     _write_manifest(
         args.out,
         "reduce",

@@ -43,7 +43,10 @@ spanned by e_0 .. e_{t-1}, t = H + L.  So ker d_mp = u_plus ker d0 is
 spanned by the first t columns of u_plus, and ker d_pm by those of
 u_minus: each trial's two kernel bases are read off its conjugating
 matrices, and only the draws, kernel enumerations and ranks are
-batched.
+batched.  Both exact kernels put the batch on the last, contiguous
+axis: ``rank_batch`` eliminates a (rows, cols, N) stack, and the
+light-kernel test forms each block of span vectors for every live basis
+in one exact float64 BLAS product (``gf._matmul``).
 
 Estimates ship with 95% Wilson score intervals, which behave sanely for
 probabilities near 0 where most of these events live.
@@ -64,7 +67,7 @@ from .gf import (
     FieldSpec,
     MatGF,
     _check_enumeration,
-    _mod,
+    _matmul,
     _table_rank,
     rank_batch,
     random_invertible,
@@ -420,18 +423,21 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     Exact: every coefficient vector c comes from ``span_blocks`` in
     blocks of ``_SPAN_ROWS // N`` rows (at least one), c @ basis is
     nonzero exactly when c is, and a basis drops out at its first hit.
+    A block's vectors for every live basis come from one ``gf._matmul``
+    product, float64 BLAS within its exactness bound t (p - 1)**2 < 2**53.
     Refused when the span size p^t exceeds ``gf.ENUMERATION_LIMIT``.
     """
     nmat, t, n = bases.shape
     hits = np.zeros(nmat, dtype=bool)
     if w_max < 1 or nmat == 0:
         return hits
-    # gens[k, i] is row k of basis i, so block @ gens[:, live] spans every live basis.
-    gens = bases.transpose(1, 0, 2)
+    # gens[k, :, i] is row k of basis i, so block @ gens[:, :, live] spans
+    # every live basis; weights are counted over axis 1.
+    gens = np.ascontiguousarray(bases.transpose(1, 2, 0))
     live = np.arange(nmat)
     for block in span_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
-        vecs = _mod(block @ gens[:, live].reshape(t, -1), p)
-        weights = np.count_nonzero(vecs.reshape(len(block), len(live), n), axis=2)
+        vecs = _matmul(block, gens[:, :, live].reshape(t, n * live.size), p)
+        weights = np.count_nonzero(vecs.reshape(len(block), n, len(live)), axis=1)
         found = ((weights > 0) & (weights <= w_max)).any(axis=0)
         hits[live[found]] = True
         live = live[~found]

@@ -14,8 +14,11 @@ argument:
 
 - Elimination (``_row_reduce``, ``rank_batch``) works in the smallest
   signed integer type holding (D - 1) * D (``_work_dtype``): int16 for
-  D <= 181, int64 above.  Entries stay within that magnitude during a
-  step and are reduced after it.
+  D <= 181, int64 above.  A step subtracts a residue times a residue
+  from a residue, so entries stay within [-(D - 1)**2, D - 1] until
+  they are reduced.  ``rank_batch`` holds the batch as the last axis
+  and eliminates forward only: each lead row clears itself, so there is
+  no row swap and no cursor.
 - Matrix products (``_matmul``, behind ``MatGF @``) run in float64
   through BLAS when k * (D - 1)**2 < 2**53: every product and partial
   sum of residues is then a nonnegative integer below 2**53, which
@@ -435,39 +438,35 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
-    Every matrix is eliminated column by column at once: the first
-    nonzero entry at or below the current row is swapped into place,
-    scaled to 1 and cleared from every other row.  A matrix with no
-    pivot in a column takes the same steps with a zero multiplier.
+    Forward elimination of the whole stack, held as a contiguous
+    (rows, cols, N) array in :func:`_work_dtype`.  At column c each
+    matrix's lead row is its first row nonzero there, and a nonzero
+    pivot adds one to its rank.  The lead row, scaled by the pivot's
+    inverse, is subtracted col[i] times from every row i over columns
+    c+1..; its own factor is the pivot, so the lead row clears itself.
+    A matrix with no pivot has col = 0 and is left as it was.  Both
+    factors are residues, so entries stay within [-(p-1)**2, p-1].
     """
     m = np.asarray(mats, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError("expected a (N, rows, cols) array")
-    dtype = _work_dtype(p)
-    m = _mod(m, p).astype(dtype, copy=False)
     nmat, nrows, ncols = m.shape
-    cursor = np.zeros(nmat, dtype=np.int64)
-    inv = _inverse_table(p)
-    k = np.arange(nmat)
-    row_index = np.arange(nrows)
+    ranks = np.zeros(nmat, dtype=np.int64)
+    if nrows == 0:
+        return ranks
+    dtype = _work_dtype(p)
+    m = np.ascontiguousarray(_mod(m, p).astype(dtype, copy=False).transpose(1, 2, 0))
+    inv = _inverse_table(p).astype(dtype, copy=False)
     for c in range(ncols):
-        nz = (m[:, :, c] != 0) & (row_index >= cursor[:, None])
-        has = nz.any(axis=1)
-        if not has.any():
-            continue
-        cur = np.minimum(cursor, nrows - 1)
-        lead = np.where(has, nz.argmax(axis=1), cur)
-        row = m[k, lead]
-        m[k, lead] = m[k, cur]
-        row = _mod(row * np.where(has, inv[row[:, c]], 1)[:, None], p).astype(dtype, copy=False)
-        m[k, cur] = row
-        fac = m[:, :, c] * has[:, None]
-        fac[k, cur] = 0
-        # Live rows are zero left of c, so only columns c.. change.
-        upd = fac[:, :, None] * row[:, None, c:]
-        m[:, :, c:] = _mod(np.subtract(m[:, :, c:], upd, out=upd), p)
-        cursor += has
-    return cursor
+        col = m[:, c]
+        lead = (col != 0).argmax(axis=0)
+        pivot = np.take_along_axis(col, lead[None], axis=0)[0]
+        ranks += pivot != 0
+        rest = m[:, c + 1 :]
+        row = _mod(np.take_along_axis(rest, lead[None, None], axis=0) * inv[pivot], p)
+        upd = col[:, None] * row
+        m[:, c + 1 :] = _mod(np.subtract(rest, upd, out=upd), p)
+    return ranks
 
 
 # Most vectors (or matrices) any exhaustive enumeration may walk: every

@@ -131,6 +131,19 @@ def reference_span(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
         yield (idx[:, None] // powers % p) @ basis % p
 
 
+def has_light_kernel_vector(basis: np.ndarray, p: int, w_max: int) -> bool:
+    """Reference for experiments._light_kernel_hits, one basis at a time:
+    whether the span of the rows of ``basis`` holds a nonzero vector of
+    weight <= w_max, walking the span of ``reference_span``."""
+    if w_max < 1:
+        return False
+    for vecs in reference_span(basis, p):
+        weights = np.count_nonzero(vecs, axis=1)
+        if ((weights > 0) & (weights <= w_max)).any():
+            return True
+    return False
+
+
 def reference_matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     """Reference for gf._matrix_from_lines: every entry parsed with
     int() and range-checked one row at a time, in Python."""

@@ -336,6 +336,19 @@ class TestReduce:
         assert not out.exists()
         assert not (tmp_path / "red.txt.manifest.json").exists()
 
+    def test_unwritable_quotient_writes_nothing(self, tmp_path, capsys):
+        """A quotient whose sectors differ in dimension cannot be
+        serialized: the command exits 1 with the refusal and leaves
+        neither an empty file nor a manifest behind."""
+        cfile = sample(tmp_path, "c.txt", seed=2, dim=5, n=5)
+        capsys.readouterr()
+        out = tmp_path / "r.txt"
+        assert run(["reduce", "--in", cfile, "--nprime", 3,
+                    "--check", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: serialization requires equal sector dimensions\n"
+        assert not out.exists()
+        assert not (tmp_path / "r.txt.manifest.json").exists()
+
     def test_invalid_nprime(self, tmp_path, capsys):
         cfile = sample(tmp_path, "c.txt", seed=0)
         assert run(["reduce", "--in", cfile, "--nprime", 1,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -29,9 +29,9 @@ from quditprod import (
 )
 from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
-from quditprod.gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank, span_blocks
+from quditprod.gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank
 
-from support import FIELD3, FIELD5
+from support import FIELD3, FIELD5, has_light_kernel_vector
 
 
 class TestWilsonInterval:
@@ -172,16 +172,6 @@ class TestLowWeightKernel:
         assert mc_low_weight_kernel(cfg).trials == 1
 
 
-def _has_light_kernel_vector(m, w_max: int) -> bool:
-    if w_max < 1:
-        return False
-    for vecs in span_blocks(kernel_basis(m), m.field.order):
-        weights = np.count_nonzero(vecs, axis=1)
-        if ((weights > 0) & (weights <= w_max)).any():
-            return True
-    return False
-
-
 @pytest.mark.parametrize("trials", [1, _CHUNK + 1])
 def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
     """One trial and one chunk plus one: the same successes as a loop
@@ -197,8 +187,9 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
     for i in range(trials):
         c, _, _ = random_boundary(shape, FIELD5, trial_rng(3, i))
         for w_max in kernel:
-            kernel[w_max] += _has_light_kernel_vector(c.d_mp, w_max) or _has_light_kernel_vector(
-                c.d_pm, w_max
+            kernel[w_max] += any(
+                has_light_kernel_vector(kernel_basis(d), FIELD5.order, w_max)
+                for d in (c.d_mp, c.d_pm)
             )
         for n_prime in n_primes:
             goodness[n_prime] += is_good(c, n_prime)
@@ -214,6 +205,46 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
     assert mc_uniform_low_weight(FIELD3, 4, 2, Fraction(1, 2), trials, 3).successes == ulw
     if trials > 1:
         assert 0 < kernel[1] < trials and 0 < goodness[3] < trials and 0 < ulw < trials
+
+
+@st.composite
+def light_kernel_cases(draw):
+    """A (N, t, n) stack of bases over GF(3/5/7/191), t <= n <= 9, some
+    sparse so that light vectors are common, and a weight bound w_max in
+    0..n.  GF(191) spans are walked up to t = 1 and refused at t = 4;
+    at t = 2 and 3 they are within the enumeration limit but too long
+    to walk a row at a time in a test."""
+    p = draw(st.sampled_from([3, 5, 7, 191]))
+    t = draw(st.integers(0, 4))
+    assume(p**t <= 7**4 or p**t > gf.ENUMERATION_LIMIT)
+    n = draw(st.integers(t, 9))
+    count = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.integers(0, p, (count, t, n))
+    bases *= rng.random((count, t, n)) < draw(st.sampled_from([0.2, 0.5, 1.0]))
+    return p, bases, draw(st.integers(0, n))
+
+
+@pytest.mark.parametrize("span_rows", [1, 7, experiments._SPAN_ROWS])
+@settings(max_examples=100, deadline=None)
+@given(case=light_kernel_cases())
+def test_light_kernel_hits_match_a_per_basis_oracle(span_rows, case) -> None:
+    """The batched light-vector test gives each basis the answer of a
+    walk over its own span, with blocks of one row, of 7 // N rows
+    (one or more, so several blocks), and of the default size; bases
+    drop out at their first hit.  Spans above the enumeration limit are
+    refused whenever any basis would be walked."""
+    p, bases, w_max = case
+    nmat, t, _ = bases.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_SPAN_ROWS", span_rows)
+        if p**t > gf.ENUMERATION_LIMIT and w_max >= 1 and nmat:
+            with pytest.raises(ValueError, match="above the limit"):
+                experiments._light_kernel_hits(bases, p, w_max)
+            return
+        hits = experiments._light_kernel_hits(bases, p, w_max)
+    assert hits.dtype == bool and hits.shape == (nmat,)
+    assert hits.tolist() == [has_light_kernel_vector(b, p, w_max) for b in bases]
 
 
 @settings(max_examples=20, deadline=None)

@@ -481,31 +481,52 @@ _ORDERS = [3, 5, 7, 181, 191, 65521]
 @pytest.mark.parametrize("order", [3, 5, 7, 11, 181, 191, 65521])
 @settings(max_examples=40, deadline=None)
 @given(
-    count=st.integers(0, 5),
-    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    count=st.integers(0, 64),
+    # Every shape up to 6 x 6, and the Monte Carlo harnesses' squares up to 9 x 9.
+    shape=st.one_of(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.integers(7, 9).map(lambda k: (k, k)),
+    ),
     largest=st.booleans(),
     low_rank=st.booleans(),
+    unreduced=st.booleans(),
+    planted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rank_batch_matches_scalar_rank(order, count, shape, largest, low_rank, seed) -> None:
+def test_rank_batch_matches_scalar_rank(
+    order, count, shape, largest, low_rank, unreduced, planted, seed
+) -> None:
     """Every rank of a stack is the pivot count of the plain int64
     elimination, over GF(3/5/7/11/181) (eliminated in int16) and
     GF(191/65521) (in int64): tall, wide and square stacks, with no
-    rows or no columns, and of no matrices.  The subspace-table rank
-    agrees wherever its table (up to GF(3)^5 or GF(5)^4) is built;
-    wide stacks take its transposed walk."""
+    rows or no columns, and of no matrices; entries may be negative or
+    >= p, and a stack may hold an all-zero matrix and one whose first
+    column is zero beside matrices with pivots there.  The
+    subspace-table rank agrees wherever its table (up to GF(3)^5 or
+    GF(5)^4) is built; wide stacks take its transposed walk."""
     rows, cols = shape
-    mats = np.random.default_rng(seed).integers(0, order, (count, rows, cols))
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, order, (count, rows, cols))
     if largest:  # the largest residues make the largest products
         mats = order - 1 - mats % 3
     # Low-rank rows make pivot-free columns and rank deficits common.
     if low_rank and rows > 1:
         mats[:, -1] = mats[:, 0] * 2 % order
+    if planted and count >= 2:
+        mats[0] = 0
+        mats[1, :, :1] = 0
+    if unreduced:  # the same residues, shifted by multiples of p
+        mats = mats + rng.integers(-3, 4, mats.shape) * order
     ranks = rank_batch(mats, order)
-    assert ranks.shape == (count,)
+    assert ranks.dtype == np.int64 and ranks.shape == (count,)
     assert ranks.tolist() == [len(reference_row_reduce(m, order)[1]) for m in mats]
     if order ** min(rows, cols) <= 5**4:
-        assert _table_rank(mats, order).tolist() == ranks.tolist()
+        assert _table_rank(mats % order, order).tolist() == ranks.tolist()
+
+
+def test_rank_batch_refuses_a_stack_that_is_not_3d() -> None:
+    with pytest.raises(ValueError, match=r"^expected a \(N, rows, cols\) array$"):
+        rank_batch(np.zeros((3, 3), dtype=np.int64), 3)
 
 
 @st.composite
