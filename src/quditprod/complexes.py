@@ -14,10 +14,11 @@ sector-diagonal blocks hold by construction, and the
 boundary-squares-to-zero condition becomes the two block checks
 d_pm @ d_mp = 0 (on C+) and d_mp @ d_pm = 0 (on C-).  validate() makes
 exactly those two checks.  It runs where a complex enters from outside
-or is built by a long computation: complex_from_text, product(), and
-reduce() on its input and its quotient.  The standard boundary and its
-random conjugates square to zero algebraically and are checked in the
-tests, not on every draw.
+or is built by a long computation: complex_from_text, product() on its
+two factors, and reduce() on its input and its quotient.  The standard
+boundary and its random conjugates, and the product of two complexes,
+square to zero algebraically and are checked in the tests, not on
+every draw.
 
 The shape family used throughout has sector dimension n = H + 2L: the
 standard boundary has an L x L identity coupling the middle block of

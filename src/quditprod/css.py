@@ -16,11 +16,15 @@ picked by one row reduction.
   ``gf.span_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
   vectors).  The logicals are exactly the combinations of span index
   sum_i c_i p**i at least p**r, so only their weights are computed.
-- Bounded mode scans weights 1..w_max.  It multiplies blocks of
-  supports and value tuples against the dual coset basis at once: a
-  vector is a logical when its syndromes vanish on the row space of
-  the checks and not on the k dual representatives.  It has no
-  enumeration cap; weight w costs C(n, w) (p-1)**(w-1) syndromes.
+- Bounded mode scans weights 1..w_max by meet in the middle.  Weight
+  w splits into ceil(w/2) + floor(w/2): a table holds the syndromes of
+  every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
+  and the weight-ceil(w/2) vectors are streamed against it.  A streamed
+  vector meets a logical when some table vector cancels its stabilizer
+  syndrome but not its k dual syndromes.  It has no enumeration cap;
+  weight w tabulates C(n, floor(w/2)) (p-1)**floor(w/2) syndromes and
+  streams C(n, ceil(w/2)) (p-1)**(ceil(w/2)-1), both in blocks of
+  bounded size.
 
 Both need the X and Z generators to commute, which ``min_distance``
 checks.
@@ -28,16 +32,17 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    FieldSpec, MatGF, _mod, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve,
-    span_blocks,
+    _FLOAT_EXACT, FieldSpec, MatGF, _mod, _read_only, _row_reduce, col_weights, kernel_basis, rank,
+    row_weights, solve, span_blocks,
 )
 
 __all__ = [
@@ -111,9 +116,12 @@ class DistanceReport:
     search_bound: int | None
 
 
-# Cells (supports x value tuples x checks) in one syndrome block of the
-# bounded search, so its memory stays flat as the code grows.
+# Cells (vectors x checks) in one block of syndromes streamed by the
+# bounded search, and in one chunk of its table: a larger table is met
+# against the whole stream one chunk at a time.  Memory stays flat as
+# the code grows.
 _BLOCK_CELLS = 1 << 17
+_TABLE_CELLS = 1 << 21
 
 
 def _coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
@@ -135,19 +143,18 @@ def _coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
     return stacked[picked], r
 
 
-def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF) -> int:
-    """Minimum weight over (ker kernel_of) \\ (im image_of), by exhausting
-    the kernel over the basis [r image rows; k logical representatives].
+def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
+    """Minimum weight over a kernel outside an image, by exhausting the
+    kernel over its coset basis [r image rows; k logical
+    representatives] (``_coset_basis``).
 
     A combination is a logical exactly when one of its k logical
     coefficients is nonzero, that is when its span index sum_i c_i p**i
     (the order ``span_blocks`` yields rows in) is at least p**r; only
     weights are computed.
     """
-    p = kernel_of.field.order
-    basis, r = _coset_basis(kernel_of, image_of)
     first_logical = p**r
-    best = kernel_of.cols
+    best = basis.shape[1]
     start = 0
     for vecs in span_blocks(basis, p):
         skip = max(first_logical - start, 0)
@@ -157,44 +164,145 @@ def _min_weight_logical_exhaustive(kernel_of: MatGF, image_of: MatGF) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=64)
+def _key_weights(width: int, p: int) -> np.ndarray:
+    """Fixed pseudo-random float64 weights below 2**53 / (width (p-1)):
+    a weighted sum of ``width`` residues is then an integer float64
+    holds exactly, whatever order BLAS adds in."""
+    bound = _FLOAT_EXACT // max(1, width * (p - 1))
+    rng = np.random.default_rng(width)
+    return _read_only(rng.integers(1, bound, size=width).astype(np.float64))
+
+
+def _syndrome_keys(syn: np.ndarray, p: int) -> np.ndarray:
+    """int64 hash keys of the rows of a (m, r) residue array.  Equal rows
+    get equal keys; different rows rarely share one, and the bounded
+    search decides every candidate on the exact rows."""
+    return (syn.astype(np.float64) @ _key_weights(syn.shape[1], p)).astype(np.int64)
+
+
+def _syndromes(
+    cols: np.ndarray, h: int, values: np.ndarray, p: int, cells: int
+) -> Iterator[np.ndarray]:
+    """Syndromes of every weight-h vector whose values on its support are
+    a row of ``values``, in blocks of (vectors, checks) residues of at
+    most max(cells, one support) cells.  cols[i] is column i of the
+    checks, held in a dtype that holds a sum of h products of residues.
+    """
+    n, c = cols.shape
+    block = max(1, cells // (len(values) * c))
+    supports = itertools.combinations(range(n), h)
+    while batch := list(itertools.islice(supports, block)):
+        idx = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(batch) * h)
+        syn = np.einsum("vw,bwc->bvc", values, cols[idx.reshape(len(batch), h)])
+        yield _mod(syn, p).reshape(-1, c)
+
+
+def _group_table(syn: np.ndarray, r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a table of syndromes, grouped by their exact first r
+    entries: (keys, rows, mixed), sorted by key.  rows holds one full
+    row per group, and mixed marks the groups whose rows do not all
+    share that row's last entries.
+
+    Rows sorted by key fall into runs of equal key; a group is a
+    maximal stretch of one run with equal first r entries.  Two groups
+    share a key only where keys collide.
+    """
+    keys = _syndrome_keys(syn[:, :r], p)
+    order = np.argsort(keys)
+    keys, syn = keys[order], syn[order]
+    new = np.ones(len(syn), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (syn[1:, :r] != syn[:-1, :r]).any(axis=1)
+    starts = np.flatnonzero(new)
+    rows = syn[starts]
+    differs = (syn[:, r:] != rows[np.cumsum(new) - 1, r:]).any(axis=1)
+    return keys[starts], rows, np.logical_or.reduceat(differs, starts)
+
+
+def _meets_logical(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], syn: np.ndarray, r: int, p: int
+) -> bool:
+    """Whether some row of ``syn`` equals a table group's row on the first
+    r entries, and differs from it on the rest or the group is mixed:
+    then some table row minus it is a logical.
+
+    Every group whose key equals a row's key is a candidate; each is
+    decided on the exact entries, so a key collision costs a comparison
+    and never changes the answer.  Rows whose candidates would gather
+    more than ``_BLOCK_CELLS`` cells are met in halves.
+    """
+    keys, rows, mixed = table
+    wanted = _syndrome_keys(syn[:, :r], p)
+    lo = np.searchsorted(keys, wanted, "left")
+    count = np.searchsorted(keys, wanted, "right") - lo
+    total = int(count.sum())
+    if not total:
+        return False
+    if total * syn.shape[1] > _BLOCK_CELLS and len(syn) > 1:
+        half = len(syn) // 2
+        return _meets_logical(table, syn[:half], r, p) or _meets_logical(table, syn[half:], r, p)
+    query = np.repeat(np.arange(len(syn)), count)
+    group = lo[query] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    same = (rows[group, :r] == syn[query, :r]).all(axis=1)
+    differs = mixed[group] | (rows[group, r:] != syn[query, r:]).any(axis=1)
+    return bool((same & differs).any())
+
+
 def _min_weight_logical_bounded(
-    kernel_of: MatGF, image_of: MatGF, w_max: int
+    checks: np.ndarray, r: int, p: int, w_max: int
 ) -> tuple[int | None, int]:
     """First weight w <= w_max carrying a logical operator.
 
-    The checks are [a basis of the row space of kernel_of; k
-    representatives of ker image_of^T modulo that row space].  Since
-    im image_of is the annihilator of ker image_of^T, a vector is a
-    logical exactly when its first r syndromes vanish and one of its
-    last k does not.  A logical times a nonzero scalar is one of the same
-    weight, so value tuples start with 1: each weight costs
-    C(n, w) (p-1)**(w-1) syndromes, computed in blocks of supports of at
-    most ``_BLOCK_CELLS`` cells.
+    ``checks`` and r are ``_coset_basis(image_of.T, kernel_of.T)`` for
+    the logicals of ker kernel_of outside im image_of: r rows spanning
+    the row space of kernel_of, then k representatives of
+    ker image_of^T modulo that row space.  Since im image_of is the
+    annihilator of ker image_of^T, a vector is a logical exactly when
+    its first r syndromes vanish and one of its last k does not.
+
+    Meet in the middle.  Scale a weight-w logical v so that its first
+    value is -1 (a logical times a nonzero scalar is one of the same
+    weight), and split it as v = x - u: u is -v on the first ceil(w/2)
+    positions of its support, so its first value is 1, and x is v on the
+    rest, of weight floor(w/2).  Then x and u share their stabilizer
+    syndrome but not all of their dual syndromes.  So:
+
+    - the table holds the syndromes of every weight-floor(w/2) vector
+      over all nonzero values, grouped by their exact stabilizer
+      syndrome; a group keeps one dual syndrome and a mark when its
+      vectors hold several (``_group_table``);
+    - the stream is every weight-ceil(w/2) vector u whose first value
+      is 1, in blocks;
+    - u meets a logical when its group is marked or holds a dual
+      syndrome other than u's (``_meets_logical``).
+
+    A hit x - u has zero stabilizer syndrome and a nonzero dual one, so
+    it is a logical of weight at most w.  Where the supports of x and u
+    overlap its weight is below w, which the search has ruled out
+    already; so the first w with a hit is the distance.
+
+    Both halves are built from columns of the checks, the stream in
+    blocks of ``_BLOCK_CELLS`` cells and the table in chunks of
+    ``_TABLE_CELLS``, each chunk met against the whole stream.
 
     Returns (d, lower): d is the exact distance when found, otherwise
     None with lower = w_max + 1.
     """
-    p = kernel_of.field.order
-    n = kernel_of.cols
-    checks, r = _coset_basis(image_of.T, kernel_of.T)
+    n = checks.shape[1]
     for w in range(1, min(w_max, n) + 1):
-        # The smallest dtype holding a sum of w products of residues: a
-        # syndrome block then moves a fraction of the int64 bytes.
-        dtype = np.min_scalar_type(w * (p - 1) ** 2)
-        values = np.array(
-            [(1, *rest) for rest in itertools.product(range(1, p), repeat=w - 1)], dtype=dtype
-        )
+        low, high = w // 2, w - w // 2
+        # The smallest dtype holding a sum of high products of residues:
+        # a syndrome block then moves a fraction of the int64 bytes.
+        dtype = np.min_scalar_type(high * (p - 1) ** 2)
         cols = checks.T.astype(dtype)
-        block = max(1, _BLOCK_CELLS // (len(values) * len(checks)))
-        supports = itertools.combinations(range(n), w)
-        while True:
-            flat = itertools.chain.from_iterable(itertools.islice(supports, block))
-            chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, w)
-            if not len(chunk):
-                break
-            syn = _mod(np.einsum("vw,bwc->bvc", values, cols[chunk]), p)
-            logical = ~syn[:, :, :r].any(axis=2) & syn[:, :, r:].any(axis=2)
-            if logical.any():
+        every = np.array(list(itertools.product(range(1, p), repeat=low)), dtype=dtype)
+        led = np.array(
+            [(1, *rest) for rest in itertools.product(range(1, p), repeat=high - 1)], dtype=dtype
+        )
+        for chunk in _syndromes(cols, low, every, p, _TABLE_CELLS):
+            table = _group_table(chunk, r, p)
+            stream = _syndromes(cols, high, led, p, _BLOCK_CELLS)
+            if any(_meets_logical(table, syn, r, p) for syn in stream):
                 return w, w
     return None, w_max + 1
 
@@ -218,19 +326,23 @@ def min_distance(
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
     _check_commute(code.x_gens, code.z_gens)
+    p = code.field.order
     if mode == "exhaustive":
         if w_max is not None:
             raise ValueError("exhaustive mode takes no w_max")
-        d_z = _min_weight_logical_exhaustive(code.x_gens, code.z_gens)
-        d_x = _min_weight_logical_exhaustive(code.z_gens.T, code.x_gens.T)
+        d_z = _min_weight_logical_exhaustive(*_coset_basis(code.x_gens, code.z_gens), p)
+        d_x = _min_weight_logical_exhaustive(*_coset_basis(code.z_gens.T, code.x_gens.T), p)
         return DistanceReport(
             d_z=d_z, d_x=d_x, d_z_lower=d_z, d_x_lower=d_x, method="exhaustive", search_bound=None
         )
     if mode == "bounded":
         if w_max is None or w_max < 1:
             raise ValueError("bounded mode needs w_max >= 1")
-        d_z, z_lower = _min_weight_logical_bounded(code.x_gens, code.z_gens, w_max)
-        d_x, x_lower = _min_weight_logical_bounded(code.z_gens.T, code.x_gens.T, w_max)
+        # A coset basis of one side's kernel is the other side's checks.
+        d_z, z_lower = _min_weight_logical_bounded(
+            *_coset_basis(code.z_gens.T, code.x_gens.T), p, w_max
+        )
+        d_x, x_lower = _min_weight_logical_bounded(*_coset_basis(code.x_gens, code.z_gens), p, w_max)
         return DistanceReport(
             d_z=d_z, d_x=d_x, d_z_lower=z_lower, d_x_lower=x_lower,
             method="bounded", search_bound=w_max,

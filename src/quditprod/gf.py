@@ -37,6 +37,10 @@ argument:
   block.  A block costs its int64 array and one narrow array of its
   sums.
 
+A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
+``kernel_basis`` has computed it, so every later rank or kernel of the
+same matrix object is read, not eliminated again.
+
 Exhaustive enumerations (rank censuses, exhaustive distances and
 probabilities, the Monte Carlo kernel search) walk at most
 ``ENUMERATION_LIMIT`` = 10**7 vectors or matrices: ``span_blocks`` and
@@ -126,9 +130,14 @@ class MatGF:
     reduced mod D: the array is taken without a copy and marked
     read-only, so the caller must not write to it (or to an array it is
     a view of) afterwards.
+
+    A matrix computes its reduced row echelon form at most once, on the
+    first ``rank`` or ``kernel_basis``, and keeps it (read-only) for
+    later calls.  It holds no other matrix, so no reference cycle keeps
+    it alive.
     """
 
-    __slots__ = ("field", "_data")
+    __slots__ = ("field", "_data", "_echelon")
 
     def __init__(self, field: FieldSpec, data, *, _reduced: bool = False):
         if _reduced:
@@ -140,6 +149,7 @@ class MatGF:
         arr.flags.writeable = False
         self.field = field
         self._data = arr
+        self._echelon: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatGF":
@@ -204,6 +214,15 @@ class MatGF:
     def __repr__(self) -> str:
         return f"MatGF(GF({self.field.order}), {self.rows}x{self.cols})"
 
+    def _rref(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rref, pivots): the reduced row echelon form of
+        :func:`_row_reduce` and its pivot columns as an intp array, both
+        read-only, computed on the first call and kept."""
+        if self._echelon is None:
+            rref, pivots = _row_reduce(self._data, self.field.order)
+            self._echelon = (_read_only(rref), _read_only(np.array(pivots, dtype=np.intp)))
+        return self._echelon
+
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``a`` mod p, as int64, and the pivot
@@ -245,7 +264,7 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank(m: MatGF) -> int:
     """Rank of ``m`` over its field."""
-    return len(_row_reduce(m.data, m.field.order)[1])
+    return len(m._rref()[1])
 
 
 def kernel_basis(m: MatGF) -> np.ndarray:
@@ -258,7 +277,7 @@ def kernel_basis(m: MatGF) -> np.ndarray:
     deterministic for a fixed input.
     """
     p = m.field.order
-    rref, pivots = _row_reduce(m.data, p)
+    rref, pivots = m._rref()
     is_free = np.ones(m.cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)

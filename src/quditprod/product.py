@@ -72,9 +72,20 @@ class ProductComplex:
 
 
 def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
-    """The product complex, validated on construction."""
+    """The product complex of two complexes.
+
+    The factors are validated, not the product: (d1 (x) I + P1 (x) d2)**2
+    = d1**2 (x) I + (d1 P1 + P1 d1) (x) d2 + I (x) d2**2, which vanishes
+    whenever both factors square to zero, since d1 anticommutes with P1
+    by the two-block form.  A factor that is not a complex is refused
+    with ValueError.
+    """
     if c1.field != c2.field:
         raise ValueError("factors must share a field")
+    for i, c in enumerate((c1, c2), start=1):
+        problems = validate(c)
+        if problems:
+            raise ValueError(f"factor {i} is not a complex: {problems}")
     field = c1.field
     p = field.order
     eye1p, eye1m, eye2p, eye2m = (
@@ -95,9 +106,6 @@ def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
         d_pm=MatGF(field, d_pm % p, _reduced=True),
         d_mp=MatGF(field, d_mp % p, _reduced=True),
     )
-    problems = validate(cx)
-    if problems:
-        raise AssertionError(f"product complex failed validation: {problems}")
     return ProductComplex(factor1=c1, factor2=c2, complex=cx)
 
 

@@ -1,5 +1,14 @@
 from __future__ import annotations
 
+import os
+
+
+def pytest_configure(config):
+    """Hand the subprocess tests (``python -m quditprod``) the package that
+    the ``pythonpath`` setting in pyproject.toml gives this process."""
+    paths = [str(config.rootpath / "src"), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One line per acceptance criterion at the end of the run."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from quditprod import (
     ComplexShape,
     CssCode,
+    DistanceReport,
     extract_css,
     flip_sectors,
     min_distance,
@@ -19,7 +21,7 @@ from quditprod import (
     trial_rng,
     vanishing_reduced_implies_boundary,
 )
-from quditprod import gf
+from quditprod import css, gf
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank
 from support import FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex
 
@@ -167,17 +169,19 @@ def distance_codes(draw):
 @settings(max_examples=100, deadline=None)
 @given(distance_codes())
 def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
-    """For w_max = 1..3 bounded mode reports the first logical weight of
+    """For w_max = 1..4 bounded mode reports the first logical weight of
     the one-support-at-a-time reference search, and the exhaustive
-    distance wherever that is at most w_max.  Exhaustive mode runs on
-    kernels of at most 10^5 vectors, to keep the property fast."""
+    distance wherever that is at most w_max.  At w = 4 both halves of
+    the meet-in-the-middle search have two positions, so their supports
+    can overlap.  Exhaustive mode runs on kernels of at most 10^5
+    vectors, to keep the property fast."""
     assume(code.k > 0)
     p = code.field.order
     sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
-    first = [bounded_logical_weight(k_of, i_of, 3) for k_of, i_of in sides]
+    first = [bounded_logical_weight(k_of, i_of, 4) for k_of, i_of in sides]
     small = all(p ** (k_of.cols - rank(k_of)) <= 10**5 for k_of, _ in sides)
     exact = min_distance(code, mode="exhaustive") if small else None
-    for w_max in (1, 2, 3):
+    for w_max in (1, 2, 3, 4):
         rep = min_distance(code, mode="bounded", w_max=w_max)
         found = [d if d is not None and d <= w_max else None for d in first]
         assert [rep.d_z, rep.d_x] == found
@@ -186,6 +190,37 @@ def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
         if exact is not None:
             for d, e in zip(found, (exact.d_z, exact.d_x)):
                 assert d == (e if e <= w_max else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distance_codes())
+def test_bounded_search_answers_do_not_depend_on_keys(code) -> None:
+    """With one hash key for every syndrome, each table group is a
+    candidate for each streamed vector, so only the exact comparisons
+    decide.  Bounded mode still reports what the reference search
+    finds, for w_max = 1..4."""
+    assume(code.k > 0)
+    sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
+    first = [bounded_logical_weight(k_of, i_of, 4) for k_of, i_of in sides]
+    with mock.patch.object(css, "_syndrome_keys", lambda syn, p: np.zeros(len(syn), np.int64)):
+        reports = [min_distance(code, mode="bounded", w_max=w_max) for w_max in (1, 2, 3, 4)]
+    for w_max, rep in enumerate(reports, start=1):
+        found = [d if d is not None and d <= w_max else None for d in first]
+        lower = [w_max + 1 if d is None else d for d in found]
+        assert rep == DistanceReport(*found, *lower, method="bounded", search_bound=w_max)
+
+
+def test_a_mixed_table_group_meets_each_of_its_dual_syndromes() -> None:
+    """Table rows (r = 2 stabilizer entries, then the dual ones) that
+    share a stabilizer syndrome but hold two dual syndromes form one
+    marked group.  A streamed row with either dual syndrome meets it,
+    since the difference from the other row is a logical; a row of an
+    unmixed group meets it only with a different dual syndrome."""
+    table = css._group_table(np.array([[2, 0, 1], [1, 1, 1], [2, 0, 2]], dtype=np.uint8), 2, 3)
+    assert sorted(table[2].tolist()) == [False, True]
+    for row, meets in (([2, 0, 1], True), ([2, 0, 2], True), ([1, 1, 1], False),
+                       ([1, 1, 2], True), ([0, 0, 1], False)):
+        assert css._meets_logical(table, np.array([row], dtype=np.uint8), 2, 3) is meets
 
 
 def test_vanishing_reduced_trivial_and_boundary_cases() -> None:

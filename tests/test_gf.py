@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from unittest import mock
 
@@ -142,6 +143,33 @@ def test_kernel_basis_annihilates_and_has_right_dimension() -> None:
 def test_kernel_of_invertible_matrix_is_trivial() -> None:
     u = random_invertible(FIELD5, 4, np.random.default_rng(0))
     assert kernel_basis(u).shape == (0, 4)
+
+
+def test_echelon_form_is_computed_once_and_kept_read_only(monkeypatch) -> None:
+    """rank then kernel_basis on one matrix run one elimination, whose
+    arrays are kept read-only.  The matrix holds no other MatGF, also
+    after .T, so reference counting alone frees it."""
+    calls = []
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return _row_reduce(a, p)
+
+    monkeypatch.setattr(gf, "_row_reduce", counted)
+    m = MatGF(FIELD3, np.random.default_rng(4).integers(0, 3, (5, 7)))
+    r = rank(m)
+    basis = kernel_basis(m)
+    assert calls == [(5, 7)]
+    assert len(basis) == 7 - r and not (m @ basis.T).any()
+    basis[:] = 0  # the caller's own array
+    assert rank(m) == r and not (m @ kernel_basis(m).T).any() and len(kernel_basis(m)) == 7 - r
+    assert calls == [(5, 7)]
+    rref, pivots = m._rref()
+    assert not rref.flags.writeable and not pivots.flags.writeable
+    assert rank(m.T) == r and calls == [(5, 7), (7, 5)]
+    held = gc.get_referents(m)
+    held += [x for h in held if isinstance(h, tuple) for x in gc.get_referents(h)]
+    assert not any(isinstance(h, MatGF) for h in held)
 
 
 def test_solve_consistent_and_inconsistent() -> None:

@@ -102,6 +102,35 @@ def _factor(data, field: FieldSpec) -> InvolutiveComplex:
     return flip_sectors(c) if data.draw(st.booleans(), label="flip") else c
 
 
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from([3, 5, 7]), data=st.data())
+def test_product_of_complexes_is_a_complex(order: int, data) -> None:
+    """product validates only its factors: the product of two valid
+    complexes squares to zero by algebra, and this checks it."""
+    field = FieldSpec(order)
+    c1, c2 = (_factor(data, field) for _ in range(2))
+    assert validate(c1) == validate(c2) == []
+    assert validate(product(c1, c2).complex) == []
+
+
+@pytest.mark.parametrize("position", [1, 2])
+def test_product_refuses_a_factor_that_is_not_a_complex(position: int) -> None:
+    """A factor whose boundary does not square to zero is refused by
+    name, with ValueError and the factor's violations."""
+    one = MatGF(FIELD3, [[1]])
+    bad = InvolutiveComplex(FIELD3, one, one)
+    good = standard_boundary(SHAPE3, FIELD3)
+    factors = (bad, good) if position == 1 else (good, bad)
+    expected = (
+        f"factor {position} is not a complex: "
+        "['boundary does not square to zero on C+ (d_pm @ d_mp != 0)', "
+        "'boundary does not square to zero on C- (d_mp @ d_pm != 0)']"
+    )
+    with pytest.raises(ValueError) as info:
+        product(*factors)
+    assert str(info.value) == expected
+
+
 def _sector_map(rng, field: FieldSpec, src: InvolutiveComplex, tgt: InvolutiveComplex):
     """A random sector-preserving map from src to tgt, as its (plus, minus) blocks."""
     return (
