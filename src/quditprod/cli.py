@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .complexes import (
     ComplexShape,
+    InvolutiveComplex,
     complex_from_text,
     complex_to_text,
     random_boundary,
@@ -102,6 +103,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be non-negative, got {seed}")
 
 
+def _read_complex(path: str) -> InvolutiveComplex:
+    with open(path, encoding="utf-8") as fh:
+        return complex_from_text(fh.read())
+
+
 def cmd_sample_complex(args) -> int:
     _check_seed(args.seed)
     shape = _shape_from_args(args)
@@ -121,11 +127,7 @@ def cmd_sample_complex(args) -> int:
 
 
 def cmd_product(args) -> int:
-    with open(args.in1, encoding="utf-8") as fh:
-        c1 = complex_from_text(fh.read())
-    with open(args.in2, encoding="utf-8") as fh:
-        c2 = complex_from_text(fh.read())
-    pc = product(c1, c2)
+    pc = product(_read_complex(args.in1), _read_complex(args.in2))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(complex_to_text(pc.complex))
     _write_manifest(
@@ -135,9 +137,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_css_extract(args) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        c = complex_from_text(fh.read())
-    code = extract_css(c)
+    code = extract_css(_read_complex(args.infile))
     payload = {
         "dim": code.field.order,
         "n_phys": code.n_phys,
@@ -154,9 +154,7 @@ def cmd_css_extract(args) -> int:
 
 def cmd_distance(args) -> int:
     given = _mode_flags(args, args.mode, f"distance --mode {args.mode}")
-    with open(args.infile, encoding="utf-8") as fh:
-        c = complex_from_text(fh.read())
-    code = extract_css(c)
+    code = extract_css(_read_complex(args.infile))
     started = time.perf_counter()
     report = min_distance(code, mode=args.mode, w_max=args.wmax)
     elapsed = time.perf_counter() - started
@@ -182,8 +180,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        c = complex_from_text(fh.read())
+    c = _read_complex(args.infile)
     params = ReductionParams(n=c.dim_plus, n_prime=args.nprime)
     rc = reduce(c, params)
     if args.check:

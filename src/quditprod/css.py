@@ -21,18 +21,20 @@ picked by one row reduction.
   every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
   and the weight-ceil(w/2) vectors are streamed against it.  A streamed
   vector meets a logical when some table vector cancels its stabilizer
-  syndrome but not its k dual syndromes.  It has no enumeration cap;
-  weight w tabulates C(n, floor(w/2)) (p-1)**floor(w/2) syndromes and
-  streams C(n, ceil(w/2)) (p-1)**(ceil(w/2)-1), both in blocks of
-  bounded size.
+  syndrome but not its k dual syndromes.  Stabilizer syndromes are
+  grouped and looked up by their exact bytes, one sorted search per
+  streamed block.  It has no enumeration cap; weight w tabulates
+  C(n, floor(w/2)) (p-1)**floor(w/2) syndromes and streams
+  C(n, ceil(w/2)) (p-1)**(ceil(w/2)-1), both in blocks of bounded
+  size.
 
-Both need the X and Z generators to commute, which ``min_distance``
-checks.
+Both need the X and Z generators to commute, which a ``CssCode``
+checks once, when it is built.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -41,8 +43,8 @@ import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    _FLOAT_EXACT, FieldSpec, MatGF, _mod, _read_only, _row_reduce, col_weights, kernel_basis, rank,
-    row_weights, solve, span_blocks,
+    FieldSpec, MatGF, _mod, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve,
+    span_blocks,
 )
 
 __all__ = [
@@ -59,16 +61,27 @@ class CssCode:
     """A qudit CSS code with explicit generator matrices.
 
     z_gens holds one Z generator per column (length n_phys each) and
-    x_gens one X generator per row.  stab_weight is the largest support
-    of any single generator.
+    x_gens one X generator per row.  The rest is computed from them
+    when the code is built, which refuses generators that do not
+    commute: field, n_phys, k = n_phys - rank x_gens - rank z_gens, and
+    stab_weight, the largest support of any single generator.
     """
 
-    field: FieldSpec
     z_gens: MatGF
     x_gens: MatGF
-    n_phys: int
-    k: int
-    stab_weight: int
+    field: FieldSpec = dataclasses.field(init=False)
+    n_phys: int = dataclasses.field(init=False)
+    k: int = dataclasses.field(init=False)
+    stab_weight: int = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        z_gens, x_gens = self.z_gens, self.x_gens
+        _check_commute(x_gens, z_gens)
+        weight = max(col_weights(z_gens).max(initial=0), row_weights(x_gens).max(initial=0))
+        object.__setattr__(self, "field", z_gens.field)
+        object.__setattr__(self, "n_phys", z_gens.rows)
+        object.__setattr__(self, "k", z_gens.rows - rank(x_gens) - rank(z_gens))
+        object.__setattr__(self, "stab_weight", int(weight))
 
 
 def _check_commute(x_gens: MatGF, z_gens: MatGF) -> None:
@@ -79,24 +92,7 @@ def _check_commute(x_gens: MatGF, z_gens: MatGF) -> None:
 def extract_css(c: InvolutiveComplex) -> CssCode:
     """Read the CSS code off a complex; raises if the generator families
     fail to commute (i.e. if the complex is not a complex)."""
-    z_gens = c.d_pm
-    x_gens = c.d_mp
-    _check_commute(x_gens, z_gens)
-    n_phys = c.dim_plus
-    k = (n_phys - rank(x_gens)) - rank(z_gens)
-    gen_weights = [0]
-    if z_gens.cols:
-        gen_weights.append(int(col_weights(z_gens).max()))
-    if x_gens.rows:
-        gen_weights.append(int(row_weights(x_gens).max()))
-    return CssCode(
-        field=c.field,
-        z_gens=z_gens,
-        x_gens=x_gens,
-        n_phys=n_phys,
-        k=k,
-        stab_weight=max(gen_weights),
-    )
+    return CssCode(z_gens=c.d_pm, x_gens=c.d_mp)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,8 @@ def _coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
     One row reduction of [columns of image_of; a kernel basis], stacked
     as columns, picks the first maximal independent subset: the r
     independent image columns, then k kernel vectors.  This needs
-    im image_of inside ker kernel_of, which ``min_distance`` checks.
-    Raises when k = 0.
+    im image_of inside ker kernel_of, which holds for the generators of
+    every ``CssCode``: they commute.  Raises when k = 0.
     """
     stacked = np.concatenate([image_of.data.T, kernel_basis(kernel_of)])
     _, picked = _row_reduce(stacked.T, kernel_of.field.order)
@@ -164,21 +160,15 @@ def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=64)
-def _key_weights(width: int, p: int) -> np.ndarray:
-    """Fixed pseudo-random float64 weights below 2**53 / (width (p-1)):
-    a weighted sum of ``width`` residues is then an integer float64
-    holds exactly, whatever order BLAS adds in."""
-    bound = _FLOAT_EXACT // max(1, width * (p - 1))
-    rng = np.random.default_rng(width)
-    return _read_only(rng.integers(1, bound, size=width).astype(np.float64))
-
-
-def _syndrome_keys(syn: np.ndarray, p: int) -> np.ndarray:
-    """int64 hash keys of the rows of a (m, r) residue array.  Equal rows
-    get equal keys; different rows rarely share one, and the bounded
-    search decides every candidate on the exact rows."""
-    return (syn.astype(np.float64) @ _key_weights(syn.shape[1], p)).astype(np.int64)
+def _keys(syn: np.ndarray, r: int) -> np.ndarray:
+    """One exact key per row of a (m, c) syndrome array: the bytes of its
+    first r entries, as a void scalar.  Keys are equal exactly when
+    those entries are, and sort and search like any scalar.  With r = 0
+    every row gets the same empty key."""
+    if not r:
+        return np.empty(len(syn), dtype="V0")
+    head = np.ascontiguousarray(syn[:, :r])
+    return head.view(np.dtype((np.void, head.itemsize * r)))[:, 0]
 
 
 def _syndromes(
@@ -198,54 +188,35 @@ def _syndromes(
         yield _mod(syn, p).reshape(-1, c)
 
 
-def _group_table(syn: np.ndarray, r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a table of syndromes, grouped by their exact first r
-    entries: (keys, rows, mixed), sorted by key.  rows holds one full
-    row per group, and mixed marks the groups whose rows do not all
-    share that row's last entries.
-
-    Rows sorted by key fall into runs of equal key; a group is a
-    maximal stretch of one run with equal first r entries.  Two groups
-    share a key only where keys collide.
-    """
-    keys = _syndrome_keys(syn[:, :r], p)
-    order = np.argsort(keys)
-    keys, syn = keys[order], syn[order]
-    new = np.ones(len(syn), dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]) | (syn[1:, :r] != syn[:-1, :r]).any(axis=1)
+def _group_table(syn: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a table of syndromes, grouped by their first r entries:
+    (keys, duals, mixed), one entry per group, sorted by key.  duals
+    holds the last entries of one row of the group, and mixed marks the
+    groups whose rows do not all share them."""
+    keys = _keys(syn, r)
+    # numpy's stable argsort of void keys beats its default quicksort here.
+    order = np.argsort(keys, kind="stable")
+    keys, duals = keys[order], syn[order, r:]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(new)
-    rows = syn[starts]
-    differs = (syn[:, r:] != rows[np.cumsum(new) - 1, r:]).any(axis=1)
-    return keys[starts], rows, np.logical_or.reduceat(differs, starts)
+    differs = (duals != duals[starts][np.cumsum(new) - 1]).any(axis=1)
+    return keys[starts], duals[starts], np.logical_or.reduceat(differs, starts)
 
 
 def _meets_logical(
-    table: tuple[np.ndarray, np.ndarray, np.ndarray], syn: np.ndarray, r: int, p: int
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], syn: np.ndarray, r: int
 ) -> bool:
-    """Whether some row of ``syn`` equals a table group's row on the first
-    r entries, and differs from it on the rest or the group is mixed:
-    then some table row minus it is a logical.
-
-    Every group whose key equals a row's key is a candidate; each is
-    decided on the exact entries, so a key collision costs a comparison
-    and never changes the answer.  Rows whose candidates would gather
-    more than ``_BLOCK_CELLS`` cells are met in halves.
-    """
-    keys, rows, mixed = table
-    wanted = _syndrome_keys(syn[:, :r], p)
-    lo = np.searchsorted(keys, wanted, "left")
-    count = np.searchsorted(keys, wanted, "right") - lo
-    total = int(count.sum())
-    if not total:
-        return False
-    if total * syn.shape[1] > _BLOCK_CELLS and len(syn) > 1:
-        half = len(syn) // 2
-        return _meets_logical(table, syn[:half], r, p) or _meets_logical(table, syn[half:], r, p)
-    query = np.repeat(np.arange(len(syn)), count)
-    group = lo[query] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-    same = (rows[group, :r] == syn[query, :r]).all(axis=1)
-    differs = mixed[group] | (rows[group, r:] != syn[query, r:]).any(axis=1)
-    return bool((same & differs).any())
+    """Whether some row of ``syn`` shares its first r entries with a table
+    group, and differs from the group's dual entries or the group is
+    mixed: then some table row minus it is a logical.  Keys are exact,
+    so one lookup finds the only group a row can match."""
+    keys, duals, mixed = table
+    wanted = _keys(syn, r)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    hit = keys[at] == wanted
+    at = at[hit]
+    return bool((mixed[at] | (duals[at] != syn[hit, r:]).any(axis=1)).any())
 
 
 def _min_weight_logical_bounded(
@@ -300,9 +271,9 @@ def _min_weight_logical_bounded(
             [(1, *rest) for rest in itertools.product(range(1, p), repeat=high - 1)], dtype=dtype
         )
         for chunk in _syndromes(cols, low, every, p, _TABLE_CELLS):
-            table = _group_table(chunk, r, p)
+            table = _group_table(chunk, r)
             stream = _syndromes(cols, high, led, p, _BLOCK_CELLS)
-            if any(_meets_logical(table, syn, r, p) for syn in stream):
+            if any(_meets_logical(table, syn, r) for syn in stream):
                 return w, w
     return None, w_max + 1
 
@@ -320,12 +291,10 @@ def min_distance(
     when a kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
     Bounded mode scans weights 1..w_max and reports a lower bound for a
     side where nothing is found.  A code with k = 0 has no logical
-    operators and raises, and so does a code whose generators do not
-    commute.
+    operators and raises.
     """
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
-    _check_commute(code.x_gens, code.z_gens)
     p = code.field.order
     if mode == "exhaustive":
         if w_max is not None:

@@ -111,20 +111,13 @@ class FieldSpec:
         if not _is_prime(self.order):
             raise ValueError(f"field order must be an odd prime >= 3, got {self.order!r}")
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        a %= self.order
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, -1, self.order)
-
 
 class MatGF:
     """A dense matrix over GF(D) with entries held reduced mod D.
 
     The underlying array is marked read-only; every operation returns a
-    fresh matrix.  ``@``, ``+``, ``-`` and scalar ``*`` act mod D and
-    require matching fields.
+    fresh matrix.  ``@`` acts mod D and requires matching fields; with
+    an integer array on the right it returns the int64 product mod D.
 
     ``_reduced=True`` is for library code holding an int64 array already
     reduced mod D: the array is taken without a copy and marked
@@ -132,9 +125,9 @@ class MatGF:
     a view of) afterwards.
 
     A matrix computes its reduced row echelon form at most once, on the
-    first ``rank`` or ``kernel_basis``, and keeps it (read-only) for
-    later calls.  It holds no other matrix, so no reference cycle keeps
-    it alive.
+    first ``rank`` or ``kernel_basis``, and keeps its nonzero rows
+    (read-only, in ``_work_dtype``) for later calls.  It holds no other
+    matrix, so no reference cycle keeps it alive.
     """
 
     __slots__ = ("field", "_data", "_echelon")
@@ -215,12 +208,17 @@ class MatGF:
         return f"MatGF(GF({self.field.order}), {self.rows}x{self.cols})"
 
     def _rref(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rref, pivots): the reduced row echelon form of
-        :func:`_row_reduce` and its pivot columns as an intp array, both
-        read-only, computed on the first call and kept."""
+        """(rref, pivots): the nonzero rows of the reduced row echelon
+        form of :func:`_row_reduce`, in :func:`_work_dtype`, and its
+        pivot columns as an intp array, both read-only, computed on the
+        first call and kept."""
         if self._echelon is None:
-            rref, pivots = _row_reduce(self._data, self.field.order)
-            self._echelon = (_read_only(rref), _read_only(np.array(pivots, dtype=np.intp)))
+            p = self.field.order
+            rref, pivots = _row_reduce(self._data, p)
+            self._echelon = (
+                _read_only(rref[: len(pivots)].astype(_work_dtype(p))),
+                _read_only(np.array(pivots, dtype=np.intp)),
+            )
         return self._echelon
 
 
@@ -283,7 +281,7 @@ def kernel_basis(m: MatGF) -> np.ndarray:
     free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-rref[: len(pivots), free].T) % p
+    basis[:, pivots] = (-rref[:, free].T) % p
     return basis
 
 

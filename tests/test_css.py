@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from quditprod import (
     ComplexShape,
     CssCode,
-    DistanceReport,
     extract_css,
     flip_sectors,
     min_distance,
@@ -113,7 +111,8 @@ def test_repetition_analogue_matches_hand_count() -> None:
     over all 9 vectors gives d_z = 1 and d_x = 2."""
     z = MatGF(FIELD3, [[1], [2]])
     x = MatGF.zeros(FIELD3, 0, 2)
-    code = CssCode(field=FIELD3, z_gens=z, x_gens=x, n_phys=2, k=1, stab_weight=2)
+    code = CssCode(z_gens=z, x_gens=x)
+    assert (code.field, code.n_phys, code.k, code.stab_weight) == (FIELD3, 2, 1, 2)
     rep = min_distance(code, mode="exhaustive")
 
     # independent oracle: enumerate every vector of GF(3)^2; with no x
@@ -133,14 +132,25 @@ def test_repetition_analogue_matches_hand_count() -> None:
 
 
 def test_distance_refuses_non_commuting_generators() -> None:
-    """A hand-built code whose X and Z generators do not commute has no
-    distance: both modes refuse it with extract_css's message."""
+    """Hand-built X and Z generators that do not commute have no
+    distance: the code is refused when built, with extract_css's
+    message."""
     z = MatGF(FIELD3, [[1], [2]])
     x = MatGF(FIELD3, [[1, 0]])
-    code = CssCode(field=FIELD3, z_gens=z, x_gens=x, n_phys=2, k=1, stab_weight=2)
-    for mode, w_max in (("exhaustive", None), ("bounded", 2)):
-        with pytest.raises(ValueError, match="^X and Z generators do not commute"):
-            min_distance(code, mode=mode, w_max=w_max)
+    with pytest.raises(ValueError, match="^X and Z generators do not commute"):
+        CssCode(z_gens=z, x_gens=x)
+
+
+def test_commutation_is_checked_once_per_code(monkeypatch) -> None:
+    """extract_css checks commutation when it builds the code; neither
+    distance mode checks it again."""
+    calls = []
+    check = css._check_commute
+    monkeypatch.setattr(css, "_check_commute", lambda x, z: calls.append(1) or check(x, z))
+    code = extract_css(_standard_product(FIELD3).complex)
+    min_distance(code, mode="exhaustive")
+    min_distance(code, mode="bounded", w_max=2)
+    assert calls == [1]
 
 
 @st.composite
@@ -192,22 +202,29 @@ def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
                 assert d == (e if e <= w_max else None)
 
 
-@settings(max_examples=100, deadline=None)
-@given(distance_codes())
-def test_bounded_search_answers_do_not_depend_on_keys(code) -> None:
-    """With one hash key for every syndrome, each table group is a
-    candidate for each streamed vector, so only the exact comparisons
-    decide.  Bounded mode still reports what the reference search
-    finds, for w_max = 1..4."""
-    assume(code.k > 0)
-    sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
-    first = [bounded_logical_weight(k_of, i_of, 4) for k_of, i_of in sides]
-    with mock.patch.object(css, "_syndrome_keys", lambda syn, p: np.zeros(len(syn), np.int64)):
-        reports = [min_distance(code, mode="bounded", w_max=w_max) for w_max in (1, 2, 3, 4)]
-    for w_max, rep in enumerate(reports, start=1):
-        found = [d if d is not None and d <= w_max else None for d in first]
-        lower = [w_max + 1 if d is None else d for d in found]
-        assert rep == DistanceReport(*found, *lower, method="bounded", search_bound=w_max)
+@pytest.mark.parametrize(
+    "shapes", [((1, 1, 0), (2, 2, 0)), ((1, 1, 0), (3, 1, 1)), ((3, 1, 1), (3, 1, 1))]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bounded_search_matches_reference_on_multi_byte_syndromes(shapes, seed) -> None:
+    """Over GF(17) every syndrome is uint16, so each stabilizer syndrome
+    entry is two bytes of its key.  The product of two zero-boundary
+    factors (H = n) has no stabilizers (r = 0: one key for every
+    syndrome); the others have some.  Either sign of the involution,
+    w_max = 1..3, against the reference search."""
+    field = FieldSpec(17)
+    factors = [
+        random_boundary(ComplexShape(*shape), field, trial_rng(seed, i))[0]
+        for i, shape in enumerate(shapes)
+    ]
+    c = product(*factors).complex
+    for code in (extract_css(c), extract_css(flip_sectors(c))):
+        sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
+        first = [bounded_logical_weight(k_of, i_of, 3) for k_of, i_of in sides]
+        for w_max in (1, 2, 3):
+            rep = min_distance(code, mode="bounded", w_max=w_max)
+            found = [d if d is not None and d <= w_max else None for d in first]
+            assert [rep.d_z, rep.d_x] == found
 
 
 def test_a_mixed_table_group_meets_each_of_its_dual_syndromes() -> None:
@@ -216,11 +233,11 @@ def test_a_mixed_table_group_meets_each_of_its_dual_syndromes() -> None:
     marked group.  A streamed row with either dual syndrome meets it,
     since the difference from the other row is a logical; a row of an
     unmixed group meets it only with a different dual syndrome."""
-    table = css._group_table(np.array([[2, 0, 1], [1, 1, 1], [2, 0, 2]], dtype=np.uint8), 2, 3)
+    table = css._group_table(np.array([[2, 0, 1], [1, 1, 1], [2, 0, 2]], dtype=np.uint8), 2)
     assert sorted(table[2].tolist()) == [False, True]
     for row, meets in (([2, 0, 1], True), ([2, 0, 2], True), ([1, 1, 1], False),
                        ([1, 1, 2], True), ([0, 0, 1], False)):
-        assert css._meets_logical(table, np.array([row], dtype=np.uint8), 2, 3) is meets
+        assert css._meets_logical(table, np.array([row], dtype=np.uint8), 2) is meets
 
 
 def test_vanishing_reduced_trivial_and_boundary_cases() -> None:
