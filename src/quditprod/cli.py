@@ -19,6 +19,7 @@ stdout closed early (silently); 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,6 +358,7 @@ def cmd_mc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditprod",

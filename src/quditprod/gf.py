@@ -47,7 +47,10 @@ probabilities, the Monte Carlo kernel search) walk at most
 the count oracles refuse anything larger with one ValueError.
 
 The text wire format for a matrix is one header line ``D nrows ncols``
-followed by ``nrows`` lines of space-separated residues.
+followed by ``nrows`` lines of residues.  The writer emits canonical
+text: single spaces, no leading zeros, ``\n`` after every row.  The
+reader accepts any whitespace and any token ``int()`` reads; a block of
+ASCII digit tokens, canonical text included, is decoded as bytes.
 """
 
 from __future__ import annotations
@@ -209,22 +212,22 @@ class MatGF:
 
     def _rref(self) -> tuple[np.ndarray, np.ndarray]:
         """(rref, pivots): the nonzero rows of the reduced row echelon
-        form of :func:`_row_reduce`, in :func:`_work_dtype`, and its
-        pivot columns as an intp array, both read-only, computed on the
-        first call and kept."""
+        form of :func:`_row_reduce`, a view of its array in
+        :func:`_work_dtype`, and its pivot columns as an intp array,
+        both read-only, computed on the first call and kept."""
         if self._echelon is None:
             p = self.field.order
             rref, pivots = _row_reduce(self._data, p)
             self._echelon = (
-                _read_only(rref[: len(pivots)].astype(_work_dtype(p))),
+                _read_only(rref[: len(pivots)]),
                 _read_only(np.array(pivots, dtype=np.intp)),
             )
         return self._echelon
 
 
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``a`` mod p, as int64, and the pivot
-    column list.
+    """Reduced row echelon form of ``a`` mod p, in :func:`_work_dtype`,
+    and the pivot column list.
 
     Pivots are chosen as the first nonzero entry scanning down each
     column, so the result is deterministic for a fixed input.  The
@@ -257,7 +260,7 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             m[others, c:] = _mod(np.subtract(m[others, c:], upd, out=upd), p)
         pivots.append(c)
         r += 1
-    return m.astype(np.int64, copy=False), pivots
+    return m, pivots
 
 
 def rank(m: MatGF) -> int:
@@ -313,7 +316,7 @@ def inverse(m: MatGF) -> MatGF:
     rref, pivots = _row_reduce(aug, p)
     if pivots[: m.rows] != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    return MatGF(m.field, rref[:, m.cols :], _reduced=True)
+    return MatGF(m.field, rref[:, m.cols :].astype(np.int64, copy=False), _reduced=True)
 
 
 def random_invertible(field: FieldSpec, n: int, rng: np.random.Generator) -> MatGF:
@@ -351,10 +354,65 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_text(m: MatGF) -> str:
-    """Serialize to the ``D nrows ncols`` text format, one row per line."""
-    lines = [f"{m.field.order} {m.rows} {m.cols}"]
-    lines.extend(" ".join(map(str, row)) for row in m.data.tolist())
-    return "\n".join(lines) + "\n"
+    """Serialize to the ``D nrows ncols`` text format, one row per line.
+
+    The digits are laid out in one byte buffer: each entry takes its
+    digit count plus a separator, a space or, after a row's last entry,
+    a newline.  Each pass writes the next digit, right to left, of every
+    entry that has one."""
+    head = f"{m.field.order} {m.rows} {m.cols}\n"
+    a = m.data.ravel()
+    if a.size == 0:
+        return head + "\n" * m.rows
+    ndig = np.ones(a.size, dtype=np.int64)
+    for k in range(1, len(str(m.field.order - 1))):
+        ndig += a >= 10**k
+    ends = np.cumsum(ndig + 1)  # one past each entry's separator
+    buf = np.full(ends[-1], ord(" "), dtype=np.uint8)
+    buf[ends[m.cols - 1 :: m.cols] - 1] = ord("\n")
+    vals, at = a, ends - 2
+    while vals.size:
+        high = vals // 10
+        buf[at] = vals - 10 * high + ord("0")
+        more = high > 0
+        vals, at = high[more], at[more] - 1
+    return head + buf.tobytes().decode("ascii")
+
+
+def _digit_block(block: Sequence[str], ncols: int) -> np.ndarray | None:
+    """The (rows, ncols) int64 entries of ``block``, one row per line,
+    when every token is a run of ASCII digits and every row holds ncols
+    of them; else None.
+
+    Tokens are found in the bytes of the joined lines and decoded by
+    Horner's rule, leading zeros included.  Values are capped at
+    ``ORDER_LIMIT``, above every field order, so no token overflows."""
+    text = "\n".join(block)
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    d = b - np.uint8(ord("0"))
+    digit = d < 10
+    # The other bytes must be what str.split() splits at: 9-13, 28-32.
+    if not (digit | (b - np.uint8(9) < 5) | (b - np.uint8(28) < 5)).all():
+        return None
+    edges = np.diff(digit, prepend=False, append=False).nonzero()[0]
+    starts, ends = edges[::2], edges[1::2]
+    # Every row holds ncols tokens when ncols * i of them precede line break i.
+    breaks = np.flatnonzero(b == ord("\n"))
+    if len(starts) != len(block) * ncols or not np.array_equal(
+        np.searchsorted(starts, breaks), ncols * np.arange(1, len(block))
+    ):
+        return None
+    vals = np.zeros(len(starts), dtype=np.int64)
+    for k in range(int((ends - starts).max(initial=0)) - 1, -1, -1):
+        # ends - 1 - k >= -len(b) is a valid index; before a token's
+        # start it reads a byte that is masked out.
+        at = ends - 1 - k
+        vals *= 10
+        vals += d.take(at) * (at >= starts)
+        np.minimum(vals, ORDER_LIMIT, out=vals)
+    return vals.reshape(len(block), ncols)
 
 
 def _matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
@@ -372,24 +430,27 @@ def _matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     field = FieldSpec(d)
     if pos + 1 + nrows > len(lines):
         raise ValueError("truncated matrix text")
-    rows = [line.split() for line in lines[pos + 1 : pos + 1 + nrows]]
-    for i, vals in enumerate(rows):
-        if len(vals) != ncols:
-            raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
-    # numpy parses each entry with int(), in order, and refuses one
-    # beyond int64 with OverflowError.
-    try:
-        data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-    except OverflowError as exc:
-        raise ValueError(f"matrix entry out of range for GF({d})") from exc
-    except ValueError as exc:
-        # The first entry int() refuses is in the first row numpy refuses.
+    block = lines[pos + 1 : pos + 1 + nrows]
+    data = _digit_block(block, ncols)
+    if data is None:
+        rows = [line.split() for line in block]
         for i, vals in enumerate(rows):
-            try:
-                np.array(vals, dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"row {i} has a non-integer entry") from exc
-        raise
+            if len(vals) != ncols:
+                raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
+        # numpy parses each entry with int(), in order, and refuses one
+        # beyond int64 with OverflowError.
+        try:
+            data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+        except OverflowError as exc:
+            raise ValueError(f"matrix entry out of range for GF({d})") from exc
+        except ValueError as exc:
+            # The first entry int() refuses is in the first row numpy refuses.
+            for i, vals in enumerate(rows):
+                try:
+                    np.array(vals, dtype=np.int64)
+                except ValueError:
+                    raise ValueError(f"row {i} has a non-integer entry") from exc
+            raise
     if data.size and (data.min() < 0 or data.max() >= d):
         raise ValueError(f"matrix entry out of range for GF({d})")
     return MatGF(field, data, _reduced=True), pos + 1 + nrows

@@ -144,6 +144,14 @@ def has_light_kernel_vector(basis: np.ndarray, p: int, w_max: int) -> bool:
     return False
 
 
+def reference_matrix_to_text(m: MatGF) -> str:
+    """Reference for gf.matrix_to_text: one str() per residue and one
+    join per row."""
+    lines = [f"{m.field.order} {m.rows} {m.cols}"]
+    lines.extend(" ".join(map(str, row)) for row in m.data.tolist())
+    return "\n".join(lines) + "\n"
+
+
 def reference_matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     """Reference for gf._matrix_from_lines: every entry parsed with
     int() and range-checked one row at a time, in Python."""

@@ -81,6 +81,23 @@ class TestTopLevel:
             for required, optional in modes.values():
                 assert {*required, *optional} <= dests, command
 
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        """One parser serves every in-process call: after an argparse
+        refusal (exit 2) and a mode-flag refusal (exit 1), a valid count
+        prints what a fresh process prints."""
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as refused:
+            main(["count", "--what", "Q"])
+        assert refused.value.code == 2
+        assert main(["count", "--what", "E", "--A", "2", "--B", "2", "--R", "1", "--H", "7"]) == 1
+        capsys.readouterr()
+        argv = ["count", "--what", "E", "--A", "2", "--B", "2", "--R", "1"]
+        assert main(argv) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quditprod", *argv], capture_output=True, text=True, check=True
+        )
+        assert capsys.readouterr().out == fresh.stdout
+
     def test_version_via_module_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "quditprod", "--version"],

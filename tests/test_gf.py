@@ -39,6 +39,7 @@ from support import (
     FIELD3,
     FIELD5,
     reference_matrix_from_lines,
+    reference_matrix_to_text,
     reference_row_reduce,
     reference_span,
 )
@@ -147,14 +148,15 @@ def test_kernel_of_invertible_matrix_is_trivial() -> None:
 
 def test_echelon_form_is_computed_once_and_kept_read_only(monkeypatch) -> None:
     """rank then kernel_basis on one matrix run one elimination, whose
-    nonzero rows are kept read-only in the elimination dtype.  The
-    matrix holds no other MatGF, also after .T, so reference counting
-    alone frees it."""
-    calls = []
+    nonzero rows are kept read-only in the elimination dtype, not
+    copied.  The matrix holds no other MatGF, also after .T, so
+    reference counting alone frees it."""
+    calls, results = [], []
 
     def counted(a, p):
         calls.append(a.shape)
-        return _row_reduce(a, p)
+        results.append(_row_reduce(a, p))
+        return results[-1]
 
     monkeypatch.setattr(gf, "_row_reduce", counted)
     m = MatGF(FIELD3, np.random.default_rng(4).integers(0, 3, (5, 7)))
@@ -168,6 +170,7 @@ def test_echelon_form_is_computed_once_and_kept_read_only(monkeypatch) -> None:
     rref, pivots = m._rref()
     assert not rref.flags.writeable and not pivots.flags.writeable
     assert rref.shape == (r, 7) and rref.dtype == gf._work_dtype(3)
+    assert np.shares_memory(rref, results[0][0])  # kept without a copy
     assert rank(m.T) == r and calls == [(5, 7), (7, 5)]
     held = gc.get_referents(m)
     held += [x for h in held if isinstance(h, tuple) for x in gc.get_referents(h)]
@@ -458,18 +461,19 @@ def test_parsers_raise_only_value_error(parse, text) -> None:
 
 
 # Entries out of range, entries int() reads in full (a sign,
-# underscores, a non-ASCII digit), entries beyond int64, and entries
-# int() refuses.
+# underscores, a non-ASCII digit, leading zeros, also past 18 digits),
+# entries beyond int64, and entries int() refuses.
 _ENTRIES = ["9", "-1", "1_0", "+1", "\u0661", str(10**30), "-" + str(10**30), "x", "1.0", "0x1",
-            "0", "2"]
+            "0", "2", "007", "00", "0" * 25 + "1"]
 
 
 @st.composite
 def matrix_lines(draw):
-    """Lines of a valid nonempty matrix text over GF(3/5/11) after up to
-    two corruptions of its rows (an entry replaced, a row shortened or
-    an entry appended), and the number of corruptions."""
-    order = draw(st.sampled_from([3, 5, 11]))
+    """Lines of a valid nonempty matrix text over GF(3/5/11/181), tokens
+    separated by spaces or tabs, after up to two corruptions of its rows
+    (an entry replaced, a row shortened or an entry appended), and the
+    number of corruptions."""
+    order = draw(st.sampled_from([3, 5, 11, 181]))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cells = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols, max_size=rows * cols))
     lines = [[str(order), str(rows), str(cols)]]
@@ -484,7 +488,8 @@ def matrix_lines(draw):
             tokens.pop()
         elif tokens:
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ENTRIES))
-    return [" ".join(tokens) for tokens in lines], faults
+    sep = draw(st.sampled_from([" ", "\t", "   ", " \t "]))
+    return [sep.join(tokens) for tokens in lines], faults
 
 
 @settings(max_examples=300, deadline=None)
@@ -580,11 +585,11 @@ def unreduced_matrices(draw):
 @given(unreduced_matrices())
 def test_row_reduce_matches_reference(case) -> None:
     """The trailing-block elimination in its small dtype gives the plain
-    int64 elimination's rref and pivots, as int64."""
+    int64 elimination's rref and pivots, in that dtype."""
     order, data = case
     rref, pivots = _row_reduce(data, order)
     want, want_pivots = reference_row_reduce(data, order)
-    assert rref.dtype == np.int64 and rref.shape == data.shape
+    assert rref.dtype == gf._work_dtype(order) and rref.shape == data.shape
     assert pivots == want_pivots
     assert (rref == want).all()
 
@@ -625,6 +630,30 @@ def test_inverse_undoes_random_invertible(order, n, seed) -> None:
     field = FieldSpec(order)
     u = random_invertible(field, n, np.random.default_rng(seed))
     assert inverse(u) @ u == MatGF.identity(field, n)
+
+
+@st.composite
+def text_matrices(draw):
+    """Matrices over every order of ``_ORDERS``, empty shapes included,
+    whose residues include p - 1, 10, 100 and 10000 where they are
+    below p."""
+    order = draw(st.sampled_from(_ORDERS))
+    side = st.integers(1, 12)
+    rows, cols = draw(st.one_of(
+        st.just((0, 0)), st.tuples(st.just(0), side), st.tuples(side, st.just(0)),
+        st.tuples(side, side),
+    ))
+    edges = [v for v in (0, 1, 9, 10, 99, 100, 9999, 10000, order - 1) if v < order]
+    cell = st.one_of(st.sampled_from(edges), st.integers(0, order - 1))
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return MatGF(FieldSpec(order), np.array(cells, dtype=np.int64).reshape(rows, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_matrices())
+def test_matrix_to_text_matches_reference(m) -> None:
+    """The byte-buffer writer gives the row-join writer's text, byte for byte."""
+    assert matrix_to_text(m) == reference_matrix_to_text(m)
 
 
 @settings(max_examples=200, deadline=None)
