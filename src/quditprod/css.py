@@ -9,13 +9,18 @@ homology dimension.
 Distances are computed exactly by two batched searches, which can be
 played against each other as independent oracles.  Both rest on a
 coset basis: a basis of a kernel whose first r rows span the image
-(the stabilizers) and whose last k rows represent the logical classes,
-picked by one row reduction.
+(the stabilizers) and whose last k rows represent the logical classes.
+The stabilizer rows are read from the echelon forms a ``CssCode``
+keeps; the logical rows are picked from the rank-k pairing of the two
+kernels, so the only new elimination of a large matrix is of z_gens^T.
 
-- Exhaustive mode enumerates the kernel over that basis with
+- Exhaustive mode walks the kernel over that basis with
   ``gf.span_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
-  vectors).  The logicals are exactly the combinations of span index
-  sum_i c_i p**i at least p**r, so only their weights are computed.
+  vectors).  The logicals are the combinations with a nonzero logical
+  coefficient; a logical times a scalar has the same weight, so only
+  those whose last nonzero logical coefficient is -1 are walked,
+  p**r (p**k - 1) / (p - 1) vectors, and only their weights are
+  computed.
 - Bounded mode scans weights 1..w_max by meet in the middle.  Weight
   w splits into ceil(w/2) + floor(w/2): a table holds the syndromes of
   every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
@@ -43,8 +48,8 @@ import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    FieldSpec, MatGF, _mod, _row_reduce, col_weights, kernel_basis, rank, row_weights, solve,
-    span_blocks,
+    FieldSpec, MatGF, _check_enumeration, _matmul, _mod, _row_reduce, col_weights, kernel_basis,
+    rank, row_weights, solve, span_blocks,
 )
 
 __all__ = [
@@ -120,43 +125,57 @@ _BLOCK_CELLS = 1 << 17
 _TABLE_CELLS = 1 << 21
 
 
-def _coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
-    """A basis of ker kernel_of as rows, and r = rank image_of: the first
-    r rows span im image_of and the remaining k represent the classes of
-    ker / im.
+def _coset_bases(code: CssCode) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+    """Coset bases of both sides, ((z_basis, r_z), (x_basis, r_x)).
 
-    One row reduction of [columns of image_of; a kernel basis], stacked
-    as columns, picks the first maximal independent subset: the r
-    independent image columns, then k kernel vectors.  This needs
-    im image_of inside ker kernel_of, which holds for the generators of
-    every ``CssCode``: they commute.  Raises when k = 0.
+    z_basis is a basis of ker x_gens as rows whose first r_z = rank
+    z_gens rows span im z_gens and whose last k represent the classes of
+    ker / im; x_basis is the same for ker z_gens^T and the row space of
+    x_gens.  The stabilizer rows are read from the echelon forms the
+    code keeps: the pivot columns of z_gens, and the rows of
+    rref(x_gens).  The one new elimination is of z_gens^T, for its
+    kernel.
+
+    The logical rows come from the pairing P = K_x K_z^T, where K_x and
+    K_z are kernel bases of x_gens and z_gens^T.  The generators
+    commute, so im z_gens = (ker z_gens^T)^perp: a combination of rows
+    of K_x lies in im z_gens exactly when its row of P vanishes.  So P
+    has rank k, and any k rows of K_x with independent rows of P
+    represent the Z classes; by symmetry, k rows of K_z with independent
+    columns of P represent the X classes.
     """
-    stacked = np.concatenate([image_of.data.T, kernel_basis(kernel_of)])
-    _, picked = _row_reduce(stacked.T, kernel_of.field.order)
-    r = sum(1 for i in picked if i < image_of.cols)
-    if r == len(picked):
-        raise ValueError("code has no logical operators")
-    return stacked[picked], r
+    p = code.field.order
+    z_gens, x_gens = code.z_gens, code.x_gens
+    k_x, k_z = kernel_basis(x_gens), kernel_basis(z_gens.T)
+    pairing = _matmul(k_x, k_z.T, p)
+    z_logical = _row_reduce(pairing.T, p)[1]
+    x_logical = _row_reduce(pairing, p)[1]
+    z_stabilizers = z_gens.data[:, z_gens._rref()[1]].T
+    x_stabilizers = x_gens._rref()[0]
+    return (
+        (np.concatenate([z_stabilizers, k_x[z_logical]]), len(z_stabilizers)),
+        (np.concatenate([x_stabilizers, k_z[x_logical]]), len(x_stabilizers)),
+    )
 
 
 def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
-    """Minimum weight over a kernel outside an image, by exhausting the
+    """Minimum weight over a kernel outside an image, by walking the
     kernel over its coset basis [r image rows; k logical
-    representatives] (``_coset_basis``).
+    representatives] (``_coset_bases``).
 
-    A combination is a logical exactly when one of its k logical
-    coefficients is nonzero, that is when its span index sum_i c_i p**i
-    (the order ``span_blocks`` yields rows in) is at least p**r; only
-    weights are computed.
+    A logical times a nonzero scalar is a logical of the same weight, so
+    only combinations whose last nonzero logical coefficient is -1 are
+    walked: for each logical row j, the span of the rows before it minus
+    row j, p**r (p**k - 1) / (p - 1) vectors in all.  A vector
+    s - basis[j] is nonzero where s differs from basis[j], so only
+    weights are computed.  Refused, before any block is built, when the
+    kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
     """
-    first_logical = p**r
+    _check_enumeration(p, len(basis))
     best = basis.shape[1]
-    start = 0
-    for vecs in span_blocks(basis, p):
-        skip = max(first_logical - start, 0)
-        start += len(vecs)
-        if skip < len(vecs):
-            best = min(best, int(np.count_nonzero(vecs[skip:], axis=1).min()))
+    for j in range(r, len(basis)):
+        for vecs in span_blocks(basis[:j], p):
+            best = min(best, int(np.count_nonzero(vecs != basis[j], axis=1).min()))
     return best
 
 
@@ -224,9 +243,9 @@ def _min_weight_logical_bounded(
 ) -> tuple[int | None, int]:
     """First weight w <= w_max carrying a logical operator.
 
-    ``checks`` and r are ``_coset_basis(image_of.T, kernel_of.T)`` for
-    the logicals of ker kernel_of outside im image_of: r rows spanning
-    the row space of kernel_of, then k representatives of
+    ``checks`` and r are the other side's coset basis (``_coset_bases``)
+    for the logicals of ker kernel_of outside im image_of: r rows
+    spanning the row space of kernel_of, then k representatives of
     ker image_of^T modulo that row space.  Since im image_of is the
     annihilator of ker image_of^T, a vector is a logical exactly when
     its first r syndromes vanish and one of its last k does not.
@@ -299,8 +318,9 @@ def min_distance(
     if mode == "exhaustive":
         if w_max is not None:
             raise ValueError("exhaustive mode takes no w_max")
-        d_z = _min_weight_logical_exhaustive(*_coset_basis(code.x_gens, code.z_gens), p)
-        d_x = _min_weight_logical_exhaustive(*_coset_basis(code.z_gens.T, code.x_gens.T), p)
+        z_side, x_side = _coset_bases(code)
+        d_z = _min_weight_logical_exhaustive(*z_side, p)
+        d_x = _min_weight_logical_exhaustive(*x_side, p)
         return DistanceReport(
             d_z=d_z, d_x=d_x, d_z_lower=d_z, d_x_lower=d_x, method="exhaustive", search_bound=None
         )
@@ -308,10 +328,9 @@ def min_distance(
         if w_max is None or w_max < 1:
             raise ValueError("bounded mode needs w_max >= 1")
         # A coset basis of one side's kernel is the other side's checks.
-        d_z, z_lower = _min_weight_logical_bounded(
-            *_coset_basis(code.z_gens.T, code.x_gens.T), p, w_max
-        )
-        d_x, x_lower = _min_weight_logical_bounded(*_coset_basis(code.x_gens, code.z_gens), p, w_max)
+        z_side, x_side = _coset_bases(code)
+        d_z, z_lower = _min_weight_logical_bounded(*x_side, p, w_max)
+        d_x, x_lower = _min_weight_logical_bounded(*z_side, p, w_max)
         return DistanceReport(
             d_z=d_z, d_x=d_x, d_z_lower=z_lower, d_x_lower=x_lower,
             method="bounded", search_bound=w_max,

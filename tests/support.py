@@ -26,7 +26,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, _block_diag, inverse, rank
+from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank
 from quditprod.reduction import _kernel_matrix, _same_column_space
 
 FIELD3 = FieldSpec(3)
@@ -184,6 +184,23 @@ def reference_matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, 
         entries.append(row)
     data = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
     return MatGF(field, data, _reduced=True), pos + 1 + nrows
+
+
+def reference_coset_basis(kernel_of: MatGF, image_of: MatGF) -> tuple[np.ndarray, int]:
+    """Reference for css._coset_bases, one side at a time: a basis of
+    ker kernel_of as rows, and r = rank image_of; the first r rows span
+    im image_of and the remaining k represent the classes of ker / im.
+
+    One row reduction of [columns of image_of; a kernel basis], stacked
+    as columns, picks the first maximal independent subset: the r
+    independent image columns, then k kernel vectors.  This needs
+    im image_of inside ker kernel_of, which holds for the generators of
+    every ``CssCode``: they commute.
+    """
+    stacked = np.concatenate([image_of.data.T, kernel_basis(kernel_of)])
+    _, picked = reference_row_reduce(stacked.T, kernel_of.field.order)
+    r = sum(1 for i in picked if i < image_of.cols)
+    return stacked[picked], r
 
 
 def bounded_logical_weight(kernel_of: MatGF, image_of: MatGF, w_max: int) -> int | None:

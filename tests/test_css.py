@@ -21,7 +21,10 @@ from quditprod import (
 )
 from quditprod import css, gf
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank
-from support import FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex
+from support import (
+    FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex,
+    reference_coset_basis, reference_row_reduce, reference_span,
+)
 
 
 def _standard_product(field):
@@ -77,11 +80,18 @@ def test_distance_rejects_zero_k() -> None:
 
 
 def test_distance_refuses_above_the_enumeration_limit(monkeypatch) -> None:
+    """The refusal counts the whole kernel, p**(r + k), not the vectors
+    walked: an [[18,2]] GF(3) code (kernels of 3^10 vectors, 3^8 + 3^9
+    walked) is refused one below 3^10, before any span is built."""
     code = extract_css(_standard_product(FIELD3).complex)
     with monkeypatch.context() as mp:
-        mp.setattr(gf, "ENUMERATION_LIMIT", 10)
-        with pytest.raises(ValueError, match="above the limit of 10$"):
+        calls = []
+        mp.setattr(css, "span_blocks", lambda *a: calls.append(a))
+        mp.setattr(gf, "ENUMERATION_LIMIT", 3**10 - 1)
+        refusal = r"^enumeration needs 3\^10 vectors, above the limit of 59048$"
+        with pytest.raises(ValueError, match=refusal):
             min_distance(code, mode="exhaustive")
+        assert calls == []
     rep = min_distance(code, mode="exhaustive")
     assert rep.d_z == 1
 
@@ -174,6 +184,139 @@ def distance_codes(draw):
     if draw(st.booleans()):
         c = flip_sectors(c)
     return extract_css(c)
+
+
+@st.composite
+def generator_only_codes(draw):
+    """Hand-built codes over GF(3/5/7) with only Z or only X generators,
+    2..6 qudits and up to n of them; the other family is empty."""
+    field = FieldSpec(draw(st.sampled_from([3, 5, 7])))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(0, n))
+    gens = np.array(draw(st.lists(st.integers(0, field.order - 1), min_size=n * m, max_size=n * m)))
+    gens = MatGF(field, gens.reshape(n, m))
+    if draw(st.booleans()):
+        return CssCode(z_gens=gens, x_gens=MatGF.zeros(field, 0, n))
+    return CssCode(z_gens=MatGF.zeros(field, n, 0), x_gens=gens.T)
+
+
+@st.composite
+def zero_boundary_codes(draw):
+    """Codes of the GF(17) product of two zero-boundary factors (H = n):
+    no stabilizers on either side (r = 0)."""
+    n1, n2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    factors = [
+        random_boundary(ComplexShape(n, n, 0), FieldSpec(17), trial_rng(seed, i))[0]
+        for i, n in enumerate((n1, n2))
+    ]
+    return extract_css(product(*factors).complex)
+
+
+def _rank(a: np.ndarray, p: int) -> int:
+    return len(reference_row_reduce(a, p)[1])
+
+
+def _same_span(a: np.ndarray, b: np.ndarray, p: int) -> bool:
+    return _rank(a, p) == _rank(b, p) == _rank(np.concatenate([a, b]), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(distance_codes(), zero_boundary_codes(), generator_only_codes()))
+def test_coset_bases_match_the_stacked_reference(code) -> None:
+    """Per side, the coset basis read off the code's echelon forms and
+    the pairing of its kernels has the same r as the stacked-elimination
+    reference, first r rows with the same span (the stabilizers), and
+    r + k independent rows spanning the same kernel."""
+    assume(code.k > 0)
+    p = code.field.order
+    sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
+    for (basis, r), (kernel_of, image_of) in zip(css._coset_bases(code), sides):
+        ref, ref_r = reference_coset_basis(kernel_of, image_of)
+        assert r == ref_r == rank(image_of)
+        assert basis.shape == ref.shape == (r + code.k, code.n_phys)
+        assert not (kernel_of @ basis.T).any()
+        assert _same_span(basis[:r], ref[:r], p)
+        assert _same_span(basis, ref, p)
+        assert _rank(basis, p) == r + code.k
+
+
+def _brute_force_distance(kernel_of: MatGF, image_of: MatGF) -> int:
+    """The least weight of a vector of ker kernel_of outside im image_of,
+    walking the whole kernel and testing each vector against the whole
+    image, each vector encoded as its integer sum_i v_i p**i."""
+    p = kernel_of.field.order
+    powers = p ** np.arange(kernel_of.cols, dtype=np.int64)
+    rref, pivots = reference_row_reduce(image_of.data.T, p)
+    image = np.concatenate(list(reference_span(rref[: len(pivots)], p))) @ powers
+    kernel = np.concatenate(list(reference_span(kernel_basis(kernel_of), p)))
+    logical = ~np.isin(kernel @ powers, image)
+    return int(np.count_nonzero(kernel[logical], axis=1).min())
+
+
+@pytest.mark.parametrize(
+    "order, shapes",
+    [
+        (3, ((3, 1, 1), (3, 1, 1))),
+        (3, ((2, 2, 0), (3, 1, 1))),
+        (5, ((1, 1, 0), (4, 2, 1))),
+        (5, ((1, 1, 0), (5, 1, 2))),
+        (7, ((1, 1, 0), (3, 1, 1))),
+        (7, ((2, 2, 0), (1, 1, 0))),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exhaustive_walk_matches_a_brute_force_kernel_walk(
+    monkeypatch, order, shapes, seed
+) -> None:
+    """Exhaustive mode equals a walk of the whole kernel on products with
+    k = 2 and 4, either sign of the involution, and walks exactly
+    p**r (p**k - 1) / (p - 1) vectors per side, one per logical line."""
+    field = FieldSpec(order)
+    factors = [
+        random_boundary(ComplexShape(*shape), field, trial_rng(seed, i))[0]
+        for i, shape in enumerate(shapes)
+    ]
+    c = product(*factors).complex
+    walked = []
+    blocks = css.span_blocks
+    monkeypatch.setattr(
+        css, "span_blocks", lambda *a: [walked.append(len(v)) or v for v in blocks(*a)]
+    )
+    for code in (extract_css(c), extract_css(flip_sectors(c))):
+        assert code.k >= 2
+        walked.clear()
+        rep = min_distance(code, mode="exhaustive")
+        assert rep.d_z == _brute_force_distance(code.x_gens, code.z_gens)
+        assert rep.d_x == _brute_force_distance(code.z_gens.T, code.x_gens.T)
+        lines = (order**code.k - 1) // (order - 1)
+        assert sum(walked) == (order ** rank(code.z_gens) + order ** rank(code.x_gens)) * lines
+
+
+def test_each_distance_mode_eliminates_one_large_matrix(monkeypatch) -> None:
+    """On a code built by extract_css the echelon forms of both generator
+    matrices are kept, so each mode eliminates one matrix of rank above
+    k, z_gens^T, and otherwise only the rank-k pairing of the kernels."""
+    c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 0))
+    c2, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 1))
+    code = extract_css(product(c1, c2).complex)
+    assert code.k == 2 and rank(code.z_gens) == rank(code.x_gens) == 8
+    calls = []
+    reduce = gf._row_reduce
+
+    def recording(a, p):
+        result = reduce(a, p)
+        calls.append((np.array(a), len(result[1])))
+        return result
+
+    monkeypatch.setattr(gf, "_row_reduce", recording)
+    monkeypatch.setattr(css, "_row_reduce", recording)
+    for mode, w_max in (("exhaustive", None), ("bounded", 2)):
+        calls.clear()
+        min_distance(code, mode=mode, w_max=w_max)
+        large = [a for a, pivots in calls if pivots > code.k]
+        assert len(large) == 1 and np.array_equal(large[0], code.z_gens.data.T)
+        assert [pivots for _, pivots in calls if pivots <= code.k] == [code.k, code.k]
 
 
 @settings(max_examples=100, deadline=None)
