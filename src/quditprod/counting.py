@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import InvolutiveComplex, is_good
 from .gf import (
-    FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, span_blocks,
+    FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, line_blocks,
 )
 from .product import ProductComplex, product, product_chain_map
 from .reduction import ReductionParams, reduce
@@ -217,14 +217,22 @@ def _block_rank_census(
 ) -> dict[tuple[int, int], int]:
     """Count every GF(p) combination of the basis rows by the ranks of
     its two blocks: the leading plus_shape entries (row major), then the
-    minus_shape entries.  Only nonzero buckets are returned."""
+    minus_shape entries.  Only nonzero buckets are returned.
+
+    Ranks do not change under a nonzero scalar, so one vector per line
+    is ranked (``gf.line_blocks``), (p**t - 1) / (p - 1) of them, and
+    counted p - 1 times; the zero combination has both ranks 0.  The
+    counts are of combinations, so this holds for a dependent basis too.
+    """
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts = np.zeros((min(p1, p2) + 1, min(m1, m2) + 1), dtype=np.int64)
-    for vecs in span_blocks(basis, p):
+    for vecs in line_blocks(basis, p):
         r_plus = _table_rank(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
         r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
         flat = r_plus * counts.shape[1] + r_minus
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    counts *= p - 1
+    counts[0, 0] += 1
     return {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
 
 

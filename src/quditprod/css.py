@@ -15,12 +15,12 @@ keeps; the logical rows are picked from the rank-k pairing of the two
 kernels, so the only new elimination of a large matrix is of z_gens^T.
 
 - Exhaustive mode walks the kernel over that basis with
-  ``gf.span_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
+  ``gf.line_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
   vectors).  The logicals are the combinations with a nonzero logical
-  coefficient; a logical times a scalar has the same weight, so only
-  those whose last nonzero logical coefficient is -1 are walked,
-  p**r (p**k - 1) / (p - 1) vectors, and only their weights are
-  computed.
+  coefficient; a logical times a scalar has the same weight, so one
+  vector per line is walked, those whose last nonzero coefficient is 1
+  on a logical row, p**r (p**k - 1) / (p - 1) vectors, and only their
+  weights are computed.
 - Bounded mode scans weights 1..w_max by meet in the middle.  Weight
   w splits into ceil(w/2) + floor(w/2): a table holds the syndromes of
   every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
@@ -49,7 +49,7 @@ import numpy as np
 from .complexes import InvolutiveComplex
 from .gf import (
     FieldSpec, MatGF, _check_enumeration, _matmul, _mod, _row_reduce, col_weights, kernel_basis,
-    rank, row_weights, solve, span_blocks,
+    line_blocks, rank, row_weights, solve,
 )
 
 __all__ = [
@@ -164,18 +164,16 @@ def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
     representatives] (``_coset_bases``).
 
     A logical times a nonzero scalar is a logical of the same weight, so
-    only combinations whose last nonzero logical coefficient is -1 are
-    walked: for each logical row j, the span of the rows before it minus
-    row j, p**r (p**k - 1) / (p - 1) vectors in all.  A vector
-    s - basis[j] is nonzero where s differs from basis[j], so only
-    weights are computed.  Refused, before any block is built, when the
-    kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
+    only one vector per line is walked: ``gf.line_blocks`` from index r,
+    the combinations whose last nonzero coefficient is 1 on a logical
+    row, p**r (p**k - 1) / (p - 1) vectors in all.  Refused, before any
+    block is built, when the kernel holds more than
+    ``gf.ENUMERATION_LIMIT`` vectors.
     """
     _check_enumeration(p, len(basis))
     best = basis.shape[1]
-    for j in range(r, len(basis)):
-        for vecs in span_blocks(basis[:j], p):
-            best = min(best, int(np.count_nonzero(vecs != basis[j], axis=1).min()))
+    for vecs in line_blocks(basis, p, start=r):
+        best = min(best, int(np.count_nonzero(vecs, axis=1).min()))
     return best
 
 

@@ -54,6 +54,7 @@ probabilities near 0 where most of these events live.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,9 +70,9 @@ from .gf import (
     _check_enumeration,
     _matmul,
     _table_rank,
+    line_blocks,
     rank_batch,
     random_invertible,
-    span_blocks,
 )
 
 __all__ = [
@@ -243,46 +244,50 @@ def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, in
 
     SeedSequence(master_seed, spawn_key=(i,)) hashes its entropy words
     into a pool of four uint32: master_seed's 32-bit words, low first
-    and zero-padded to the pool size, then the spawn word i.
-    ``generate_state(4, uint64)`` hashes the pool into eight words,
-    which pair into four uint64, low word first.  Both run here for
-    every trial at once, one uint32 array per word.  PCG64 reads the
-    four uint64 as two 128-bit integers s and q, high half first, and
-    ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M + inc
-    mod 2**128, M its multiplier.
+    and zero-padded to the pool size, then the spawn word i.  Every
+    word before the spawn word is the same for each trial, so it is
+    mixed into the pool once, in Python ints; only the spawn word and
+    what follows run for every trial at once, one uint32 array per
+    word.  ``generate_state(4, uint64)`` hashes the pool into eight
+    words, which pair into four uint64, low word first.  PCG64 reads
+    the four uint64 as two 128-bit integers s and q, high half first,
+    and ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M +
+    inc mod 2**128, M its multiplier.
+
+    The hash steps work on a Python int or a uint32 array alike: a
+    product or difference is masked to 32 bits, which an array's
+    arithmetic already wraps to.
     """
     hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value: int | np.ndarray) -> int | np.ndarray:
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
+        value = value * hash_const & _MASK32
         return value ^ (value >> 16)
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    def mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+        value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
         return value ^ (value >> 16)
 
     master_seed = operator.index(master_seed)
     run = [master_seed >> s & _MASK32 for s in range(0, max(1, master_seed.bit_length()), 32)]
     run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(stop - start, word, dtype=np.uint32) for word in run]
-    entropy.append(np.arange(start, stop).astype(np.uint32))
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in run[_POOL_SIZE:] + [np.arange(start, stop).astype(np.uint32)]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = _INIT_B
     words = []
     for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
+        value = value * hash_const & _MASK32
         words.append((value ^ (value >> 16)).tolist())
     states = []
     for w in zip(*words):
@@ -420,12 +425,14 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     """For each basis of an (N, t, n) stack of t independent rows,
     whether its span holds a nonzero vector of weight <= w_max.
 
-    Exact: every coefficient vector c comes from ``span_blocks`` in
-    blocks of ``_SPAN_ROWS // N`` rows (at least one), c @ basis is
-    nonzero exactly when c is, and a basis drops out at its first hit.
-    A block's vectors for every live basis come from one ``gf._matmul``
-    product, float64 BLAS within its exactness bound t (p - 1)**2 < 2**53.
-    Refused when the span size p^t exceeds ``gf.ENUMERATION_LIMIT``.
+    Exact: a vector and its nonzero multiples have the same weight, so
+    one coefficient vector c per line comes from ``gf.line_blocks`` in
+    blocks of ``_SPAN_ROWS // N`` rows (at least one).  c is nonzero,
+    and a zero c @ basis, which only dependent rows give, is no hit; a
+    basis drops out at its first hit.  A block's vectors for every live
+    basis come from one ``gf._matmul`` product, float64 BLAS within its
+    exactness bound t (p - 1)**2 < 2**53.  Refused when the span size
+    p^t exceeds ``gf.ENUMERATION_LIMIT``.
     """
     nmat, t, n = bases.shape
     hits = np.zeros(nmat, dtype=bool)
@@ -435,7 +442,7 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     # every live basis; weights are counted over axis 1.
     gens = np.ascontiguousarray(bases.transpose(1, 2, 0))
     live = np.arange(nmat)
-    for block in span_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
+    for block in line_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
         vecs = _matmul(block, gens[:, :, live].reshape(t, n * live.size), p)
         weights = np.count_nonzero(vecs.reshape(len(block), n, len(live)), axis=1)
         found = ((weights > 0) & (weights <= w_max)).any(axis=0)
@@ -590,22 +597,27 @@ def exhaustive_ulw_probability(
     """Exact P[uniform rank-R matrix has all row/col weights <= c'*n'],
     by enumerating the whole matrix space.  Ground truth for
     mc_uniform_low_weight at tiny sizes; refused when the space exceeds
-    ``gf.ENUMERATION_LIMIT`` matrices."""
+    ``gf.ENUMERATION_LIMIT`` matrices.
+
+    Rank and weights do not change under a nonzero scalar, so the zero
+    matrix is classified once and one matrix per line
+    (``gf.line_blocks``) stands for its p - 1 multiples."""
     _check_rank(n_prime, rank)
     p = field.order
     cells = n_prime * n_prime
     # Checked before the cells x cells identity basis is built.
     _check_enumeration(p, cells)
     bound = Fraction(c_prime) * n_prime
-    hits = 0
-    stratum = 0
-    for vecs in span_blocks(np.eye(cells, dtype=np.int64), p):
+    hits = stratum = 0
+    zero = np.zeros((1, cells), dtype=np.int64)
+    lines = line_blocks(np.eye(cells, dtype=np.int64), p)
+    for scale, vecs in itertools.chain([(1, zero)], ((p - 1, v) for v in lines)):
         mats = vecs.reshape(-1, n_prime, n_prime)
         in_stratum = _table_rank(mats, p) == rank
-        stratum += int(in_stratum.sum())
+        stratum += scale * int(in_stratum.sum())
         if not in_stratum.any():
             continue
-        hits += int(_uniform_low_weight(mats[in_stratum], bound).sum())
+        hits += scale * int(_uniform_low_weight(mats[in_stratum], bound).sum())
     return Fraction(hits, stratum)
 
 

@@ -25,26 +25,31 @@ argument:
   float64 holds exactly whatever order the sum is taken in, and the
   result is cast back to int64 and reduced.  Larger products stay in
   int64.
-- Span enumeration (``span_blocks``) builds each block by adding rows
-  instead of decoding every index and multiplying by the basis.  A
-  table of the span of the leading basis rows (at most sqrt(rows) / D
-  rows for blocks of ``rows`` rows) is built level by level, and each
-  block adds a few decoded combinations of the trailing rows to the
-  whole table.  A sum of two residues lies in 0..2D-2, so one
-  subtraction of D where it is >= D reduces it exactly; the sums run in
-  the smallest unsigned type holding 2D - 2, where that subtraction is
-  an unsigned minimum (``_add_residues``), and land in the int64
-  block.  A block costs its int64 array and one narrow array of its
-  sums.
+- Span enumeration (``line_blocks``) walks one vector per line of a
+  span, the combinations whose last nonzero coefficient is 1: rank,
+  weights and "weight <= w" do not change under a nonzero scalar, so
+  every exhaustive enumeration counts the zero vector once and each
+  line p - 1 times.  Each block is built by adding rows instead of
+  decoding every index and multiplying by the basis.  A table of the
+  span of the leading basis rows (at most sqrt(rows) / D rows for
+  blocks of ``rows`` rows) is built level by level, and each block adds
+  a few decoded combinations of the trailing rows to the whole table.
+  A sum of two residues lies in 0..2D-2, so one subtraction of D where
+  it is >= D reduces it exactly; the sums run in the smallest unsigned
+  type holding 2D - 2, where that subtraction is an unsigned minimum
+  (``_add_residues``), and land in the int64 block.  A block costs its
+  int64 array and one narrow array of its sums.
 
 A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
 ``kernel_basis`` has computed it, so every later rank or kernel of the
 same matrix object is read, not eliminated again.
 
 Exhaustive enumerations (rank censuses, exhaustive distances and
-probabilities, the Monte Carlo kernel search) walk at most
-``ENUMERATION_LIMIT`` = 10**7 vectors or matrices: ``span_blocks`` and
-the count oracles refuse anything larger with one ValueError.
+probabilities, the Monte Carlo kernel search) cover at most
+``ENUMERATION_LIMIT`` = 10**7 vectors or matrices: ``line_blocks`` and
+the count oracles refuse anything larger with one ValueError.  The cap
+counts the whole space, p**t for a span of t rows, although a line
+walk visits (p**t - 1) / (p - 1) of its vectors.
 
 The text wire format for a matrix is one header line ``D nrows ncols``
 followed by ``nrows`` lines of residues.  The writer emits canonical
@@ -74,7 +79,7 @@ __all__ = [
     "matrix_to_text",
     "matrix_from_text",
     "rank_batch",
-    "span_blocks",
+    "line_blocks",
 ]
 
 
@@ -233,9 +238,11 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     column, so the result is deterministic for a fixed input.  The
     elimination runs in :func:`_work_dtype`; each pivot touches only
     columns c.. of the pivot row and of the rows nonzero in column c,
-    since every live row is zero left of c.
+    since every live row is zero left of c.  The work array is
+    C-contiguous whatever the layout of ``a`` (a transposed view
+    included), so every row update is a contiguous slice.
     """
-    m = _mod(np.asarray(a, dtype=np.int64), p).astype(_work_dtype(p), copy=False)
+    m = _mod(np.asarray(a, dtype=np.int64), p).astype(_work_dtype(p), order="C", copy=False)
     nrows, ncols = m.shape
     inv = _inverse_table(p)
     pivots: list[int] = []
@@ -574,32 +581,45 @@ def _add_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> None
     np.minimum(out, s, out=out)
 
 
-def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Every GF(p) combination sum_i c_i basis[i] of the rows of a
-    (t, width) basis, in blocks of at most ``rows`` rows.
+def line_blocks(
+    basis: np.ndarray, p: int, rows: int = 1 << 16, start: int = 0
+) -> Iterator[np.ndarray]:
+    """One vector of every line of GF(p) combinations sum_i c_i basis[i]
+    of the rows of a (t, width) basis, in blocks of at most ``rows``
+    rows: the combinations whose last nonzero coefficient is 1 and sits
+    at an index >= ``start``, (p**t - p**start) / (p - 1) rows.
 
-    Rows come in the order of the index sum_i c_i p**i, so the first row
-    is the zero combination; a basis with t = 0 yields that one zero row.
-    Each block is int64 with entries in 0..p-1.  Refused with
-    ValueError, before any block is built, when rows < 1 or when p**t
-    exceeds ``ENUMERATION_LIMIT``.
+    Every nonzero combination is a nonzero multiple of exactly one of
+    them, and the zero combination is walked by none, so a count of a
+    scale-invariant property over the whole span is the zero vector's
+    plus p - 1 times the count over these rows.  Rows come in the order
+    of the index sum_i c_i p**i: the indices whose top nonzero digit is
+    a 1 at k, [p**k, 2 p**k), for k = start .. t - 1.  Each block is
+    int64 with entries in 0..p-1.  Refused with ValueError, before any
+    block is built, when rows < 1, when start lies outside 0..t or when
+    p**t exceeds ``ENUMERATION_LIMIT``, although the walk is shorter.
 
-    The span is built, not decoded.  A low table holds the span of the
-    leading j rows in index order, j the largest with p**(2j + 2) <=
-    rows (0 if none, at most t), so it has at most max(1, sqrt(rows) /
-    p) rows.  Level k of the table is p copies of level k - 1, copy c
-    being copy c - 1 plus basis[k].  A block is m = rows // p**j
-    consecutive combinations of the trailing t - j rows, the only rows
-    still decoded and multiplied, each added to the whole low table by
-    ``_add_residues``.  A block costs its own int64 array and one array
-    of the same shape in the smallest unsigned dtype holding 2p - 2 (one
-    byte for p <= 127).
+    The vectors are built, not decoded.  A low table holds the span of
+    the leading j rows in index order, j the largest with p**(2j + 2)
+    <= rows (0 if none, at most t), so it has at most max(1, sqrt(rows)
+    / p) rows.  Level k of the table is p copies of level k - 1, copy c
+    being copy c - 1 plus basis[k].  The lines whose top digit sits
+    below j are rows of the table, yielded first as one block.  Every
+    other line is a high index h in [p**(k - j), 2 p**(k - j)) over the
+    trailing t - j rows, the only rows still decoded and multiplied,
+    added to the whole low table by ``_add_residues``.  Each later block
+    takes the next rows // p**j high indices, read off the ranges one at
+    a time, so no range is held whole.  A block costs its own int64
+    array and one array of the same shape in the smallest unsigned
+    dtype holding 2p - 2 (one byte for p <= 127).
     """
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
     basis = np.asarray(basis, dtype=np.int64)
     t, width = basis.shape
     _check_enumeration(p, t)
+    if not 0 <= start <= t:
+        raise ValueError(f"need 0 <= start <= {t}, got {start}")
     basis = _mod(basis, p)
     j = 0
     while j < t and p ** (2 * j + 4) <= rows:
@@ -612,19 +632,30 @@ def span_blocks(basis: np.ndarray, p: int, rows: int = 1 << 16) -> Iterator[np.n
             _add_residues(low[(c - 1) * size : c * size], row, p, low[c * size : (c + 1) * size])
     high = basis[j:]
     powers = p ** np.arange(t - j, dtype=np.int64)
-    total = p ** (t - j)
     m = rows // len(low)
+    head = [i for k in range(start, j) for i in range(p**k, 2 * p**k)]
+
+    def block(idx: np.ndarray) -> np.ndarray:
+        tops = _mod(_mod(idx[:, None] // powers, p) @ high, p)
+        out = np.empty((len(idx), len(low), width), dtype=np.int64)
+        _add_residues(tops.astype(small)[:, None, :], low, p, out)
+        return out.reshape(len(idx) * len(low), width)
 
     def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, total, m):
-            idx = np.arange(start, min(start + m, total), dtype=np.int64)
-            tops = _mod(_mod(idx[:, None] // powers, p) @ high, p)
-            if j == 0:
-                yield tops
-                continue
-            out = np.empty((len(idx), len(low), width), dtype=np.int64)
-            _add_residues(tops.astype(small)[:, None, :], low, p, out)
-            yield out.reshape(len(idx) * len(low), width)
+        if head:
+            yield low[head].astype(np.int64)
+        parts, room = [], m
+        for k in range(max(start, j), t):
+            lo, hi = p ** (k - j), 2 * p ** (k - j)
+            while lo < hi:
+                take = min(hi - lo, room)
+                parts.append(np.arange(lo, lo + take, dtype=np.int64))
+                lo, room = lo + take, room - take
+                if room == 0:
+                    yield block(np.concatenate(parts))
+                    parts, room = [], m
+        if parts:
+            yield block(np.concatenate(parts))
 
     return blocks()
 

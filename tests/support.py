@@ -12,6 +12,7 @@ weight exactly 3.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank
+from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank, rank_batch
 from quditprod.reduction import _kernel_matrix, _same_column_space
 
 FIELD3 = FieldSpec(3)
@@ -120,15 +121,61 @@ def reference_row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def reference_span(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """Reference for gf.span_blocks: decode each span index idx into its
-    coefficients (idx // p**i) % p and multiply by the basis, in blocks
-    of 2^16 indices, reduced with %."""
+    """Every GF(p) combination of the basis rows, in index order: decode
+    each span index idx into its coefficients (idx // p**i) % p and
+    multiply by the basis, in blocks of 2^16 indices, reduced with %."""
     basis = np.asarray(basis, dtype=np.int64)
     powers = p ** np.arange(basis.shape[0], dtype=np.int64)
     total = p ** basis.shape[0]
     for start in range(0, total, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
         yield (idx[:, None] // powers % p) @ basis % p
+
+
+def reference_lines(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndarray]:
+    """Reference for gf.line_blocks: the rows of ``reference_span`` whose
+    index idx has its top nonzero base-p digit equal to 1, at a position
+    >= start, decoded as there, block by block.  The top digit of idx >
+    0 sits at the largest k with p**k <= idx and is idx // p**k."""
+    basis = np.asarray(basis, dtype=np.int64)
+    powers = p ** np.arange(basis.shape[0], dtype=np.int64)
+    total = p ** basis.shape[0]
+    for first in range(0, total, 1 << 16):
+        idx = np.arange(max(first, 1), min(first + (1 << 16), total), dtype=np.int64)
+        top = np.searchsorted(powers, idx, side="right") - 1
+        idx = idx[(top >= start) & (idx // powers[top] == 1)]
+        yield (idx[:, None] // powers % p) @ basis % p
+
+
+def reference_block_rank_census(
+    basis: np.ndarray, p: int, plus_shape: tuple[int, int], minus_shape: tuple[int, int]
+) -> dict[tuple[int, int], int]:
+    """Reference for counting._block_rank_census: every combination of
+    ``reference_span``, both blocks ranked by gf.rank_batch."""
+    (p1, p2), (m1, m2) = plus_shape, minus_shape
+    counts: dict[tuple[int, int], int] = {}
+    for vecs in reference_span(basis, p):
+        r_plus = rank_batch(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
+        r_minus = rank_batch(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
+        for key in zip(r_plus.tolist(), r_minus.tolist()):
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_ulw_probability(p: int, n_prime: int, rank: int, bound: Fraction) -> Fraction:
+    """Reference for experiments.exhaustive_ulw_probability: every
+    n' x n' matrix of ``reference_span`` ranked by gf.rank_batch, its
+    row and column weights compared with the bound c'n'."""
+    hits = stratum = 0
+    for vecs in reference_span(np.eye(n_prime * n_prime, dtype=np.int64), p):
+        mats = vecs.reshape(-1, n_prime, n_prime)
+        in_stratum = rank_batch(mats, p) == rank
+        light = (np.count_nonzero(mats, axis=1).max(axis=1) <= bound) & (
+            np.count_nonzero(mats, axis=2).max(axis=1) <= bound
+        )
+        stratum += int(in_stratum.sum())
+        hits += int((in_stratum & light).sum())
+    return Fraction(hits, stratum)
 
 
 def has_light_kernel_vector(basis: np.ndarray, p: int, w_max: int) -> bool:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditprod import (
     ComplexShape,
@@ -31,7 +33,7 @@ import quditprod.counting as counting
 import quditprod.gf as gf
 from quditprod.gf import random_invertible
 
-from support import FIELD3, FIELD5, SHAPE3
+from support import FIELD3, FIELD5, SHAPE3, reference_block_rank_census
 
 # Rank census of the plus-sector cycle space for a product of two
 # standard (n=3, H=1, L=1) factors over GF(3), keyed by block rank
@@ -372,3 +374,45 @@ class TestCountReducedCycles:
         with pytest.raises(ValueError, match="above the limit of 10$"):
             enumerate_reduced_cycles(product(c1, c2), ReductionParams(n=3, n_prime=2))
 
+
+
+@st.composite
+def census_cases(draw):
+    """A (t, width) basis over GF(3/5/7) of at most 3^7 combinations,
+    its rows drawn from a space of dimension 0..t so that many bases are
+    dependent, and two block shapes of width entries in all."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    t = draw(st.integers(0, {3: 7, 5: 4, 7: 3}[p]))
+    p1, p2, m1, m2 = (draw(st.integers(1, 3)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(0, t))
+    basis = rng.integers(0, p, (t, dim)) @ rng.integers(0, p, (dim, p1 * p2 + m1 * m2)) % p
+    return p, basis, (p1, p2), (m1, m2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(census_cases())
+def test_block_rank_census_matches_a_full_span_reference(case) -> None:
+    """Ranking one vector per line, counted p - 1 times, plus the zero
+    combination, gives the census of every combination: the identity
+    counts combinations, so it holds for dependent bases too."""
+    p, basis, plus_shape, minus_shape = case
+    census = counting._block_rank_census(basis, p, plus_shape, minus_shape)
+    assert census == reference_block_rank_census(basis, p, plus_shape, minus_shape)
+    assert sum(census.values()) == p ** len(basis)
+
+
+@pytest.mark.parametrize("order, shape", [(3, ComplexShape(3, 1, 1)), (5, ComplexShape(2, 0, 1))])
+def test_census_ranks_one_vector_per_line(monkeypatch, order, shape) -> None:
+    """A census of a t-dimensional cycle space ranks (p^t - 1) / (p - 1)
+    vectors."""
+    blocks, walked = counting.line_blocks, []
+    monkeypatch.setattr(
+        counting, "line_blocks", lambda *a: [walked.append(len(v)) or v for v in blocks(*a)]
+    )
+    std = standard_boundary(shape, FieldSpec(order))
+    pc = product(std, std)
+    census = enumerate_plus_cycle_ranks(pc)
+    t = len(kernel_basis(pc.complex.d_mp))
+    assert sum(census.values()) == order**t
+    assert sum(walked) == (order**t - 1) // (order - 1)

@@ -86,7 +86,7 @@ def test_distance_refuses_above_the_enumeration_limit(monkeypatch) -> None:
     code = extract_css(_standard_product(FIELD3).complex)
     with monkeypatch.context() as mp:
         calls = []
-        mp.setattr(css, "span_blocks", lambda *a: calls.append(a))
+        mp.setattr(css, "line_blocks", lambda *a, **k: calls.append(a))
         mp.setattr(gf, "ENUMERATION_LIMIT", 3**10 - 1)
         refusal = r"^enumeration needs 3\^10 vectors, above the limit of 59048$"
         with pytest.raises(ValueError, match=refusal):
@@ -279,9 +279,9 @@ def test_exhaustive_walk_matches_a_brute_force_kernel_walk(
     ]
     c = product(*factors).complex
     walked = []
-    blocks = css.span_blocks
+    blocks = css.line_blocks
     monkeypatch.setattr(
-        css, "span_blocks", lambda *a: [walked.append(len(v)) or v for v in blocks(*a)]
+        css, "line_blocks", lambda *a, **k: [walked.append(len(v)) or v for v in blocks(*a, **k)]
     )
     for code in (extract_css(c), extract_css(flip_sectors(c))):
         assert code.k >= 2
@@ -291,6 +291,29 @@ def test_exhaustive_walk_matches_a_brute_force_kernel_walk(
         assert rep.d_x == _brute_force_distance(code.z_gens.T, code.x_gens.T)
         lines = (order**code.k - 1) // (order - 1)
         assert sum(walked) == (order ** rank(code.z_gens) + order ** rank(code.x_gens)) * lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.sampled_from([3, 5, 7]),
+    t=st.integers(1, 6),
+    width=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_exhaustive_walk_matches_a_full_span_reference(order, t, width, seed, data) -> None:
+    """On any basis, dependent ones included, the least weight over one
+    vector per line with a nonzero coefficient at index >= r is the least
+    weight over every such combination of ``reference_span``, 0 when a
+    dependent combination vanishes."""
+    assume(order**t <= 3**6)
+    r = data.draw(st.integers(0, t - 1))
+    rng = np.random.default_rng(seed)
+    dim = data.draw(st.integers(0, t))
+    basis = rng.integers(0, order, (t, dim)) @ rng.integers(0, order, (dim, width)) % order
+    span = np.concatenate(list(reference_span(basis, order)))
+    want = int(np.count_nonzero(span[order**r :], axis=1).min())
+    assert css._min_weight_logical_exhaustive(basis, r, order) == want
 
 
 def test_each_distance_mode_eliminates_one_large_matrix(monkeypatch) -> None:

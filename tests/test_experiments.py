@@ -31,7 +31,7 @@ from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank
 
-from support import FIELD3, FIELD5, has_light_kernel_vector
+from support import FIELD3, FIELD5, has_light_kernel_vector, reference_ulw_probability
 
 
 class TestWilsonInterval:
@@ -525,9 +525,21 @@ class TestExhaustiveUlw:
         def walked(*args, **kwargs):
             raise AssertionError("enumerated a rank that has no matrices")
 
-        monkeypatch.setattr(experiments, "span_blocks", walked)
+        monkeypatch.setattr(experiments, "line_blocks", walked)
         with pytest.raises(ValueError, match=rf"no matrices of rank {rank}: rank must lie in \[0, 3\]"):
             exhaustive_ulw_probability(FIELD5, 3, rank, Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "order, n_prime", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+    )
+    def test_matches_a_full_span_reference(self, order, n_prime):
+        """Every rank 0..n' and bounds c'n' below 0, at 0, between and at
+        n': one matrix per line, counted p - 1 times, and the zero
+        matrix give the fraction of the whole matrix space."""
+        for rank in range(n_prime + 1):
+            for c_prime in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+                got = exhaustive_ulw_probability(FieldSpec(order), n_prime, rank, c_prime)
+                assert got == reference_ulw_probability(order, n_prime, rank, c_prime * n_prime)
 
     def test_limit_guard(self, monkeypatch):
         with pytest.raises(ValueError, match=r"3\^10000 vectors, above the limit"):

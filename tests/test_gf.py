@@ -26,6 +26,7 @@ from quditprod.gf import (
     col_weights,
     inverse,
     kernel_basis,
+    line_blocks,
     matrix_from_text,
     matrix_to_text,
     random_invertible,
@@ -33,15 +34,14 @@ from quditprod.gf import (
     rank_batch,
     row_weights,
     solve,
-    span_blocks,
 )
 from support import (
     FIELD3,
     FIELD5,
     reference_matrix_from_lines,
     reference_matrix_to_text,
+    reference_lines,
     reference_row_reduce,
-    reference_span,
 )
 
 
@@ -263,39 +263,55 @@ def test_matrix_text_rejects_malformed_input(text: str) -> None:
         matrix_from_text(text)
 
 
+# The span walk, gf.line_blocks: one vector per line of a span.
+def _line_count(order: int, t: int, start: int) -> int:
+    return (order**t - order**start) // (order - 1)
+
+
+def _stacked(blocks: list[np.ndarray], width: int) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "order, t, width",
     [(3, 3, 5), (5, 2, 4), (7, 2, 3), (3, 11, 12), (5, 0, 4), (181, 2, 6), (65521, 1, 4)],
 )
 def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, width: int) -> None:
-    """All order**t combinations, row idx being the combination with
-    coefficients (idx // order**i) % order; 3^11 rows take three blocks."""
+    """From every start, the combinations whose coefficients
+    (idx // order**i) % order have their last nonzero entry 1 at i >=
+    start, in increasing idx; every block but the first and the last
+    holds more than half its room, so the short ranges share blocks."""
     basis = np.random.default_rng(order + t).integers(0, order, (t, width))
-    blocks = list(span_blocks(basis, order))
-    assert len(blocks) == -(-order**t // (1 << 16))
-    assert all(len(b) <= 1 << 16 for b in blocks)
-    got = np.concatenate(blocks)
-    assert got.shape == (order**t, width)
     idx = np.arange(order**t)[:, None]
     coeffs = (idx // order ** np.arange(t)) % order
-    assert (got == coeffs @ basis % order).all()
-    if t == 0:
-        assert got.tolist() == [[0] * width]
-    small = list(span_blocks(basis, order, rows=1000))
-    assert all(len(b) <= 1000 for b in small)
-    assert (np.concatenate(small) == got).all()
+    top = np.where(coeffs != 0, np.arange(t), -1).max(axis=1, initial=-1)
+    top_digit = (coeffs * (np.arange(t) == top[:, None])).sum(axis=1)
+    for start in range(t + 1):
+        blocks = list(line_blocks(basis, order, start=start))
+        assert all(len(b) <= 1 << 16 for b in blocks)
+        assert all(len(b) > 1 << 15 for b in blocks[1:-1])
+        got = _stacked(blocks, width)
+        assert got.shape == (_line_count(order, t, start), width)
+        lead = (top >= start) & (top_digit == 1)
+        assert (got == coeffs[lead] @ basis % order).all()
+        small = list(line_blocks(basis, order, rows=1000, start=start))
+        assert all(len(b) <= 1000 for b in small)
+        assert np.array_equal(_stacked(small, width), got)
 
 
 def test_enumeration_limit_boundary(monkeypatch) -> None:
-    """p^t equal to the limit is enumerated and p^(t+1) is refused at
-    the call, by span_blocks and by the count oracles alike."""
+    """p^t equal to the limit is walked and p^(t+1) is refused at the
+    call, by line_blocks and by the count oracles alike: the cap counts
+    the whole span, not its (p^t - 1) / (p - 1) lines."""
     assert gf.ENUMERATION_LIMIT == 10**7
     monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 3**5)
-    assert sum(len(b) for b in span_blocks(np.eye(5, dtype=np.int64), 3)) == 3**5
+    assert sum(len(b) for b in line_blocks(np.eye(5, dtype=np.int64), 3)) == (3**5 - 1) // 2
     assert sum(brute_count_rank_matrices(FIELD3, 1, 5).values()) == 3**5
     refusal = r"^enumeration needs 3\^6 vectors, above the limit of 243$"
     with pytest.raises(ValueError, match=refusal):
-        span_blocks(np.eye(6, dtype=np.int64), 3)
+        line_blocks(np.eye(6, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=refusal):
+        line_blocks(np.eye(6, dtype=np.int64), 3, start=6)
     with pytest.raises(ValueError, match=refusal):
         brute_count_rank_matrices(FIELD3, 2, 3)
 
@@ -327,53 +343,72 @@ def span_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(span_cases())
 def test_span_blocks_matches_reference(case) -> None:
-    """The built span is the decoded one, row for row in index order, for
-    every block size; each block is int64 with 1..rows rows of residues."""
+    """The built lines are the decoded ones, row for row in index order,
+    for every block size and every start 0..t; each block is int64 with
+    1..rows rows of residues."""
     order, basis, rows = case
-    blocks = list(span_blocks(basis, order, rows))
-    for b in blocks:
-        assert b.dtype == np.int64
-        assert 1 <= len(b) <= rows
-        assert ((b >= 0) & (b < order)).all()
-    expected = np.concatenate(list(reference_span(basis, order)))
-    assert expected.shape == (order ** len(basis), basis.shape[1])
-    assert np.array_equal(np.concatenate(blocks), expected)
+    t, width = basis.shape
+    for start in range(t + 1):
+        blocks = list(line_blocks(basis, order, rows, start))
+        for b in blocks:
+            assert b.dtype == np.int64
+            assert 1 <= len(b) <= rows
+            assert ((b >= 0) & (b < order)).all()
+        expected = np.concatenate(list(reference_lines(basis, order, start)))
+        assert expected.shape == (_line_count(order, t, start), width)
+        got = _stacked(blocks, width)
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("order", _SPAN_ORDERS)
 def test_span_blocks_matches_reference_at_the_enumeration_cap(order: int) -> None:
     """The largest span the cap allows (3^14, 5^10, 7^8, 181^3, 65521^1
-    rows), compared with the reference block by block."""
+    combinations): the walk from 0 equals the reference block by block,
+    and the walk from each start is its tail from row
+    (p^start - 1) / (p - 1)."""
     t = 0
     while order ** (t + 1) <= gf.ENUMERATION_LIMIT:
         t += 1
     basis = np.random.default_rng(order).integers(-order, 2 * order, (t, 2))
-    expected = reference_span(basis, order)
+    expected = reference_lines(basis, order)
     pending = np.empty((0, 2), dtype=np.int64)
-    for block in span_blocks(basis, order):
+    walked = []
+    for block in line_blocks(basis, order):
         while len(pending) < len(block):
             pending = np.concatenate([pending, next(expected)])
         assert np.array_equal(block, pending[: len(block)])
         pending = pending[len(block) :]
-    assert len(pending) == 0 and next(expected, None) is None
+        walked.append(block)
+    assert len(pending) == 0 and all(len(rest) == 0 for rest in expected)
+    walked = np.concatenate(walked)
+    for start in range(1, t + 1):
+        tail = _stacked(list(line_blocks(basis, order, start=start)), 2)
+        assert np.array_equal(tail, walked[_line_count(order, start, 0) :])
 
 
 @pytest.mark.parametrize("rows", [0, -1])
 def test_span_blocks_refuses_rows_below_one(rows: int) -> None:
     with pytest.raises(ValueError, match=rf"^need rows >= 1, got {rows}$"):
-        span_blocks(np.eye(2, dtype=np.int64), 3, rows)
+        line_blocks(np.eye(2, dtype=np.int64), 3, rows)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_line_blocks_refuses_a_start_outside_the_basis(start: int) -> None:
+    with pytest.raises(ValueError, match=rf"^need 0 <= start <= 2, got {start}$"):
+        line_blocks(np.eye(2, dtype=np.int64), 3, start=start)
 
 
 @pytest.mark.parametrize("order, t, decoded_mib", [(3, 10, 16.67), (5, 8, 27.50)])
 def test_span_blocks_memory_peak(order: int, t: int, decoded_mib: float) -> None:
-    """Walking the span of a t x 18 basis stays below the traced peak of
-    decoding every index and multiplying by the basis (16.67 MiB for
-    GF(3) 10x18, 27.50 MiB for GF(5) 8x18): no block-sized temporaries
-    beyond the block and one narrow array of its sums."""
+    """Walking the lines of a t x 18 basis stays below the traced peak of
+    decoding every index of the span and multiplying by the basis
+    (16.67 MiB for GF(3) 10x18, 27.50 MiB for GF(5) 8x18): no
+    block-sized temporaries beyond the block and one narrow array of its
+    sums."""
     basis = np.random.default_rng(order).integers(0, order, (t, 18))
     tracemalloc.start()
     try:
-        for _ in span_blocks(basis, order):
+        for _ in line_blocks(basis, order):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -592,6 +627,21 @@ def test_row_reduce_matches_reference(case) -> None:
     assert rref.dtype == gf._work_dtype(order) and rref.shape == data.shape
     assert pivots == want_pivots
     assert (rref == want).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(unreduced_matrices())
+def test_row_reduce_of_a_transposed_view_matches_its_contiguous_copy(case) -> None:
+    """The F-ordered data of a ``MatGF.T`` gives the rref and pivots of
+    its C-ordered copy, and is eliminated in a C-contiguous array."""
+    order, data = case
+    m = MatGF(FieldSpec(order), data)
+    view = m.T.data
+    rref, pivots = _row_reduce(view, order)
+    want, want_pivots = _row_reduce(np.ascontiguousarray(view), order)
+    assert rref.flags.c_contiguous
+    assert pivots == want_pivots
+    assert np.array_equal(rref, want)
 
 
 @pytest.mark.parametrize("float_exact", [gf._FLOAT_EXACT, 0], ids=["float64", "int64"])
