@@ -227,8 +227,8 @@ def _block_rank_census(
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts = np.zeros((min(p1, p2) + 1, min(m1, m2) + 1), dtype=np.int64)
     for vecs in line_blocks(basis, p):
-        r_plus = _table_rank(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
-        r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
+        r_plus = _table_rank(vecs[:, : p1 * p2].reshape(len(vecs), p1, p2), p)
+        r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(len(vecs), m1, m2), p)
         flat = r_plus * counts.shape[1] + r_minus
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
     counts *= p - 1

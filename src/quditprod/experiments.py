@@ -10,10 +10,12 @@ sampling is random.
 The harnesses build no per-trial Generator.  Trials run in chunks of
 ``_CHUNK``, and a chunk's streams are reproduced with numpy arrays:
 
-- Seeding.  SeedSequence's entropy mixing and ``generate_state(4,
-  uint64)`` run for the whole chunk at once in uint32 arrays, and each
-  trial's PCG64 (state, inc) is derived from those words as
-  ``pcg64_set_seed`` does (``_pcg64_states``).
+- Seeding.  numpy mixes the master seed's words into a pool once,
+  as ``SeedSequence(master_seed).pool``.  Each trial's spawn word is
+  mixed into that pool and ``generate_state(4, uint64)`` run for the
+  whole chunk at once in uint32 arrays, and each trial's PCG64 (state,
+  inc) is derived from those words as ``pcg64_set_seed`` does
+  (``_pcg64_states``).
 - Draws.  Each stream's 64-bit outputs come from ``PCG64.random_raw``
   and are read as 32-bit words, low half first, as PCG64's
   ``next_uint32`` reads them.  A vectorized copy of the bounded draw
@@ -194,13 +196,14 @@ CSV_COLUMNS = [
 ]
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     phat = successes / trials
+    z = WILSON_Z95
     z2 = z * z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
@@ -243,51 +246,37 @@ def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, in
     in [start, stop), for master_seed >= 0 and stop <= 2**32.
 
     SeedSequence(master_seed, spawn_key=(i,)) hashes its entropy words
-    into a pool of four uint32: master_seed's 32-bit words, low first
-    and zero-padded to the pool size, then the spawn word i.  Every
-    word before the spawn word is the same for each trial, so it is
-    mixed into the pool once, in Python ints; only the spawn word and
-    what follows run for every trial at once, one uint32 array per
-    word.  ``generate_state(4, uint64)`` hashes the pool into eight
-    words, which pair into four uint64, low word first.  PCG64 reads
-    the four uint64 as two 128-bit integers s and q, high half first,
-    and ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M +
-    inc mod 2**128, M its multiplier.
-
-    The hash steps work on a Python int or a uint32 array alike: a
-    product or difference is masked to 32 bits, which an array's
-    arithmetic already wraps to.
+    into a pool of four uint32: master_seed's w 32-bit words, zero-padded
+    to the pool size, then the spawn word i.  Every word before the
+    spawn word is the same for each trial, and mixing them leaves the
+    pool of SeedSequence(master_seed), which numpy exposes as ``pool``,
+    after 4 max(4, w) steps of the hash constant.  Only the spawn word
+    and what follows run per trial, for every trial at once in uint32
+    arrays: the spawn word is hashed and mixed into each pool word, and
+    ``generate_state(4, uint64)`` hashes the pool into eight words,
+    which pair into four uint64, low word first.  PCG64 reads the four
+    uint64 as two 128-bit integers s and q, high half first, and
+    ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M + inc
+    mod 2**128, M its multiplier.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: int | np.ndarray) -> int | np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
-        value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-        return value ^ (value >> 16)
-
     master_seed = operator.index(master_seed)
-    run = [master_seed >> s & _MASK32 for s in range(0, max(1, master_seed.bit_length()), 32)]
-    run += [0] * (_POOL_SIZE - len(run))
-    pool = [hashmix(word) for word in run[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in run[_POOL_SIZE:] + [np.arange(start, stop).astype(np.uint32)]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    run_words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * run_words, 1 << 32) & _MASK32
+    spawn = np.arange(start, stop).astype(np.uint32)
+    for dst in range(_POOL_SIZE):
+        hashed = spawn ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        hashed *= hash_const
+        hashed ^= hashed >> 16
+        mixed = (_MIX_MULT_L * pool[dst] & _MASK32) - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
     hash_const = _INIT_B
     words = []
     for k in range(8):
         value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
+        value *= hash_const
         words.append((value ^ (value >> 16)).tolist())
     states = []
     for w in zip(*words):
@@ -612,7 +601,7 @@ def exhaustive_ulw_probability(
     zero = np.zeros((1, cells), dtype=np.int64)
     lines = line_blocks(np.eye(cells, dtype=np.int64), p)
     for scale, vecs in itertools.chain([(1, zero)], ((p - 1, v) for v in lines)):
-        mats = vecs.reshape(-1, n_prime, n_prime)
+        mats = vecs.reshape(len(vecs), n_prime, n_prime)
         in_stratum = _table_rank(mats, p) == rank
         stratum += scale * int(in_stratum.sum())
         if not in_stratum.any():

@@ -440,24 +440,18 @@ def _matrix_from_lines(lines: Sequence[str], pos: int) -> tuple[MatGF, int]:
     block = lines[pos + 1 : pos + 1 + nrows]
     data = _digit_block(block, ncols)
     if data is None:
-        rows = [line.split() for line in block]
-        for i, vals in enumerate(rows):
+        rows = []
+        for i, line in enumerate(block):
+            vals = line.split()
             if len(vals) != ncols:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {ncols}")
-        # numpy parses each entry with int(), in order, and refuses one
-        # beyond int64 with OverflowError.
-        try:
-            data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-        except OverflowError as exc:
-            raise ValueError(f"matrix entry out of range for GF({d})") from exc
-        except ValueError as exc:
-            # The first entry int() refuses is in the first row numpy refuses.
-            for i, vals in enumerate(rows):
-                try:
-                    np.array(vals, dtype=np.int64)
-                except ValueError:
-                    raise ValueError(f"row {i} has a non-integer entry") from exc
-            raise
+            try:
+                rows.append([int(t) for t in vals])
+            except ValueError as exc:
+                raise ValueError(f"row {i} has a non-integer entry") from exc
+            if not all(0 <= v < d for v in rows[-1]):
+                raise ValueError(f"matrix entry out of range for GF({d})")
+        data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
     if data.size and (data.min() < 0 or data.max() >= d):
         raise ValueError(f"matrix entry out of range for GF({d})")
     return MatGF(field, data, _reduced=True), pos + 1 + nrows

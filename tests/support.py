@@ -155,8 +155,8 @@ def reference_block_rank_census(
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts: dict[tuple[int, int], int] = {}
     for vecs in reference_span(basis, p):
-        r_plus = rank_batch(vecs[:, : p1 * p2].reshape(-1, p1, p2), p)
-        r_minus = rank_batch(vecs[:, p1 * p2 :].reshape(-1, m1, m2), p)
+        r_plus = rank_batch(vecs[:, : p1 * p2].reshape(len(vecs), p1, p2), p)
+        r_minus = rank_batch(vecs[:, p1 * p2 :].reshape(len(vecs), m1, m2), p)
         for key in zip(r_plus.tolist(), r_minus.tolist()):
             counts[key] = counts.get(key, 0) + 1
     return counts

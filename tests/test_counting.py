@@ -402,6 +402,22 @@ def test_block_rank_census_matches_a_full_span_reference(case) -> None:
     assert sum(census.values()) == p ** len(basis)
 
 
+@pytest.mark.parametrize(
+    "plus_shape, minus_shape",
+    [((0, 0), (2, 2)), ((0, 3), (1, 2)), ((2, 0), (2, 1)), ((2, 2), (3, 0))],
+)
+def test_block_rank_census_of_an_empty_block(plus_shape, minus_shape) -> None:
+    """A block with no entries has rank 0 in every combination."""
+    p = 3
+    width = plus_shape[0] * plus_shape[1] + minus_shape[0] * minus_shape[1]
+    basis = np.random.default_rng(width).integers(0, p, (3, width))
+    census = counting._block_rank_census(basis, p, plus_shape, minus_shape)
+    assert census == reference_block_rank_census(basis, p, plus_shape, minus_shape)
+    assert sum(census.values()) == p**3
+    empty = 0 if 0 in plus_shape else 1
+    assert all(key[empty] == 0 for key in census)
+
+
 @pytest.mark.parametrize("order, shape", [(3, ComplexShape(3, 1, 1)), (5, ComplexShape(2, 0, 1))])
 def test_census_ranks_one_vector_per_line(monkeypatch, order, shape) -> None:
     """A census of a t-dimensional cycle space ranks (p^t - 1) / (p - 1)

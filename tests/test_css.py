@@ -368,6 +368,45 @@ def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
                 assert d == (e if e <= w_max else None)
 
 
+def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
+    """Bounded reports for w_max = 1..w_max equal the reference search,
+    and equal themselves with ``_TABLE_CELLS`` and ``_BLOCK_CELLS`` at 1,
+    so that every table chunk and stream block holds one support.  A
+    side whose first logical weight is not 1 streams every weight-1
+    support at w = 1 and tabulates them at w = 2, so the search then
+    meets more than one chunk and more than one block."""
+    sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
+    first = [bounded_logical_weight(k_of, i_of, w_max) for k_of, i_of in sides]
+    whole = [min_distance(code, mode="bounded", w_max=w) for w in range(1, w_max + 1)]
+    for w, rep in enumerate(whole, 1):
+        assert [rep.d_z, rep.d_x] == [d if d is not None and d <= w else None for d in first]
+    chunks, blocks = [], []
+    syndromes, group_table, meets = css._syndromes, css._group_table, css._meets_logical
+
+    def one_support(cols, h, values, p, cells):
+        for syn in syndromes(cols, h, values, p, cells):
+            assert len(syn) == len(values)
+            yield syn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(css, "_TABLE_CELLS", 1)
+        mp.setattr(css, "_BLOCK_CELLS", 1)
+        mp.setattr(css, "_syndromes", one_support)
+        mp.setattr(css, "_group_table", lambda syn, r: chunks.append(1) or group_table(syn, r))
+        mp.setattr(css, "_meets_logical", lambda t, syn, r: blocks.append(1) or meets(t, syn, r))
+        chunked = [min_distance(code, mode="bounded", w_max=w) for w in range(1, w_max + 1)]
+    assert chunked == whole
+    if any(d != 1 for d in first):
+        assert len(chunks) > 1 and len(blocks) > 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(distance_codes())
+def test_bounded_search_in_one_support_chunks_and_blocks(code) -> None:
+    assume(code.k > 0)
+    _assert_bounded_search_agrees(code, 3)
+
+
 @pytest.mark.parametrize(
     "shapes", [((1, 1, 0), (2, 2, 0)), ((1, 1, 0), (3, 1, 1)), ((3, 1, 1), (3, 1, 1))]
 )
@@ -377,7 +416,8 @@ def test_bounded_search_matches_reference_on_multi_byte_syndromes(shapes, seed) 
     entry is two bytes of its key.  The product of two zero-boundary
     factors (H = n) has no stabilizers (r = 0: one key for every
     syndrome); the others have some.  Either sign of the involution,
-    w_max = 1..3, against the reference search."""
+    w_max = 1..3, against the reference search, in one chunk and block
+    and in one support per chunk and block."""
     field = FieldSpec(17)
     factors = [
         random_boundary(ComplexShape(*shape), field, trial_rng(seed, i))[0]
@@ -385,12 +425,7 @@ def test_bounded_search_matches_reference_on_multi_byte_syndromes(shapes, seed) 
     ]
     c = product(*factors).complex
     for code in (extract_css(c), extract_css(flip_sectors(c))):
-        sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
-        first = [bounded_logical_weight(k_of, i_of, 3) for k_of, i_of in sides]
-        for w_max in (1, 2, 3):
-            rep = min_distance(code, mode="bounded", w_max=w_max)
-            found = [d if d is not None and d <= w_max else None for d in first]
-            assert [rep.d_z, rep.d_x] == found
+        _assert_bounded_search_agrees(code, 3)
 
 
 def test_a_mixed_table_group_meets_each_of_its_dual_syndromes() -> None:

@@ -541,6 +541,15 @@ class TestExhaustiveUlw:
                 got = exhaustive_ulw_probability(FieldSpec(order), n_prime, rank, c_prime)
                 assert got == reference_ulw_probability(order, n_prime, rank, c_prime * n_prime)
 
+    @pytest.mark.parametrize("c_prime", [Fraction(0), Fraction(1, 2)])
+    def test_empty_matrix_agrees_with_the_harness(self, c_prime):
+        """n' = 0: the one 0 x 0 matrix has rank 0 and no rows or
+        columns, so the oracle and the harness both find the event
+        certain."""
+        assert exhaustive_ulw_probability(FIELD3, 0, 0, c_prime) == 1
+        report = mc_uniform_low_weight(FIELD3, 0, 0, c_prime, 5, 1)
+        assert report.successes == report.trials == 5
+
     def test_limit_guard(self, monkeypatch):
         with pytest.raises(ValueError, match=r"3\^10000 vectors, above the limit"):
             exhaustive_ulw_probability(FIELD3, 100, 1, Fraction(1, 2))

@@ -1,0 +1,37 @@
+"""numpy stays the only runtime dependency: every module of the package
+imports only from the standard library, numpy and the package itself."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import quditprod
+
+SOURCES = sorted(Path(quditprod.__file__).parent.glob("*.py"))
+
+
+def _foreign_imports(tree: ast.AST) -> list[str]:
+    """The modules an import of the tree names that are neither
+    ``__future__``, relative, in the standard library nor numpy."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    allowed = sys.stdlib_module_names | {"__future__", "numpy"}
+    return [name for name in names if name.partition(".")[0] not in allowed]
+
+
+def test_sources_import_only_the_standard_library_and_numpy() -> None:
+    assert len(SOURCES) > 1
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert _foreign_imports(tree) == [], path.name
+
+
+def test_the_guard_refuses_a_third_party_import() -> None:
+    tree = ast.parse("import numpy.linalg\nfrom scipy import stats\nfrom . import gf\nimport os")
+    assert _foreign_imports(tree) == ["scipy"]
