@@ -229,6 +229,7 @@ def _block_rank_census(
     for vecs in line_blocks(basis, p):
         r_plus = _table_rank(vecs[:, : p1 * p2].reshape(len(vecs), p1, p2), p)
         r_minus = _table_rank(vecs[:, p1 * p2 :].reshape(len(vecs), m1, m2), p)
+        # uint8 codes: the table cap keeps ranks <= 5, so codes <= 35.
         flat = r_plus * counts.shape[1] + r_minus
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
     counts *= p - 1
@@ -252,7 +253,9 @@ def _enumerate_ranks(
     Every matrix is ranked on its own: the states of the subspace table
     are stepped through the Cartesian product of each row's codes (a row
     in the fixed corner has its fixed part plus every value of its free
-    digits), so the final state array holds one state per matrix.  A
+    digits).  The last row steps through ``dim`` of its move, straight
+    to the rank reached, so the final array holds one uint8 rank per
+    matrix (with no rows, state 0 is the zero subspace, of rank 0).  A
     wide space is walked along its columns.  The trailing rows are
     enumerated in blocks from each state of the leading rows, so no
     array outgrows _CHUNK entries.  Refused when the free entries span
@@ -268,6 +271,8 @@ def _enumerate_ranks(
     free = p**fc * np.arange(p ** (cols - fc))
     fixed_codes = corner @ p ** np.arange(fc)
     moves = [step[:, fixed_codes[i] + free if i < fr else slice(None)] for i in range(rows)]
+    if moves:
+        moves[-1] = dim[moves[-1]]
 
     # The trailing rows are the longest suffix, of at least one row,
     # whose code counts multiply to at most _CHUNK.
@@ -285,7 +290,7 @@ def _enumerate_ranks(
         state = leading[start : start + per]
         for move in moves[split:]:
             state = move[state].ravel()
-        hist += np.bincount(dim[state], minlength=hist.size)
+        hist += [np.count_nonzero(state == r) for r in range(hist.size)]
     return {r: int(c) for r, c in enumerate(hist) if c}
 
 

@@ -37,8 +37,8 @@ argument:
   A sum of two residues lies in 0..2D-2, so one subtraction of D where
   it is >= D reduces it exactly; the sums run in the smallest unsigned
   type holding 2D - 2, where that subtraction is an unsigned minimum
-  (``_add_residues``), and land in the int64 block.  A block costs its
-  int64 array and one narrow array of its sums.
+  (``_add_residues``), and land in a block of that type.  A block costs
+  two such arrays, itself and its sums, of one byte each for D <= 127.
 
 A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
 ``kernel_basis`` has computed it, so every later rank or kernel of the
@@ -588,10 +588,11 @@ def line_blocks(
     scale-invariant property over the whole span is the zero vector's
     plus p - 1 times the count over these rows.  Rows come in the order
     of the index sum_i c_i p**i: the indices whose top nonzero digit is
-    a 1 at k, [p**k, 2 p**k), for k = start .. t - 1.  Each block is
-    int64 with entries in 0..p-1.  Refused with ValueError, before any
-    block is built, when rows < 1, when start lies outside 0..t or when
-    p**t exceeds ``ENUMERATION_LIMIT``, although the walk is shorter.
+    a 1 at k, [p**k, 2 p**k), for k = start .. t - 1.  Each block holds
+    entries in 0..p-1 in the dtype its sums run in.  Refused with
+    ValueError, before any block is built, when rows < 1, when start
+    lies outside 0..t or when p**t exceeds ``ENUMERATION_LIMIT``,
+    although the walk is shorter.
 
     The vectors are built, not decoded.  A low table holds the span of
     the leading j rows in index order, j the largest with p**(2j + 2)
@@ -603,9 +604,9 @@ def line_blocks(
     trailing t - j rows, the only rows still decoded and multiplied,
     added to the whole low table by ``_add_residues``.  Each later block
     takes the next rows // p**j high indices, read off the ranges one at
-    a time, so no range is held whole.  A block costs its own int64
-    array and one array of the same shape in the smallest unsigned
-    dtype holding 2p - 2 (one byte for p <= 127).
+    a time, so no range is held whole.  A block costs two arrays in the
+    smallest unsigned dtype holding 2p - 2 (one byte for p <= 127),
+    itself and its sums.
     """
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
@@ -631,13 +632,13 @@ def line_blocks(
 
     def block(idx: np.ndarray) -> np.ndarray:
         tops = _mod(_mod(idx[:, None] // powers, p) @ high, p)
-        out = np.empty((len(idx), len(low), width), dtype=np.int64)
+        out = np.empty((len(idx), len(low), width), dtype=small)
         _add_residues(tops.astype(small)[:, None, :], low, p, out)
         return out.reshape(len(idx) * len(low), width)
 
     def blocks() -> Iterator[np.ndarray]:
         if head:
-            yield low[head].astype(np.int64)
+            yield low[head]
         parts, room = [], m
         for k in range(max(start, j), t):
             lo, hi = p ** (k - j), 2 * p ** (k - j)
@@ -667,8 +668,9 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     form; state 0 is the zero subspace.  A code is a row vector v
     written as the integer sum_j v_j p^j.  ``step[s, code]`` is the
     state spanned by subspace s and that row, and ``dim[s]`` is the
-    dimension of s, so the rank of a matrix is ``dim`` of the state
-    reached by stepping from 0 through its rows.
+    dimension of s, uint8 (w <= 5 under the cap), so the rank of a
+    matrix is ``dim`` of the state reached by stepping from 0 through
+    its rows.
 
     Built by row reduction alone: each state reduces every code against
     its echelon basis at once, and each new residual extends the basis
@@ -676,7 +678,7 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     every caller.  Raises ValueError above ``_TABLE_CELLS_LIMIT`` cells.
     """
     if w == 0:  # the zero space alone, stepped by the empty row
-        return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.int64))
+        return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.uint8))
     ncodes = p**w
     too_big = f"subspace table of GF({p})^{w} exceeds {_TABLE_CELLS_LIMIT} cells"
     if ncodes > _TABLE_CELLS_LIMIT:
@@ -713,7 +715,7 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
             targets.append(index[nk])
         rows_out.append(np.array(targets)[back.ravel()])
     step = np.array(rows_out, dtype=np.min_scalar_type(len(keys) - 1))
-    return _read_only(step), _read_only(np.array([len(k) for k in keys], dtype=np.int64))
+    return _read_only(step), _read_only(np.array([len(k) for k in keys], dtype=np.uint8))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -722,16 +724,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _table_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch (N, rows, cols) of reduced matrices over GF(p),
-    read from :func:`_subspace_table` one row at a time.  A wide batch
-    is walked along its columns, so the table width is min(rows, cols).
+    """Ranks, uint8, of a batch (N, rows, cols) of reduced matrices over
+    GF(p), of any integer dtype, read from :func:`_subspace_table` one
+    row at a time.  A wide batch is walked along its columns, so the
+    table width is min(rows, cols).
 
     Row codes are built by Horner's rule, and each step is one gather
     from the flattened table at state * ncodes + code.  That index is
     below the table's cell count, at most ``_TABLE_CELLS_LIMIT`` = 2**22,
     so codes and states are held in int32; the table's own narrow dtype
     would wrap."""
-    m = np.asarray(mats, dtype=np.int64)
+    m = np.asarray(mats)
     if m.shape[2] > m.shape[1]:
         m = m.transpose(0, 2, 1)
     nmat, rows, w = m.shape

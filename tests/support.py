@@ -162,6 +162,26 @@ def reference_block_rank_census(
     return counts
 
 
+def reference_rank_histogram(
+    p: int, rows: int, cols: int, fixed: np.ndarray | None = None
+) -> dict[int, int]:
+    """Reference for counting._enumerate_ranks: every rows x cols matrix
+    over GF(p) whose top-left block is ``fixed``, built one at a time
+    from its free entries and ranked by ``reference_row_reduce``."""
+    corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else np.asarray(fixed) % p
+    fr, fc = corner.shape
+    free = [(i, j) for i in range(rows) for j in range(cols) if i >= fr or j >= fc]
+    hist: dict[int, int] = {}
+    for values in itertools.product(range(p), repeat=len(free)):
+        m = np.zeros((rows, cols), dtype=np.int64)
+        m[:fr, :fc] = corner
+        for (i, j), v in zip(free, values):
+            m[i, j] = v
+        r = len(reference_row_reduce(m, p)[1])
+        hist[r] = hist.get(r, 0) + 1
+    return hist
+
+
 def reference_ulw_probability(p: int, n_prime: int, rank: int, bound: Fraction) -> Fraction:
     """Reference for experiments.exhaustive_ulw_probability: every
     n' x n' matrix of ``reference_span`` ranked by gf.rank_batch, its

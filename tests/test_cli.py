@@ -395,6 +395,27 @@ class TestCount:
         assert run(["count", "--dim", 3, "--verify"]) == 0
         assert "all count oracles agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dim, skipped", [(3, 0), (5, 0), (7, 2), (19, 13)])
+    def test_verify_skips_only_what_the_oracles_refuse(self, dim, skipped, capsys):
+        """GF(3) and GF(5) check every instance.  Over GF(7) the full 3x3
+        space (7^9) and the cycle census (7^10) are above the enumeration
+        limit.  Over GF(19) a 3-wide subspace table is above its cap, so
+        even a 3x3 extension of 5 free entries (19^5) is skipped."""
+        assert run(["count", "--dim", dim, "--verify"]) == 0
+        note = f" ({skipped} enumerations over the enumeration or subspace-table cap skipped)"
+        assert capsys.readouterr().out == "all count oracles agree" + (note if skipped else "") + "\n"
+
+    @pytest.mark.parametrize("dim", [3, 7])
+    def test_verify_fails_on_a_wrong_closed_form(self, dim, capsys, monkeypatch):
+        def wrong(A, B, R, field):
+            return count_rank_matrices(A, B, R, field) + 1
+
+        monkeypatch.setattr(cli, "count_rank_matrices", wrong)
+        assert run(["count", "--dim", dim, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mismatch: rank count (1,1,0)" in captured.err
+
     def test_count_above_the_int_digit_limit_prints(self, capsys):
         """A count of about 4770 digits prints whole, and main leaves the
         int-to-str digit limit as it found it."""

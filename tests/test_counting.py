@@ -33,7 +33,13 @@ import quditprod.counting as counting
 import quditprod.gf as gf
 from quditprod.gf import random_invertible
 
-from support import FIELD3, FIELD5, SHAPE3, reference_block_rank_census
+from support import (
+    FIELD3,
+    FIELD5,
+    SHAPE3,
+    reference_block_rank_census,
+    reference_rank_histogram,
+)
 
 # Rank census of the plus-sector cycle space for a product of two
 # standard (n=3, H=1, L=1) factors over GF(3), keyed by block rank
@@ -416,6 +422,50 @@ def test_block_rank_census_of_an_empty_block(plus_shape, minus_shape) -> None:
     assert sum(census.values()) == p**3
     empty = 0 if 0 in plus_shape else 1
     assert all(key[empty] == 0 for key in census)
+
+
+def test_block_rank_census_at_the_widest_table() -> None:
+    """Two 5 x 5 blocks over GF(3), the widest subspace table: ranks up
+    to 5 on both sides, so the bucket codes reach 5 * 6 + 5 = 35."""
+    p, shape = 3, (5, 5)
+    basis = np.random.default_rng(55).integers(0, p, (7, 50))
+    census = counting._block_rank_census(basis, p, shape, shape)
+    assert census == reference_block_rank_census(basis, p, shape, shape)
+    assert (5, 5) in census
+    assert sum(census.values()) == p**7
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A rows x cols space over GF(3/5/7), tall, wide or empty, narrow
+    enough for its subspace table (5, 4 or 3), with a fixed top-left
+    corner of random residues (or none), of at most 3^6, 5^4 or 7^3
+    free entries, and a chunk of 1, a small odd size or the default."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    widest, most = {3: (5, 6), 5: (4, 4), 7: (3, 3)}[p]
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, widest if rows > widest else 5))
+    # rows * cols - fr * fc <= most: fr so that fc = cols fits, then fc.
+    fr = draw(st.integers(min(f for f in range(rows + 1) if (rows - f) * cols <= most), rows))
+    fc = draw(st.integers(max(0, -(-(rows * cols - most) // fr)) if fr else 0, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed = rng.integers(0, p, (fr, fc)) if draw(st.booleans()) or fr * fc else None
+    chunk = draw(st.sampled_from([1, counting._CHUNK]) | st.integers(1, 20).map(lambda c: 2 * c + 1))
+    return p, rows, cols, fixed, chunk
+
+
+@settings(max_examples=250, deadline=None)
+@given(enumeration_cases())
+def test_enumerate_ranks_matches_a_per_matrix_reference(case) -> None:
+    """The walk's histogram is that of ranking every matrix on its own
+    by plain row reduction, for every chunk size: a chunk of 1 steps
+    one leading state at a time, a small odd chunk splits the rows
+    between leading and trailing, and the default keeps them trailing."""
+    p, rows, cols, fixed, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_CHUNK", chunk)
+        hist = counting._enumerate_ranks(FieldSpec(p), rows, cols, fixed)
+    assert hist == reference_rank_histogram(p, rows, cols, fixed)
 
 
 @pytest.mark.parametrize("order, shape", [(3, ComplexShape(3, 1, 1)), (5, ComplexShape(2, 0, 1))])

@@ -344,14 +344,15 @@ def span_cases(draw):
 @given(span_cases())
 def test_span_blocks_matches_reference(case) -> None:
     """The built lines are the decoded ones, row for row in index order,
-    for every block size and every start 0..t; each block is int64 with
-    1..rows rows of residues."""
+    for every block size and every start 0..t; each block holds 1..rows
+    rows of residues in the unsigned dtype its sums run in, the smallest
+    holding 2p - 2 (uint8, uint16 at 181, uint32 at 65521)."""
     order, basis, rows = case
     t, width = basis.shape
     for start in range(t + 1):
         blocks = list(line_blocks(basis, order, rows, start))
         for b in blocks:
-            assert b.dtype == np.int64
+            assert b.dtype == np.min_scalar_type(2 * order - 2)
             assert 1 <= len(b) <= rows
             assert ((b >= 0) & (b < order)).all()
         expected = np.concatenate(list(reference_lines(basis, order, start)))
@@ -427,6 +428,7 @@ def test_subspace_table_has_one_state_per_subspace(order: int, width: int, state
     grow = dim[step] - dim[:, None]
     assert ((grow == 0) | (grow == 1)).all()
     assert (step[:, 0] == np.arange(states)).all()
+    assert dim.dtype == np.uint8
     assert not step.flags.writeable and not dim.flags.writeable
 
 
