@@ -151,9 +151,9 @@ def count_reduced_cycles(
         raise ValueError(f"need L >= n - n_prime, got L = {L}, gap = {gap}")
     total = 0
     for r_p in range(min(K, R_plus) + 1):
+        ext_p = count_rank_extensions(K, K, r_p, n_prime, n_prime, R_plus, field)
         for r_m in range(min(K, R_minus) + 1):
             z = count_cycles_by_rank(H, L - gap, r_p, r_m, field)
-            ext_p = count_rank_extensions(K, K, r_p, n_prime, n_prime, R_plus, field)
             ext_m = count_rank_extensions(K, K, r_m, n_prime, n_prime, R_minus, field)
             total += z * ext_p * ext_m
     return total

@@ -46,9 +46,13 @@ spanned by the first t columns of u_plus, and ker d_pm by those of
 u_minus: each trial's two kernel bases are read off its conjugating
 matrices, and only the draws, kernel enumerations and ranks are
 batched.  Both exact kernels put the batch on the last, contiguous
-axis: ``rank_batch`` eliminates a (rows, cols, N) stack, and the
-light-kernel test forms each block of span vectors for every live basis
-in one exact float64 BLAS product (``gf._matmul``).
+axis: ``rank_batch`` eliminates a (rows, cols, N) stack.  The
+light-kernel test walks no span: it brings a (t, n, N) stack of bases
+to systematic form at once (``gf._gauss_jordan_batch``), where a
+vector's weight is at least that of its coefficient vector, and tries
+only the coefficient vectors of weight <= w_max, each block of them
+against every live basis in one exact integer ``einsum`` over the rows
+each candidate combines.
 
 Estimates ship with 95% Wilson score intervals, which behave sanely for
 probabilities near 0 where most of these events live.
@@ -65,12 +69,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import gf
 from .complexes import ComplexShape
 from .gf import (
     FieldSpec,
     MatGF,
     _check_enumeration,
-    _matmul,
+    _gauss_jordan_batch,
+    _mod,
     _table_rank,
     line_blocks,
     rank_batch,
@@ -103,8 +109,9 @@ _ROUND_CELLS = 1 << 18
 # Spawn keys are hashed as one 32-bit word, so trial indices stay below
 # 2**32.
 _TRIALS_LIMIT = 1 << 32
-# Most span rows (kernel vectors) the light-kernel test holds at once.
-_SPAN_ROWS = 1 << 12
+# Most cells (candidates x n x bases) in one block of the light-kernel
+# test's products.
+_LIGHT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -410,35 +417,79 @@ def _kernel_bases(
         yield np.concatenate([u_plus, u_minus])[:, :, :t].transpose(0, 2, 1)
 
 
-def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
-    """For each basis of an (N, t, n) stack of t independent rows,
-    whether its span holds a nonzero vector of weight <= w_max.
+def _coefficient_blocks(
+    t: int, p: int, j: int, rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every coefficient vector c in GF(p)^t of weight j whose leading
+    nonzero entry is 1, C(t, j) (p - 1)**(j - 1) in all, as pairs
+    (supports, values) of at most ``rows`` (>= 1) vectors: a (b, j)
+    intp array of supports in ``itertools.combinations`` order and a
+    (v, j) int64 array of the values on them, each a 1 and then a tail
+    of j - 1 nonzero residues, standing for the b v vectors that put
+    each row of values on each support.  A pair holds
+    rows // (p - 1)**(j - 1) whole supports, or a run of one support's
+    tails when it holds fewer than one."""
+    ntails = (p - 1) ** (j - 1)
+    powers = (p - 1) ** np.arange(j - 1, dtype=np.int64)
+    supports = itertools.combinations(range(t), j)
+    while batch := list(itertools.islice(supports, max(1, rows // ntails))):
+        idx = np.array(batch, dtype=np.intp)
+        for lo in range(0, ntails, rows):
+            tails = np.arange(lo, min(lo + rows, ntails), dtype=np.int64)
+            values = np.ones((len(tails), j), dtype=np.int64)
+            values[:, 1:] += tails[:, None] // powers % (p - 1)
+            yield idx, values
 
-    Exact: a vector and its nonzero multiples have the same weight, so
-    one coefficient vector c per line comes from ``gf.line_blocks`` in
-    blocks of ``_SPAN_ROWS // N`` rows (at least one).  c is nonzero,
-    and a zero c @ basis, which only dependent rows give, is no hit; a
-    basis drops out at its first hit.  A block's vectors for every live
-    basis come from one ``gf._matmul`` product, float64 BLAS within its
-    exactness bound t (p - 1)**2 < 2**53.  Refused when the span size
-    p^t exceeds ``gf.ENUMERATION_LIMIT``.
+
+def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
+    """For each basis of an (N, t, n) stack of t rows, whether its span
+    holds a nonzero vector of weight <= w_max.
+
+    Exact, and with no walk over the span.  ``gf._gauss_jordan_batch``
+    reduces every basis once to R, in which the pivot column of each
+    nonzero row i is zero outside row i, so c @ R holds c_i at that
+    column and wt(c @ R) >= wt(c) over the nonzero rows.  A vector of
+    weight <= w_max is therefore c @ R for a c of weight <= w_max, and a
+    nonzero multiple of it for a c with leading entry 1: the candidates
+    of :func:`_coefficient_blocks` for weights j = 1 .. min(w_max, t).
+    A zero c @ R, which only dependent rows give, is no hit.
+
+    Each block of at most ``_LIGHT_CELLS`` // (n N) candidates (at least
+    one) is formed for every live basis by one ``einsum``, which sums
+    the j support rows of R times their values: j products of residues,
+    exact in the smallest unsigned dtype holding w (p - 1)**2,
+    w = min(w_max, t), and no multiplication by the zero coefficients.  A basis drops out at
+    its first hit.  Refused when the candidates number more than
+    ``gf.ENUMERATION_LIMIT``.
     """
     nmat, t, n = bases.shape
     hits = np.zeros(nmat, dtype=bool)
-    if w_max < 1 or nmat == 0:
+    w = min(w_max, t)
+    if w < 1 or nmat == 0:
         return hits
-    # gens[k, :, i] is row k of basis i, so block @ gens[:, :, live] spans
-    # every live basis; weights are counted over axis 1.
-    gens = np.ascontiguousarray(bases.transpose(1, 2, 0))
+    count = sum(math.comb(t, j) * (p - 1) ** (j - 1) for j in range(1, w + 1))
+    if count > gf.ENUMERATION_LIMIT:
+        raise ValueError(
+            f"light-vector search needs {count} coefficient vectors, "
+            f"above the limit of {gf.ENUMERATION_LIMIT}"
+        )
+    dtype = np.min_scalar_type(w * (p - 1) ** 2)
+    # gens[k, :, i] is row k of reduced basis i, so a candidate's vector
+    # for every live basis is one sum of rows; weights are counted over
+    # the n axis.
+    gens = _gauss_jordan_batch(bases.transpose(1, 2, 0), p).astype(dtype)
     live = np.arange(nmat)
-    for block in line_blocks(np.eye(t, dtype=np.int64), p, max(1, _SPAN_ROWS // nmat)):
-        vecs = _matmul(block, gens[:, :, live].reshape(t, n * live.size), p)
-        weights = np.count_nonzero(vecs.reshape(len(block), n, len(live)), axis=1)
-        found = ((weights > 0) & (weights <= w_max)).any(axis=0)
-        hits[live[found]] = True
-        live = live[~found]
-        if live.size == 0:
-            break
+    rows = max(1, _LIGHT_CELLS // max(1, n * nmat))
+    for j in range(1, w + 1):
+        for supports, values in _coefficient_blocks(t, p, j, rows):
+            vecs = _mod(np.einsum("vj,bjkl->bvkl", values.astype(dtype), gens[supports]), p)
+            weights = np.count_nonzero(vecs, axis=2)
+            found = ((weights > 0) & (weights <= w_max)).any(axis=(0, 1))
+            if found.any():
+                hits[live[found]] = True
+                live, gens = live[~found], gens[:, :, ~found]
+                if live.size == 0:
+                    return hits
     return hits
 
 
@@ -448,9 +499,12 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
 
     The kernel of the full operator is the direct sum of the two sector
     kernels, so the lightest nonzero vector lives entirely in one
-    sector; both sector kernels are enumerated exactly per trial, and
-    the run is refused when a kernel exceeds ``gf.ENUMERATION_LIMIT``
-    vectors.
+    sector; both sector kernels are searched exactly per trial, for
+    w_max = ceil(c n) - 1.  Each basis of t = H + L rows is brought to
+    systematic form and only its coefficient vectors of weight at most
+    w = min(w_max, t) with leading entry 1 are tried, sum_{j <= w}
+    C(t, j) (D - 1)**(j - 1) of them, not its D**t vectors; the run is
+    refused when they number more than ``gf.ENUMERATION_LIMIT``.
     """
     if cfg.c is None:
         raise ValueError("this experiment needs the weight density c")

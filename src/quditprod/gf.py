@@ -12,13 +12,18 @@ dimension k < 2**31.
 Three kernels run in narrower or other types, each with its exactness
 argument:
 
-- Elimination (``_row_reduce``, ``rank_batch``) works in the smallest
-  signed integer type holding (D - 1) * D (``_work_dtype``): int16 for
-  D <= 181, int64 above.  A step subtracts a residue times a residue
-  from a residue, so entries stay within [-(D - 1)**2, D - 1] until
-  they are reduced.  ``rank_batch`` holds the batch as the last axis
-  and eliminates forward only: each lead row clears itself, so there is
-  no row swap and no cursor.
+- Elimination (``_row_reduce``, ``rank_batch``, ``_gauss_jordan_batch``)
+  works in the smallest signed integer type holding (D - 1) * D
+  (``_work_dtype``): int16 for D <= 181, int64 above.  Every step's
+  entries stay within [-(D - 1)**2, (D - 1)**2] until they are reduced.
+  ``_row_reduce`` subtracts a residue times a residue from a residue.
+  The two batched eliminations hold the batch as the last axis, need no
+  row swap and no cursor, and pick each matrix's lead row without a
+  gather, as a sum over rows masked by a one-hot mask of its first
+  candidate row (``_lead_rows``).  ``rank_batch`` eliminates forward
+  only and fraction-free, pivot * row - col * lead, so each lead row
+  clears itself; ``_gauss_jordan_batch`` subtracts multiples of the
+  scaled lead row, which lies in 0..D-1, by factors in [-1, D - 1].
 - Matrix products (``_matmul``, behind ``MatGF @``) run in float64
   through BLAS when k * (D - 1)**2 < 2**53: every product and partial
   sum of residues is then a nonnegative integer below 2**53, which
@@ -45,11 +50,12 @@ A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
 same matrix object is read, not eliminated again.
 
 Exhaustive enumerations (rank censuses, exhaustive distances and
-probabilities, the Monte Carlo kernel search) cover at most
-``ENUMERATION_LIMIT`` = 10**7 vectors or matrices: ``line_blocks`` and
-the count oracles refuse anything larger with one ValueError.  The cap
-counts the whole space, p**t for a span of t rows, although a line
-walk visits (p**t - 1) / (p - 1) of its vectors.
+probabilities) cover at most ``ENUMERATION_LIMIT`` = 10**7 vectors or
+matrices: ``line_blocks`` and the count oracles refuse anything larger
+with one ValueError.  The cap counts the whole space, p**t for a span
+of t rows, although a line walk visits (p**t - 1) / (p - 1) of its
+vectors.  The Monte Carlo kernel search walks no span: the same cap
+bounds the number of coefficient vectors it tries.
 
 The text wire format for a matrix is one header line ``D nrows ncols``
 followed by ``nrows`` lines of residues.  The writer emits canonical
@@ -486,9 +492,9 @@ def _work_dtype(p: int) -> type:
     """The elimination dtype for GF(p): the smallest signed integer type
     holding (p - 1) * p, so int16 for p <= 181 and int64 above.
 
-    During an elimination step entries stay within [-(p-1)**2, p-1],
-    and ``_mod``'s temporaries within (p - 1) * p + 1 in magnitude;
-    int16 moves a quarter of int64's bytes.
+    During an elimination step entries stay within
+    [-(p-1)**2, (p-1)**2], and ``_mod``'s temporaries within (p - 1) * p
+    in magnitude; int16 moves a quarter of int64's bytes.
     """
     return np.int16 if (p - 1) * p < 1 << 15 else np.int64
 
@@ -514,17 +520,46 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mod(prod, p)
 
 
+def _lead_rows(nonzero: np.ndarray) -> np.ndarray:
+    """The one-hot (rows, N) mask of each matrix's first True row in a
+    (rows, N) mask, all False where a matrix has none.
+
+    Row by row, a row leads where it is True and no row above it is
+    (row > seen, for booleans).  Each step is one pass along the
+    contiguous batch axis; ``np.logical_or.accumulate`` down the rows
+    gives the same mask but took about four times as long on a (9, 1536)
+    mask (numpy 2.4, 2-vCPU x86 host).  The pivot and lead row are then
+    read as sums over rows masked by it, with no gather."""
+    first = nonzero.copy()
+    seen = np.zeros(first.shape[1:], dtype=bool)
+    for row in first:
+        np.greater(row, seen, out=row)
+        seen |= row
+    return first
+
+
+def _masked_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum_i mask[i] rows[i] of a (rows, cols, N) stack and a one-hot
+    (rows, N) mask: each matrix's masked row, zero where the mask has
+    none, in the stack's dtype (one term per sum, so it cannot wrap).
+    One ``einsum``, which multiplies and sums without the (rows, cols, N)
+    temporary of a product and a reduction."""
+    return np.einsum("ikn,in->kn", rows, mask.astype(rows.dtype))
+
+
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
     Forward elimination of the whole stack, held as a contiguous
     (rows, cols, N) array in :func:`_work_dtype`.  At column c each
-    matrix's lead row is its first row nonzero there, and a nonzero
-    pivot adds one to its rank.  The lead row, scaled by the pivot's
-    inverse, is subtracted col[i] times from every row i over columns
-    c+1..; its own factor is the pivot, so the lead row clears itself.
-    A matrix with no pivot has col = 0 and is left as it was.  Both
-    factors are residues, so entries stay within [-(p-1)**2, p-1].
+    matrix's lead row is its first row nonzero there (:func:`_lead_rows`),
+    read with its pivot as a masked sum over rows, and a nonzero pivot
+    adds one to its rank.  The update is fraction-free: every row i
+    becomes pivot * row_i - col[i] * lead over columns c+1.., so the lead
+    row clears itself, and a nonzero multiple of a row keeps the rank.
+    A matrix with no pivot takes pivot 1 and col = 0, and is left as it
+    was.  All factors are residues, so entries stay within
+    [-(p-1)**2, (p-1)**2] until they are reduced.
     """
     m = np.asarray(mats, dtype=np.int64)
     if m.ndim != 3:
@@ -533,19 +568,52 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     ranks = np.zeros(nmat, dtype=np.int64)
     if nrows == 0:
         return ranks
-    dtype = _work_dtype(p)
-    m = np.ascontiguousarray(_mod(m, p).astype(dtype, copy=False).transpose(1, 2, 0))
-    inv = _inverse_table(p).astype(dtype, copy=False)
+    m = np.ascontiguousarray(_mod(m, p).astype(_work_dtype(p), copy=False).transpose(1, 2, 0))
     for c in range(ncols):
         col = m[:, c]
-        lead = (col != 0).argmax(axis=0)
-        pivot = np.take_along_axis(col, lead[None], axis=0)[0]
-        ranks += pivot != 0
-        rest = m[:, c + 1 :]
-        row = _mod(np.take_along_axis(rest, lead[None, None], axis=0) * inv[pivot], p)
-        upd = col[:, None] * row
-        m[:, c + 1 :] = _mod(np.subtract(rest, upd, out=upd), p)
+        lead = _masked_rows(m[:, c:], _lead_rows(col != 0))
+        ranks += lead[0] != 0
+        upd = m[:, c + 1 :] * np.maximum(lead[0], 1)
+        upd -= col[:, None] * lead[1:]
+        m[:, c + 1 :] = _mod(upd, p)
     return ranks
+
+
+def _gauss_jordan_batch(m: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan elimination of a (rows, cols, N) stack of residues
+    mod p, the batch on the last axis: a new array in
+    :func:`_work_dtype`, each matrix row-equivalent to its input, in
+    which each pivot row has a 1 at its pivot column and that column is
+    zero in every other row.  Rows that never lead end zero.
+
+    Rows stay where they are.  A row is free until it leads; at column c
+    each matrix's lead row is its first free row nonzero there
+    (:func:`_lead_rows`), read as a masked sum and scaled by its pivot's
+    inverse.  Every row i, those that led before included, has
+    col[i] - [i leads] times the scaled lead row subtracted over columns
+    c.., so the lead row becomes the scaled row and column c clears
+    elsewhere.  Free rows are zero left of c, so columns c.. hold all of
+    the lead row.  Factors lie in [-1, p-1] and the scaled row in
+    0..p-1, so entries stay within [-(p-1)**2, 2(p-1)] until reduced.
+    """
+    dtype = _work_dtype(p)
+    m = np.array(m, dtype=dtype, order="C")
+    nrows, ncols, nmat = m.shape
+    inv = _inverse_table(p).astype(dtype, copy=False)
+    free = np.ones((nrows, nmat), dtype=bool)
+    for c in range(ncols):
+        if not free.any():
+            break
+        col = m[:, c].copy()
+        first = _lead_rows((col != 0) & free)
+        free &= ~first
+        rest = m[:, c:]
+        lead = _masked_rows(rest, first)
+        lead = _mod(lead * inv[lead[0]], p)
+        col -= first
+        upd = col[:, None] * lead
+        m[:, c:] = _mod(np.subtract(rest, upd, out=upd), p)
+    return m
 
 
 # Most vectors (or matrices) any exhaustive enumeration may walk: every

@@ -211,6 +211,30 @@ def has_light_kernel_vector(basis: np.ndarray, p: int, w_max: int) -> bool:
     return False
 
 
+def reference_light_kernel_vector(basis: np.ndarray, p: int, w_max: int) -> bool:
+    """Reference for experiments._light_kernel_hits past a walkable span,
+    one basis at a time: the r nonzero rows of ``reference_row_reduce``,
+    and every combination of j <= min(w_max, r) of them whose first
+    coefficient is 1 and the others nonzero, j by j.
+
+    In reduced row echelon form the coefficient of row i is the entry
+    at its pivot column, so a vector of weight <= w_max is a nonzero
+    multiple of one of these combinations."""
+    rref, pivots = reference_row_reduce(basis, p)
+    rows = rref[: len(pivots)]
+    for j in range(1, min(w_max, len(pivots)) + 1):
+        coeffs = []
+        for support in itertools.combinations(range(len(pivots)), j):
+            for tail in itertools.product(range(1, p), repeat=j - 1):
+                c = [0] * len(pivots)
+                for i, v in zip(support, (1, *tail)):
+                    c[i] = v
+                coeffs.append(c)
+        if (np.count_nonzero(np.array(coeffs) @ rows % p, axis=1) <= w_max).any():
+            return True
+    return False
+
+
 def reference_matrix_to_text(m: MatGF) -> str:
     """Reference for gf.matrix_to_text: one str() per residue and one
     join per row."""

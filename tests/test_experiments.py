@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -31,7 +31,13 @@ from quditprod import experiments, gf, is_good, random_boundary
 from quditprod.experiments import _CHUNK, CSV_COLUMNS
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, random_invertible, rank
 
-from support import FIELD3, FIELD5, has_light_kernel_vector, reference_ulw_probability
+from support import (
+    FIELD3,
+    FIELD5,
+    has_light_kernel_vector,
+    reference_light_kernel_vector,
+    reference_ulw_probability,
+)
 
 
 class TestWilsonInterval:
@@ -159,17 +165,31 @@ class TestLowWeightKernel:
             mc_low_weight_kernel(cfg)
 
     def test_budget_guard(self, monkeypatch):
-        # n=3, H=1 kernels are nonempty, so a limit of 2 cannot hold
-        # even one kernel's worth of vectors.
+        # n=3, H=1 kernels have t = H + L = 2 rows and w_max = 1, so the
+        # search takes C(2, 1) = 2 coefficient vectors.
         cfg = TrialConfig(
             field=FIELD3, n=3, trials=1, master_seed=7, H=1, c=Fraction(1, 2)
         )
-        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 2)
-        with pytest.raises(ValueError, match=r"3\^2 vectors, above the limit of 2$"):
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 1)
+        with pytest.raises(ValueError, match=r"needs 2 coefficient vectors, above the limit of 1$"):
             mc_low_weight_kernel(cfg)
-        # the kernels have dimension H + L = 2: exactly 3^2 vectors
-        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 9)
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 2)
         assert mc_low_weight_kernel(cfg).trials == 1
+
+    def test_answers_past_a_walkable_span(self):
+        """GF(5), n = 25, H = 1: kernels of t = 13 rows, whose 5^13
+        vectors are above the enumeration limit; w_max = 2 takes
+        13 + 78 * 4 = 325 coefficient vectors.  The harness gives the
+        successes of a per-trial loop over the scalar reference."""
+        shape = ComplexShape.from_hom_dim(25, 1)
+        cfg = TrialConfig(field=FIELD5, n=25, trials=8, master_seed=11, H=1, c=Fraction(3, 25))
+        expected = 0
+        for i in range(cfg.trials):
+            c, _, _ = random_boundary(shape, FIELD5, trial_rng(11, i))
+            expected += any(
+                reference_light_kernel_vector(kernel_basis(d), 5, 2) for d in (c.d_mp, c.d_pm)
+            )
+        assert mc_low_weight_kernel(cfg).successes == expected
 
 
 @pytest.mark.parametrize("trials", [1, _CHUNK + 1])
@@ -207,44 +227,64 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
         assert 0 < kernel[1] < trials and 0 < goodness[3] < trials and 0 < ulw < trials
 
 
+# (p, t, largest n): spans walkable a row at a time, and past the
+# enumeration limit (191^4 and 5^13 vectors).
+_LIGHT_SIZES = [(p, t, 9) for p in (3, 5, 7, 191) for t in range(5) if p**t <= 7**4]
+_LIGHT_SIZES += [(191, 4, 9), (5, 13, 15)]
+
+
 @st.composite
 def light_kernel_cases(draw):
-    """A (N, t, n) stack of bases over GF(3/5/7/191), t <= n <= 9, some
-    sparse so that light vectors are common, and a weight bound w_max in
-    0..n.  GF(191) spans are walked up to t = 1 and refused at t = 4;
-    at t = 2 and 3 they are within the enumeration limit but too long
-    to walk a row at a time in a test."""
-    p = draw(st.sampled_from([3, 5, 7, 191]))
-    t = draw(st.integers(0, 4))
-    assume(p**t <= 7**4 or p**t > gf.ENUMERATION_LIMIT)
-    n = draw(st.integers(t, 9))
+    """A (N, t, n) stack of bases over GF(3/5/7/191), some sparse so that
+    light vectors are common, and a weight bound w_max: any in 0..n for
+    a walkable span, and in 0..2 past the limit, where the scalar
+    reference takes every candidate in Python."""
+    p, t, n_max = draw(st.sampled_from(_LIGHT_SIZES))
+    n = draw(st.integers(t, n_max))
     count = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bases = rng.integers(0, p, (count, t, n))
     bases *= rng.random((count, t, n)) < draw(st.sampled_from([0.2, 0.5, 1.0]))
-    return p, bases, draw(st.integers(0, n))
+    return p, bases, draw(st.integers(0, n if p**t <= 7**4 else 2))
 
 
-@pytest.mark.parametrize("span_rows", [1, 7, experiments._SPAN_ROWS])
+@pytest.mark.parametrize("cells", [1, 999, experiments._LIGHT_CELLS])
 @settings(max_examples=100, deadline=None)
 @given(case=light_kernel_cases())
-def test_light_kernel_hits_match_a_per_basis_oracle(span_rows, case) -> None:
-    """The batched light-vector test gives each basis the answer of a
-    walk over its own span, with blocks of one row, of 7 // N rows
-    (one or more, so several blocks), and of the default size; bases
-    drop out at their first hit.  Spans above the enumeration limit are
-    refused whenever any basis would be walked."""
+# e_0 = r_0 - r_1 is the one light vector: found only once the
+# reduction clears column 1 above its pivot.
+@example(case=(3, np.array([[[1, 1, 1], [0, 1, 1]]]), 1))
+# r_0 - r_1 = (1, 2, 0, 0, 0, 0) is the one vector of weight <= 2: found
+# only by the candidate whose tail is the last nonzero value.
+@example(case=(3, np.array([[[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 2, 0, 1]]]), 2))
+def test_light_kernel_hits_match_a_per_basis_oracle(cells, case) -> None:
+    """The batched light-vector test gives each basis the answer of the
+    scalar reference, with blocks of one candidate, of 999 // (n N)
+    (one or more, so several blocks that split supports) and of the
+    default size; bases drop out at their first hit.  Where the span is
+    walkable, the reference gives the answer of a walk over it."""
     p, bases, w_max = case
     nmat, t, _ = bases.shape
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_SPAN_ROWS", span_rows)
-        if p**t > gf.ENUMERATION_LIMIT and w_max >= 1 and nmat:
-            with pytest.raises(ValueError, match="above the limit"):
-                experiments._light_kernel_hits(bases, p, w_max)
-            return
+        mp.setattr(experiments, "_LIGHT_CELLS", cells)
         hits = experiments._light_kernel_hits(bases, p, w_max)
     assert hits.dtype == bool and hits.shape == (nmat,)
-    assert hits.tolist() == [has_light_kernel_vector(b, p, w_max) for b in bases]
+    expected = [reference_light_kernel_vector(b, p, w_max) for b in bases]
+    assert hits.tolist() == expected
+    if p**t <= 7**4:
+        assert expected == [has_light_kernel_vector(b, p, w_max) for b in bases]
+
+
+def test_light_kernel_hits_refuse_above_the_candidate_limit(monkeypatch) -> None:
+    """The refusal counts coefficient vectors, not the span: the n=3,
+    H=1 kernels (t = 2) at w_max = 1 take 2 of them."""
+    bases = next(experiments._kernel_bases(ComplexShape(3, 1, 1), FIELD3, 1, 7))
+    monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 1)
+    with pytest.raises(ValueError, match=r"needs 2 coefficient vectors, above the limit of 1$"):
+        experiments._light_kernel_hits(bases, 3, 1)
+    monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 2)
+    hits = experiments._light_kernel_hits(bases, 3, 1)
+    assert hits.tolist() == [has_light_kernel_vector(b, 3, 1) for b in bases]
 
 
 @settings(max_examples=20, deadline=None)

@@ -596,6 +596,37 @@ def test_rank_batch_matches_scalar_rank(
         assert _table_rank(mats % order, order).tolist() == ranks.tolist()
 
 
+@pytest.mark.parametrize("order", [3, 5, 181, 191])
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(0, 16),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 7)),
+    largest=st.booleans(),
+    low_rank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauss_jordan_batch_gives_the_reduced_echelon_rows(
+    order, count, shape, largest, low_rank, seed
+) -> None:
+    """Each matrix's nonzero rows, ordered by pivot column, are the rows
+    of the plain int64 reduced row echelon form, over GF(3/5/181) (in
+    int16) and GF(191) (in int64); the rest are zero."""
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, order, (count, rows, cols))
+    if largest:
+        mats = order - 1 - mats % 3
+    if low_rank and rows > 1:
+        mats[:, -1] = mats[:, 0] * 2 % order
+    out = gf._gauss_jordan_batch(mats.transpose(1, 2, 0), order)
+    assert out.shape == (rows, cols, count)
+    for k, m in enumerate(mats):
+        led = [row for row in out[:, :, k].tolist() if any(row)]
+        led.sort(key=lambda row: next(j for j, v in enumerate(row) if v))
+        rref, pivots = reference_row_reduce(m, order)
+        assert led == rref[: len(pivots)].tolist()
+
+
 def test_rank_batch_refuses_a_stack_that_is_not_3d() -> None:
     with pytest.raises(ValueError, match=r"^expected a \(N, rows, cols\) array$"):
         rank_batch(np.zeros((3, 3), dtype=np.int64), 3)
