@@ -149,13 +149,16 @@ def count_reduced_cycles(
         raise ValueError("need n_prime <= n")
     if L < gap:
         raise ValueError(f"need L >= n - n_prime, got L = {L}, gap = {gap}")
+    ext_m = [
+        count_rank_extensions(K, K, r_m, n_prime, n_prime, R_minus, field)
+        for r_m in range(min(K, R_minus) + 1)
+    ]
     total = 0
     for r_p in range(min(K, R_plus) + 1):
         ext_p = count_rank_extensions(K, K, r_p, n_prime, n_prime, R_plus, field)
-        for r_m in range(min(K, R_minus) + 1):
+        for r_m, e_m in enumerate(ext_m):
             z = count_cycles_by_rank(H, L - gap, r_p, r_m, field)
-            ext_m = count_rank_extensions(K, K, r_m, n_prime, n_prime, R_minus, field)
-            total += z * ext_p * ext_m
+            total += z * ext_p * e_m
     return total
 
 

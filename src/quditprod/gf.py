@@ -17,6 +17,29 @@ argument:
   (``_work_dtype``): int16 for D <= 181, int64 above.  Every step's
   entries stay within [-(D - 1)**2, (D - 1)**2] until they are reduced.
   ``_row_reduce`` subtracts a residue times a residue from a residue.
+  It runs one of two loops with one pivot rule and one result: a matrix
+  of at most ``_SMALL_CELLS`` = 150 cells is eliminated as a list of
+  Python-int rows, which are exact for every D, and a larger one in
+  numpy.  Below the crossover numpy's fixed cost of about 1 us per call,
+  some 15 calls per pivot, exceeds the arithmetic.  Per call, in us,
+  numpy loop -> Python-int loop (random full-support matrices, best of
+  30 interleaved passes over 20 of them; 2-vCPU Xeon, CPython 3.11,
+  numpy 2.4, one BLAS thread):
+
+      cells  shape   GF(3)          GF(5)          GF(65521)
+          9  3x3       40 -> 9        37 -> 10       67 -> 23
+         63  7x9       89 -> 46       88 -> 57       90 -> 81
+        144  12x12    146 -> 133     153 -> 166     160 -> 245
+        200  10x20    121 -> 137     129 -> 167     141 -> 271
+        324  18x18    214 -> 353     247 -> 469     321 -> 884
+       2500  50x50    846 -> 7403    863 -> 7523   1107 -> 13239
+
+  Dense matrices cross at about 170 cells for GF(3), 135 for GF(5) and
+  70 for GF(65521).  The mostly sparse GF(3) and GF(5) blocks one pass
+  of the benchmark's codes workload eliminates take the same total,
+  46 ms against 57 ms in numpy alone, for any crossover from 150 to
+  400 cells.
+
   The two batched eliminations hold the batch as the last axis, need no
   row swap and no cursor, and pick each matrix's lead row without a
   gather, as a sum over rows masked by a one-hot mask of its first
@@ -236,19 +259,35 @@ class MatGF:
         return self._echelon
 
 
+# Matrices of at most this many cells are eliminated as lists of Python
+# ints, larger ones in numpy: the crossover table is in the module
+# docstring.
+_SMALL_CELLS = 150
+
+
 def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``a`` mod p, in :func:`_work_dtype`,
     and the pivot column list.
 
     Pivots are chosen as the first nonzero entry scanning down each
-    column, so the result is deterministic for a fixed input.  The
-    elimination runs in :func:`_work_dtype`; each pivot touches only
-    columns c.. of the pivot row and of the rows nonzero in column c,
-    since every live row is zero left of c.  The work array is
-    C-contiguous whatever the layout of ``a`` (a transposed view
-    included), so every row update is a contiguous slice.
+    column, so the result is deterministic for a fixed input.  Two
+    loops apply this rule, and the rref is unique, so both return the
+    same C-contiguous array.  A matrix of at most ``_SMALL_CELLS`` = 150
+    cells is eliminated as a list of Python-int rows
+    (:func:`_row_reduce_small`), where numpy's fixed cost per call would
+    exceed the arithmetic: 3 x 3 over GF(3) takes about 9 us against
+    40 us, 18 x 18 about 353 us against 214 us (the module docstring
+    has the measured crossover table).  A larger matrix is eliminated
+    in numpy, in :func:`_work_dtype`; each pivot touches only columns
+    c.. of the pivot row and of the rows nonzero in column c, since
+    every live row is zero left of c.  Its work array is C-contiguous
+    whatever the layout of ``a`` (a transposed view included), so every
+    row update is a contiguous slice.
     """
-    m = _mod(np.asarray(a, dtype=np.int64), p).astype(_work_dtype(p), order="C", copy=False)
+    a = np.asarray(a, dtype=np.int64)
+    if a.size <= _SMALL_CELLS:
+        return _row_reduce_small(a, p)
+    m = _mod(a, p).astype(_work_dtype(p), order="C", copy=False)
     nrows, ncols = m.shape
     inv = _inverse_table(p)
     pivots: list[int] = []
@@ -274,6 +313,38 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def _row_reduce_small(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """:func:`_row_reduce` of a small int64 matrix, on Python-int rows:
+    exact for every p, with the same pivot rule, rref and pivots.  Rows
+    are replaced whole, since slicing costs more than it saves here."""
+    nrows, ncols = a.shape
+    m = [[v % p for v in row] for row in a.tolist()]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        row = m[pr]
+        m[pr] = m[r]
+        lead = row[c]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            row = [v * inv % p for v in row]
+        m[r] = row
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=_work_dtype(p)).reshape(nrows, ncols), pivots
 
 
 def rank(m: MatGF) -> int:

@@ -6,7 +6,7 @@ of the rest, and W the coordinate projection onto V.  The subspace
 S> = W d(V>) sits inside V, and the quotient V' = V / S> inherits a
 boundary d'(x + S>) = phi(d x), where phi: full space -> V' is
 projection followed by the quotient map.  Well-definedness is not
-assumed; reduce() asserts it on the generators of S>.
+assumed; reduce() checks it on the generators of S>.
 
 Because d swaps sectors and W preserves them, S> splits as a direct sum
 of sector pieces, and each sector is quotiented on its own: the plus
@@ -102,8 +102,8 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
 
     Each sector is quotiented on its own.  A non-complex is refused with
     ValueError; goodness only affects the dimensions, never the
-    construction.  Raises AssertionError if the quotient maps fail the
-    identities they are constructed to satisfy.
+    construction.  Raises AssertionError, under ``python -O`` too, if the
+    quotient maps fail the identities they are constructed to satisfy.
     """
     n = c.dim_plus
     if c.dim_minus != n:
@@ -125,9 +125,11 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     # d_pm the minus part to C+.  Checked, not assumed.
     sectors = ((phi_p, gens_p, phi_m, c.d_mp.data), (phi_m, gens_m, phi_p, c.d_pm.data))
     for phi_s, gens, phi_t, d in sectors:
-        assert not (phi_s[:, :np1] @ gens % p).any(), "phi does not kill S>"
+        if (phi_s[:, :np1] @ gens % p).any():
+            raise AssertionError("phi does not kill S>")
         descent = (phi_t @ d[:, :np1] % p) @ gens % p
-        assert not descent.any(), "boundary does not descend to the quotient"
+        if descent.any():
+            raise AssertionError("boundary does not descend to the quotient")
 
     quotient = InvolutiveComplex(
         field=c.field,
@@ -135,7 +137,8 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
         d_mp=MatGF(c.field, (phi_m @ c.d_mp.data % p) @ embed_p, _reduced=True),
     )
     problems = validate(quotient)
-    assert not problems, f"quotient fails complex axioms: {problems}"
+    if problems:
+        raise AssertionError(f"quotient fails complex axioms: {problems}")
 
     return ReducedComplex(
         base=c,

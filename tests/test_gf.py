@@ -649,32 +649,76 @@ def unreduced_matrices(draw):
     return order, data % order + shift * order
 
 
-@settings(max_examples=300, deadline=None)
-@given(unreduced_matrices())
-def test_row_reduce_matches_reference(case) -> None:
-    """The trailing-block elimination in its small dtype gives the plain
-    int64 elimination's rref and pivots, in that dtype."""
-    order, data = case
+# Values of _SMALL_CELLS that force each of _row_reduce's two loops for
+# every matrix: -1 sends every matrix, empty ones included, to the numpy
+# loop, and 2**62 every matrix to the Python-int loop.
+_LOOPS = {"numpy": -1, "python-ints": 1 << 62}
+
+
+def _check_row_reduce(data: np.ndarray, order: int) -> None:
+    """_row_reduce gives the reference's rref and pivots, as a
+    C-contiguous array of the input's shape in the work dtype."""
     rref, pivots = _row_reduce(data, order)
     want, want_pivots = reference_row_reduce(data, order)
     assert rref.dtype == gf._work_dtype(order) and rref.shape == data.shape
+    assert rref.flags.c_contiguous
     assert pivots == want_pivots
     assert (rref == want).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices())
+def test_row_reduce_matches_reference(case) -> None:
+    """Each elimination loop, the numpy one in its small dtype and the
+    Python-int one, gives the plain int64 elimination's rref and pivots,
+    in the work dtype."""
+    order, data = case
+    for small_cells in _LOOPS.values():
+        with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+            _check_row_reduce(data, order)
 
 
 @settings(max_examples=100, deadline=None)
 @given(unreduced_matrices())
 def test_row_reduce_of_a_transposed_view_matches_its_contiguous_copy(case) -> None:
-    """The F-ordered data of a ``MatGF.T`` gives the rref and pivots of
-    its C-ordered copy, and is eliminated in a C-contiguous array."""
+    """In each elimination loop, the F-ordered data of a ``MatGF.T``
+    gives the rref and pivots of its C-ordered copy, and is eliminated
+    in a C-contiguous array."""
     order, data = case
-    m = MatGF(FieldSpec(order), data)
-    view = m.T.data
-    rref, pivots = _row_reduce(view, order)
-    want, want_pivots = _row_reduce(np.ascontiguousarray(view), order)
-    assert rref.flags.c_contiguous
-    assert pivots == want_pivots
-    assert np.array_equal(rref, want)
+    view = MatGF(FieldSpec(order), data).T.data
+    for small_cells in _LOOPS.values():
+        with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+            rref, pivots = _row_reduce(view, order)
+            want, want_pivots = _row_reduce(np.ascontiguousarray(view), order)
+        assert rref.flags.c_contiguous
+        assert pivots == want_pivots
+        assert np.array_equal(rref, want)
+
+
+@pytest.mark.parametrize("small_cells", _LOOPS.values(), ids=_LOOPS.keys())
+@pytest.mark.parametrize("order", [3, 181, 191, 65521])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (1, 1)])
+def test_row_reduce_of_empty_and_one_by_one_matrices(small_cells, order, shape) -> None:
+    """Empty matrices reduce to themselves with no pivot; a 1 x 1 matrix
+    to [[1]] or [[0]]."""
+    with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+        _check_row_reduce(np.zeros(shape, dtype=np.int64), order)
+        if shape == (1, 1):
+            _check_row_reduce(np.array([[order - 1]]), order)
+            _check_row_reduce(np.array([[-order]]), order)
+
+
+@pytest.mark.parametrize("order", [3, 65521])
+@pytest.mark.parametrize("shape,small", [((10, 15), True), ((1, 151), False), ((151, 1), False)])
+def test_row_reduce_switches_loops_above_small_cells(order, shape, small) -> None:
+    """A matrix of exactly ``_SMALL_CELLS`` = 150 cells takes the
+    Python-int loop and one of 151 cells the numpy loop, and both give
+    the reference's rref."""
+    assert gf._SMALL_CELLS == 150 and shape[0] * shape[1] == 150 + (not small)
+    data = np.random.default_rng(shape[1]).integers(-order, 2 * order, shape)
+    with mock.patch.object(gf, "_row_reduce_small", wraps=gf._row_reduce_small) as spy:
+        _check_row_reduce(data, order)
+    assert spy.call_count == small
 
 
 @pytest.mark.parametrize("float_exact", [gf._FLOAT_EXACT, 0], ids=["float64", "int64"])

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +41,36 @@ def test_reduce_standard_complex() -> None:
     assert rc.quotient.dim_plus == rc.quotient.dim_minus == 1
     assert validate(rc.quotient) == []
     assert reduced_kerim_check(rc) == []
+
+
+def test_reduce_refuses_a_wrong_quotient_under_python_O() -> None:
+    """reduce raises AssertionError, not a bare assert that ``python -O``
+    strips, when phi fails to kill S>: here phi is patched to the plain
+    projection onto V, which keeps the nonzero generator of S>."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from quditprod import ComplexShape, FieldSpec, ReductionParams, reduction
+        from quditprod import standard_boundary
+
+        if not sys.flags.optimize:
+            sys.exit("assert statements are live: not run under -O")
+        real = reduction._sector_quotient
+        reduction._sector_quotient = lambda gens, n, p: (
+            np.eye(gens.shape[0], n, dtype=np.int64), real(gens, n, p)[1]
+        )
+        c = standard_boundary(ComplexShape.from_hom_dim(3, 1), FieldSpec(3))
+        try:
+            reduction.reduce(c, ReductionParams(n=3, n_prime=2))
+        except AssertionError as exc:
+            print(f"refused: {exc}")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "refused: phi does not kill S>\n"
 
 
 def test_reduce_with_n_prime_equal_n_is_identity() -> None:
