@@ -12,7 +12,8 @@ coset basis: a basis of a kernel whose first r rows span the image
 (the stabilizers) and whose last k rows represent the logical classes.
 The stabilizer rows are read from the echelon forms a ``CssCode``
 keeps; the logical rows are picked from the rank-k pairing of the two
-kernels, so the only new elimination of a large matrix is of z_gens^T.
+kernels, so the only new elimination of a large matrix is of z_gens^T,
+once per code: the code keeps both coset bases after its first search.
 
 - Exhaustive mode walks the kernel over that basis with
   ``gf.line_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
@@ -40,6 +41,7 @@ checks once, when it is built.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -48,8 +50,8 @@ import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    FieldSpec, MatGF, _check_enumeration, _matmul, _mod, _row_reduce, col_weights, kernel_basis,
-    line_blocks, rank, row_weights, solve,
+    FieldSpec, MatGF, _check_enumeration, _matmul, _mod, _read_only, _row_reduce, col_weights,
+    kernel_basis, line_blocks, rank, row_weights, solve,
 )
 
 __all__ = [
@@ -69,7 +71,9 @@ class CssCode:
     x_gens one X generator per row.  The rest is computed from them
     when the code is built, which refuses generators that do not
     commute: field, n_phys, k = n_phys - rank x_gens - rank z_gens, and
-    stab_weight, the largest support of any single generator.
+    stab_weight, the largest support of any single generator.  The
+    coset bases of the distance searches are built on first use and
+    kept.
     """
 
     z_gens: MatGF
@@ -87,6 +91,11 @@ class CssCode:
         object.__setattr__(self, "n_phys", z_gens.rows)
         object.__setattr__(self, "k", z_gens.rows - rank(x_gens) - rank(z_gens))
         object.__setattr__(self, "stab_weight", int(weight))
+
+    @functools.cached_property
+    def _cosets(self) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+        """:func:`_coset_bases` of this code, read-only."""
+        return tuple((_read_only(basis), r) for basis, r in _coset_bases(self))
 
 
 def _check_commute(x_gens: MatGF, z_gens: MatGF) -> None:
@@ -166,11 +175,10 @@ def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
     A logical times a nonzero scalar is a logical of the same weight, so
     only one vector per line is walked: ``gf.line_blocks`` from index r,
     the combinations whose last nonzero coefficient is 1 on a logical
-    row, p**r (p**k - 1) / (p - 1) vectors in all.  Refused, before any
-    block is built, when the kernel holds more than
-    ``gf.ENUMERATION_LIMIT`` vectors.
+    row, p**r (p**k - 1) / (p - 1) vectors in all.  Refused by
+    ``gf.line_blocks``, before any block is built, when the kernel holds
+    more than ``gf.ENUMERATION_LIMIT`` vectors.
     """
-    _check_enumeration(p, len(basis))
     best = basis.shape[1]
     for vecs in line_blocks(basis, p, start=r):
         best = min(best, int(np.count_nonzero(vecs, axis=1).min()))
@@ -305,10 +313,10 @@ def min_distance(
     d_z is the minimum weight over ker(x_gens) outside the column space
     of z_gens; d_x is the same with the roles transposed.  Exhaustive
     mode enumerates the full kernels, takes no w_max, and is refused
-    when a kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
-    Bounded mode scans weights 1..w_max and reports a lower bound for a
-    side where nothing is found.  A code with k = 0 has no logical
-    operators and raises.
+    when a kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors,
+    before any basis is built.  Bounded mode scans weights 1..w_max and
+    reports a lower bound for a side where nothing is found.  A code
+    with k = 0 has no logical operators and raises.
     """
     if code.k == 0:
         raise ValueError("code has no logical operators (k = 0)")
@@ -316,7 +324,10 @@ def min_distance(
     if mode == "exhaustive":
         if w_max is not None:
             raise ValueError("exhaustive mode takes no w_max")
-        z_side, x_side = _coset_bases(code)
+        # The kernels of x_gens and z_gens^T, from the ranks the code keeps.
+        _check_enumeration(p, code.n_phys - rank(code.x_gens))
+        _check_enumeration(p, code.n_phys - rank(code.z_gens))
+        z_side, x_side = code._cosets
         d_z = _min_weight_logical_exhaustive(*z_side, p)
         d_x = _min_weight_logical_exhaustive(*x_side, p)
         return DistanceReport(
@@ -326,7 +337,7 @@ def min_distance(
         if w_max is None or w_max < 1:
             raise ValueError("bounded mode needs w_max >= 1")
         # A coset basis of one side's kernel is the other side's checks.
-        z_side, x_side = _coset_bases(code)
+        z_side, x_side = code._cosets
         d_z, z_lower = _min_weight_logical_bounded(*x_side, p, w_max)
         d_x, x_lower = _min_weight_logical_bounded(*z_side, p, w_max)
         return DistanceReport(

@@ -13,9 +13,8 @@ The harnesses build no per-trial Generator.  Trials run in chunks of
 - Seeding.  numpy mixes the master seed's words into a pool once,
   as ``SeedSequence(master_seed).pool``.  Each trial's spawn word is
   mixed into that pool and ``generate_state(4, uint64)`` run for the
-  whole chunk at once in uint32 arrays, and each trial's PCG64 (state,
-  inc) is derived from those words as ``pcg64_set_seed`` does
-  (``_pcg64_states``).
+  whole chunk at once in uint32 arrays (``_pcg64_states``); numpy's
+  own PCG64 is seeded from each trial's words (``_seed_words``).
 - Draws.  Each stream's 64-bit outputs come from ``PCG64.random_raw``
   and are read as 32-bit words, low half first, as PCG64's
   ``next_uint32`` reads them.  A vectorized copy of the bounded draw
@@ -60,6 +59,7 @@ probabilities near 0 where most of these events live.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -166,20 +166,10 @@ class EstimateReport:
     params: dict
 
     def as_row(self) -> list[str]:
-        cells = []
-        for col in CSV_COLUMNS:
-            if col == "experiment":
-                cells.append(self.experiment)
-            elif col in ("trials", "successes", "master_seed"):
-                cells.append(str(getattr(self, col)))
-            elif col in ("estimate", "wilson_low", "wilson_high"):
-                cells.append(repr(getattr(self, col)))
-            elif col in self.params and self.params[col] is not None:
-                val = self.params[col]
-                cells.append(repr(val) if isinstance(val, float) else str(val))
-            else:
-                cells.append("")
-        return cells
+        """The cells of ``CSV_COLUMNS``, from the fields and then the
+        params, empty where unset; str of a float is its repr."""
+        values = {**self.params, **vars(self)}
+        return ["" if values.get(col) is None else str(values[col]) for col in CSV_COLUMNS]
 
 
 CSV_COLUMNS = [
@@ -237,20 +227,20 @@ def _check_run(trials: int, master_seed: int) -> None:
         raise ValueError(f"master seed must be non-negative, got {master_seed}")
 
 
-# SeedSequence's hash constants and pool size, and PCG64's 128-bit
-# multiplier, as numpy defines them (numpy/random/bit_generator.pyx and
-# numpy/random/src/pcg64/pcg64.h).
+# SeedSequence's hash constants and pool size, as numpy defines them
+# (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of ``trial_rng(master_seed, i)`` for each i
-    in [start, stop), for master_seed >= 0 and stop <= 2**32.
+def _pcg64_states(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The words that seed the PCG64 of ``trial_rng(master_seed, i)`` for
+    each i in [start, stop), for master_seed >= 0 and stop <= 2**32: an
+    (stop - start, 4) uint64 array whose row for i is
+    ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)``.
 
     SeedSequence(master_seed, spawn_key=(i,)) hashes its entropy words
     into a pool of four uint32: master_seed's w 32-bit words, zero-padded
@@ -260,11 +250,8 @@ def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, in
     after 4 max(4, w) steps of the hash constant.  Only the spawn word
     and what follows run per trial, for every trial at once in uint32
     arrays: the spawn word is hashed and mixed into each pool word, and
-    ``generate_state(4, uint64)`` hashes the pool into eight words,
-    which pair into four uint64, low word first.  PCG64 reads the four
-    uint64 as two 128-bit integers s and q, high half first, and
-    ``pcg64_set_seed`` sets inc = 2q + 1 and state = (inc + s) M + inc
-    mod 2**128, M its multiplier.
+    ``generate_state`` hashes the pool into eight words, which pair into
+    four uint64, low word first, as numpy pairs them.
     """
     master_seed = operator.index(master_seed)
     pool = np.random.SeedSequence(master_seed).pool.tolist()
@@ -279,18 +266,29 @@ def _pcg64_states(master_seed: int, start: int, stop: int) -> list[tuple[int, in
         mixed = (_MIX_MULT_L * pool[dst] & _MASK32) - _MIX_MULT_R * hashed
         pool[dst] = mixed ^ (mixed >> 16)
     hash_const = _INIT_B
-    words = []
+    words = np.empty((len(spawn), 8), dtype="<u4")
     for k in range(8):
         value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value *= hash_const
-        words.append((value ^ (value >> 16)).tolist())
-    states = []
-    for w in zip(*words):
-        s = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _MASK128
-        states.append(((inc + s) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
+        words[:, k] = value ^ (value >> 16)
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words() -> type:
+    """An ``ISeedSequence`` that hands PCG64 the words it holds, defined
+    on first use: importing the package leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,29 +309,22 @@ def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return scaled.view(np.int64), kept
 
 
-def _stream_values(states: list[tuple[int, int]], p: int, count: int) -> np.ndarray:
-    """The first ``count`` values of each stream, as a (len(states),
+def _stream_values(seeds: np.ndarray, p: int, count: int) -> np.ndarray:
+    """The first ``count`` values of each stream, as a (len(seeds),
     count) int64 array.
 
-    A stream is what ``Generator.integers(0, p)`` draws from a fresh
-    generator whose PCG64 is at (state, inc), however the draws are
-    split into calls: the kept values of :func:`_bounded_values` on its
-    outputs, in order.  Each stream's outputs come from one
-    ``random_raw`` call; when a row keeps fewer than ``count`` values,
-    every stream is drawn again with more outputs.
+    A stream is what ``Generator.integers(0, p)`` draws from a PCG64
+    seeded by a row of ``seeds``, however the draws are split into
+    calls: the kept values of :func:`_bounded_values` on its outputs, in
+    order.  Each stream's outputs come from one ``random_raw`` call;
+    when a row keeps fewer than ``count`` values, every stream is drawn
+    again with more outputs.
     """
-    bitgen = np.random.PCG64(0)
     words = -(-count // 2)
     while True:
-        raw = np.empty((len(states), words), dtype=np.uint64)
-        for row, (state, inc) in zip(raw, states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            row[:] = bitgen.random_raw(words)
+        raw = np.empty((len(seeds), words), dtype=np.uint64)
+        for row, state in zip(raw, seeds):
+            row[:] = np.random.PCG64(_seed_words()(state)).random_raw(words)
         values, kept = _bounded_values(raw, p)
         short = count - int(kept.sum(axis=1).min())
         if short <= 0:
@@ -362,15 +353,15 @@ def _invertible_pairs(
     """
     p, cells = field.order, n * n
     for start in range(0, trials, _CHUNK):
-        states = _pcg64_states(master_seed, start, min(start + _CHUNK, trials))
-        pair = np.empty((2, len(states), n, n), dtype=np.int64)
-        found = np.zeros(len(states), dtype=np.int64)
-        live = np.arange(len(states))
+        seeds = _pcg64_states(master_seed, start, min(start + _CHUNK, trials))
+        pair = np.empty((2, len(seeds), n, n), dtype=np.int64)
+        found = np.zeros(len(seeds), dtype=np.int64)
+        live = np.arange(len(seeds))
         lo = 0
         while live.size:
             room = _ROUND_CELLS // (live.size * max(cells, 1)) - lo
             hi = lo + max(1, min(_ROUND_CANDIDATES, room))
-            values = _stream_values([states[i] for i in live], p, hi * cells)
+            values = _stream_values(seeds[live], p, hi * cells)
             cand = values[:, lo * cells :].reshape(live.size, hi - lo, n, n)
             ranks = rank_batch(cand.reshape(live.size * (hi - lo), n, n), p)
             ok = (ranks == n).reshape(live.size, hi - lo)
@@ -441,6 +432,17 @@ def _coefficient_blocks(
             yield idx, values
 
 
+def _check_light_search(t: int, p: int, w_max: int) -> None:
+    """Refuse a light-vector search over t-row bases whose coefficient
+    vectors of weight <= w_max number more than ``gf.ENUMERATION_LIMIT``."""
+    count = sum(math.comb(t, j) * (p - 1) ** (j - 1) for j in range(1, min(w_max, t) + 1))
+    if count > gf.ENUMERATION_LIMIT:
+        raise ValueError(
+            f"light-vector search needs {count} coefficient vectors, "
+            f"above the limit of {gf.ENUMERATION_LIMIT}"
+        )
+
+
 def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     """For each basis of an (N, t, n) stack of t rows, whether its span
     holds a nonzero vector of weight <= w_max.
@@ -458,21 +460,16 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     one) is formed for every live basis by one ``einsum``, which sums
     the j support rows of R times their values: j products of residues,
     exact in the smallest unsigned dtype holding w (p - 1)**2,
-    w = min(w_max, t), and no multiplication by the zero coefficients.  A basis drops out at
-    its first hit.  Refused when the candidates number more than
-    ``gf.ENUMERATION_LIMIT``.
+    w = min(w_max, t), and no multiplication by the zero coefficients.
+    A basis drops out at its first hit.  Refused by
+    :func:`_check_light_search`.
     """
     nmat, t, n = bases.shape
     hits = np.zeros(nmat, dtype=bool)
     w = min(w_max, t)
     if w < 1 or nmat == 0:
         return hits
-    count = sum(math.comb(t, j) * (p - 1) ** (j - 1) for j in range(1, w + 1))
-    if count > gf.ENUMERATION_LIMIT:
-        raise ValueError(
-            f"light-vector search needs {count} coefficient vectors, "
-            f"above the limit of {gf.ENUMERATION_LIMIT}"
-        )
+    _check_light_search(t, p, w)
     dtype = np.min_scalar_type(w * (p - 1) ** 2)
     # gens[k, :, i] is row k of reduced basis i, so a candidate's vector
     # for every live basis is one sum of rows; weights are counted over
@@ -504,13 +501,15 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
     systematic form and only its coefficient vectors of weight at most
     w = min(w_max, t) with leading entry 1 are tried, sum_{j <= w}
     C(t, j) (D - 1)**(j - 1) of them, not its D**t vectors; the run is
-    refused when they number more than ``gf.ENUMERATION_LIMIT``.
+    refused, before any draw, when they number more than
+    ``gf.ENUMERATION_LIMIT``.
     """
     if cfg.c is None:
         raise ValueError("this experiment needs the weight density c")
     shape = cfg.shape()
     field = cfg.field
     w_max = math.ceil(cfg.c * cfg.n) - 1
+    _check_light_search(shape.H + shape.L, field.order, w_max)
     successes = 0
     for bases in _kernel_bases(shape, field, cfg.trials, cfg.master_seed):
         hits = _light_kernel_hits(bases, field.order, w_max).reshape(2, -1)

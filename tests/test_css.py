@@ -96,6 +96,45 @@ def test_distance_refuses_above_the_enumeration_limit(monkeypatch) -> None:
     assert rep.d_z == 1
 
 
+def test_distance_refuses_before_building_coset_bases(monkeypatch) -> None:
+    """The exhaustive refusal reads the kernel sizes off the ranks the
+    code keeps: no coset basis is built, and the message is unchanged."""
+    code = extract_css(_standard_product(FIELD3).complex)
+
+    def refused(*args):
+        raise AssertionError("a coset basis was built")
+
+    monkeypatch.setattr(css, "_coset_bases", refused)
+    monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 3**10 - 1)
+    refusal = r"^enumeration needs 3\^10 vectors, above the limit of 59048$"
+    with pytest.raises(ValueError, match=refusal):
+        min_distance(code, mode="exhaustive")
+
+
+def test_coset_bases_are_built_once_per_code(monkeypatch) -> None:
+    """Every distance search after the first reuses the code's coset
+    bases: no further elimination, in either mode, and the same
+    distances."""
+    code = extract_css(_standard_product(FIELD3).complex)
+    calls = []
+    reduce = gf._row_reduce
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return reduce(a, p)
+
+    monkeypatch.setattr(gf, "_row_reduce", counting)
+    monkeypatch.setattr(css, "_row_reduce", counting)
+    first = min_distance(code, mode="exhaustive")
+    assert len(calls) == 3
+    calls.clear()
+    assert min_distance(code, mode="exhaustive") == first
+    min_distance(code, mode="bounded", w_max=2)
+    assert calls == []
+    for basis, _ in code._cosets:
+        assert not basis.flags.writeable
+
+
 def test_bounded_mode_reports_lower_bound_when_nothing_found() -> None:
     c = distance3_complex(trial_rng(51, 0))
     code = extract_css(c)
@@ -322,7 +361,8 @@ def test_each_distance_mode_eliminates_one_large_matrix(monkeypatch) -> None:
     k, z_gens^T, and otherwise only the rank-k pairing of the kernels."""
     c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 0))
     c2, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 1))
-    code = extract_css(product(c1, c2).complex)
+    complex_ = product(c1, c2).complex
+    code = extract_css(complex_)
     assert code.k == 2 and rank(code.z_gens) == rank(code.x_gens) == 8
     calls = []
     reduce = gf._row_reduce
@@ -335,6 +375,8 @@ def test_each_distance_mode_eliminates_one_large_matrix(monkeypatch) -> None:
     monkeypatch.setattr(gf, "_row_reduce", recording)
     monkeypatch.setattr(css, "_row_reduce", recording)
     for mode, w_max in (("exhaustive", None), ("bounded", 2)):
+        # A fresh code each time: a code keeps the coset bases it built.
+        code = extract_css(complex_)
         calls.clear()
         min_distance(code, mode=mode, w_max=w_max)
         large = [a for a, pivots in calls if pivots > code.k]

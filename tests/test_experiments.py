@@ -176,6 +176,22 @@ class TestLowWeightKernel:
         monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 2)
         assert mc_low_weight_kernel(cfg).trials == 1
 
+    def test_refused_before_any_draw(self, monkeypatch):
+        """The candidate count depends on t, D and w_max alone, so an
+        oversized search is refused before any trial is drawn: here
+        n = 201, H = 1 and c = 1/2, 1000 trials."""
+        monkeypatch.setattr(experiments, "_invertible_pairs", _no_streams)
+        cfg = TrialConfig(
+            field=FIELD3, n=201, trials=1000, master_seed=1, H=1, c=Fraction(1, 2)
+        )
+        with pytest.raises(ValueError, match=r"^light-vector search needs \d+ coefficient vectors, "
+                           r"above the limit of 10000000$"):
+            mc_low_weight_kernel(cfg)
+        small = TrialConfig(field=FIELD3, n=3, trials=1, master_seed=7, H=1, c=Fraction(1, 2))
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 1)
+        with pytest.raises(ValueError, match=r"needs 2 coefficient vectors, above the limit of 1$"):
+            mc_low_weight_kernel(small)
+
     def test_answers_past_a_walkable_span(self):
         """GF(5), n = 25, H = 1: kernels of t = 13 rows, whose 5^13
         vectors are above the enumeration limit; w_max = 2 takes
@@ -347,9 +363,11 @@ class TestTrialStreams:
 
     @staticmethod
     def assert_numpy_seeding(master: int, start: int, stop: int) -> None:
-        for i, (state, inc) in enumerate(experiments._pcg64_states(master, start, stop), start):
-            ref = trial_rng(master, i).bit_generator.state["state"]
-            assert (state, inc) == (ref["state"], ref["inc"])
+        words = experiments._pcg64_states(master, start, stop)
+        assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+        for i, row in enumerate(words, start):
+            ref = np.random.SeedSequence(master, spawn_key=(i,)).generate_state(4, np.uint64)
+            assert row.tolist() == ref.tolist()
 
     @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3])
     def test_seeding_equals_numpy(self, master):
@@ -389,8 +407,8 @@ class TestTrialStreams:
         index=st.integers(0, 2**32 - 1),
     )
     def test_stream_values_equal_integers(self, p, count, master, index):
-        states = experiments._pcg64_states(master, index, index + 1)
-        values = experiments._stream_values(states, p, count)
+        seeds = experiments._pcg64_states(master, index, index + 1)
+        values = experiments._stream_values(seeds, p, count)
         rng = trial_rng(master, index)
         assert values.shape == (1, count)
         # Split into two calls, so that numpy's carried half word is crossed.
@@ -400,27 +418,29 @@ class TestTrialStreams:
 
     @pytest.mark.parametrize("p", [3, 65521])
     def test_rejected_output_matches_random_invertible(self, monkeypatch, p):
-        """A PCG64 state whose next output is 0: the stepped state has
-        equal 128-bit halves, so both of its words are rejected."""
-        inc = experiments._pcg64_states(5, 0, 1)[0][1]
+        """Seed words whose PCG64's first output is 0: the state it steps
+        to has equal 128-bit halves, so both of its words are rejected.
+        numpy's pcg64_set_seed reads the words as 128-bit s and q, high
+        half first, and sets inc = 2q + 1 and state = (inc + s) M + inc;
+        a draw steps the state to state M + inc first.  So the state
+        ``stepped`` comes from s = ((stepped - inc) / M - inc) / M - inc
+        mod 2**128."""
+        mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier M
+        inverse, mask = pow(mult, -1, 1 << 128), (1 << 128) - 1
+        q = 0x0FEDCBA987654321_0123456789ABCDEF
+        inc = 2 * q + 1 & mask
         stepped = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
-        mult = experiments._PCG64_MULT
-        state = (stepped - inc) * pow(mult, -1, 1 << 128) % (1 << 128)
+        s = (((stepped - inc) * inverse - inc) * inverse - inc) & mask
+        seeds = np.array([[s >> 64, s & (2**64 - 1), q >> 64, q & (2**64 - 1)]], dtype=np.uint64)
 
         def generator():
-            bitgen = np.random.PCG64(0)
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            return np.random.Generator(bitgen)
+            return np.random.Generator(np.random.PCG64(experiments._seed_words()(seeds[0])))
 
+        assert generator().bit_generator.state["state"]["inc"] == inc
         assert generator().bit_generator.random_raw() == 0
-        values = experiments._stream_values([(state, inc)], p, 9)
+        values = experiments._stream_values(seeds, p, 9)
         assert values[0].tolist() == generator().integers(0, p, 9).tolist()
-        monkeypatch.setattr(experiments, "_pcg64_states", lambda *args: [(state, inc)])
+        monkeypatch.setattr(experiments, "_pcg64_states", lambda *args: seeds)
         ((u, v),) = experiments._invertible_pairs(FieldSpec(p), 3, 1, 0)
         rng = generator()
         field = FieldSpec(p)

@@ -1,9 +1,12 @@
 """numpy stays the only runtime dependency: every module of the package
-imports only from the standard library, numpy and the package itself."""
+imports only from the standard library, numpy and the package itself.
+And importing the package loads no more of numpy than importing numpy
+does."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +38,17 @@ def test_sources_import_only_the_standard_library_and_numpy() -> None:
 def test_the_guard_refuses_a_third_party_import() -> None:
     tree = ast.parse("import numpy.linalg\nfrom scipy import stats\nfrom . import gf\nimport os")
     assert _foreign_imports(tree) == ["scipy"]
+
+
+def test_import_leaves_numpy_random_unloaded() -> None:
+    """Importing the package loads numpy.random exactly when importing
+    numpy alone does: the Monte Carlo seeding class is defined on first
+    use, not at import."""
+    probe = "import sys, {}; print('numpy.random' in sys.modules)"
+    loaded = [
+        subprocess.run(
+            [sys.executable, "-c", probe.format(module)], capture_output=True, text=True, check=True
+        ).stdout
+        for module in ("numpy", "quditprod")
+    ]
+    assert loaded[0] == loaded[1]
