@@ -21,13 +21,16 @@ The harnesses build no per-trial Generator.  Trials run in chunks of
   that ``Generator.integers(0, D)`` makes for every field order (Lemire's
   method, arXiv:1805.10941) decodes them: word w gives (w D) >> 32 and
   is dropped where (w D) mod 2**32 < 2**32 mod D (``_bounded_values``,
-  ``_stream_values``).
+  ``_stream_values``).  Values are held in the smallest unsigned type
+  holding D - 1, uint8 for D <= 256.
 - Candidates.  A trial's values form one sequence, cut in order into
   n x n candidates; the matrices that two successive
   ``random_invertible`` calls return are its first two invertible
   candidates.  Each rejection round cuts further candidates for every
   trial still short of two and ranks them all in one ``rank_batch``
-  (``_invertible_pairs``).
+  (``_invertible_pairs``), which takes the narrow values as they are:
+  it reduces them in its elimination type and finishes each rank in a
+  small subspace table.
 
 So each trial sees exactly the matrices that the single-draw samplers
 (``random_boundary``, ``sample_uniform_rank``) draw from its generator,
@@ -45,13 +48,14 @@ spanned by the first t columns of u_plus, and ker d_pm by those of
 u_minus: each trial's two kernel bases are read off its conjugating
 matrices, and only the draws, kernel enumerations and ranks are
 batched.  Both exact kernels put the batch on the last, contiguous
-axis: ``rank_batch`` eliminates a (rows, cols, N) stack.  The
-light-kernel test walks no span: it brings a (t, n, N) stack of bases
-to systematic form at once (``gf._gauss_jordan_batch``), where a
-vector's weight is at least that of its coefficient vector, and tries
-only the coefficient vectors of weight <= w_max, each block of them
-against every live basis in one exact integer ``einsum`` over the rows
-each candidate combines.
+axis: ``rank_batch`` eliminates a (rows, cols, N) stack over all but
+its last few columns and reads the rank of those from
+``gf._subspace_table``.  The light-kernel test walks no span: it
+brings a (t, n, N) stack of bases to systematic form at once
+(``gf._gauss_jordan_batch``), where a vector's weight is at least that
+of its coefficient vector, and tries only the coefficient vectors of
+weight <= w_max, each block of them against every live basis in one
+exact integer ``einsum`` over the rows each candidate combines.
 
 Estimates ship with 95% Wilson score intervals, which behave sanely for
 probabilities near 0 where most of these events live.
@@ -293,8 +297,9 @@ def _seed_words() -> type:
 
 def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw in 0..p-1, p < 2**32, on each 32-bit word of
-    an (N, k) array of PCG64 outputs: an (N, 2k) int64 array of values
-    and a same-shape mask of the words kept.
+    an (N, k) array of PCG64 outputs: an (N, 2k) array of values, in
+    the smallest unsigned type holding p - 1 (uint8 for p <= 256), and a
+    same-shape mask of the words kept.
 
     The words of an output are its low and then its high half, the
     order of PCG64's ``next_uint32``.  As in numpy's
@@ -306,12 +311,12 @@ def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     scaled *= p
     kept = (scaled & _MASK32) >= (1 << 32) % p
     scaled >>= 32
-    return scaled.view(np.int64), kept
+    return scaled.astype(np.min_scalar_type(p - 1)), kept
 
 
 def _stream_values(seeds: np.ndarray, p: int, count: int) -> np.ndarray:
     """The first ``count`` values of each stream, as a (len(seeds),
-    count) int64 array.
+    count) array in the dtype of :func:`_bounded_values`.
 
     A stream is what ``Generator.integers(0, p)`` draws from a PCG64
     seeded by a row of ``seeds``, however the draws are split into

@@ -47,6 +47,33 @@ argument:
   only and fraction-free, pivot * row - col * lead, so each lead row
   clears itself; ``_gauss_jordan_batch`` subtracts multiples of the
   scaled lead row, which lies in 0..D-1, by factors in [-1, D - 1].
+
+  ``rank_batch`` finishes in a subspace table.  After c steps a
+  matrix's rank is the pivots found plus the rank of its live columns
+  c.., since every lead row has cleared itself, so it eliminates only
+  the leading cols - w columns of a stack (transposed first where it
+  is wide) and reads the rank of the rows x w rest from
+  ``_subspace_table`` (``_table_rank``): a few gathers per row, against
+  some 28 numpy calls per elimination step.  w is the widest table of
+  at most ``_TAIL_CODES`` = 125 codes: GF(3)^4 (212 states, 17 KB, built
+  once in about 13 ms), GF(5)^3, GF(7)^2 and GF(11)^2, width 1 for
+  13 <= D <= 113, and none from D = 127 on.  A cap of 243 codes would
+  take GF(3)^5, a 1.3 MB table: it raised the benchmark's mc peak RSS
+  from 40.3 to 41.6 MB for at most 3 % more trials per second.  An
+  unsigned input narrower than the elimination type, such as the Monte
+  Carlo harnesses' uint8 draws, is cast to that type and reduced there
+  instead of through int64.  Per call, in us, for 600 random GF(3)
+  matrices (best of 30 interleaved passes, the 2-vCPU host above):
+  full elimination of int64 input -> table tail -> table tail on uint8
+  input:
+
+      3x3    85 -> 52 -> 45
+      4x4   123 -> 73 -> 58
+      5x5   178 -> 122 -> 107
+      7x7   311 -> 250 -> 221
+      9x9   513 -> 446 -> 381
+
+  Over GF(7), with a table two columns wide, 9x9 is about even.
 - Matrix products (``_matmul``, behind ``MatGF @``) run in float64
   through BLAS when k * (D - 1)**2 < 2**53: every product and partial
   sum of residues is then a nonnegative integer below 2**53, which
@@ -618,35 +645,67 @@ def _masked_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.einsum("ikn,in->kn", rows, mask.astype(rows.dtype))
 
 
+# Most codes, p**w, of the subspace table rank_batch finishes in; the
+# module docstring has the measurements behind it.
+_TAIL_CODES = 125
+
+
+def _tail_width(p: int) -> int:
+    """The widest w with p**w <= ``_TAIL_CODES``: 4 for GF(3), 3 for
+    GF(5), 2 for GF(7) and GF(11), 1 for 13 <= p <= 113, 0 above."""
+    w = 0
+    while p ** (w + 1) <= _TAIL_CODES:
+        w += 1
+    return w
+
+
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
-    Forward elimination of the whole stack, held as a contiguous
-    (rows, cols, N) array in :func:`_work_dtype`.  At column c each
-    matrix's lead row is its first row nonzero there (:func:`_lead_rows`),
-    read with its pivot as a masked sum over rows, and a nonzero pivot
-    adds one to its rank.  The update is fraction-free: every row i
-    becomes pivot * row_i - col[i] * lead over columns c+1.., so the lead
-    row clears itself, and a nonzero multiple of a row keeps the rank.
-    A matrix with no pivot takes pivot 1 and col = 0, and is left as it
+    A wide stack is transposed first, so cols <= rows.  The stack is
+    held as a contiguous (rows, cols, N) array in :func:`_work_dtype`;
+    an unsigned input narrower than that type is cast to it and reduced
+    there, every other input is reduced in int64 first.
+
+    Forward elimination runs over the leading cols - w columns, w =
+    min(cols, :func:`_tail_width`).  At column c each matrix's lead row
+    is its first row nonzero there (:func:`_lead_rows`), read with its
+    pivot as a masked sum over rows, and a nonzero pivot adds one to its
+    rank.  The update is fraction-free: every row i becomes
+    pivot * row_i - col[i] * lead over columns c+1.., so the lead row
+    clears itself, and a nonzero multiple of a row keeps the rank.  A
+    matrix with no pivot takes pivot 1 and col = 0, and is left as it
     was.  All factors are residues, so entries stay within
-    [-(p-1)**2, (p-1)**2] until they are reduced.
+    [-(p-1)**2, (p-1)**2] until they are reduced.  After those steps the
+    rank is the pivots found plus the rank of the rows x w block of live
+    columns, which :func:`_table_rank` reads from its subspace table.
     """
-    m = np.asarray(mats, dtype=np.int64)
+    dtype = _work_dtype(p)
+    m = np.asarray(mats)
     if m.ndim != 3:
         raise ValueError("expected a (N, rows, cols) array")
+    narrow = m.dtype.kind == "u" and m.dtype.itemsize < np.dtype(dtype).itemsize
+    if not narrow:
+        m = _mod(m.astype(np.int64, copy=False), p)
+    if m.shape[2] > m.shape[1]:
+        m = m.transpose(0, 2, 1)
     nmat, nrows, ncols = m.shape
     ranks = np.zeros(nmat, dtype=np.int64)
-    if nrows == 0:
+    if ncols == 0:
         return ranks
-    m = np.ascontiguousarray(_mod(m, p).astype(_work_dtype(p), copy=False).transpose(1, 2, 0))
-    for c in range(ncols):
+    m = np.array(m.transpose(1, 2, 0), dtype=dtype, order="C")
+    if narrow:
+        m = _mod(m, p)
+    w = min(ncols, _tail_width(p))
+    for c in range(ncols - w):
         col = m[:, c]
         lead = _masked_rows(m[:, c:], _lead_rows(col != 0))
         ranks += lead[0] != 0
         upd = m[:, c + 1 :] * np.maximum(lead[0], 1)
         upd -= col[:, None] * lead[1:]
         m[:, c + 1 :] = _mod(upd, p)
+    if w:
+        ranks += _table_rank(m[:, ncols - w :].transpose(2, 0, 1), p)
     return ranks
 
 
@@ -799,6 +858,17 @@ def line_blocks(
 _TABLE_CELLS_LIMIT = 1 << 22
 
 
+def _subspace_count(p: int, w: int) -> int:
+    """The number of subspaces of GF(p)^w: the sum over k of the
+    Gaussian binomials [w, k]_p, each the previous one times
+    (p**(w - k) - 1) / (p**(k + 1) - 1)."""
+    total, term = 0, 1
+    for k in range(w + 1):
+        total += term
+        term = term * (p ** (w - k) - 1) // (p ** (k + 1) - 1)
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Transition table of the subspaces of GF(p)^w under adding a row.
@@ -813,15 +883,19 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built by row reduction alone: each state reduces every code against
     its echelon basis at once, and each new residual extends the basis
-    by one more echelon row.  Both arrays are read-only and shared by
-    every caller.  Raises ValueError above ``_TABLE_CELLS_LIMIT`` cells.
+    by one more echelon row.  ``step`` is allocated at its exact size,
+    :func:`_subspace_count` states in the smallest unsigned type that
+    numbers them, and each state's row is written in place.  Both arrays
+    are read-only and shared by every caller.  Raises ValueError above
+    ``_TABLE_CELLS_LIMIT`` cells, before any row is built.
     """
     if w == 0:  # the zero space alone, stepped by the empty row
         return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.uint8))
-    ncodes = p**w
-    too_big = f"subspace table of GF({p})^{w} exceeds {_TABLE_CELLS_LIMIT} cells"
-    if ncodes > _TABLE_CELLS_LIMIT:
-        raise ValueError(too_big)
+    ncodes, nstates = p**w, _subspace_count(p, w)
+    if nstates * ncodes > _TABLE_CELLS_LIMIT:
+        raise ValueError(f"subspace table of GF({p})^{w} exceeds {_TABLE_CELLS_LIMIT} cells")
+    step = np.empty((nstates, ncodes), dtype=np.min_scalar_type(nstates - 1))
+    dim = np.empty(nstates, dtype=np.uint8)
     weights = p ** np.arange(w, dtype=np.int64)
     vecs = (np.arange(ncodes, dtype=np.int64)[:, None] // weights) % p
     inv = _inverse_table(p)
@@ -829,8 +903,7 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     # A state's key is the sorted codes of its echelon rows.
     keys: list[tuple[int, ...]] = [()]
     index = {(): 0}
-    rows_out: list[np.ndarray] = []
-    for key in keys:  # grows while it is walked: a breadth-first search
+    for s, key in enumerate(keys):  # grows while it is walked: a breadth-first search
         basis = vecs[list(key)]
         pivots = np.argmax(basis != 0, axis=1)
         resid = (vecs - vecs[:, pivots] @ basis) % p
@@ -844,17 +917,15 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         cols = np.argmax(new != 0, axis=1)
         cleared = (basis[None, :, :] - basis[:, cols].T[:, :, None] * new[:, None, :]) % p
         new_keys = np.sort(np.concatenate([cleared @ weights, uniq[1:, None]], axis=1), axis=1)
-        targets = [index[key]]
+        targets = [s]
         for nk in map(tuple, new_keys.tolist()):
             if nk not in index:
                 index[nk] = len(keys)
                 keys.append(nk)
-                if len(keys) * ncodes > _TABLE_CELLS_LIMIT:
-                    raise ValueError(too_big)
             targets.append(index[nk])
-        rows_out.append(np.array(targets)[back.ravel()])
-    step = np.array(rows_out, dtype=np.min_scalar_type(len(keys) - 1))
-    return _read_only(step), _read_only(np.array([len(k) for k in keys], dtype=np.uint8))
+        np.take(np.array(targets, dtype=step.dtype), back.ravel(), out=step[s])
+        dim[s] = len(key)
+    return _read_only(step), _read_only(dim)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank, rank_batch
+from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank
 from quditprod.reduction import _kernel_matrix, _same_column_space
 
 FIELD3 = FieldSpec(3)
@@ -147,16 +147,38 @@ def reference_lines(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.nd
         yield (idx[:, None] // powers % p) @ basis % p
 
 
+def reference_rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Reference batch rank, by elimination alone: no subspace table, so
+    it stays independent of the table oracles it checks.  Every matrix
+    of an (N, rows, cols) stack is eliminated at once in int64, whole
+    rows at a time, reduced with %.  At column c each matrix's lead row,
+    its first row nonzero there, is gathered, and every row i becomes
+    pivot * row_i - m[i, c] * lead, which clears the lead row itself; a
+    matrix with no nonzero entry in column c is left as it was."""
+    m = np.array(mats, dtype=np.int64) % p
+    nmat, nrows, ncols = m.shape
+    ranks = np.zeros(nmat, dtype=np.int64)
+    every = np.arange(nmat)
+    for c in range(ncols if nrows else 0):
+        nz = m[:, :, c] != 0
+        has = nz.any(axis=1)
+        lead = m[every, nz.argmax(axis=1)] * has[:, None]
+        pivot = np.where(has, lead[:, c], 1)
+        m = (pivot[:, None, None] * m - m[:, :, c : c + 1] * lead[:, None, :]) % p
+        ranks += has
+    return ranks
+
+
 def reference_block_rank_census(
     basis: np.ndarray, p: int, plus_shape: tuple[int, int], minus_shape: tuple[int, int]
 ) -> dict[tuple[int, int], int]:
     """Reference for counting._block_rank_census: every combination of
-    ``reference_span``, both blocks ranked by gf.rank_batch."""
+    ``reference_span``, both blocks ranked by ``reference_rank_batch``."""
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts: dict[tuple[int, int], int] = {}
     for vecs in reference_span(basis, p):
-        r_plus = rank_batch(vecs[:, : p1 * p2].reshape(len(vecs), p1, p2), p)
-        r_minus = rank_batch(vecs[:, p1 * p2 :].reshape(len(vecs), m1, m2), p)
+        r_plus = reference_rank_batch(vecs[:, : p1 * p2].reshape(len(vecs), p1, p2), p)
+        r_minus = reference_rank_batch(vecs[:, p1 * p2 :].reshape(len(vecs), m1, m2), p)
         for key in zip(r_plus.tolist(), r_minus.tolist()):
             counts[key] = counts.get(key, 0) + 1
     return counts
@@ -184,12 +206,13 @@ def reference_rank_histogram(
 
 def reference_ulw_probability(p: int, n_prime: int, rank: int, bound: Fraction) -> Fraction:
     """Reference for experiments.exhaustive_ulw_probability: every
-    n' x n' matrix of ``reference_span`` ranked by gf.rank_batch, its
-    row and column weights compared with the bound c'n'."""
+    n' x n' matrix of ``reference_span`` ranked by
+    ``reference_rank_batch``, its row and column weights compared with
+    the bound c'n'."""
     hits = stratum = 0
     for vecs in reference_span(np.eye(n_prime * n_prime, dtype=np.int64), p):
         mats = vecs.reshape(-1, n_prime, n_prime)
-        in_stratum = rank_batch(mats, p) == rank
+        in_stratum = reference_rank_batch(mats, p) == rank
         light = (np.count_nonzero(mats, axis=1).max(axis=1) <= bound) & (
             np.count_nonzero(mats, axis=2).max(axis=1) <= bound
         )

@@ -395,6 +395,7 @@ class TestTrialStreams:
                        dtype=np.uint64)
         values, kept = experiments._bounded_values(raw, p)
         assert values.shape == kept.shape == (1, len(words))
+        assert values.dtype == np.min_scalar_type(p - 1)
         assert values[kept].tolist() == _numpy_lemire(words, p)
         assert kept.tolist()[0] == [(w * p) % (1 << 32) >= threshold for w in words]
         assert not kept[0, leftovers.index(0)]
@@ -451,7 +452,9 @@ class TestTrialStreams:
 @settings(max_examples=30, deadline=None)
 @given(
     order=st.sampled_from([3, 5, 7, 65521]),
-    n=st.integers(0, 6),
+    # Up to the Monte Carlo harnesses' 9 x 9, where most elimination
+    # steps come before rank_batch's table tail.
+    n=st.integers(0, 9),
     count=st.integers(1, _CHUNK + 1),
     seed=st.integers(0, 2**32 - 1),
 )

@@ -41,6 +41,7 @@ from support import (
     reference_matrix_from_lines,
     reference_matrix_to_text,
     reference_lines,
+    reference_rank_batch,
     reference_row_reduce,
 )
 
@@ -439,6 +440,23 @@ def test_subspace_table_refuses_oversized_width() -> None:
         _subspace_table(11, 9)  # 2.4e9 codes
 
 
+@pytest.mark.parametrize("order, width", [(3, 5), (5, 4)])
+def test_subspace_table_build_memory_peak(order: int, width: int) -> None:
+    """The largest tables under the cap build within 2 MiB traced: the
+    uint16 table itself (1.23 MiB for GF(3)^5, 2664 states x 243 codes;
+    1.34 MiB for GF(5)^4, 1120 x 625) and one state's temporaries.  A
+    build that collects int64 rows and converts them at the end peaks
+    at 6.75 and 7.00 MiB."""
+    tracemalloc.start()
+    try:
+        step, _ = _subspace_table.__wrapped__(order, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.dtype == np.uint16
+    assert peak < 2 * 2**20
+
+
 @st.composite
 def small_matrices(draw):
     order = draw(st.sampled_from([3, 5, 7, 11]))
@@ -550,7 +568,9 @@ def test_matrix_from_lines_matches_reference(case) -> None:
 _ORDERS = [3, 5, 7, 181, 191, 65521]
 
 
-@pytest.mark.parametrize("order", [3, 5, 7, 11, 181, 191, 65521])
+# Every tail width of rank_batch's subspace table: 4 for GF(3), 3 for
+# GF(5), 2 for GF(7) and GF(11), 1 for GF(13), none from GF(127) on.
+@pytest.mark.parametrize("order", [3, 5, 7, 11, 13, 127, 181, 191, 65521])
 @settings(max_examples=40, deadline=None)
 @given(
     count=st.integers(0, 64),
@@ -561,21 +581,24 @@ _ORDERS = [3, 5, 7, 181, 191, 65521]
     ),
     largest=st.booleans(),
     low_rank=st.booleans(),
-    unreduced=st.booleans(),
+    entries=st.sampled_from(["reduced", "unreduced", "uint8", "uint16"]),
     planted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rank_batch_matches_scalar_rank(
-    order, count, shape, largest, low_rank, unreduced, planted, seed
+    order, count, shape, largest, low_rank, entries, planted, seed
 ) -> None:
     """Every rank of a stack is the pivot count of the plain int64
-    elimination, over GF(3/5/7/11/181) (eliminated in int16) and
-    GF(191/65521) (in int64): tall, wide and square stacks, with no
-    rows or no columns, and of no matrices; entries may be negative or
-    >= p, and a stack may hold an all-zero matrix and one whose first
-    column is zero beside matrices with pivots there.  The
-    subspace-table rank agrees wherever its table (up to GF(3)^5 or
-    GF(5)^4) is built; wide stacks take its transposed walk."""
+    elimination, over GF(3/5/7/11/13/127/181) (eliminated in int16) and
+    GF(191/65521) (in int64), whatever width of subspace table finishes
+    it: tall, wide and square stacks, with no rows or no columns, and of
+    no matrices.  Entries may be int64 residues, int64 negative or >= p,
+    uint8 (cast to int16 and reduced there where p <= 181) or uint16
+    holding values >= p (reduced in int64); a stack may hold an all-zero
+    matrix and one whose first column is zero beside matrices with
+    pivots there.  The subspace-table rank agrees wherever its table
+    (up to GF(3)^5 or GF(5)^4) is built; wide stacks take its
+    transposed walk."""
     rows, cols = shape
     rng = np.random.default_rng(seed)
     mats = rng.integers(0, order, (count, rows, cols))
@@ -587,13 +610,21 @@ def test_rank_batch_matches_scalar_rank(
     if planted and count >= 2:
         mats[0] = 0
         mats[1, :, :1] = 0
-    if unreduced:  # the same residues, shifted by multiples of p
+    if entries == "unreduced":  # the same residues, shifted by multiples of p
         mats = mats + rng.integers(-3, 4, mats.shape) * order
+    elif entries != "reduced":
+        # Entries the type holds, each shifted by a multiple of p it has room for.
+        top = np.iinfo(entries).max
+        mats = np.minimum(mats, top)
+        room = (top - mats) // order + 1
+        mats = (mats + rng.integers(0, 1 << 16, mats.shape) % room * order).astype(entries)
     ranks = rank_batch(mats, order)
     assert ranks.dtype == np.int64 and ranks.shape == (count,)
-    assert ranks.tolist() == [len(reference_row_reduce(m, order)[1]) for m in mats]
+    want = [len(reference_row_reduce(m, order)[1]) for m in mats]
+    assert ranks.tolist() == want
+    assert reference_rank_batch(mats, order).tolist() == want
     if order ** min(rows, cols) <= 5**4:
-        assert _table_rank(mats % order, order).tolist() == ranks.tolist()
+        assert _table_rank(mats.astype(np.int64) % order, order).tolist() == want
 
 
 @pytest.mark.parametrize("order", [3, 5, 181, 191])
