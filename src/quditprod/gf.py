@@ -74,6 +74,30 @@ argument:
       9x9   513 -> 446 -> 381
 
   Over GF(7), with a table two columns wide, 9x9 is about even.
+
+  ``_table_rank`` reads a small block's rank in one lookup.  A rows x w
+  block (w the narrow side) of at most ``_BLOCK_CODES`` = 2**16 codes
+  p**(rows * w) has a whole-block table (``_block_table``): the uint8
+  rank of every such matrix at its code sum_ij m[i, j] p**(i w + j),
+  built once per shape from ``_subspace_table`` of GF(p)^w by one
+  gather per row over all row codes at once.  Over GF(3) these are the
+  blocks up to 10 x 1, 5 x 2 and 3 x 3 (3^10 = 59049 bytes at most),
+  over GF(5) up to 6 x 1 and 3 x 2, over GF(7) up to 5 x 1 and 2 x 2,
+  over GF(11) and GF(13) up to 4 x 1 and 2 x 2, then columns of up to
+  3 rows (to GF(37)), 2 rows (to GF(251)) or 1.  The GF(3) 3 x 3 table
+  takes 19683 bytes and builds in under 0.1 ms with a traced peak of
+  0.03 MiB.  A block's code is built by Horner's rule over its entries
+  and read with one ``take``; larger blocks, such as ``rank_batch``'s
+  tails from 4 x 4 over GF(3), step their rows through the subspace
+  table.  Per call, in ms, for 65536 uint8 blocks sliced from 18-wide
+  rows as the census passes them, row stepping -> one lookup (best of
+  20 interleaved calls, the 2-vCPU host above):
+
+      GF(3) 3x3    2.70 -> 0.77
+      GF(3) 2x2    1.69 -> 0.44
+      GF(5) 2x2    1.73 -> 0.44
+
+  GF(3) 4x4 and 9x4 blocks step their rows as before.
 - Matrix products (``_matmul``, behind ``MatGF @``) run in float64
   through BLAS when k * (D - 1)**2 < 2**53: every product and partial
   sum of residues is then a nonnegative integer below 2**53, which
@@ -94,6 +118,12 @@ argument:
   type holding 2D - 2, where that subtraction is an unsigned minimum
   (``_add_residues``), and land in a block of that type.  A block costs
   two such arrays, itself and its sums, of one byte each for D <= 127.
+  From D = 17 on the table is the zero row alone, so a block is its
+  decoded combinations, written into it in parts of at most
+  ``_DECODE_CELLS`` = 2**13 int64 cells: walking the largest span of an
+  18-wide basis the cap allows peaks at 2.0 (GF(17)), 2.4 (GF(127)) and
+  3.3 (GF(131), two-byte entries) traced bytes per block entry, against
+  16.9 when each block was decoded at once.
 
 A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
 ``kernel_basis`` has computed it, so every later rank or kernel of the
@@ -773,6 +803,11 @@ def _add_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> None
     np.minimum(out, s, out=out)
 
 
+# Most int64 cells of one decode of trailing-row combinations in
+# line_blocks: with a one-row low table (p >= 17) a block is all decode.
+_DECODE_CELLS = 1 << 13
+
+
 def line_blocks(
     basis: np.ndarray, p: int, rows: int = 1 << 16, start: int = 0
 ) -> Iterator[np.ndarray]:
@@ -799,12 +834,13 @@ def line_blocks(
     being copy c - 1 plus basis[k].  The lines whose top digit sits
     below j are rows of the table, yielded first as one block.  Every
     other line is a high index h in [p**(k - j), 2 p**(k - j)) over the
-    trailing t - j rows, the only rows still decoded and multiplied,
-    added to the whole low table by ``_add_residues``.  Each later block
-    takes the next rows // p**j high indices, read off the ranges one at
-    a time, so no range is held whole.  A block costs two arrays in the
-    smallest unsigned dtype holding 2p - 2 (one byte for p <= 127),
-    itself and its sums.
+    trailing t - j rows, the only rows still decoded and multiplied, in
+    parts of at most ``_DECODE_CELLS`` int64 cells, and added to the
+    whole low table by ``_add_residues``.  Each later block takes the
+    next rows // p**j high indices, read off the ranges one at a time,
+    so no range is held whole.  A block costs two arrays in the smallest
+    unsigned dtype holding 2p - 2 (one byte for p <= 127), itself and
+    its sums; with j = 0 (p >= 17) the decoded rows are the block.
     """
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
@@ -827,11 +863,17 @@ def line_blocks(
     powers = p ** np.arange(t - j, dtype=np.int64)
     m = rows // len(low)
     head = [i for k in range(start, j) for i in range(p**k, 2 * p**k)]
+    per = max(1, _DECODE_CELLS // max(width, t - j, 1))
 
     def block(idx: np.ndarray) -> np.ndarray:
-        tops = _mod(_mod(idx[:, None] // powers, p) @ high, p)
+        tops = np.empty((len(idx), width), dtype=small)
+        for at in range(0, len(idx), per):
+            part = idx[at : at + per]
+            tops[at : at + per] = _mod(_mod(part[:, None] // powers, p) @ high, p)
+        if j == 0:  # the low table is the zero row alone
+            return tops
         out = np.empty((len(idx), len(low), width), dtype=small)
-        _add_residues(tops.astype(small)[:, None, :], low, p, out)
+        _add_residues(tops[:, None, :], low, p, out)
         return out.reshape(len(idx) * len(low), width)
 
     def blocks() -> Iterator[np.ndarray]:
@@ -933,21 +975,59 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Most codes, p**(rows * w), of a whole-block rank table; the module
+# docstring has the measurements behind it.
+_BLOCK_CODES = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _block_table(p: int, rows: int, w: int) -> np.ndarray:
+    """The rank, uint8, of every rows x w matrix over GF(p), indexed by
+    its code sum_ij m[i, j] p**(i w + j); read-only and shared.  The
+    cache keeps the last 64 shapes, at most 4 MiB under the cap; a
+    table rebuilds in about 1 ms at most.
+
+    Built from :func:`_subspace_table` of GF(p)^w, so by row reduction
+    alone.  Row i is digit i of the code in base p**w, so the states
+    after rows 0..i, in code order, are the transposed step table
+    gathered at the states after rows 0..i-1: one gather per row in the
+    step table's own dtype, the last from its ranks ``dim[step]``."""
+    if rows * w == 0:  # one code, the empty matrix, of rank 0
+        return _read_only(np.zeros(1, dtype=np.uint8))
+    step, dim = _subspace_table(p, w)
+    moves = np.ascontiguousarray(step.T)
+    state = np.zeros(1, dtype=step.dtype)
+    for _ in range(rows - 1):
+        state = moves.take(state, axis=1).ravel()
+    return _read_only(dim[moves].take(state, axis=1).ravel())
+
+
 def _table_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks, uint8, of a batch (N, rows, cols) of reduced matrices over
-    GF(p), of any integer dtype, read from :func:`_subspace_table` one
-    row at a time.  A wide batch is walked along its columns, so the
-    table width is min(rows, cols).
+    GF(p), of any integer dtype.  A wide batch is walked along its
+    columns, so the table width w is min(rows, cols).
 
-    Row codes are built by Horner's rule, and each step is one gather
-    from the flattened table at state * ncodes + code.  That index is
-    below the table's cell count, at most ``_TABLE_CELLS_LIMIT`` = 2**22,
-    so codes and states are held in int32; the table's own narrow dtype
-    would wrap."""
+    A block with p**(rows * w) <= ``_BLOCK_CODES`` = 2**16 codes is
+    ranked in one lookup: its code, built by Horner's rule over all its
+    entries in the smallest unsigned type that holds it, indexes its
+    :func:`_block_table`.  A larger block steps through
+    :func:`_subspace_table` one row at a time: row codes are built by
+    Horner's rule, and each step is one gather from the flattened table
+    at state * ncodes + code.  That index is below the table's cell
+    count, at most ``_TABLE_CELLS_LIMIT`` = 2**22, so codes and states
+    are held in int32; the table's own narrow dtype would wrap."""
     m = np.asarray(mats)
     if m.shape[2] > m.shape[1]:
         m = m.transpose(0, 2, 1)
     nmat, rows, w = m.shape
+    if p ** (rows * w) <= _BLOCK_CODES:
+        table = _block_table(p, rows, w)
+        code = np.zeros(nmat, dtype=np.min_scalar_type(len(table) - 1))
+        for i in range(rows - 1, -1, -1):
+            for j in range(w - 1, -1, -1):
+                code *= p
+                np.add(code, m[:, i, j], out=code, dtype=code.dtype, casting="unsafe")
+        return table.take(code)
     step, dim = _subspace_table(p, w)
     codes = np.zeros((nmat, rows), dtype=np.int32)
     for j in range(w - 1, -1, -1):

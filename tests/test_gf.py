@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from quditprod import gf
+from quditprod import counting, experiments, gf
 from quditprod.complexes import complex_from_text
 from quditprod.counting import brute_count_rank_matrices, gaussian_binomial
 from quditprod.gf import (
@@ -38,11 +39,14 @@ from quditprod.gf import (
 from support import (
     FIELD3,
     FIELD5,
+    reference_block_rank_census,
     reference_matrix_from_lines,
     reference_matrix_to_text,
     reference_lines,
     reference_rank_batch,
+    reference_rank_histogram,
     reference_row_reduce,
+    reference_ulw_probability,
 )
 
 
@@ -418,6 +422,28 @@ def test_span_blocks_memory_peak(order: int, t: int, decoded_mib: float) -> None
     assert peak < decoded_mib * 2**20
 
 
+@pytest.mark.parametrize("order, t", [(17, 5), (127, 3), (131, 3)])
+def test_line_blocks_memory_peak_without_a_low_table(order: int, t: int) -> None:
+    """From p = 17 on the low table is the zero row alone, so every line
+    is decoded from its index, in parts of at most ``_DECODE_CELLS``
+    int64 cells.  Walking the largest span the cap allows of a t x 18
+    basis (17^5, 127^3, 131^3) peaks at 4 traced bytes per entry of its
+    largest block, with the block held while the next is built (one byte
+    per entry, two for GF(131)); decoding a whole block at once peaked
+    at 16.9."""
+    assert order**t <= gf.ENUMERATION_LIMIT < order ** (t + 1)
+    basis = np.random.default_rng(order).integers(0, order, (t, 18))
+    largest = 0
+    tracemalloc.start()
+    try:
+        for block in line_blocks(basis, order):
+            largest = max(largest, block.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * largest
+
+
 @pytest.mark.parametrize("order, width, states", [(3, 4, 212), (5, 3, 64), (7, 2, 10), (3, 0, 1)])
 def test_subspace_table_has_one_state_per_subspace(order: int, width: int, states: int) -> None:
     step, dim = _subspace_table(order, width)
@@ -472,6 +498,179 @@ def small_matrices(draw):
 def test_table_rank_equals_rank(case) -> None:
     order, m = case
     assert _table_rank(m[None], order).tolist() == [rank(MatGF(FieldSpec(order), m))]
+
+
+_BLOCK_ORDERS = [3, 5, 7, 11, 13]
+
+
+def _block_shapes(order: int) -> list[tuple[int, int]]:
+    """Every block shape rows x w, rows >= w >= 1, whose whole-block
+    table the cap admits: order**(rows * w) <= ``gf._BLOCK_CODES``."""
+    return [
+        (rows, w)
+        for w in range(1, 17)
+        for rows in range(w, 17)
+        if order ** (rows * w) <= gf._BLOCK_CODES
+    ]
+
+
+def _every_matrix(order: int, rows: int, w: int) -> np.ndarray:
+    """Every rows x w matrix over GF(order), in code order: entry (i, j)
+    is digit i * w + j of the code in base order."""
+    codes = np.arange(order ** (rows * w), dtype=np.int64)
+    digits = codes[:, None] // order ** np.arange(rows * w, dtype=np.int64) % order
+    return digits.reshape(len(codes), rows, w)
+
+
+@pytest.mark.parametrize("order", _BLOCK_ORDERS)
+def test_block_tables_hold_the_rank_of_every_code(order: int) -> None:
+    """Every whole-block table the cap admits, and those of blocks with
+    no entries, holds the elimination rank of every matrix at its code,
+    read-only in uint8.  The largest, of the largest power of p up to
+    2**16 codes (3^10 for GF(3) 10 x 1 and 5 x 2), is among them."""
+    assert gf._BLOCK_CODES == 1 << 16
+    shapes = _block_shapes(order)
+    largest = max(order ** (rows * w) for rows, w in shapes)
+    assert largest <= gf._BLOCK_CODES < largest * order
+    for rows, w in shapes + [(0, 0), (3, 0)]:
+        table = gf._block_table(order, rows, w)
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        want = reference_rank_batch(_every_matrix(order, rows, w), order)
+        assert table.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("order", _BLOCK_ORDERS)
+def test_table_rank_steps_the_rows_of_blocks_above_the_cap(order: int) -> None:
+    """For every table width, the tallest block under the cap is looked
+    up in its whole-block table, and the next taller one, like the
+    smallest square above the cap, steps its rows through the subspace
+    table without building one; all give the elimination ranks."""
+    shapes = _block_shapes(order)
+    tallest = {w: rows for rows, w in shapes}
+    square = len(tallest) + 1
+    cases = [(rows, w, True) for w, rows in tallest.items()]
+    cases += [(rows + 1, w, False) for w, rows in tallest.items()]
+    cases.append((square, square, False))
+    rng = np.random.default_rng(order)
+    for rows, w, looked_up in cases:
+        assert (order ** (rows * w) <= gf._BLOCK_CODES) == looked_up
+        mats = rng.integers(0, order, (200, rows, w))
+        with mock.patch.object(gf, "_block_table", wraps=gf._block_table) as spy:
+            ranks = _table_rank(mats, order)
+        assert spy.call_count == looked_up
+        assert ranks.tolist() == reference_rank_batch(mats, order).tolist()
+
+
+# Values of _BLOCK_CODES that send every block down one path of
+# _table_rank: 0 steps its rows through the subspace table, and 2**62
+# looks it up in its whole-block table.
+_RANK_PATHS = {"rows": 0, "block": 1 << 62}
+
+
+def _laid_out(mats: np.ndarray, dtype: str, layout: str, extra: int) -> np.ndarray:
+    """A (N, rows, cols) stack of residues in ``dtype``: C-contiguous, a
+    transposed view, or as ``counting._block_rank_census`` passes its
+    blocks, a column slice of wider rows reshaped (the slice starting
+    ``extra`` columns in, with as many columns after it)."""
+    count, rows, cols = mats.shape
+    mats = mats.astype(dtype)
+    if layout == "transposed":
+        return np.ascontiguousarray(mats.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if layout == "census":
+        vecs = np.zeros((count, rows * cols + 2 * extra), dtype=dtype)
+        vecs[:, extra : extra + rows * cols] = mats.reshape(count, rows * cols)
+        return vecs[:, extra : extra + rows * cols].reshape(count, rows, cols)
+    return mats
+
+
+@st.composite
+def rank_path_cases(draw):
+    """A stack of up to 64 reduced blocks over GF(3/5/7/11/13), tall,
+    wide or square, in uint8, uint16 or int64 and any layout of
+    ``_laid_out``, each table either path builds holding at most 2**18
+    codes (so GF(5) 7 x 1 and GF(11) 1 x 5 lie above the cap)."""
+    order = draw(st.sampled_from(_BLOCK_ORDERS))
+    rows = draw(st.integers(0, 8))
+    cols = 0
+    while cols < 8 and order ** (rows * (cols + 1)) <= 1 << 18:
+        cols += 1
+    shape = (rows, draw(st.integers(0, cols)))
+    if draw(st.booleans()):
+        shape = shape[::-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.integers(0, order, (draw(st.integers(0, 64)), *shape))
+    if draw(st.booleans()) and shape[0] > 1:  # a rank deficit
+        mats[:, -1] = mats[:, 0] * 2 % order
+    dtype = draw(st.sampled_from(["uint8", "uint16", "int64"]))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "census"]))
+    return order, _laid_out(mats, dtype, layout, draw(st.integers(0, 9)))
+
+
+def _check_rank_paths(mats: np.ndarray, order: int) -> None:
+    want = reference_rank_batch(mats, order).tolist()
+    for block_codes in _RANK_PATHS.values():
+        with mock.patch.object(gf, "_BLOCK_CODES", block_codes):
+            ranks = _table_rank(mats, order)
+        assert ranks.dtype == np.uint8 and ranks.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_path_cases())
+def test_table_rank_paths_agree(case) -> None:
+    """Row stepping and whole-block lookup both give the elimination
+    ranks, in uint8, whatever the input's dtype and layout."""
+    order, mats = case
+    _check_rank_paths(mats, order)
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "int64"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "census"])
+@pytest.mark.parametrize("shape", [(5, 0, 0), (5, 3, 0), (5, 0, 3), (0, 2, 2)])
+def test_table_rank_paths_of_empty_stacks(dtype: str, layout: str, shape) -> None:
+    """Blocks with no entries have rank 0 on both paths, and a stack of
+    no blocks has no ranks."""
+    mats = _laid_out(np.zeros(shape, dtype=np.int64), dtype, layout, 2)
+    for order in (3, 13):
+        _check_rank_paths(mats, order)
+
+
+@pytest.mark.parametrize("order, rows, width", [(3, 3, 3), (3, 10, 1), (3, 5, 2), (5, 3, 2), (13, 2, 2)])
+def test_block_table_build_memory_peak(order: int, rows: int, width: int) -> None:
+    """A whole-block table builds within 5 traced bytes per code: the
+    uint8 table, the states one row short of it and their gather index.
+    Decoding the 3^9 codes of GF(3) 3 x 3 into int64 digits alone would
+    take 1.35 MiB, 72 bytes per code."""
+    _subspace_table(order, width)
+    tracemalloc.start()
+    try:
+        table = gf._block_table.__wrapped__(order, rows, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size == order ** (rows * width)
+    assert peak < 5 * table.size
+
+
+def test_support_references_rank_by_elimination_alone(monkeypatch) -> None:
+    """The rank references of support.py answer with every subspace
+    table, whole-block table and batched rank of the library replaced by
+    a failure, so they stay independent of the oracles they check."""
+
+    def used(*args, **kwargs):
+        raise AssertionError("a library rank table was used")
+
+    for module in (gf, counting, experiments):
+        for name in ("_subspace_table", "_block_table", "_table_rank", "rank_batch"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, used)
+    mats = np.random.default_rng(3).integers(0, 3, (50, 3, 3))
+    assert reference_rank_batch(mats, 3).tolist() == [
+        len(reference_row_reduce(m, 3)[1]) for m in mats
+    ]
+    assert reference_rank_histogram(3, 2, 2) == {0: 1, 1: 32, 2: 48}
+    census = reference_block_rank_census(np.eye(8, dtype=np.int64), 3, (2, 2), (2, 2))
+    assert sum(census.values()) == 3**8 and census[(2, 2)] == 48 * 48
+    assert reference_ulw_probability(3, 2, 2, Fraction(2)) == 1
 
 
 @settings(max_examples=200, deadline=None)
