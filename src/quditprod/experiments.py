@@ -16,13 +16,15 @@ The harnesses build no per-trial Generator.  Trials run in chunks of
   whole chunk at once in uint32 arrays (``_pcg64_states``); numpy's
   own PCG64 is seeded from each trial's words (``_seed_words``).
 - Draws.  Each stream's 64-bit outputs come from ``PCG64.random_raw``
-  and are read as 32-bit words, low half first, as PCG64's
+  and are viewed in place as 32-bit words, low half first, as PCG64's
   ``next_uint32`` reads them.  A vectorized copy of the bounded draw
   that ``Generator.integers(0, D)`` makes for every field order (Lemire's
   method, arXiv:1805.10941) decodes them: word w gives (w D) >> 32 and
   is dropped where (w D) mod 2**32 < 2**32 mod D (``_bounded_values``,
-  ``_stream_values``).  Values are held in the smallest unsigned type
-  holding D - 1, uint8 for D <= 256.
+  ``_stream_values``).  The mask comes from the wrapped uint32 product
+  and the value from one uint64 product per word, shifted in place.
+  Values are held in the smallest unsigned type holding D - 1, the
+  draw dtype: uint8 for D <= 256.
 - Candidates.  A trial's values form one sequence, cut in order into
   n x n candidates; the matrices that two successive
   ``random_invertible`` calls return are its first two invertible
@@ -30,7 +32,9 @@ The harnesses build no per-trial Generator.  Trials run in chunks of
   trial still short of two and ranks them all in one ``rank_batch``
   (``_invertible_pairs``), which takes the narrow values as they are:
   it reduces them in its elimination type and finishes each rank in a
-  small subspace table.
+  small subspace table.  The pairs stay in the draw dtype: the kernel
+  tests take them as they are, and the uniform-low-weight test widens
+  them before its product.
 
 So each trial sees exactly the matrices that the single-draw samplers
 (``random_boundary``, ``sample_uniform_rank``) draw from its generator,
@@ -302,21 +306,27 @@ def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     same-shape mask of the words kept.
 
     The words of an output are its low and then its high half, the
-    order of PCG64's ``next_uint32``.  As in numpy's
-    ``buffered_bounded_lemire_uint32`` (Lemire, arXiv:1805.10941), word w
-    gives (w p) >> 32 and is dropped where (w p) mod 2**32 is below
-    2**32 mod p; a word is dropped with probability below p / 2**32.
+    order of PCG64's ``next_uint32``, so they are the uint32 view of the
+    outputs.  As in numpy's ``buffered_bounded_lemire_uint32`` (Lemire,
+    arXiv:1805.10941), word w gives (w p) >> 32 and is dropped where
+    (w p) mod 2**32 is below 2**32 mod p; a word is dropped with
+    probability below p / 2**32.  The wrapped uint32 product w p is
+    that remainder, and the value is the high half of one uint64
+    product, shifted in place: about 10 traced bytes per word beside
+    the input.
     """
-    scaled = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
-    scaled *= p
-    kept = (scaled & _MASK32) >= (1 << 32) % p
-    scaled >>= 32
-    return scaled.astype(np.min_scalar_type(p - 1)), kept
+    words = raw.astype("<u8", copy=False).view("<u4")
+    kept = np.multiply(words, p, dtype=np.uint32) >= (1 << 32) % p
+    high = words.astype(np.uint64)
+    high *= p
+    high >>= 32
+    return high.astype(np.min_scalar_type(p - 1)), kept
 
 
 def _stream_values(seeds: np.ndarray, p: int, count: int) -> np.ndarray:
     """The first ``count`` values of each stream, as a (len(seeds),
-    count) array in the dtype of :func:`_bounded_values`.
+    count) array in the draw dtype of :func:`_bounded_values`, decoded
+    from the 32-bit halves of the streams' outputs.
 
     A stream is what ``Generator.integers(0, p)`` draws from a PCG64
     seeded by a row of ``seeds``, however the draws are split into
@@ -345,9 +355,10 @@ def _invertible_pairs(
     field: FieldSpec, n: int, trials: int, master_seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each chunk of ``_CHUNK`` trials, in trial order, two
-    (chunk, n, n) stacks: for trial i, the matrices that two successive
-    ``random_invertible(field, n, trial_rng(master_seed, i))`` calls
-    return.
+    (chunk, n, n) stacks in the draw dtype of :func:`_bounded_values`
+    (uint8 for D <= 256, uint16 above): for trial i, the matrices that
+    two successive ``random_invertible(field, n, trial_rng(master_seed,
+    i))`` calls return.
 
     Candidate k of a trial is its stream's values k n^2 .. (k + 1) n^2 - 1
     in row-major order, and the pair is its first two invertible
@@ -359,7 +370,7 @@ def _invertible_pairs(
     p, cells = field.order, n * n
     for start in range(0, trials, _CHUNK):
         seeds = _pcg64_states(master_seed, start, min(start + _CHUNK, trials))
-        pair = np.empty((2, len(seeds), n, n), dtype=np.int64)
+        pair = np.empty((2, len(seeds), n, n), dtype=np.min_scalar_type(p - 1))
         found = np.zeros(len(seeds), dtype=np.int64)
         live = np.arange(len(seeds))
         lo = 0
@@ -622,7 +633,9 @@ def mc_uniform_low_weight(
     p = field.order
     successes = 0
     for u, v in _invertible_pairs(field, n_prime, trials, master_seed):
-        mats = u[:, :, :rank] @ v[:, :rank, :] % p
+        # Widened first: draws are as narrow as uint8, whose products
+        # overflow from p = 17 on.
+        mats = u[:, :, :rank].astype(np.int64) @ v[:, :rank, :] % p
         successes += int(_uniform_low_weight(mats, c_prime * n_prime).sum())
     return _report(
         "ulw",

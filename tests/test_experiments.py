@@ -7,6 +7,8 @@ rather than resampled."""
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +245,70 @@ def test_lockstep_harnesses_match_a_per_trial_loop(trials: int) -> None:
         assert 0 < kernel[1] < trials and 0 < goodness[3] < trials and 0 < ulw < trials
 
 
+def _has_light_kernel_vector_by_supports(d: MatGF, w_max: int) -> bool:
+    """Whether ker d holds a nonzero vector of weight <= w_max, for
+    0 <= w_max <= d.cols: exactly when d restricted to some w_max of its
+    columns has a nontrivial kernel.  No walk over the span, so it
+    answers at any field order."""
+    return any(
+        rank(MatGF(d.field, d.data[:, list(cols)])) < w_max
+        for cols in itertools.combinations(range(d.cols), w_max)
+    )
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK + 1])
+@pytest.mark.parametrize("order", [191, 65521])
+def test_lockstep_harnesses_match_a_per_trial_loop_at_large_orders(
+    monkeypatch, order: int, trials: int
+) -> None:
+    """The loop above over GF(191), whose uint8 draws overflow uint8
+    products, and GF(65521), whose draws are uint16: the same successes
+    from all three harnesses, and the ulw harness forms each trial's
+    matrix exactly, which the weight test alone would rarely show
+    at these orders.  GF(65521) runs the kernel test at w_max = 1 alone:
+    w_max = 2 takes 3 * 65520 candidates per basis, seconds of work."""
+    field = FieldSpec(order)
+    shape = ComplexShape(5, 1, 2)  # t = H + L = 3
+    w_max_of = {Fraction(2, 5): 1}  # w_max = ceil(c n) - 1
+    if order < 256:
+        w_max_of[Fraction(3, 5)] = 2
+    n_primes = (0, 2, 3, 5)
+    kernel = dict.fromkeys(w_max_of.values(), 0)
+    goodness = dict.fromkeys(n_primes, 0)
+    ulw, matrices = 0, []
+    for i in range(trials):
+        c, _, _ = random_boundary(shape, field, trial_rng(3, i))
+        for w_max in kernel:
+            kernel[w_max] += any(
+                _has_light_kernel_vector_by_supports(d, w_max) for d in (c.d_mp, c.d_pm)
+            )
+        for n_prime in n_primes:
+            goodness[n_prime] += is_good(c, n_prime)
+        m = sample_uniform_rank(field, 4, 2, trial_rng(3, i))
+        matrices.append(m.data)
+        ulw += max(gf.row_weights(m).max(), gf.col_weights(m).max()) <= 2
+    for density, w_max in w_max_of.items():
+        cfg = TrialConfig(field=field, n=5, trials=trials, master_seed=3, H=1, c=density)
+        assert mc_low_weight_kernel(cfg).successes == kernel[w_max]
+    cfg = TrialConfig(field=field, n=5, trials=trials, master_seed=3, H=1)
+    for n_prime in n_primes:
+        assert mc_goodness(cfg, n_prime).successes == goodness[n_prime]
+    assert goodness[0] == goodness[2] == 0 and goodness[5] == trials
+
+    seen = []
+
+    def weights_of(mats, bound):
+        seen.append(mats)
+        return uniform_low_weight(mats, bound)
+
+    uniform_low_weight = experiments._uniform_low_weight
+    monkeypatch.setattr(experiments, "_uniform_low_weight", weights_of)
+    assert mc_uniform_low_weight(field, 4, 2, Fraction(1, 2), trials, 3).successes == ulw
+    assert np.concatenate(seen).tolist() == np.array(matrices).tolist()
+    if trials > 1 and order == 191:
+        assert 0 < kernel[2] < trials and 0 < goodness[3] < trials
+
+
 # (p, t, largest n): spans walkable a row at a time, and past the
 # enumeration limit (191^4 and 5^13 vectors).
 _LIGHT_SIZES = [(p, t, 9) for p in (3, 5, 7, 191) for t in range(5) if p**t <= 7**4]
@@ -400,6 +466,21 @@ class TestTrialStreams:
         assert kept.tolist()[0] == [(w * p) % (1 << 32) >= threshold for w in words]
         assert not kept[0, leftovers.index(0)]
 
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_decode_memory_peak(self, p):
+        """Decoding a (100, 243) array of outputs peaks at 12 traced bytes
+        per 32-bit word at most: the kept mask, the values and one uint64
+        product per word (17.0 with the products and their low halves
+        both held in uint64)."""
+        raw = np.random.default_rng(p).integers(0, 2**64, (100, 243), dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            experiments._bounded_values(raw, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 * raw.size
+
     @settings(max_examples=200, deadline=None)
     @given(
         p=st.sampled_from([3, 5, 7, 11, 13, 181, 65521]),
@@ -451,7 +532,7 @@ class TestTrialStreams:
 
 @settings(max_examples=30, deadline=None)
 @given(
-    order=st.sampled_from([3, 5, 7, 65521]),
+    order=st.sampled_from([3, 5, 7, 191, 65521]),
     # Up to the Monte Carlo harnesses' 9 x 9, where most elimination
     # steps come before rank_batch's table tail.
     n=st.integers(0, 9),
@@ -460,11 +541,13 @@ class TestTrialStreams:
 )
 def test_lockstep_invertible_draws_match_random_invertible(order, n, count, seed) -> None:
     """Each trial's pair is what two successive random_invertible calls
-    return from the trial's generator."""
+    return from the trial's generator, in the draw dtype: uint8 up to
+    GF(191), uint16 for GF(65521)."""
     field = FieldSpec(order)
     chunks = list(experiments._invertible_pairs(field, n, count, seed))
     for (u, v), trials in zip(chunks, _chunk_ranges(count), strict=True):
         assert u.shape == v.shape == (len(trials), n, n)
+        assert u.dtype == v.dtype == (np.uint8 if order < 256 else np.uint16)
         for j, i in enumerate(trials):
             rng = trial_rng(seed, i)
             assert (u[j] == random_invertible(field, n, rng).data).all()
