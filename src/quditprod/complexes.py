@@ -172,9 +172,11 @@ def homology_dimensions(c: InvolutiveComplex) -> tuple[int, int]:
     """dim(ker/im) per sector: (h_plus, h_minus).
 
     Cycles in C+ are ker d_mp and boundaries in C+ are im d_pm, and
-    symmetrically for C-.
+    symmetrically for C-.  d_pm is ranked as d_pm^T, the Z generators
+    as rows, so the echelon form it keeps is the one the CSS coset
+    bases read (``css._coset_bases``).
     """
-    rk_pm = rank(c.d_pm)
+    rk_pm = rank(c.d_pm.T)
     rk_mp = rank(c.d_mp)
     h_plus = (c.dim_plus - rk_mp) - rk_pm
     h_minus = (c.dim_minus - rk_pm) - rk_mp
@@ -208,10 +210,13 @@ def flip_sectors(c: InvolutiveComplex) -> InvolutiveComplex:
 
 
 def _header_shape(c: InvolutiveComplex) -> tuple[int, int, int]:
+    """(n, H, L) of a complex with equal sector dimensions and block
+    ranks.  The blocks are ranked as d_pm^T and d_mp, the Z and X
+    generators as rows (see :func:`homology_dimensions`)."""
     n = c.dim_plus
     if c.dim_minus != n:
         raise ValueError("serialization requires equal sector dimensions")
-    rk = rank(c.d_pm)
+    rk = rank(c.d_pm.T)
     if rank(c.d_mp) != rk:
         raise ValueError("serialization requires equal boundary block ranks")
     # Equal sector dimensions and block ranks give h+ = h- = n - 2 rk.
@@ -227,7 +232,10 @@ def complex_to_text(c: InvolutiveComplex) -> str:
 
 
 def complex_from_text(text: str) -> InvolutiveComplex:
-    """Parse and re-validate the format written by :func:`complex_to_text`."""
+    """Parse and re-validate the format written by :func:`complex_to_text`.
+
+    Blank lines after the second block are accepted, any other trailing
+    line is refused, as in ``gf.matrix_from_text``."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty complex text")
@@ -240,7 +248,9 @@ def complex_from_text(text: str) -> InvolutiveComplex:
         raise ValueError(f"bad complex header {lines[0]!r}") from exc
     field = FieldSpec(d)
     d_pm, pos = _matrix_from_lines(lines, 1)
-    d_mp, _ = _matrix_from_lines(lines, pos)
+    d_mp, pos = _matrix_from_lines(lines, pos)
+    if any(line.strip() for line in lines[pos:]):
+        raise ValueError("trailing content after the complex blocks")
     if d_pm.field != field or d_mp.field != field:
         raise ValueError("matrix blocks disagree with the header field")
     if d_pm.shape != (n, n) or d_mp.shape != (n, n):

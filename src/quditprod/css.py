@@ -4,16 +4,20 @@ Physical qudits are the basis of C+.  The columns of d_pm are the
 Z-type stabilizer generators and the rows of d_mp are the X-type
 generators; d_mp @ d_pm = 0 is exactly the CSS orthogonality
 condition.  The number of logical qudits equals the plus-sector
-homology dimension.
+homology dimension.  Both families are ranked as rows, z_gens^T and
+x_gens, as ``complexes`` ranks d_pm^T and d_mp: a matrix shares its
+echelon forms with its transposes (``gf.MatGF``), so one elimination
+per family serves the complex's ranks, the code's and its coset bases.
 
 Distances are computed exactly by two batched searches, which can be
 played against each other as independent oracles.  Both rest on a
 coset basis: a basis of a kernel whose first r rows span the image
 (the stabilizers) and whose last k rows represent the logical classes.
-The stabilizer rows are read from the echelon forms a ``CssCode``
-keeps; the logical rows are picked from the rank-k pairing of the two
-kernels, so the only new elimination of a large matrix is of z_gens^T,
-once per code: the code keeps both coset bases after its first search.
+The stabilizer rows and both kernels are read from the echelon forms
+of z_gens^T and x_gens a ``CssCode`` keeps; the logical rows are picked
+from the rank-k pairing of the two kernels, so a distance search
+eliminates no matrix of rank above k: the code's ranks made both forms,
+and the code keeps both coset bases after its first search.
 
 - Exhaustive mode walks the kernel over that basis with
   ``gf.line_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
@@ -70,10 +74,10 @@ class CssCode:
     z_gens holds one Z generator per column (length n_phys each) and
     x_gens one X generator per row.  The rest is computed from them
     when the code is built, which refuses generators that do not
-    commute: field, n_phys, k = n_phys - rank x_gens - rank z_gens, and
-    stab_weight, the largest support of any single generator.  The
-    coset bases of the distance searches are built on first use and
-    kept.
+    commute: field, n_phys, k = n_phys - rank x_gens - rank z_gens^T,
+    and stab_weight, the largest support of any single generator.  The
+    coset bases of the distance searches are built on first use, from
+    the echelon forms those ranks keep, and kept.
     """
 
     z_gens: MatGF
@@ -89,7 +93,7 @@ class CssCode:
         weight = max(col_weights(z_gens).max(initial=0), row_weights(x_gens).max(initial=0))
         object.__setattr__(self, "field", z_gens.field)
         object.__setattr__(self, "n_phys", z_gens.rows)
-        object.__setattr__(self, "k", z_gens.rows - rank(x_gens) - rank(z_gens))
+        object.__setattr__(self, "k", z_gens.rows - rank(x_gens) - rank(z_gens.T))
         object.__setattr__(self, "stab_weight", int(weight))
 
     @functools.cached_property
@@ -140,10 +144,10 @@ def _coset_bases(code: CssCode) -> tuple[tuple[np.ndarray, int], tuple[np.ndarra
     z_basis is a basis of ker x_gens as rows whose first r_z = rank
     z_gens rows span im z_gens and whose last k represent the classes of
     ker / im; x_basis is the same for ker z_gens^T and the row space of
-    x_gens.  The stabilizer rows are read from the echelon forms the
-    code keeps: the pivot columns of z_gens, and the rows of
-    rref(x_gens).  The one new elimination is of z_gens^T, for its
-    kernel.
+    x_gens.  Everything of rank above k is read from the echelon forms
+    the code's ranks keep: the stabilizer rows are the rows of
+    rref(z_gens^T) and of rref(x_gens), and the kernels come from the
+    same two forms.  The only eliminations are of the rank-k pairing.
 
     The logical rows come from the pairing P = K_x K_z^T, where K_x and
     K_z are kernel bases of x_gens and z_gens^T.  The generators
@@ -159,7 +163,7 @@ def _coset_bases(code: CssCode) -> tuple[tuple[np.ndarray, int], tuple[np.ndarra
     pairing = _matmul(k_x, k_z.T, p)
     z_logical = _row_reduce(pairing.T, p)[1]
     x_logical = _row_reduce(pairing, p)[1]
-    z_stabilizers = z_gens.data[:, z_gens._rref()[1]].T
+    z_stabilizers = z_gens.T._rref()[0]
     x_stabilizers = x_gens._rref()[0]
     return (
         (np.concatenate([z_stabilizers, k_x[z_logical]]), len(z_stabilizers)),

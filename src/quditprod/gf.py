@@ -126,8 +126,13 @@ argument:
   16.9 when each block was decoded at once.
 
 A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
-``kernel_basis`` has computed it, so every later rank or kernel of the
-same matrix object is read, not eliminated again.
+``kernel_basis`` has computed it, and shares it with its transposes: a
+matrix and every ``.T`` of it (``.T.T`` included) hold one pair of
+slots, the echelon form of the array as built and that of its
+transpose.  Every later kernel of either orientation is read, not
+eliminated again, and ``rank`` reads whichever slot is filled, since
+rank A = rank A^T.  So a block whose rank was taken as ``d.T`` yields
+the kernel of ``d.T`` with no second elimination.
 
 Exhaustive enumerations (rank censuses, exhaustive distances and
 probabilities) cover at most ``ENUMERATION_LIMIT`` = 10**7 vectors or
@@ -220,11 +225,15 @@ class MatGF:
 
     A matrix computes its reduced row echelon form at most once, on the
     first ``rank`` or ``kernel_basis``, and keeps its nonzero rows
-    (read-only, in ``_work_dtype``) for later calls.  It holds no other
-    matrix, so no reference cycle keeps it alive.
+    (read-only, in ``_work_dtype``) for later calls.  ``_echelon`` is a
+    two-slot list shared by reference with every ``.T`` of the matrix:
+    slot ``_side`` holds this orientation's form and the other slot its
+    transpose's, so each orientation is eliminated at most once among
+    them all.  The list holds arrays only, never another matrix, so no
+    reference cycle keeps a matrix alive.
     """
 
-    __slots__ = ("field", "_data", "_echelon")
+    __slots__ = ("field", "_data", "_echelon", "_side")
 
     def __init__(self, field: FieldSpec, data, *, _reduced: bool = False):
         if _reduced:
@@ -236,7 +245,8 @@ class MatGF:
         arr.flags.writeable = False
         self.field = field
         self._data = arr
-        self._echelon: tuple[np.ndarray, np.ndarray] | None = None
+        self._echelon: list[tuple[np.ndarray, np.ndarray] | None] = [None, None]
+        self._side = 0
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatGF":
@@ -265,7 +275,9 @@ class MatGF:
 
     @property
     def T(self) -> "MatGF":
-        return MatGF(self.field, self._data.T, _reduced=True)
+        t = MatGF(self.field, self._data.T, _reduced=True)
+        t._echelon, t._side = self._echelon, 1 - self._side
+        return t
 
     def _check_field(self, other: "MatGF") -> None:
         if self.field != other.field:
@@ -305,15 +317,17 @@ class MatGF:
         """(rref, pivots): the nonzero rows of the reduced row echelon
         form of :func:`_row_reduce`, a view of its array in
         :func:`_work_dtype`, and its pivot columns as an intp array,
-        both read-only, computed on the first call and kept."""
-        if self._echelon is None:
-            p = self.field.order
-            rref, pivots = _row_reduce(self._data, p)
-            self._echelon = (
+        both read-only, computed on the first call and kept in this
+        orientation's slot, where every transpose of the transpose
+        finds it too."""
+        echelon = self._echelon[self._side]
+        if echelon is None:
+            rref, pivots = _row_reduce(self._data, self.field.order)
+            echelon = self._echelon[self._side] = (
                 _read_only(rref[: len(pivots)]),
                 _read_only(np.array(pivots, dtype=np.intp)),
             )
-        return self._echelon
+        return echelon
 
 
 # Matrices of at most this many cells are eliminated as lists of Python
@@ -405,8 +419,11 @@ def _row_reduce_small(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: MatGF) -> int:
-    """Rank of ``m`` over its field."""
-    return len(m._rref()[1])
+    """Rank of ``m`` over its field: read off whichever echelon form ``m``
+    shares with its transposes is kept (rank A = rank A^T), else off
+    ``m``'s own, computed and kept."""
+    kept = m._echelon[m._side] or m._echelon[1 - m._side] or m._rref()
+    return len(kept[1])
 
 
 def kernel_basis(m: MatGF) -> np.ndarray:

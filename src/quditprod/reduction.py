@@ -150,14 +150,15 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
 
 
 def _same_column_space(a: MatGF, b: MatGF) -> bool:
+    """Whether a and b span the same columns: rank a = rank b =
+    rank [b | a].  The last two come from one elimination of [b | a],
+    whose pivots left of b.cols are those of b.  rank a goes through
+    ``gf.rank``: read when a keeps an echelon form, else kept for the
+    next caller."""
     if a.rows != b.rows:
         return False
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    stacked = MatGF(a.field, np.concatenate([a.data, b.data], axis=1), _reduced=True)
-    return rank(stacked) == ra
+    pivots = _row_reduce(np.concatenate([b.data, a.data], axis=1), a.field.order)[1]
+    return rank(a) == sum(c < b.cols for c in pivots) == len(pivots)
 
 
 def _kernel_matrix(m: MatGF) -> MatGF:

@@ -2,12 +2,23 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 
 def pytest_configure(config):
     """Hand the subprocess tests (``python -m quditprod``) the package that
     the ``pythonpath`` setting in pyproject.toml gives this process."""
     paths = [str(config.rootpath / "src"), os.environ.get("PYTHONPATH")]
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every ``gf._row_reduce`` call of the test, in order
+    (``support.record_eliminations``)."""
+    from support import record_eliminations
+
+    return record_eliminations(monkeypatch)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

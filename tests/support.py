@@ -11,12 +11,17 @@ weight exactly 3.
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
+import quditprod
+from quditprod import gf
 from quditprod import (
     ComplexShape,
     FieldSpec,
@@ -87,6 +92,48 @@ def good_complexes(
     raise AssertionError(
         f"only {len(out)} good complexes in {max_attempts} attempts"
     )
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """One recorded ``gf._row_reduce`` call: a copy of its input, the
+    rank it found and the array it returned."""
+
+    matrix: np.ndarray
+    rank: int
+    rref: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+
+def record_eliminations(monkeypatch) -> list[Elimination]:
+    """Record every ``gf._row_reduce`` call, in order, into the list
+    returned, until ``monkeypatch`` is undone.
+
+    Every ``quditprod`` module is imported (``__main__`` aside, which
+    would run the CLI), and each one that binds the name to
+    ``gf._row_reduce`` is patched, so no import site hides an
+    elimination.  Calls inside gf itself go through gf's binding."""
+    modules = [
+        importlib.import_module(f"quditprod.{info.name}")
+        for info in pkgutil.iter_modules(quditprod.__path__)
+        if info.name != "__main__"
+    ]
+    reduce = gf._row_reduce
+    calls: list[Elimination] = []
+
+    def recording(a, p):
+        rref, pivots = reduce(a, p)
+        calls.append(Elimination(np.array(a), len(pivots), rref))
+        return rref, pivots
+
+    sites = [module for module in modules if getattr(module, "_row_reduce", None) is reduce]
+    assert gf in sites
+    for module in sites:
+        monkeypatch.setattr(module, "_row_reduce", recording)
+    return calls
 
 
 def reference_row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

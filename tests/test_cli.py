@@ -211,6 +211,20 @@ class TestPipeline:
         assert run(["css-extract", "--in", bad, "--out", tmp_path / "c.json"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_trailing_content_fails_cleanly(self, tmp_path, capsys):
+        """A complex file with a line after its blocks exits 1; blank
+        trailing lines are accepted."""
+        c = sample(tmp_path, "c.txt")
+        out = tmp_path / "code.json"
+        c.write_text(c.read_text() + "\n\n")
+        assert run(["css-extract", "--in", c, "--out", out]) == 0
+        out.unlink()
+        c.write_text(c.read_text() + "extra\n")
+        capsys.readouterr()
+        assert run(["css-extract", "--in", c, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: trailing content after the complex blocks\n"
+        assert not out.exists()
+
     def test_oversized_matrix_header_fails_cleanly(self, tmp_path):
         # The header asks for a 1 x 10^11 block; the one row has 1 entry.
         bad = tmp_path / "huge.txt"

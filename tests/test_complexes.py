@@ -218,6 +218,18 @@ def test_complex_text_rejects_malformed_input(text: str) -> None:
         complex_from_text(text)
 
 
+def test_complex_text_refuses_trailing_content_and_accepts_blank_lines() -> None:
+    """Like matrix_from_text: a non-blank line after the second block is
+    refused, blank ones are not."""
+    c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(5, 0))
+    text = complex_to_text(c)
+    for tail in ("extra\n", "\n0 0 0\n", "3 3 3\n"):
+        with pytest.raises(ValueError, match="^trailing content after the complex blocks$"):
+            complex_from_text(text + tail)
+    back = complex_from_text(text + "\n  \n\t\n")
+    assert back.d_pm == c.d_pm and back.d_mp == c.d_mp
+
+
 def test_complex_text_header_consistency() -> None:
     c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(5, 0))
     text = complex_to_text(c)

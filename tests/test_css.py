@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from quditprod import (
     ComplexShape,
     CssCode,
+    complex_from_text,
+    complex_to_text,
     extract_css,
     flip_sectors,
+    kunneth_check,
     min_distance,
     product,
     random_boundary,
@@ -111,26 +114,20 @@ def test_distance_refuses_before_building_coset_bases(monkeypatch) -> None:
         min_distance(code, mode="exhaustive")
 
 
-def test_coset_bases_are_built_once_per_code(monkeypatch) -> None:
-    """Every distance search after the first reuses the code's coset
+def test_coset_bases_are_built_once_per_code(eliminations) -> None:
+    """The first distance search eliminates only the two rank-k pairings:
+    the kernels and stabilizer rows come from the echelon forms the
+    code's ranks keep.  Every later search reuses the code's coset
     bases: no further elimination, in either mode, and the same
     distances."""
     code = extract_css(_standard_product(FIELD3).complex)
-    calls = []
-    reduce = gf._row_reduce
-
-    def counting(a, p):
-        calls.append(a.shape)
-        return reduce(a, p)
-
-    monkeypatch.setattr(gf, "_row_reduce", counting)
-    monkeypatch.setattr(css, "_row_reduce", counting)
+    eliminations.clear()
     first = min_distance(code, mode="exhaustive")
-    assert len(calls) == 3
-    calls.clear()
+    assert [e.rank for e in eliminations] == [code.k, code.k]
+    eliminations.clear()
     assert min_distance(code, mode="exhaustive") == first
     min_distance(code, mode="bounded", w_max=2)
-    assert calls == []
+    assert eliminations == []
     for basis, _ in code._cosets:
         assert not basis.flags.writeable
 
@@ -355,33 +352,50 @@ def test_exhaustive_walk_matches_a_full_span_reference(order, t, width, seed, da
     assert css._min_weight_logical_exhaustive(basis, r, order) == want
 
 
-def test_each_distance_mode_eliminates_one_large_matrix(monkeypatch) -> None:
-    """On a code built by extract_css the echelon forms of both generator
-    matrices are kept, so each mode eliminates one matrix of rank above
-    k, z_gens^T, and otherwise only the rank-k pairing of the kernels."""
+def test_each_distance_mode_eliminates_no_large_matrix(eliminations) -> None:
+    """On a code built by extract_css the echelon forms of z_gens^T and
+    x_gens are kept, so neither mode eliminates a matrix of rank above
+    k, only the rank-k pairing of the kernels, twice."""
     c1, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 0))
     c2, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(42, 1))
     complex_ = product(c1, c2).complex
     code = extract_css(complex_)
     assert code.k == 2 and rank(code.z_gens) == rank(code.x_gens) == 8
-    calls = []
-    reduce = gf._row_reduce
-
-    def recording(a, p):
-        result = reduce(a, p)
-        calls.append((np.array(a), len(result[1])))
-        return result
-
-    monkeypatch.setattr(gf, "_row_reduce", recording)
-    monkeypatch.setattr(css, "_row_reduce", recording)
     for mode, w_max in (("exhaustive", None), ("bounded", 2)):
         # A fresh code each time: a code keeps the coset bases it built.
         code = extract_css(complex_)
-        calls.clear()
+        eliminations.clear()
         min_distance(code, mode=mode, w_max=w_max)
-        large = [a for a, pivots in calls if pivots > code.k]
-        assert len(large) == 1 and np.array_equal(large[0], code.z_gens.data.T)
-        assert [pivots for _, pivots in calls if pivots <= code.k] == [code.k, code.k]
+        assert [e.rank for e in eliminations] == [code.k, code.k]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_product_code_eliminates_each_generator_family_once(eliminations, n) -> None:
+    """Through the text round trip, CSS extraction, the Kunneth check and
+    both distance modes, the only eliminations of rank above k are of
+    d_pm^T and d_mp, the Z and X generators as rows, once for the
+    product and once for the complex read back; min_distance eliminates
+    only the rank-k pairing.  At n = 5 exhaustive mode is refused (3^26
+    kernel vectors) before anything is eliminated."""
+    shape = ComplexShape.from_hom_dim(n, 1)
+    c1, _, _ = random_boundary(shape, FIELD3, trial_rng(29, 0))
+    c2, _, _ = random_boundary(shape, FIELD3, trial_rng(29, 1))
+    eliminations.clear()  # the factors' draws and inverses
+    pc = product(c1, c2)
+    back = complex_from_text(complex_to_text(pc.complex))
+    code = extract_css(back)
+    assert kunneth_check(pc).ok and code.k == 2
+    built = len(eliminations)
+    if n == 3:
+        min_distance(code, mode="exhaustive")
+    else:
+        with pytest.raises(ValueError, match="enumeration needs 3\\^26"):
+            min_distance(code, mode="exhaustive")
+    min_distance(code, mode="bounded", w_max=2)
+    assert [e.rank for e in eliminations[built:]] == [code.k, code.k]
+    large = [e.matrix for e in eliminations if e.rank > code.k]
+    blocks = (pc.complex.d_pm.data.T, pc.complex.d_mp.data) * 2
+    assert len(large) == 4 and all(map(np.array_equal, large, blocks))
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,6 +39,7 @@ from quditprod.gf import (
 from support import (
     FIELD3,
     FIELD5,
+    record_eliminations,
     reference_block_rank_census,
     reference_matrix_from_lines,
     reference_matrix_to_text,
@@ -151,35 +152,77 @@ def test_kernel_of_invertible_matrix_is_trivial() -> None:
     assert kernel_basis(u).shape == (0, 4)
 
 
-def test_echelon_form_is_computed_once_and_kept_read_only(monkeypatch) -> None:
+def test_echelon_form_is_computed_once_and_kept_read_only(eliminations) -> None:
     """rank then kernel_basis on one matrix run one elimination, whose
     nonzero rows are kept read-only in the elimination dtype, not
-    copied.  The matrix holds no other MatGF, also after .T, so
-    reference counting alone frees it."""
-    calls, results = [], []
-
-    def counted(a, p):
-        calls.append(a.shape)
-        results.append(_row_reduce(a, p))
-        return results[-1]
-
-    monkeypatch.setattr(gf, "_row_reduce", counted)
+    copied.  rank of the transpose reads the same form.  The matrix
+    holds no other MatGF, also after .T, so reference counting alone
+    frees it."""
     m = MatGF(FIELD3, np.random.default_rng(4).integers(0, 3, (5, 7)))
     r = rank(m)
     basis = kernel_basis(m)
-    assert calls == [(5, 7)]
+    assert [e.shape for e in eliminations] == [(5, 7)]
     assert len(basis) == 7 - r and not (m @ basis.T).any()
     basis[:] = 0  # the caller's own array
     assert rank(m) == r and not (m @ kernel_basis(m).T).any() and len(kernel_basis(m)) == 7 - r
-    assert calls == [(5, 7)]
+    assert [e.shape for e in eliminations] == [(5, 7)]
     rref, pivots = m._rref()
     assert not rref.flags.writeable and not pivots.flags.writeable
     assert rref.shape == (r, 7) and rref.dtype == gf._work_dtype(3)
-    assert np.shares_memory(rref, results[0][0])  # kept without a copy
-    assert rank(m.T) == r and calls == [(5, 7), (7, 5)]
-    held = gc.get_referents(m)
-    held += [x for h in held if isinstance(h, tuple) for x in gc.get_referents(h)]
+    assert np.shares_memory(rref, eliminations[0].rref)  # kept without a copy
+    assert rank(m.T) == r and [e.shape for e in eliminations] == [(5, 7)]
+    held = gc.get_referents(m) + gc.get_referents(m.T)
+    for _ in range(2):  # the shared list, then the tuples in it
+        held += [x for h in held if isinstance(h, (list, tuple)) for x in gc.get_referents(h)]
     assert not any(isinstance(h, MatGF) for h in held)
+
+
+@st.composite
+def _low_rank_matrices(draw) -> tuple[int, np.ndarray]:
+    """(order, array): an empty, wide, tall or square matrix over GF(3),
+    GF(5) or GF(65521), of any rank up to full, as a product of random
+    rows x r and r x cols factors.  Up to 14 x 14, so both of
+    _row_reduce's loops run."""
+    order = draw(st.sampled_from([3, 5, 65521]))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    r = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, order, (rows, r)) @ rng.integers(0, order, (r, cols)) % order
+    return order, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _low_rank_matrices(),
+    st.lists(st.tuples(st.sampled_from(["m", "m.T", "m.T.T"]), st.booleans()), min_size=1, max_size=8),
+)
+def test_transposes_share_echelon_forms(case, calls) -> None:
+    """Any order of rank and kernel_basis calls on m, m.T and m.T.T
+    returns what a fresh MatGF of the same array returns, and each
+    orientation is eliminated at most once: rank reads either kept form,
+    and a kernel eliminates its own orientation only if that form is
+    not kept yet.  Each access makes a new .T object."""
+    order, a = case
+    field = FieldSpec(order)
+    arrays = {0: a, 1: a.T.copy()}
+    want = {s: (rank(MatGF(field, x)), kernel_basis(MatGF(field, x))) for s, x in arrays.items()}
+    m = MatGF(field, a)
+    views = {"m": (lambda: m, 0), "m.T": (lambda: m.T, 1), "m.T.T": (lambda: m.T.T, 0)}
+    kept, expected = set(), []
+    with pytest.MonkeyPatch.context() as mp:
+        eliminations = record_eliminations(mp)
+        for name, kernel in calls:
+            view, side = views[name]
+            if kernel:
+                assert np.array_equal(kernel_basis(view()), want[side][1])
+            else:
+                assert rank(view()) == want[side][0]
+            if side not in kept and (kernel or not kept):
+                kept.add(side)
+                expected.append(side)
+    assert len(eliminations) == len(expected) <= 2
+    for e, side in zip(eliminations, expected):
+        assert np.array_equal(e.matrix, arrays[side])
 
 
 def test_solve_consistent_and_inconsistent() -> None:

@@ -23,8 +23,9 @@ from quditprod import (
     trial_rng,
     validate,
 )
-from quditprod.gf import MatGF, kernel_basis
-from support import FIELD3, SHAPE3, good_complexes, reference_kerim_check
+from quditprod.gf import MatGF, kernel_basis, random_invertible
+from quditprod.reduction import _same_column_space
+from support import FIELD3, SHAPE3, good_complexes, reference_kerim_check, reference_row_reduce
 
 
 def test_params_rejects_bad_values() -> None:
@@ -257,3 +258,42 @@ def test_kerim_check_names_each_failure(base, n_prime, phi, d_pm, d_mp, expected
     )
     assert reduced_kerim_check(rc) == expected
     assert reference_kerim_check(rc) != []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 5, 65521]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sampled_from(["random", "inside", "same", "other rows"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_same_column_space_matches_three_ranks(order, rows, cols_a, cols_b, kind, seed) -> None:
+    """_same_column_space agrees with its definition, equal row counts
+    and rank a = rank b = rank [a | b], each rank by the reference
+    elimination.  b is random, inside the span of a, a generator set of
+    the same span (a times an invertible matrix, with cols_b more
+    columns from that span) or of another row count; zero columns come
+    up as any of the three sizes 0."""
+    field = FieldSpec(order)
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(rows, cols_a) + 1))
+    a = rng.integers(0, order, (rows, r)) @ rng.integers(0, order, (r, cols_a)) % order
+    if kind == "random":
+        b = rng.integers(0, order, (rows, cols_b))
+    elif kind == "inside":
+        b = a @ rng.integers(0, order, (cols_a, cols_b)) % order
+    elif kind == "same":
+        u = random_invertible(field, cols_a, rng).data
+        b = np.concatenate([a @ u, a @ rng.integers(0, order, (cols_a, cols_b))], axis=1) % order
+    else:
+        b = rng.integers(0, order, (rows + 1, cols_b))
+
+    def ref_rank(x):
+        return len(reference_row_reduce(x, order)[1])
+
+    want = a.shape[0] == b.shape[0] and ref_rank(a) == ref_rank(b) == ref_rank(np.hstack([a, b]))
+    assert _same_column_space(MatGF(field, a), MatGF(field, b)) == want
+    if kind in ("same", "other rows"):
+        assert want == (kind == "same")
