@@ -235,7 +235,9 @@ def complex_from_text(text: str) -> InvolutiveComplex:
     """Parse and re-validate the format written by :func:`complex_to_text`.
 
     Blank lines after the second block are accepted, any other trailing
-    line is refused, as in ``gf.matrix_from_text``."""
+    line is refused, as in ``gf.matrix_from_text``.  The header must be
+    the one the writer gives the blocks; a valid complex whose block
+    ranks differ has none and is refused like any other mismatch."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty complex text")
@@ -259,6 +261,8 @@ def complex_from_text(text: str) -> InvolutiveComplex:
     problems = validate(c)
     if problems:
         raise ValueError(f"complex text fails validation: {problems}")
-    if _header_shape(c) != (n, H, L):
+    # The writer's header: h+ = h- = n - 2L, both blocks of rank L.
+    rk = rank(d_pm.T)
+    if rank(d_mp) != rk or (H, L) != (n - 2 * rk, rk):
         raise ValueError("header shape disagrees with the matrices")
     return c

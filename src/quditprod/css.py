@@ -20,12 +20,14 @@ eliminates no matrix of rank above k: the code's ranks made both forms,
 and the code keeps both coset bases after its first search.
 
 - Exhaustive mode walks the kernel over that basis with
-  ``gf.line_blocks`` (refused above ``gf.ENUMERATION_LIMIT`` kernel
-  vectors).  The logicals are the combinations with a nonzero logical
-  coefficient; a logical times a scalar has the same weight, so one
-  vector per line is walked, those whose last nonzero coefficient is 1
-  on a logical row, p**r (p**k - 1) / (p - 1) vectors, and only their
-  weights are computed.
+  ``gf._line_weights``, the weights of the rows ``gf.line_blocks``
+  walks (refused above ``gf.ENUMERATION_LIMIT`` kernel vectors).  The
+  logicals are the combinations with a nonzero logical coefficient; a
+  logical times a scalar has the same weight, so one vector per line is
+  walked, those whose last nonzero coefficient is 1 on a logical row,
+  p**r (p**k - 1) / (p - 1) vectors, and only their weights are
+  computed, by an XOR and a popcount of packed residues: no vector is
+  formed.
 - Bounded mode scans weights 1..w_max by meet in the middle.  Weight
   w splits into ceil(w/2) + floor(w/2): a table holds the syndromes of
   every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
@@ -54,8 +56,8 @@ import numpy as np
 
 from .complexes import InvolutiveComplex
 from .gf import (
-    FieldSpec, MatGF, _check_enumeration, _matmul, _mod, _read_only, _row_reduce, col_weights,
-    kernel_basis, line_blocks, rank, row_weights, solve,
+    FieldSpec, MatGF, _check_enumeration, _line_weights, _matmul, _mod, _read_only, _row_reduce,
+    col_weights, kernel_basis, rank, row_weights, solve,
 )
 
 __all__ = [
@@ -177,15 +179,17 @@ def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
     representatives] (``_coset_bases``).
 
     A logical times a nonzero scalar is a logical of the same weight, so
-    only one vector per line is walked: ``gf.line_blocks`` from index r,
-    the combinations whose last nonzero coefficient is 1 on a logical
-    row, p**r (p**k - 1) / (p - 1) vectors in all.  Refused by
-    ``gf.line_blocks``, before any block is built, when the kernel holds
-    more than ``gf.ENUMERATION_LIMIT`` vectors.
+    only one vector per line is walked: the rows ``gf.line_blocks``
+    yields from index r, the combinations whose last nonzero coefficient
+    is 1 on a logical row, p**r (p**k - 1) / (p - 1) vectors in all.
+    ``gf._line_weights`` yields their weights, block by block, from
+    packed residues, without forming the vectors.  Refused by it, with
+    ``gf.line_blocks``'s p**t refusal and before any block is built,
+    when the kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
     """
     best = basis.shape[1]
-    for vecs in line_blocks(basis, p, start=r):
-        best = min(best, int(np.count_nonzero(vecs, axis=1).min()))
+    for weights in _line_weights(basis, p, start=r):
+        best = min(best, int(weights.min()))
     return best
 
 

@@ -9,7 +9,7 @@ product this library forms stays exact in int64: a sum of k products
 of two residues is below (D - 1)**2 * k < 2**63 for every inner
 dimension k < 2**31.
 
-Three kernels run in narrower or other types, each with its exactness
+Four kernels run in narrower or other types, each with its exactness
 argument:
 
 - Elimination (``_row_reduce``, ``rank_batch``, ``_gauss_jordan_batch``)
@@ -124,6 +124,18 @@ argument:
   18-wide basis the cap allows peaks at 2.0 (GF(17)), 2.4 (GF(127)) and
   3.3 (GF(131), two-byte entries) traced bytes per block entry, against
   16.9 when each block was decoded at once.
+- Packed weights (``_line_weights``, behind the exhaustive distance
+  search) count the nonzero coordinates of the rows ``line_blocks``
+  yields without forming them.  Residues are packed b = bit_length(D - 1)
+  bits a coordinate, 64 // b coordinates to a uint64 word (``_pack``):
+  the negated low table once, each block's decoded tops y as it comes.
+  A row x + y is nonzero at i exactly when y_i != -x_i mod D, and two
+  residues below 2**b are equal exactly when their b-bit fields are,
+  so the row's weight is the number of nonzero fields of (-x) XOR y:
+  the b - 1 shifts of that XOR by less than a field are ORed onto each
+  field's low bit, a mask keeps those bits and ``np.bitwise_count``
+  (numpy >= 2.0) counts them.  A shift by b or more would carry the
+  next field's bits.
 
 A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
 ``kernel_basis`` has computed it, and shares it with its transposes: a
@@ -144,9 +156,13 @@ bounds the number of coefficient vectors it tries.
 
 The text wire format for a matrix is one header line ``D nrows ncols``
 followed by ``nrows`` lines of residues.  The writer emits canonical
-text: single spaces, no leading zeros, ``\n`` after every row.  The
-reader accepts any whitespace and any token ``int()`` reads; a block of
-ASCII digit tokens, canonical text included, is decoded as bytes.
+text: single spaces, no leading zeros, ``\n`` after every row.  It
+lays each entry out in a fixed slot of bytes, the digits of D - 1 plus
+a separator, and from D = 11 on drops the leading zeros by one boolean
+compress.  The reader accepts any whitespace and any token ``int()``
+reads; a block in the single-digit canonical layout, every block of
+GF(3), GF(5) and GF(7) the writer emits, is decoded by one reshape,
+and any other block of ASCII digit tokens as bytes.
 """
 
 from __future__ import annotations
@@ -514,27 +530,31 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
 def matrix_to_text(m: MatGF) -> str:
     """Serialize to the ``D nrows ncols`` text format, one row per line.
 
-    The digits are laid out in one byte buffer: each entry takes its
-    digit count plus a separator, a space or, after a row's last entry,
-    a newline.  Each pass writes the next digit, right to left, of every
-    entry that has one."""
-    head = f"{m.field.order} {m.rows} {m.cols}\n"
-    a = m.data.ravel()
-    if a.size == 0:
+    Each entry is laid out in a slot of w + 1 bytes, w the digit count
+    of D - 1: its digits right-aligned, one pass of ``// 10`` per digit
+    on a narrow unsigned copy, then a space or, after a row's last
+    entry, a newline.  For w > 1 the leading-zero bytes of the short
+    entries are dropped by one boolean compress."""
+    p = m.field.order
+    head = f"{p} {m.rows} {m.cols}\n"
+    if m.data.size == 0:
         return head + "\n" * m.rows
-    ndig = np.ones(a.size, dtype=np.int64)
-    for k in range(1, len(str(m.field.order - 1))):
-        ndig += a >= 10**k
-    ends = np.cumsum(ndig + 1)  # one past each entry's separator
-    buf = np.full(ends[-1], ord(" "), dtype=np.uint8)
-    buf[ends[m.cols - 1 :: m.cols] - 1] = ord("\n")
-    vals, at = a, ends - 2
-    while vals.size:
-        high = vals // 10
-        buf[at] = vals - 10 * high + ord("0")
-        more = high > 0
-        vals, at = high[more], at[more] - 1
-    return head + buf.tobytes().decode("ascii")
+    w = len(str(p - 1))
+    vals = m.data.astype(np.min_scalar_type(p - 1))
+    slots = np.empty((m.rows, m.cols, w + 1), dtype=np.uint8)
+    slots[:, :, w] = ord(" ")
+    slots[:, -1, w] = ord("\n")
+    high = vals
+    for k in range(w - 1, -1, -1):
+        low, high = high, high // 10
+        slots[:, :, k] = low - 10 * high + ord("0")
+    if w == 1:
+        return head + slots.tobytes().decode("ascii")
+    # Slot k < w - 1 holds a leading zero where the entry is below 10**(w - 1 - k).
+    keep = np.ones(slots.shape, dtype=bool)
+    for k in range(w - 1):
+        np.greater_equal(vals, 10 ** (w - 1 - k), out=keep[:, :, k])
+    return head + slots[keep].tobytes().decode("ascii")
 
 
 def _digit_block(block: Sequence[str], ncols: int) -> np.ndarray | None:
@@ -542,12 +562,24 @@ def _digit_block(block: Sequence[str], ncols: int) -> np.ndarray | None:
     when every token is a run of ASCII digits and every row holds ncols
     of them; else None.
 
-    Tokens are found in the bytes of the joined lines and decoded by
-    Horner's rule, leading zeros included.  Values are capped at
-    ``ORDER_LIMIT``, above every field order, so no token overflows."""
+    A block in the single-digit canonical layout, rows * 2 ncols - 1
+    bytes with a digit at every even offset, a space at every odd one
+    and a newline after each row, is decoded by one reshape.  In any
+    other block tokens are found in the bytes of the joined lines and
+    decoded by Horner's rule, leading zeros included.  Values are capped
+    at ``ORDER_LIMIT``, above every field order, so no token overflows."""
     text = "\n".join(block)
     if not text.isascii():
         return None
+    if len(text) == 2 * len(block) * ncols - 1:
+        # The lines hold no newline, so the rows - 1 joins are the only
+        # newlines: with digits at even offsets and a space after every
+        # entry but a row's last, they fall at the row ends.
+        cells = np.frombuffer(f"{text}\n".encode("ascii"), dtype=np.uint8)
+        cells = cells.reshape(len(block), ncols, 2)
+        digits = cells[:, :, 0] - np.uint8(ord("0"))
+        if (digits < 10).all() and (cells[:, :-1, 1] == ord(" ")).all():
+            return digits.astype(np.int64)
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     d = b - np.uint8(ord("0"))
     digit = d < 10
@@ -859,6 +891,32 @@ def line_blocks(
     unsigned dtype holding 2p - 2 (one byte for p <= 127), itself and
     its sums; with j = 0 (p >= 17) the decoded rows are the block.
     """
+    low, head, tops = _line_walk(basis, p, rows, start)
+
+    def blocks() -> Iterator[np.ndarray]:
+        if head:
+            yield low[head]
+        for top in tops:
+            if len(low) == 1:  # the low table is the zero row alone
+                yield top
+                continue
+            out = np.empty((len(top), *low.shape), dtype=low.dtype)
+            _add_residues(top[:, None, :], low, p, out)
+            yield out.reshape(len(top) * len(low), low.shape[1])
+
+    return blocks()
+
+
+def _line_walk(
+    basis: np.ndarray, p: int, rows: int, start: int
+) -> tuple[np.ndarray, list[int], Iterator[np.ndarray]]:
+    """The parts of :func:`line_blocks`'s walk, checked and refused as it
+    documents before anything is built: (low, head, tops).  ``low`` is
+    the low table, ``head`` the indices of its rows that form the first
+    block (empty when there is none), and ``tops`` yields, for every
+    later block in order, the decoded combinations of the trailing rows
+    for its high indices; the block is each of them plus every row of
+    ``low``, top-major."""
     if rows < 1:
         raise ValueError(f"need rows >= 1, got {rows}")
     basis = np.asarray(basis, dtype=np.int64)
@@ -882,20 +940,14 @@ def line_blocks(
     head = [i for k in range(start, j) for i in range(p**k, 2 * p**k)]
     per = max(1, _DECODE_CELLS // max(width, t - j, 1))
 
-    def block(idx: np.ndarray) -> np.ndarray:
+    def decode(idx: np.ndarray) -> np.ndarray:
         tops = np.empty((len(idx), width), dtype=small)
         for at in range(0, len(idx), per):
             part = idx[at : at + per]
             tops[at : at + per] = _mod(_mod(part[:, None] // powers, p) @ high, p)
-        if j == 0:  # the low table is the zero row alone
-            return tops
-        out = np.empty((len(idx), len(low), width), dtype=small)
-        _add_residues(tops[:, None, :], low, p, out)
-        return out.reshape(len(idx) * len(low), width)
+        return tops
 
-    def blocks() -> Iterator[np.ndarray]:
-        if head:
-            yield low[head]
+    def walk() -> Iterator[np.ndarray]:
         parts, room = [], m
         for k in range(max(start, j), t):
             lo, hi = p ** (k - j), 2 * p ** (k - j)
@@ -904,10 +956,67 @@ def line_blocks(
                 parts.append(np.arange(lo, lo + take, dtype=np.int64))
                 lo, room = lo + take, room - take
                 if room == 0:
-                    yield block(np.concatenate(parts))
+                    yield decode(np.concatenate(parts))
                     parts, room = [], m
         if parts:
-            yield block(np.concatenate(parts))
+            yield decode(np.concatenate(parts))
+
+    return low, head, walk()
+
+
+def _pack(a: np.ndarray, bits: int) -> np.ndarray:
+    """The (words, n) uint64 packing of the rows of a (n, width) array of
+    residues below 2**bits: coordinate i of a row sits in field i % per
+    of word i // per, per = 64 // bits fields of ``bits`` bits a word,
+    and unused fields and bits are zero.  Built by Horner's rule over
+    the field positions, a shift and an OR of every word per position."""
+    per = 64 // bits
+    n, width = a.shape
+    words = -(-width // per)
+    fields = np.zeros((words * per, n), dtype=a.dtype)
+    fields[:width] = a.T
+    fields = fields.reshape(words, per, n)
+    packed = np.zeros((words, n), dtype=np.uint64)
+    for f in range(per - 1, -1, -1):
+        packed <<= np.uint64(bits)
+        packed |= fields[:, f]
+    return packed
+
+
+def _line_weights(
+    basis: np.ndarray, p: int, rows: int = 1 << 16, start: int = 0
+) -> Iterator[np.ndarray]:
+    """The Hamming weights of the rows :func:`line_blocks` yields for the
+    same arguments, one intp array per block, in the same blocks and
+    order, refused as it is; the rows themselves are never formed.
+
+    Residues are packed bits = bit_length(p - 1) bits a coordinate
+    (:func:`_pack`): the negated low table, -x mod p, once, and each
+    block's decoded tops y.  A row x + y is nonzero at i exactly when
+    y_i != (-x)_i mod p, that is, when the two bits-wide fields of
+    coordinate i differ; so its weight is the number of nonzero fields
+    of (-x) XOR y.  The bits - 1 shifts of that XOR, each by less than a
+    field, are ORed onto each field's low bit, a mask keeps those bits,
+    and ``np.bitwise_count`` counts them, word by word.  Words lead the
+    axes, so each XOR runs along a block's low-table rows."""
+    low, head, tops = _line_walk(basis, p, rows, start)
+    bits = (p - 1).bit_length()
+    table = _pack((p - low) % p, bits)
+    field_lows = np.uint64(sum(1 << i for i in range(0, 64 // bits * bits, bits)))
+
+    def weights(diff: np.ndarray) -> np.ndarray:
+        fold = diff >> np.uint64(1)
+        fold |= diff
+        for s in range(2, bits):
+            fold |= diff >> np.uint64(s)
+        fold &= field_lows
+        return np.bitwise_count(fold).sum(axis=0, dtype=np.intp).reshape(-1)
+
+    def blocks() -> Iterator[np.ndarray]:
+        if head:
+            yield weights(table[:, head, None])
+        for top in tops:
+            yield weights(_pack(top, bits)[:, :, None] ^ table[:, None, :])
 
     return blocks()
 

@@ -149,16 +149,15 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     )
 
 
-def _same_column_space(a: MatGF, b: MatGF) -> bool:
-    """Whether a and b span the same columns: rank a = rank b =
-    rank [b | a].  The last two come from one elimination of [b | a],
-    whose pivots left of b.cols are those of b.  rank a goes through
-    ``gf.rank``: read when a keeps an echelon form, else kept for the
-    next caller."""
+def _same_column_space(a: MatGF, b: MatGF, rank_a: int) -> bool:
+    """Whether a, of rank ``rank_a``, and b span the same columns:
+    rank a = rank b = rank [b | a].  The caller knows rank a (a kernel
+    basis has full column rank), so only [b | a] is eliminated; its
+    pivots left of b.cols are those of b."""
     if a.rows != b.rows:
         return False
     pivots = _row_reduce(np.concatenate([b.data, a.data], axis=1), a.field.order)[1]
-    return rank(a) == sum(c < b.cols for c in pivots) == len(pivots)
+    return rank_a == sum(c < b.cols for c in pivots) == len(pivots)
 
 
 def _kernel_matrix(m: MatGF) -> MatGF:
@@ -192,9 +191,10 @@ def reduced_kerim_check(rc: ReducedComplex) -> list[str]:
         if phi_t @ d != d_q @ phi_s:
             problems.append(f"{label}: chain map fails, phi d != d' phi")
         preimage = _kernel_matrix(MatGF(c.field, d.data[:np1], _reduced=True))
-        if not _same_column_space(_kernel_matrix(d_q), phi_s @ preimage):
+        kernel = _kernel_matrix(d_q)
+        if not _same_column_space(kernel, phi_s @ preimage, kernel.cols):
             problems.append(f"{label}: ker d' != phi(d^-1(V>))")
-        if not _same_column_space(d_q, phi_t @ d):
+        if not _same_column_space(d_q, phi_t @ d, rank(d_q)):
             problems.append(f"{label}: im d' != phi(im d)")
         if rc.good:
             base_rank = rank(d)

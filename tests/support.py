@@ -465,9 +465,10 @@ def reference_kerim_check(rc: ReducedComplex) -> list[str]:
     # d^{-1}(V>) is the kernel of d with its V-coordinate rows kept.
     v_idx = np.concatenate([np.arange(np1), n + np.arange(np1)])
     preimage = _kernel_matrix(MatGF(c.field, dfull.data[v_idx, :]))
-    if not _same_column_space(_kernel_matrix(d_q), phi @ preimage):
+    kernel = _kernel_matrix(d_q)
+    if not _same_column_space(kernel, phi @ preimage, kernel.cols):
         problems.append("ker d' != phi(d^{-1}(V>))")
-    if not _same_column_space(d_q, phi @ dfull):
+    if not _same_column_space(d_q, phi @ dfull, rank(d_q)):
         problems.append("im d' != phi(im d)")
 
     if rc.good:

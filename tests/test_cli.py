@@ -225,6 +225,17 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: trailing content after the complex blocks\n"
         assert not out.exists()
 
+    def test_blocks_of_unequal_rank_fail_as_a_header_mismatch(self, tmp_path, capsys):
+        """A valid complex whose blocks differ in rank exits 1 with the
+        reader's refusal and writes no code file."""
+        c = tmp_path / "c.txt"
+        c.write_text("3 1 1 0\n3 1 1\n1\n3 1 1\n0\n")
+        out = tmp_path / "code.json"
+        assert run(["css-extract", "--in", c, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: header shape disagrees with the matrices\n"
+        assert not out.exists()
+        assert not (tmp_path / "code.json.manifest.json").exists()
+
     def test_oversized_matrix_header_fails_cleanly(self, tmp_path):
         # The header asks for a 1 x 10^11 block; the one row has 1 entry.
         bad = tmp_path / "huge.txt"

@@ -230,6 +230,19 @@ def test_complex_text_refuses_trailing_content_and_accepts_blank_lines() -> None
     assert back.d_pm == c.d_pm and back.d_mp == c.d_mp
 
 
+def test_complex_text_refuses_blocks_of_unequal_rank() -> None:
+    """A valid complex whose blocks differ in rank has no ``D n H L``
+    header: the reader refuses it as a header mismatch, not with the
+    writer's refusal."""
+    text = "3 1 1 0\n3 1 1\n1\n3 1 1\n0\n"
+    with pytest.raises(ValueError, match="^header shape disagrees with the matrices$"):
+        complex_from_text(text)
+    c = InvolutiveComplex(FIELD3, MatGF(FIELD3, [[1]]), MatGF(FIELD3, [[0]]))
+    assert validate(c) == []
+    with pytest.raises(ValueError, match="^serialization requires equal boundary block ranks$"):
+        complex_to_text(c)
+
+
 def test_complex_text_header_consistency() -> None:
     c, _, _ = random_boundary(SHAPE3, FIELD3, trial_rng(5, 0))
     text = complex_to_text(c)

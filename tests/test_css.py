@@ -89,7 +89,7 @@ def test_distance_refuses_above_the_enumeration_limit(monkeypatch) -> None:
     code = extract_css(_standard_product(FIELD3).complex)
     with monkeypatch.context() as mp:
         calls = []
-        mp.setattr(css, "line_blocks", lambda *a, **k: calls.append(a))
+        mp.setattr(css, "_line_weights", lambda *a, **k: calls.append(a))
         mp.setattr(gf, "ENUMERATION_LIMIT", 3**10 - 1)
         refusal = r"^enumeration needs 3\^10 vectors, above the limit of 59048$"
         with pytest.raises(ValueError, match=refusal):
@@ -315,9 +315,9 @@ def test_exhaustive_walk_matches_a_brute_force_kernel_walk(
     ]
     c = product(*factors).complex
     walked = []
-    blocks = css.line_blocks
+    blocks = css._line_weights
     monkeypatch.setattr(
-        css, "line_blocks", lambda *a, **k: [walked.append(len(v)) or v for v in blocks(*a, **k)]
+        css, "_line_weights", lambda *a, **k: [walked.append(len(v)) or v for v in blocks(*a, **k)]
     )
     for code in (extract_css(c), extract_css(flip_sectors(c))):
         assert code.k >= 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +20,7 @@ from quditprod.gf import (
     FieldSpec,
     MatGF,
     _inverse_table,
+    _line_weights,
     _matmul,
     _matrix_from_lines,
     _row_reduce,
@@ -361,6 +363,8 @@ def test_enumeration_limit_boundary(monkeypatch) -> None:
     with pytest.raises(ValueError, match=refusal):
         line_blocks(np.eye(6, dtype=np.int64), 3, start=6)
     with pytest.raises(ValueError, match=refusal):
+        _line_weights(np.eye(6, dtype=np.int64), 3, start=6)
+    with pytest.raises(ValueError, match=refusal):
         brute_count_rank_matrices(FIELD3, 2, 3)
 
 
@@ -437,14 +441,54 @@ def test_span_blocks_matches_reference_at_the_enumeration_cap(order: int) -> Non
 
 @pytest.mark.parametrize("rows", [0, -1])
 def test_span_blocks_refuses_rows_below_one(rows: int) -> None:
-    with pytest.raises(ValueError, match=rf"^need rows >= 1, got {rows}$"):
-        line_blocks(np.eye(2, dtype=np.int64), 3, rows)
+    for walk in (line_blocks, _line_weights):
+        with pytest.raises(ValueError, match=rf"^need rows >= 1, got {rows}$"):
+            walk(np.eye(2, dtype=np.int64), 3, rows)
 
 
 @pytest.mark.parametrize("start", [-1, 3])
 def test_line_blocks_refuses_a_start_outside_the_basis(start: int) -> None:
-    with pytest.raises(ValueError, match=rf"^need 0 <= start <= 2, got {start}$"):
-        line_blocks(np.eye(2, dtype=np.int64), 3, start=start)
+    for walk in (line_blocks, _line_weights):
+        with pytest.raises(ValueError, match=rf"^need 0 <= start <= 2, got {start}$"):
+            walk(np.eye(2, dtype=np.int64), 3, start=start)
+
+
+@st.composite
+def weight_cases(draw):
+    """A (t, width) basis over GF(3/5/7/17/131/181/65521), independent
+    or of lower rank, as wide as one word of packed fields, one field
+    either side of it, or two words and a field (per = 64 // bits fields
+    a word: 32 for GF(3), 21 for GF(5) and GF(7), 12 for GF(17), 8 for
+    GF(131) and GF(181), 4 for GF(65521)), and a block size of 1, 2, p
+    or 2^16.  Spans hold at most 2^16 rows in 300 blocks."""
+    order = draw(st.sampled_from([3, 5, 7, 17, 131, 181, 65521]))
+    per = 64 // (order - 1).bit_length()
+    width = draw(st.sampled_from([0, 1, per - 1, per, per + 1, 2 * per + 1]))
+    rows = draw(st.sampled_from([1, 2, order, 1 << 16]))
+    t = 0
+    while order ** (t + 1) <= min(1 << 16, 300 * rows):
+        t += 1
+    t = draw(st.integers(0, t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(0, t))
+    if r == t:
+        return order, rng.integers(0, order, (t, width)), rows
+    return order, rng.integers(0, order, (t, r)) @ rng.integers(0, order, (r, width)) % order, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_cases())
+def test_line_weights_are_the_weights_of_line_blocks(case) -> None:
+    """From every start, _line_weights yields the Hamming weights of the
+    rows line_blocks yields, block by block, for widths on either side
+    of a word boundary of the packed fields."""
+    order, basis, rows = case
+    for start in range(len(basis) + 1):
+        blocks = list(line_blocks(basis, order, rows, start))
+        weights = list(_line_weights(basis, order, rows, start))
+        assert len(weights) == len(blocks)
+        for block, got in zip(blocks, weights):
+            assert np.array_equal(got, np.count_nonzero(block, axis=1))
 
 
 @pytest.mark.parametrize("order, t, decoded_mib", [(3, 10, 16.67), (5, 8, 27.50)])
@@ -787,6 +831,58 @@ def matrix_lines(draw):
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ENTRIES))
     sep = draw(st.sampled_from([" ", "\t", "   ", " \t "]))
     return [sep.join(tokens) for tokens in lines], faults
+
+
+@st.composite
+def single_digit_lines(draw):
+    """Lines of a canonical single-digit GF(3) matrix text, 1 x 1, 1 x n,
+    n x 1 or any shape up to 5 x 5, after at most one near miss of the
+    canonical layout: a trailing space, a tab or a comma for a space, a
+    two-digit or a letter token, a row one entry short, an empty row, or
+    a row's last entry moved to the start of the next row (the same
+    length)."""
+    rows, cols = draw(
+        st.sampled_from([(1, 1), (1, 5), (5, 1)]) | st.tuples(st.integers(1, 5), st.integers(1, 5))
+    )
+    cells = draw(st.lists(st.sampled_from("012"), min_size=rows * cols, max_size=rows * cols))
+    body = [cells[i * cols : (i + 1) * cols] for i in range(rows)]
+    i = draw(st.integers(0, rows - 1))
+    miss = draw(st.sampled_from(
+        ["none", "trailing space", "tab", "comma", "two digits", "letter", "short", "empty",
+         "moved"]
+    ))
+    lines = [" ".join(row) for row in body]
+    if miss == "trailing space":
+        lines[i] += " "
+    elif miss in ("tab", "comma") and cols > 1:
+        lines[i] = lines[i].replace(" ", "\t" if miss == "tab" else ",", 1)
+    elif miss in ("two digits", "letter"):
+        token = st.sampled_from(["10", "12", "00", "02"] if miss == "two digits" else "x!")
+        body[i][draw(st.integers(0, cols - 1))] = draw(token)
+        lines[i] = " ".join(body[i])
+    elif miss == "short":
+        lines[i] = " ".join(body[i][:-1])
+    elif miss == "empty":
+        lines[i] = ""
+    elif miss == "moved" and i + 1 < rows:
+        lines[i] = " ".join(body[i][:-1])
+        lines[i + 1] = " ".join([body[i][-1], *body[i + 1]])
+    return [f"3 {rows} {cols}", *lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_digit_lines())
+def test_single_digit_reader_matches_reference(lines) -> None:
+    """Canonical single-digit blocks are decoded by one reshape; every
+    near miss of that layout gives the reference's matrix or, with the
+    same message, its ValueError."""
+    try:
+        want = reference_matrix_from_lines(lines, 0)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _matrix_from_lines(lines, 0)
+        return
+    assert _matrix_from_lines(lines, 0) == want
 
 
 @settings(max_examples=300, deadline=None)

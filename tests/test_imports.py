@@ -6,11 +6,14 @@ does."""
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import quditprod
+from quditprod import cli
 
 SOURCES = sorted(Path(quditprod.__file__).parent.glob("*.py"))
 
@@ -52,3 +55,24 @@ def test_import_leaves_numpy_random_unloaded() -> None:
         for module in ("numpy", "quditprod")
     ]
     assert loaded[0] == loaded[1]
+
+
+def test_public_callables_are_plain_functions_or_classes() -> None:
+    """Every callable in a module's ``__all__``, and ``cli.main``, is a
+    class or a plain function (``inspect.isfunction``) defined in that
+    module.  The traced benchmark (perfbench/tracing.py) wraps exactly
+    such functions; one behind a wrapper such as ``functools.cache``
+    would drop out of its calls, and the traced run would fail."""
+    modules = [
+        importlib.import_module(f"quditprod.{path.stem}")
+        for path in SOURCES
+        if path.stem not in ("__init__", "__main__")
+    ]
+    exported = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    exported.append((cli, "main"))
+    assert len(exported) > 40
+    for module, name in exported:
+        obj = getattr(module, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert inspect.isfunction(obj), f"{module.__name__}.{name} is not a plain function"
+            assert obj.__module__ == module.__name__, f"{module.__name__}.{name} is defined elsewhere"

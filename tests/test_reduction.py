@@ -24,7 +24,7 @@ from quditprod import (
     validate,
 )
 from quditprod.gf import MatGF, kernel_basis, random_invertible
-from quditprod.reduction import _same_column_space
+from quditprod.reduction import _kernel_matrix, _same_column_space
 from support import FIELD3, SHAPE3, good_complexes, reference_kerim_check, reference_row_reduce
 
 
@@ -294,6 +294,38 @@ def test_same_column_space_matches_three_ranks(order, rows, cols_a, cols_b, kind
         return len(reference_row_reduce(x, order)[1])
 
     want = a.shape[0] == b.shape[0] and ref_rank(a) == ref_rank(b) == ref_rank(np.hstack([a, b]))
-    assert _same_column_space(MatGF(field, a), MatGF(field, b)) == want
+    assert _same_column_space(MatGF(field, a), MatGF(field, b), ref_rank(a)) == want
     if kind in ("same", "other rows"):
         assert want == (kind == "same")
+
+
+def test_kerim_check_eliminates_no_kernel_basis(eliminations) -> None:
+    """Each block's check passes _same_column_space the rank of a kernel
+    basis, its column count, and the kept rank of d', so it eliminates
+    d[:n'] and d' for their kernels, [phi_s preimage | ker d'],
+    [phi_t d | d'] and, for the good case's ranks, d: five matrices a
+    block, and never the kernel basis of d'."""
+    base, _, _ = random_boundary(ComplexShape(5, 1, 2), FIELD3, trial_rng(1, 0))
+    rc = reduce(base, ReductionParams(n=5, n_prime=4))
+    assert rc.good
+    eliminations.clear()
+    assert reduced_kerim_check(rc) == []
+    calls = list(eliminations)
+    phi_p, phi_m = rc.phi
+    expected = []
+    for d, d_q, phi_s, phi_t in (
+        (base.d_pm, rc.quotient.d_pm, phi_m, phi_p),
+        (base.d_mp, rc.quotient.d_mp, phi_p, phi_m),
+    ):
+        preimage = _kernel_matrix(MatGF(FIELD3, d.data[:4]))
+        kernel = _kernel_matrix(d_q).data
+        expected += [
+            d.data[:4],
+            d_q.data,
+            np.hstack([(phi_s @ preimage).data, kernel]),
+            np.hstack([(phi_t @ d).data, d_q.data]),
+            d.data,
+        ]
+    assert len(calls) == len(expected) == 10
+    for call, matrix in zip(calls, expected):
+        assert np.array_equal(call.matrix, matrix)
