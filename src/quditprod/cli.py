@@ -1,15 +1,11 @@
 """Command line entry point.
 
-Subcommands cover the full pipeline: sample a random complex, form
-products, extract the CSS code, compute distances, reduce, evaluate the
-exact counts, and run the Monte Carlo experiments.  Every file-producing
-invocation also writes ``<out>.manifest.json`` recording the tool
-version, subcommand, parameters and output paths; re-running with the
-same parameters reproduces the primary outputs byte for byte (the
-manifest itself carries the only timestamp).
-
-``count``, ``mc`` and ``distance`` each have modes (``--what`` or
-``--verify``, ``--experiment``, ``--mode``); ``MODE_FLAGS`` lists the
+Subcommands cover the full pipeline.  Every file-producing invocation
+also writes ``<out>.manifest.json`` (tool version, subcommand,
+parameters, outputs); re-running with the same parameters reproduces
+the primary outputs byte for byte (the manifest carries the only
+timestamp).  ``count``, ``mc`` and ``distance`` have modes (``--what``
+or ``--verify``, ``--experiment``, ``--mode``); ``MODE_FLAGS`` lists the
 flags each mode reads, and any flag of another mode is refused.
 
 Exit codes: 0 success; 1 failed verification, bad input data or a
@@ -47,7 +43,6 @@ from .counting import (
     count_rank_matrices,
     count_reduced_cycles,
     enumerate_plus_cycle_ranks,
-    gaussian_binomial,
 )
 from .css import extract_css, min_distance
 from .experiments import (
@@ -217,8 +212,7 @@ def _verify_counts(field: FieldSpec) -> tuple[list[str], int]:
 
     def within(cells: int, width: int) -> bool:
         nonlocal skipped
-        states = sum(gaussian_binomial(width, k, p) for k in range(width + 1))
-        fits = p**cells <= gf.ENUMERATION_LIMIT and states * p**width <= gf._TABLE_CELLS_LIMIT
+        fits = p**cells <= gf.ENUMERATION_LIMIT and gf._table_fits(p, width)
         skipped += not fits
         return fits
 
@@ -390,6 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quditprod {__version__}")
     sub = parser.add_subparsers(dest="command")
 
+    def add_mode_flags(command_parser: argparse.ArgumentParser, command: str) -> None:
+        # Each flag of MODE_FLAGS[command] once, in table order: the
+        # fractions as text, the rest as int.
+        modes = MODE_FLAGS[command].values()
+        for flag in dict.fromkeys(f for flags in modes for group in flags for f in group):
+            kind = str if flag in ("rho", "c", "cprime") else int
+            command_parser.add_argument(f"--{flag}", type=kind, default=None)
+
     sc = sub.add_parser("sample-complex", help="sample a random complex and write it to a file")
     sc.add_argument("--dim", type=int, required=True, help="field order (odd prime)")
     sc.add_argument("--n", type=int, required=True, help="sector dimension")
@@ -412,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     di = sub.add_parser("distance", help="exact code distances")
     di.add_argument("--in", dest="infile", required=True)
-    di.add_argument("--mode", choices=["exhaustive", "bounded"], default="exhaustive")
-    di.add_argument("--wmax", type=int, default=None)
+    di.add_argument("--mode", choices=list(MODE_FLAGS["distance"]), default="exhaustive")
+    add_mode_flags(di, "distance")
     di.add_argument("--json", action="store_true", help="print the report to stdout")
     di.add_argument("--out", default=None, help="write the deterministic report here")
     di.set_defaults(func=cmd_distance)
@@ -430,21 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--dim", type=int, default=3)
     co.add_argument("--verify", action="store_true",
                     help="compare closed forms against brute force and exit")
-    for flag in dict.fromkeys(f for flags in MODE_FLAGS["count"].values()
-                              for group in flags for f in group):
-        co.add_argument(f"--{flag}", type=int, default=None)
+    add_mode_flags(co, "count")
     co.set_defaults(func=cmd_count)
 
     mc = sub.add_parser("mc", help="seeded Monte Carlo experiments")
-    mc.add_argument("--experiment", choices=["kernel", "goodness", "ulw"], required=True)
+    mc.add_argument("--experiment", choices=list(MODE_FLAGS["mc"]), required=True)
     mc.add_argument("--dim", type=int, required=True)
-    mc.add_argument("--n", type=int, default=None)
-    mc.add_argument("--H", type=int, default=None)
-    mc.add_argument("--rho", default=None)
-    mc.add_argument("--c", default=None)
-    mc.add_argument("--nprime", type=int, default=None)
-    mc.add_argument("--rank", type=int, default=None)
-    mc.add_argument("--cprime", default=None)
+    add_mode_flags(mc, "mc")
     mc.add_argument("--trials", type=int, required=True)
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--csv", default=None)

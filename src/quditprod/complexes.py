@@ -11,14 +11,8 @@ boundary are stored:
 With this representation P is implicit in the sector split, P**2 = I,
 the anticommutation of P with the boundary and the vanishing of the
 sector-diagonal blocks hold by construction, and the
-boundary-squares-to-zero condition becomes the two block checks
-d_pm @ d_mp = 0 (on C+) and d_mp @ d_pm = 0 (on C-).  validate() makes
-exactly those two checks.  It runs where a complex enters from outside
-or is built by a long computation: complex_from_text, product() on its
-two factors, and reduce() on its input and its quotient.  The standard
-boundary and its random conjugates, and the product of two complexes,
-square to zero algebraically and are checked in the tests, not on
-every draw.
+boundary-squares-to-zero condition becomes the two block checks of
+``validate``.
 
 The shape family used throughout has sector dimension n = H + 2L: the
 standard boundary has an L x L identity coupling the middle block of
@@ -159,6 +153,11 @@ def validate(c: InvolutiveComplex) -> list[str]:
     on C-.  The other identities of a complex with involution hold by
     the two-block representation, so no full matrix is built.  An empty
     list means the complex is valid.
+
+    Run where a complex enters from outside or ends a long computation:
+    complex_from_text, product() on its factors, reduce() on its input
+    and quotient.  Standard and random boundaries and products square to
+    zero algebraically; the tests check them, not every draw.
     """
     problems: list[str] = []
     if not (c.d_pm @ c.d_mp).is_zero():
@@ -168,16 +167,18 @@ def validate(c: InvolutiveComplex) -> list[str]:
     return problems
 
 
-def homology_dimensions(c: InvolutiveComplex) -> tuple[int, int]:
-    """dim(ker/im) per sector: (h_plus, h_minus).
+def _block_ranks(c: InvolutiveComplex) -> tuple[int, int]:
+    """(rank d_pm, rank d_mp).  d_pm is ranked as d_pm^T, the Z
+    generators as rows, so the echelon form it keeps is the one the CSS
+    coset bases read (``css._coset_bases``)."""
+    return rank(c.d_pm.T), rank(c.d_mp)
 
-    Cycles in C+ are ker d_mp and boundaries in C+ are im d_pm, and
-    symmetrically for C-.  d_pm is ranked as d_pm^T, the Z generators
-    as rows, so the echelon form it keeps is the one the CSS coset
-    bases read (``css._coset_bases``).
-    """
-    rk_pm = rank(c.d_pm.T)
-    rk_mp = rank(c.d_mp)
+
+def homology_dimensions(c: InvolutiveComplex) -> tuple[int, int]:
+    """dim(ker/im) per sector: (h_plus, h_minus), from
+    :func:`_block_ranks`.  Cycles in C+ are ker d_mp and boundaries in
+    C+ are im d_pm, and symmetrically for C-."""
+    rk_pm, rk_mp = _block_ranks(c)
     h_plus = (c.dim_plus - rk_mp) - rk_pm
     h_minus = (c.dim_minus - rk_pm) - rk_mp
     return h_plus, h_minus
@@ -211,13 +212,12 @@ def flip_sectors(c: InvolutiveComplex) -> InvolutiveComplex:
 
 def _header_shape(c: InvolutiveComplex) -> tuple[int, int, int]:
     """(n, H, L) of a complex with equal sector dimensions and block
-    ranks.  The blocks are ranked as d_pm^T and d_mp, the Z and X
-    generators as rows (see :func:`homology_dimensions`)."""
+    ranks (:func:`_block_ranks`)."""
     n = c.dim_plus
     if c.dim_minus != n:
         raise ValueError("serialization requires equal sector dimensions")
-    rk = rank(c.d_pm.T)
-    if rank(c.d_mp) != rk:
+    rk, rk_mp = _block_ranks(c)
+    if rk_mp != rk:
         raise ValueError("serialization requires equal boundary block ranks")
     # Equal sector dimensions and block ranks give h+ = h- = n - 2 rk.
     return n, n - 2 * rk, rk
@@ -262,7 +262,7 @@ def complex_from_text(text: str) -> InvolutiveComplex:
     if problems:
         raise ValueError(f"complex text fails validation: {problems}")
     # The writer's header: h+ = h- = n - 2L, both blocks of rank L.
-    rk = rank(d_pm.T)
-    if rank(d_mp) != rk or (H, L) != (n - 2 * rk, rk):
+    rk, rk_mp = _block_ranks(c)
+    if rk_mp != rk or (H, L) != (n - 2 * rk, rk):
         raise ValueError("header shape disagrees with the matrices")
     return c

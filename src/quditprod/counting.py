@@ -3,14 +3,12 @@
 Every count here is an exact Python integer; nothing is ever truncated
 to machine precision.  The closed forms are validated against direct
 enumeration of the full matrix space on every instance small enough to
-enumerate, and only trusted beyond that range once the small instances
-agree.  The oracles rank each enumerated matrix on its own, by walking
-its rows through the subspace-transition table of ``gf``, or, for a
-census block of at most 2**16 codes, by one lookup in ``gf``'s
-whole-block table, which is built from that same table.  Both are built
-by row reduction and share nothing with the closed forms.  Every
-oracle is refused above ``gf.ENUMERATION_LIMIT`` matrices or vectors,
-the one cap on enumeration in the library.
+enumerate.  The oracles rank each enumerated matrix on its own, through
+the subspace tables of ``gf`` (``gf._table_rank``), which are built by
+row reduction and share nothing with the closed forms.  Every oracle is
+refused above ``gf.ENUMERATION_LIMIT`` matrices or vectors, the one cap
+on enumeration in the library, and above the subspace-table cap
+(``gf._table_fits``).
 
 The headline identity: the number of pairs of reduced cycles with
 prescribed block ranks factors through the rank distribution of the
@@ -224,14 +222,11 @@ def _block_rank_census(
     its two blocks: the leading plus_shape entries (row major), then the
     minus_shape entries.  Only nonzero buckets are returned.
 
-    Ranks do not change under a nonzero scalar, so one vector per line
-    is ranked (``gf.line_blocks``), (p**t - 1) / (p - 1) of them, and
-    counted p - 1 times; the zero combination has both ranks 0.  The
-    counts are of combinations, so this holds for a dependent basis too.
-    Each block is ranked by ``gf._table_rank`` from its column slice of
-    the walked rows: a block of at most 2**16 codes, such as GF(3) 3 x 3
-    or GF(5) 2 x 2, in one lookup of its whole-block table, a larger one
-    row by row through the subspace table.
+    Each vector ``gf.line_blocks`` walks is ranked once and counted
+    p - 1 times, and the zero combination has both ranks 0; the counts
+    are of combinations, so this holds for a dependent basis too.  Each
+    block is ranked by ``gf._table_rank`` from its column slice of the
+    walked rows.
     """
     (p1, p2), (m1, m2) = plus_shape, minus_shape
     counts = np.zeros((min(p1, p2) + 1, min(m1, m2) + 1), dtype=np.int64)

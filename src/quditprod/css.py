@@ -1,47 +1,25 @@
-"""CSS codes read off a two-sector complex.
+"""CSS codes read off a two-sector complex, and their exact distances.
 
 Physical qudits are the basis of C+.  The columns of d_pm are the
 Z-type stabilizer generators and the rows of d_mp are the X-type
 generators; d_mp @ d_pm = 0 is exactly the CSS orthogonality
-condition.  The number of logical qudits equals the plus-sector
-homology dimension.  Both families are ranked as rows, z_gens^T and
-x_gens, as ``complexes`` ranks d_pm^T and d_mp: a matrix shares its
-echelon forms with its transposes (``gf.MatGF``), so one elimination
-per family serves the complex's ranks, the code's and its coset bases.
+condition, which a ``CssCode`` checks once, when it is built.  The
+number of logical qudits equals the plus-sector homology dimension.
+Both families are ranked as rows, z_gens^T and x_gens, in the
+orientation of ``complexes._block_ranks``, so one elimination per
+family serves the complex's ranks, the code's and its coset bases
+(``_coset_bases``).
 
-Distances are computed exactly by two batched searches, which can be
-played against each other as independent oracles.  Both rest on a
-coset basis: a basis of a kernel whose first r rows span the image
-(the stabilizers) and whose last k rows represent the logical classes.
-The stabilizer rows and both kernels are read from the echelon forms
-of z_gens^T and x_gens a ``CssCode`` keeps; the logical rows are picked
-from the rank-k pairing of the two kernels, so a distance search
-eliminates no matrix of rank above k: the code's ranks made both forms,
-and the code keeps both coset bases after its first search.
+``min_distance`` runs one of two exact searches, which can be played
+against each other as independent oracles:
 
-- Exhaustive mode walks the kernel over that basis with
-  ``gf._line_weights``, the weights of the rows ``gf.line_blocks``
-  walks (refused above ``gf.ENUMERATION_LIMIT`` kernel vectors).  The
-  logicals are the combinations with a nonzero logical coefficient; a
-  logical times a scalar has the same weight, so one vector per line is
-  walked, those whose last nonzero coefficient is 1 on a logical row,
-  p**r (p**k - 1) / (p - 1) vectors, and only their weights are
-  computed, by an XOR and a popcount of packed residues: no vector is
-  formed.
-- Bounded mode scans weights 1..w_max by meet in the middle.  Weight
-  w splits into ceil(w/2) + floor(w/2): a table holds the syndromes of
-  every weight-floor(w/2) vector, grouped by its stabilizer syndrome,
-  and the weight-ceil(w/2) vectors are streamed against it.  A streamed
-  vector meets a logical when some table vector cancels its stabilizer
-  syndrome but not its k dual syndromes.  Stabilizer syndromes are
-  grouped and looked up by their exact bytes, one sorted search per
-  streamed block.  It has no enumeration cap; weight w tabulates
-  C(n, floor(w/2)) (p-1)**floor(w/2) syndromes and streams
-  C(n, ceil(w/2)) (p-1)**(ceil(w/2)-1), both in blocks of bounded
-  size.
-
-Both need the X and Z generators to commute, which a ``CssCode``
-checks once, when it is built.
+- exhaustive (``_min_weight_logical_exhaustive``), refused above
+  ``gf.ENUMERATION_LIMIT`` kernel vectors, p**(r + k) for r stabilizers
+  and k logical qudits;
+- bounded (``_min_weight_logical_bounded``), weights 1..w_max by meet
+  in the middle, with no enumeration cap and flat memory: syndromes
+  come in blocks of ``_BLOCK_CELLS`` and tables in chunks of
+  ``_TABLE_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -179,13 +157,10 @@ def _min_weight_logical_exhaustive(basis: np.ndarray, r: int, p: int) -> int:
     representatives] (``_coset_bases``).
 
     A logical times a nonzero scalar is a logical of the same weight, so
-    only one vector per line is walked: the rows ``gf.line_blocks``
-    yields from index r, the combinations whose last nonzero coefficient
-    is 1 on a logical row, p**r (p**k - 1) / (p - 1) vectors in all.
-    ``gf._line_weights`` yields their weights, block by block, from
-    packed residues, without forming the vectors.  Refused by it, with
-    ``gf.line_blocks``'s p**t refusal and before any block is built,
-    when the kernel holds more than ``gf.ENUMERATION_LIMIT`` vectors.
+    one vector per line of logicals is weighed: the rows
+    ``gf.line_blocks`` yields from index r, p**r (p**k - 1) / (p - 1) in
+    all, whose weights ``gf._line_weights`` counts without forming them.
+    It refuses a kernel of more than ``gf.ENUMERATION_LIMIT`` vectors.
     """
     best = basis.shape[1]
     for weights in _line_weights(basis, p, start=r):

@@ -1,68 +1,32 @@
 """Seeded Monte Carlo harnesses for the rare-event probabilities.
 
-Trial i of a run uses the stream of ``trial_rng(master_seed, i)``: a
-PCG64 seeded by SeedSequence(master_seed, spawn_key=(i,)).  Estimates
-are therefore independent of execution order and can be reproduced from
-the master seed alone.  Every per-trial decision is exact (rank
-computation or weight-bounded kernel enumeration); only the trial
-sampling is random.
+Trial i of a run uses the stream of ``trial_rng(master_seed, i)``, so
+estimates do not depend on execution order and are reproducible from
+the master seed alone.  Every per-trial decision is exact (a rank, or a
+weight-bounded kernel search); only the sampling is random.  Estimates
+ship with 95% Wilson score intervals, which behave sanely near 0, where
+most of these events live.
 
 The harnesses build no per-trial Generator.  Trials run in chunks of
-``_CHUNK``, and a chunk's streams are reproduced with numpy arrays:
+``_CHUNK``, whose streams are reproduced in numpy arrays: seeded by
+``_pcg64_states``, decoded by ``_bounded_values`` and
+``_stream_values``, and cut into invertible pairs by
+``_invertible_pairs``.  So each trial sees exactly the matrices that
+the single-draw samplers (``random_boundary``, ``sample_uniform_rank``)
+draw from its generator, and every estimate equals that of a
+trial-by-trial loop.  The tests pin the seeding, decoding and matrices
+to numpy's own SeedSequence, PCG64 and bounded draws, so a change there
+fails them instead of silently moving estimates.
 
-- Seeding.  numpy mixes the master seed's words into a pool once,
-  as ``SeedSequence(master_seed).pool``.  Each trial's spawn word is
-  mixed into that pool and ``generate_state(4, uint64)`` run for the
-  whole chunk at once in uint32 arrays (``_pcg64_states``); numpy's
-  own PCG64 is seeded from each trial's words (``_seed_words``).
-- Draws.  Each stream's 64-bit outputs come from ``PCG64.random_raw``
-  and are viewed in place as 32-bit words, low half first, as PCG64's
-  ``next_uint32`` reads them.  A vectorized copy of the bounded draw
-  that ``Generator.integers(0, D)`` makes for every field order (Lemire's
-  method, arXiv:1805.10941) decodes them: word w gives (w D) >> 32 and
-  is dropped where (w D) mod 2**32 < 2**32 mod D (``_bounded_values``,
-  ``_stream_values``).  The mask comes from the wrapped uint32 product
-  and the value from one uint64 product per word, shifted in place.
-  Values are held in the smallest unsigned type holding D - 1, the
-  draw dtype: uint8 for D <= 256.
-- Candidates.  A trial's values form one sequence, cut in order into
-  n x n candidates; the matrices that two successive
-  ``random_invertible`` calls return are its first two invertible
-  candidates.  Each rejection round cuts further candidates for every
-  trial still short of two and ranks them all in one ``rank_batch``
-  (``_invertible_pairs``), which takes the narrow values as they are:
-  it reduces them in its elimination type and finishes each rank in a
-  small subspace table.  The pairs stay in the draw dtype: the kernel
-  tests take them as they are, and the uniform-low-weight test widens
-  them before its product.
-
-So each trial sees exactly the matrices that the single-draw samplers
-(``random_boundary``, ``sample_uniform_rank``) draw from its generator,
-and every estimate equals that of a trial-by-trial loop.  This couples
-the harnesses to numpy's SeedSequence, PCG64 and bounded-integer
-algorithms, as the frozen estimates already were; the tests pin the
-seeding, the decoding and the matrices to numpy's own, so a change
-there fails them instead of silently moving estimates.
-
-The complex experiments build no boundary block and no inverse.
-``random_boundary`` forms d_mp = u_minus d0 u_plus^-1 and
-d_pm = u_plus d0 u_minus^-1 from the standard block d0, whose kernel is
-spanned by e_0 .. e_{t-1}, t = H + L.  So ker d_mp = u_plus ker d0 is
-spanned by the first t columns of u_plus, and ker d_pm by those of
-u_minus: each trial's two kernel bases are read off its conjugating
-matrices, and only the draws, kernel enumerations and ranks are
-batched.  Both exact kernels put the batch on the last, contiguous
-axis: ``rank_batch`` eliminates a (rows, cols, N) stack over all but
-its last few columns and reads the rank of those from
-``gf._subspace_table``.  The light-kernel test walks no span: it
-brings a (t, n, N) stack of bases to systematic form at once
-(``gf._gauss_jordan_batch``), where a vector's weight is at least that
-of its coefficient vector, and tries only the coefficient vectors of
-weight <= w_max, each block of them against every live basis in one
-exact integer ``einsum`` over the rows each candidate combines.
-
-Estimates ship with 95% Wilson score intervals, which behave sanely for
-probabilities near 0 where most of these events live.
+The complex experiments read each trial's kernels off its conjugating
+matrices (``_kernel_bases``), with no boundary block and no inverse,
+and the kernel test searches them without walking a span
+(``_light_kernel_hits``).  Draws are held in the smallest unsigned type
+holding D - 1; a product of them is widened first
+(``mc_uniform_low_weight``) or summed in a type that holds its bound
+(``_light_kernel_hits``).  Caps: at most 2**32 trials per run
+(``_check_run``), and at most ``gf.ENUMERATION_LIMIT`` coefficient
+vectors per kernel search (``_check_light_search``).
 """
 
 from __future__ import annotations
@@ -312,8 +276,8 @@ def _bounded_values(raw: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     (w p) mod 2**32 is below 2**32 mod p; a word is dropped with
     probability below p / 2**32.  The wrapped uint32 product w p is
     that remainder, and the value is the high half of one uint64
-    product, shifted in place: about 10 traced bytes per word beside
-    the input.
+    product, shifted in place, so a word costs one uint64, one bool and
+    one narrow value beside the input.
     """
     words = raw.astype("<u8", copy=False).view("<u4")
     kept = np.multiply(words, p, dtype=np.uint32) >= (1 << 32) % p
@@ -329,9 +293,10 @@ def _stream_values(seeds: np.ndarray, p: int, count: int) -> np.ndarray:
     from the 32-bit halves of the streams' outputs.
 
     A stream is what ``Generator.integers(0, p)`` draws from a PCG64
-    seeded by a row of ``seeds``, however the draws are split into
-    calls: the kept values of :func:`_bounded_values` on its outputs, in
-    order.  Each stream's outputs come from one ``random_raw`` call;
+    seeded by a row of ``seeds`` (:func:`_seed_words`), however the
+    draws are split into calls: the kept values of
+    :func:`_bounded_values` on its outputs, in order.  Each stream's
+    outputs come from one ``random_raw`` call;
     when a row keeps fewer than ``count`` values, every stream is drawn
     again with more outputs.
     """
@@ -355,17 +320,16 @@ def _invertible_pairs(
     field: FieldSpec, n: int, trials: int, master_seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each chunk of ``_CHUNK`` trials, in trial order, two
-    (chunk, n, n) stacks in the draw dtype of :func:`_bounded_values`
-    (uint8 for D <= 256, uint16 above): for trial i, the matrices that
-    two successive ``random_invertible(field, n, trial_rng(master_seed,
-    i))`` calls return.
+    (chunk, n, n) stacks in the draw dtype of :func:`_bounded_values`:
+    for trial i, the matrices that two successive
+    ``random_invertible(field, n, trial_rng(master_seed, i))`` calls
+    return, its first two invertible candidates.  Candidate k of a trial
+    is its stream's values k n^2 .. (k + 1) n^2 - 1 in row-major order.
 
-    Candidate k of a trial is its stream's values k n^2 .. (k + 1) n^2 - 1
-    in row-major order, and the pair is its first two invertible
-    candidates.  A round redraws every live stream from its start and
-    cuts the next ``_ROUND_CANDIDATES`` candidates (fewer, but at least
-    one, when the redraw would pass ``_ROUND_CELLS`` entries); all of
-    them are ranked in one ``rank_batch``.
+    A round redraws every live stream from its start and cuts the next
+    ``_ROUND_CANDIDATES`` candidates (fewer, but at least one, when the
+    redraw would pass ``_ROUND_CELLS`` entries), and ranks them all in
+    one ``rank_batch``, which takes the narrow values as they are.
     """
     p, cells = field.order, n * n
     for start in range(0, trials, _CHUNK):
@@ -416,8 +380,11 @@ def _kernel_bases(
     whose rows span ker d_mp for each trial and then ker d_pm.
 
     ``random_boundary`` draws u_plus, then u_minus, with
-    ``random_invertible``; the bases are the transposed leading t
-    columns of u_plus (for d_mp) and of u_minus (for d_pm).
+    ``random_invertible``, and forms d_mp = u_minus d0 u_plus^-1 and
+    d_pm = u_plus d0 u_minus^-1 from the standard block d0, whose kernel
+    is spanned by e_0 .. e_{t-1}.  So ker d_mp = u_plus ker d0 is spanned
+    by the leading t columns of u_plus, and ker d_pm by those of
+    u_minus: the bases are those columns, transposed.
     """
     t = shape.H + shape.L
     for u_plus, u_minus in _invertible_pairs(field, shape.n, trials, master_seed):
@@ -513,12 +480,8 @@ def mc_low_weight_kernel(cfg: TrialConfig) -> EstimateReport:
     The kernel of the full operator is the direct sum of the two sector
     kernels, so the lightest nonzero vector lives entirely in one
     sector; both sector kernels are searched exactly per trial, for
-    w_max = ceil(c n) - 1.  Each basis of t = H + L rows is brought to
-    systematic form and only its coefficient vectors of weight at most
-    w = min(w_max, t) with leading entry 1 are tried, sum_{j <= w}
-    C(t, j) (D - 1)**(j - 1) of them, not its D**t vectors; the run is
-    refused, before any draw, when they number more than
-    ``gf.ENUMERATION_LIMIT``.
+    w_max = ceil(c n) - 1 (:func:`_light_kernel_hits`).  The run is
+    refused, before any draw, by :func:`_check_light_search`.
     """
     if cfg.c is None:
         raise ValueError("this experiment needs the weight density c")
@@ -659,9 +622,8 @@ def exhaustive_ulw_probability(
     mc_uniform_low_weight at tiny sizes; refused when the space exceeds
     ``gf.ENUMERATION_LIMIT`` matrices.
 
-    Rank and weights do not change under a nonzero scalar, so the zero
-    matrix is classified once and one matrix per line
-    (``gf.line_blocks``) stands for its p - 1 multiples."""
+    The zero matrix is classified once, and each matrix
+    ``gf.line_blocks`` walks stands for its p - 1 multiples."""
     _check_rank(n_prime, rank)
     p = field.order
     cells = n_prime * n_prime

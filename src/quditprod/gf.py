@@ -1,168 +1,44 @@
 """Exact dense linear algebra over the prime field GF(D), D an odd prime.
 
-Matrices are stored as numpy int64 arrays with every entry reduced to
-the range 0..D-1.  Every result is exact: ranks, kernels, solves and
+Provides ``FieldSpec``, ``MatGF`` (a read-only matrix that keeps its
+echelon forms and shares them with its transposes), rank, kernel,
+solve, inverse, uniform invertible sampling, the text format, batched
+ranks (``rank_batch``) and the one enumeration of a span
+(``line_blocks``).  Every result is exact: ranks, kernels, solves and
 products are the same integers as in exact arithmetic mod D.
 
-The field order is bounded by ``ORDER_LIMIT`` = 2**16, so every
-product this library forms stays exact in int64: a sum of k products
-of two residues is below (D - 1)**2 * k < 2**63 for every inner
-dimension k < 2**31.
+Exactness bounds, each argued where it is used:
 
-Four kernels run in narrower or other types, each with its exactness
-argument:
+- Field orders lie below ``ORDER_LIMIT`` = 2**16 (``FieldSpec``), so a
+  sum of k < 2**31 products of two residues stays below 2**63 in int64.
+- Eliminations run in ``_work_dtype``, int16 for D <= 181 and int64
+  above, whose bound ``_row_reduce``, ``rank_batch`` and
+  ``_gauss_jordan_batch`` keep.
+- Products run in float64 only while every partial sum stays below
+  2**53 (``_matmul``).
+- Span sums run in the smallest unsigned type holding 2D - 2
+  (``_add_residues``, for ``line_blocks``).
+- Packed weights hold bit_length(D - 1) bits a coordinate in uint64
+  words (``_line_weights``).
+- Subspace-table indices stay below the table's cell count, in int32
+  (``_table_rank``).
 
-- Elimination (``_row_reduce``, ``rank_batch``, ``_gauss_jordan_batch``)
-  works in the smallest signed integer type holding (D - 1) * D
-  (``_work_dtype``): int16 for D <= 181, int64 above.  Every step's
-  entries stay within [-(D - 1)**2, (D - 1)**2] until they are reduced.
-  ``_row_reduce`` subtracts a residue times a residue from a residue.
-  It runs one of two loops with one pivot rule and one result: a matrix
-  of at most ``_SMALL_CELLS`` = 150 cells is eliminated as a list of
-  Python-int rows, which are exact for every D, and a larger one in
-  numpy.  Below the crossover numpy's fixed cost of about 1 us per call,
-  some 15 calls per pivot, exceeds the arithmetic.  Per call, in us,
-  numpy loop -> Python-int loop (random full-support matrices, best of
-  30 interleaved passes over 20 of them; 2-vCPU Xeon, CPython 3.11,
-  numpy 2.4, one BLAS thread):
+Caps, each refused with ValueError before any work:
 
-      cells  shape   GF(3)          GF(5)          GF(65521)
-          9  3x3       40 -> 9        37 -> 10       67 -> 23
-         63  7x9       89 -> 46       88 -> 57       90 -> 81
-        144  12x12    146 -> 133     153 -> 166     160 -> 245
-        200  10x20    121 -> 137     129 -> 167     141 -> 271
-        324  18x18    214 -> 353     247 -> 469     321 -> 884
-       2500  50x50    846 -> 7403    863 -> 7523   1107 -> 13239
+- ``ENUMERATION_LIMIT`` = 10**7 vectors or matrices for every
+  exhaustive enumeration (rank censuses, exhaustive distances and
+  probabilities), counted over the whole space, p**t for a span of t
+  rows, although a line walk visits (p**t - 1) / (p - 1) of them
+  (``_check_enumeration``).  The Monte Carlo kernel search walks no
+  span; the same cap bounds its coefficient vectors.
+- ``_TABLE_CELLS_LIMIT`` = 2**22 states x codes for a subspace table
+  (``_table_fits``): GF(3)^5 and GF(5)^4 fit, GF(3)^6 does not.
 
-  Dense matrices cross at about 170 cells for GF(3), 135 for GF(5) and
-  70 for GF(65521).  The mostly sparse GF(3) and GF(5) blocks one pass
-  of the benchmark's codes workload eliminates take the same total,
-  46 ms against 57 ms in numpy alone, for any crossover from 150 to
-  400 cells.
-
-  The two batched eliminations hold the batch as the last axis, need no
-  row swap and no cursor, and pick each matrix's lead row without a
-  gather, as a sum over rows masked by a one-hot mask of its first
-  candidate row (``_lead_rows``).  ``rank_batch`` eliminates forward
-  only and fraction-free, pivot * row - col * lead, so each lead row
-  clears itself; ``_gauss_jordan_batch`` subtracts multiples of the
-  scaled lead row, which lies in 0..D-1, by factors in [-1, D - 1].
-
-  ``rank_batch`` finishes in a subspace table.  After c steps a
-  matrix's rank is the pivots found plus the rank of its live columns
-  c.., since every lead row has cleared itself, so it eliminates only
-  the leading cols - w columns of a stack (transposed first where it
-  is wide) and reads the rank of the rows x w rest from
-  ``_subspace_table`` (``_table_rank``): a few gathers per row, against
-  some 28 numpy calls per elimination step.  w is the widest table of
-  at most ``_TAIL_CODES`` = 125 codes: GF(3)^4 (212 states, 17 KB, built
-  once in about 13 ms), GF(5)^3, GF(7)^2 and GF(11)^2, width 1 for
-  13 <= D <= 113, and none from D = 127 on.  A cap of 243 codes would
-  take GF(3)^5, a 1.3 MB table: it raised the benchmark's mc peak RSS
-  from 40.3 to 41.6 MB for at most 3 % more trials per second.  An
-  unsigned input narrower than the elimination type, such as the Monte
-  Carlo harnesses' uint8 draws, is cast to that type and reduced there
-  instead of through int64.  Per call, in us, for 600 random GF(3)
-  matrices (best of 30 interleaved passes, the 2-vCPU host above):
-  full elimination of int64 input -> table tail -> table tail on uint8
-  input:
-
-      3x3    85 -> 52 -> 45
-      4x4   123 -> 73 -> 58
-      5x5   178 -> 122 -> 107
-      7x7   311 -> 250 -> 221
-      9x9   513 -> 446 -> 381
-
-  Over GF(7), with a table two columns wide, 9x9 is about even.
-
-  ``_table_rank`` reads a small block's rank in one lookup.  A rows x w
-  block (w the narrow side) of at most ``_BLOCK_CODES`` = 2**16 codes
-  p**(rows * w) has a whole-block table (``_block_table``): the uint8
-  rank of every such matrix at its code sum_ij m[i, j] p**(i w + j),
-  built once per shape from ``_subspace_table`` of GF(p)^w by one
-  gather per row over all row codes at once.  Over GF(3) these are the
-  blocks up to 10 x 1, 5 x 2 and 3 x 3 (3^10 = 59049 bytes at most),
-  over GF(5) up to 6 x 1 and 3 x 2, over GF(7) up to 5 x 1 and 2 x 2,
-  over GF(11) and GF(13) up to 4 x 1 and 2 x 2, then columns of up to
-  3 rows (to GF(37)), 2 rows (to GF(251)) or 1.  The GF(3) 3 x 3 table
-  takes 19683 bytes and builds in under 0.1 ms with a traced peak of
-  0.03 MiB.  A block's code is built by Horner's rule over its entries
-  and read with one ``take``; larger blocks, such as ``rank_batch``'s
-  tails from 4 x 4 over GF(3), step their rows through the subspace
-  table.  Per call, in ms, for 65536 uint8 blocks sliced from 18-wide
-  rows as the census passes them, row stepping -> one lookup (best of
-  20 interleaved calls, the 2-vCPU host above):
-
-      GF(3) 3x3    2.70 -> 0.77
-      GF(3) 2x2    1.69 -> 0.44
-      GF(5) 2x2    1.73 -> 0.44
-
-  GF(3) 4x4 and 9x4 blocks step their rows as before.
-- Matrix products (``_matmul``, behind ``MatGF @``) run in float64
-  through BLAS when k * (D - 1)**2 < 2**53: every product and partial
-  sum of residues is then a nonnegative integer below 2**53, which
-  float64 holds exactly whatever order the sum is taken in, and the
-  result is cast back to int64 and reduced.  Larger products stay in
-  int64.
-- Span enumeration (``line_blocks``) walks one vector per line of a
-  span, the combinations whose last nonzero coefficient is 1: rank,
-  weights and "weight <= w" do not change under a nonzero scalar, so
-  every exhaustive enumeration counts the zero vector once and each
-  line p - 1 times.  Each block is built by adding rows instead of
-  decoding every index and multiplying by the basis.  A table of the
-  span of the leading basis rows (at most sqrt(rows) / D rows for
-  blocks of ``rows`` rows) is built level by level, and each block adds
-  a few decoded combinations of the trailing rows to the whole table.
-  A sum of two residues lies in 0..2D-2, so one subtraction of D where
-  it is >= D reduces it exactly; the sums run in the smallest unsigned
-  type holding 2D - 2, where that subtraction is an unsigned minimum
-  (``_add_residues``), and land in a block of that type.  A block costs
-  two such arrays, itself and its sums, of one byte each for D <= 127.
-  From D = 17 on the table is the zero row alone, so a block is its
-  decoded combinations, written into it in parts of at most
-  ``_DECODE_CELLS`` = 2**13 int64 cells: walking the largest span of an
-  18-wide basis the cap allows peaks at 2.0 (GF(17)), 2.4 (GF(127)) and
-  3.3 (GF(131), two-byte entries) traced bytes per block entry, against
-  16.9 when each block was decoded at once.
-- Packed weights (``_line_weights``, behind the exhaustive distance
-  search) count the nonzero coordinates of the rows ``line_blocks``
-  yields without forming them.  Residues are packed b = bit_length(D - 1)
-  bits a coordinate, 64 // b coordinates to a uint64 word (``_pack``):
-  the negated low table once, each block's decoded tops y as it comes.
-  A row x + y is nonzero at i exactly when y_i != -x_i mod D, and two
-  residues below 2**b are equal exactly when their b-bit fields are,
-  so the row's weight is the number of nonzero fields of (-x) XOR y:
-  the b - 1 shifts of that XOR by less than a field are ORed onto each
-  field's low bit, a mask keeps those bits and ``np.bitwise_count``
-  (numpy >= 2.0) counts them.  A shift by b or more would carry the
-  next field's bits.
-
-A ``MatGF`` keeps its reduced row echelon form once ``rank`` or
-``kernel_basis`` has computed it, and shares it with its transposes: a
-matrix and every ``.T`` of it (``.T.T`` included) hold one pair of
-slots, the echelon form of the array as built and that of its
-transpose.  Every later kernel of either orientation is read, not
-eliminated again, and ``rank`` reads whichever slot is filled, since
-rank A = rank A^T.  So a block whose rank was taken as ``d.T`` yields
-the kernel of ``d.T`` with no second elimination.
-
-Exhaustive enumerations (rank censuses, exhaustive distances and
-probabilities) cover at most ``ENUMERATION_LIMIT`` = 10**7 vectors or
-matrices: ``line_blocks`` and the count oracles refuse anything larger
-with one ValueError.  The cap counts the whole space, p**t for a span
-of t rows, although a line walk visits (p**t - 1) / (p - 1) of its
-vectors.  The Monte Carlo kernel search walks no span: the same cap
-bounds the number of coefficient vectors it tries.
-
-The text wire format for a matrix is one header line ``D nrows ncols``
-followed by ``nrows`` lines of residues.  The writer emits canonical
-text: single spaces, no leading zeros, ``\n`` after every row.  It
-lays each entry out in a fixed slot of bytes, the digits of D - 1 plus
-a separator, and from D = 11 on drops the leading zeros by one boolean
-compress.  The reader accepts any whitespace and any token ``int()``
-reads; a block in the single-digit canonical layout, every block of
-GF(3), GF(5) and GF(7) the writer emits, is decoded by one reshape,
-and any other block of ASCII digit tokens as bytes.
+Format: a matrix is one header line ``D nrows ncols`` followed by
+``nrows`` lines of residues.  The writer (``matrix_to_text``) emits
+canonical text, single spaces, no leading zeros and ``\n`` after
+every row; the reader (``matrix_from_text``) accepts any whitespace
+and any token ``int()`` reads.
 """
 
 from __future__ import annotations
@@ -233,20 +109,22 @@ class MatGF:
     The underlying array is marked read-only; every operation returns a
     fresh matrix.  ``@`` acts mod D and requires matching fields; with
     an integer array on the right it returns the int64 product mod D.
-
     ``_reduced=True`` is for library code holding an int64 array already
-    reduced mod D: the array is taken without a copy and marked
-    read-only, so the caller must not write to it (or to an array it is
-    a view of) afterwards.
+    reduced mod D: it is taken without a copy and marked read-only, so
+    the caller must not write to it (or to an array it views) afterwards.
 
-    A matrix computes its reduced row echelon form at most once, on the
-    first ``rank`` or ``kernel_basis``, and keeps its nonzero rows
-    (read-only, in ``_work_dtype``) for later calls.  ``_echelon`` is a
-    two-slot list shared by reference with every ``.T`` of the matrix:
-    slot ``_side`` holds this orientation's form and the other slot its
-    transpose's, so each orientation is eliminated at most once among
-    them all.  The list holds arrays only, never another matrix, so no
-    reference cycle keeps a matrix alive.
+    Echelon sharing.  A matrix computes the reduced row echelon form of
+    an orientation at most once, on the first ``rank`` or
+    ``kernel_basis`` that needs it, and keeps its nonzero rows
+    (read-only, in ``_work_dtype``).  ``_echelon`` is a two-slot list
+    shared by reference with every ``.T`` of the matrix (``.T.T``
+    included): slot ``_side`` holds this orientation's form and the
+    other slot its transpose's.  So each orientation is eliminated at
+    most once among them all, ``rank`` reads whichever slot is filled
+    (rank A = rank A^T), and a block ranked as ``d.T`` yields the
+    kernel of ``d.T`` with no second elimination.  The list holds
+    arrays only, never another matrix, so no reference cycle keeps a
+    matrix alive.
     """
 
     __slots__ = ("field", "_data", "_echelon", "_side")
@@ -330,12 +208,10 @@ class MatGF:
         return f"MatGF(GF({self.field.order}), {self.rows}x{self.cols})"
 
     def _rref(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rref, pivots): the nonzero rows of the reduced row echelon
-        form of :func:`_row_reduce`, a view of its array in
-        :func:`_work_dtype`, and its pivot columns as an intp array,
-        both read-only, computed on the first call and kept in this
-        orientation's slot, where every transpose of the transpose
-        finds it too."""
+        """(rref, pivots) of this orientation: the nonzero rows of
+        :func:`_row_reduce`'s form and its pivot columns as an intp
+        array, both read-only, computed once and kept in this
+        orientation's slot (see the class docstring)."""
         echelon = self._echelon[self._side]
         if echelon is None:
             rref, pivots = _row_reduce(self._data, self.field.order)
@@ -347,8 +223,7 @@ class MatGF:
 
 
 # Matrices of at most this many cells are eliminated as lists of Python
-# ints, larger ones in numpy: the crossover table is in the module
-# docstring.
+# ints, larger ones in numpy (see _row_reduce).
 _SMALL_CELLS = 150
 
 
@@ -356,20 +231,17 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``a`` mod p, in :func:`_work_dtype`,
     and the pivot column list.
 
-    Pivots are chosen as the first nonzero entry scanning down each
-    column, so the result is deterministic for a fixed input.  Two
+    Pivots are the first nonzero entry scanning down each column.  Two
     loops apply this rule, and the rref is unique, so both return the
     same C-contiguous array.  A matrix of at most ``_SMALL_CELLS`` = 150
-    cells is eliminated as a list of Python-int rows
-    (:func:`_row_reduce_small`), where numpy's fixed cost per call would
-    exceed the arithmetic: 3 x 3 over GF(3) takes about 9 us against
-    40 us, 18 x 18 about 353 us against 214 us (the module docstring
-    has the measured crossover table).  A larger matrix is eliminated
-    in numpy, in :func:`_work_dtype`; each pivot touches only columns
-    c.. of the pivot row and of the rows nonzero in column c, since
-    every live row is zero left of c.  Its work array is C-contiguous
-    whatever the layout of ``a`` (a transposed view included), so every
-    row update is a contiguous slice.
+    cells is eliminated as a list of Python-int rows, exact for every p
+    (:func:`_row_reduce_small`): below about 150 cells numpy's fixed
+    cost per call, some 15 calls per pivot, exceeds the arithmetic.  A
+    larger one is eliminated in numpy, in :func:`_work_dtype`, each step
+    subtracting a residue times a residue from a residue.  A pivot at
+    column c touches only columns c.. of the pivot row and of the rows
+    nonzero there, in a C-contiguous work array whatever the layout of
+    ``a``, so every row update is a contiguous slice.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.size <= _SMALL_CELLS:
@@ -435,9 +307,8 @@ def _row_reduce_small(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: MatGF) -> int:
-    """Rank of ``m`` over its field: read off whichever echelon form ``m``
-    shares with its transposes is kept (rank A = rank A^T), else off
-    ``m``'s own, computed and kept."""
+    """Rank of ``m`` over its field, read off a kept echelon form of
+    either orientation (see ``MatGF``), else computed and kept."""
     kept = m._echelon[m._side] or m._echelon[1 - m._side] or m._rref()
     return len(kept[1])
 
@@ -702,11 +573,9 @@ def _lead_rows(nonzero: np.ndarray) -> np.ndarray:
     (rows, N) mask, all False where a matrix has none.
 
     Row by row, a row leads where it is True and no row above it is
-    (row > seen, for booleans).  Each step is one pass along the
-    contiguous batch axis; ``np.logical_or.accumulate`` down the rows
-    gives the same mask but took about four times as long on a (9, 1536)
-    mask (numpy 2.4, 2-vCPU x86 host).  The pivot and lead row are then
-    read as sums over rows masked by it, with no gather."""
+    (row > seen, for booleans): one pass along the contiguous batch axis
+    per row, faster than ``np.logical_or.accumulate`` down the rows.
+    The pivot and lead row are then read as masked sums, no gather."""
     first = nonzero.copy()
     seen = np.zeros(first.shape[1:], dtype=bool)
     for row in first:
@@ -724,8 +593,9 @@ def _masked_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.einsum("ikn,in->kn", rows, mask.astype(rows.dtype))
 
 
-# Most codes, p**w, of the subspace table rank_batch finishes in; the
-# module docstring has the measurements behind it.
+# Most codes, p**w, of the subspace table rank_batch finishes in: a
+# wider table, such as GF(3)^5's 1.3 MB, costs more memory than the
+# elimination steps it saves are worth.
 _TAIL_CODES = 125
 
 
@@ -741,10 +611,9 @@ def _tail_width(p: int) -> int:
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
-    A wide stack is transposed first, so cols <= rows.  The stack is
-    held as a contiguous (rows, cols, N) array in :func:`_work_dtype`;
-    an unsigned input narrower than that type is cast to it and reduced
-    there, every other input is reduced in int64 first.
+    A wide stack is transposed first, so cols <= rows, and held as a
+    contiguous (rows, cols, N) array in :func:`_work_dtype`; an unsigned
+    input narrower than that type is reduced there, any other in int64.
 
     Forward elimination runs over the leading cols - w columns, w =
     min(cols, :func:`_tail_width`).  At column c each matrix's lead row
@@ -757,7 +626,8 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     was.  All factors are residues, so entries stay within
     [-(p-1)**2, (p-1)**2] until they are reduced.  After those steps the
     rank is the pivots found plus the rank of the rows x w block of live
-    columns, which :func:`_table_rank` reads from its subspace table.
+    columns, which :func:`_table_rank` reads in a few gathers per row,
+    where an elimination step takes some 28 numpy calls.
     """
     dtype = _work_dtype(p)
     m = np.asarray(mats)
@@ -795,14 +665,13 @@ def _gauss_jordan_batch(m: np.ndarray, p: int) -> np.ndarray:
     which each pivot row has a 1 at its pivot column and that column is
     zero in every other row.  Rows that never lead end zero.
 
-    Rows stay where they are.  A row is free until it leads; at column c
-    each matrix's lead row is its first free row nonzero there
-    (:func:`_lead_rows`), read as a masked sum and scaled by its pivot's
-    inverse.  Every row i, those that led before included, has
-    col[i] - [i leads] times the scaled lead row subtracted over columns
-    c.., so the lead row becomes the scaled row and column c clears
-    elsewhere.  Free rows are zero left of c, so columns c.. hold all of
-    the lead row.  Factors lie in [-1, p-1] and the scaled row in
+    Rows stay where they are and need no swap.  A row is free until it
+    leads; at column c each matrix's lead row is its first free row
+    nonzero there (:func:`_lead_rows`), read as a masked sum and scaled
+    by its pivot's inverse.  Every row i has col[i] - [i leads] times
+    the scaled lead row subtracted over columns c.. (which hold all of a
+    free row), so the lead row becomes the scaled row and column c
+    clears elsewhere.  Factors lie in [-1, p-1] and the scaled row in
     0..p-1, so entries stay within [-(p-1)**2, 2(p-1)] until reduced.
     """
     dtype = _work_dtype(p)
@@ -852,46 +721,45 @@ def _add_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> None
     np.minimum(out, s, out=out)
 
 
+# Most rows of one block of line_blocks.
+_LINE_ROWS = 1 << 16
 # Most int64 cells of one decode of trailing-row combinations in
 # line_blocks: with a one-row low table (p >= 17) a block is all decode.
 _DECODE_CELLS = 1 << 13
 
 
-def line_blocks(
-    basis: np.ndarray, p: int, rows: int = 1 << 16, start: int = 0
-) -> Iterator[np.ndarray]:
+def line_blocks(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndarray]:
     """One vector of every line of GF(p) combinations sum_i c_i basis[i]
-    of the rows of a (t, width) basis, in blocks of at most ``rows``
-    rows: the combinations whose last nonzero coefficient is 1 and sits
-    at an index >= ``start``, (p**t - p**start) / (p - 1) rows.
+    of the rows of a (t, width) basis: the combinations whose last
+    nonzero coefficient is 1 and sits at an index >= ``start``,
+    (p**t - p**start) / (p - 1) rows, in blocks of at most
+    ``_LINE_ROWS`` = 2**16 rows of residues in the dtype their sums run
+    in.  Rows come in the order of the index sum_i c_i p**i: the indices
+    [p**k, 2 p**k) for k = start .. t - 1.  Refused with ValueError,
+    before any block is built, when start lies outside 0..t or p**t
+    exceeds ``ENUMERATION_LIMIT``, although the walk is shorter.
 
     Every nonzero combination is a nonzero multiple of exactly one of
     them, and the zero combination is walked by none, so a count of a
-    scale-invariant property over the whole span is the zero vector's
-    plus p - 1 times the count over these rows.  Rows come in the order
-    of the index sum_i c_i p**i: the indices whose top nonzero digit is
-    a 1 at k, [p**k, 2 p**k), for k = start .. t - 1.  Each block holds
-    entries in 0..p-1 in the dtype its sums run in.  Refused with
-    ValueError, before any block is built, when rows < 1, when start
-    lies outside 0..t or when p**t exceeds ``ENUMERATION_LIMIT``,
-    although the walk is shorter.
+    scale-invariant property (rank, weight, "weight <= w") over the
+    span is the zero vector's plus p - 1 times the count over these rows.
 
-    The vectors are built, not decoded.  A low table holds the span of
-    the leading j rows in index order, j the largest with p**(2j + 2)
-    <= rows (0 if none, at most t), so it has at most max(1, sqrt(rows)
-    / p) rows.  Level k of the table is p copies of level k - 1, copy c
-    being copy c - 1 plus basis[k].  The lines whose top digit sits
-    below j are rows of the table, yielded first as one block.  Every
-    other line is a high index h in [p**(k - j), 2 p**(k - j)) over the
-    trailing t - j rows, the only rows still decoded and multiplied, in
-    parts of at most ``_DECODE_CELLS`` int64 cells, and added to the
-    whole low table by ``_add_residues``.  Each later block takes the
-    next rows // p**j high indices, read off the ranges one at a time,
-    so no range is held whole.  A block costs two arrays in the smallest
-    unsigned dtype holding 2p - 2 (one byte for p <= 127), itself and
-    its sums; with j = 0 (p >= 17) the decoded rows are the block.
+    The vectors are built by adding rows, not decoded.  A low table
+    holds the span of the leading j rows in index order, j the largest
+    with p**(2j + 2) <= ``_LINE_ROWS`` (at most t), so it has at most
+    max(1, sqrt(``_LINE_ROWS``) / p) rows; level k is p copies of level
+    k - 1, copy c being copy c - 1 plus basis[k].  Lines whose top digit
+    sits below j are rows of the table, yielded first as one block.
+    Every other line is a high index h in [p**(k - j), 2 p**(k - j))
+    over the trailing t - j rows, decoded and multiplied in parts of at
+    most ``_DECODE_CELLS`` int64 cells, then added to the whole low
+    table by :func:`_add_residues`.  A block takes the next
+    ``_LINE_ROWS`` // p**j high indices, so no range is held whole, and
+    costs two arrays in the smallest unsigned dtype holding 2p - 2 (one
+    byte for p <= 127), itself and its sums; from p = 17 on, j = 0 and
+    the decoded rows are the block.
     """
-    low, head, tops = _line_walk(basis, p, rows, start)
+    low, head, tops = _line_walk(basis, p, start)
 
     def blocks() -> Iterator[np.ndarray]:
         if head:
@@ -908,7 +776,7 @@ def line_blocks(
 
 
 def _line_walk(
-    basis: np.ndarray, p: int, rows: int, start: int
+    basis: np.ndarray, p: int, start: int
 ) -> tuple[np.ndarray, list[int], Iterator[np.ndarray]]:
     """The parts of :func:`line_blocks`'s walk, checked and refused as it
     documents before anything is built: (low, head, tops).  ``low`` is
@@ -917,8 +785,6 @@ def _line_walk(
     later block in order, the decoded combinations of the trailing rows
     for its high indices; the block is each of them plus every row of
     ``low``, top-major."""
-    if rows < 1:
-        raise ValueError(f"need rows >= 1, got {rows}")
     basis = np.asarray(basis, dtype=np.int64)
     t, width = basis.shape
     _check_enumeration(p, t)
@@ -926,7 +792,7 @@ def _line_walk(
         raise ValueError(f"need 0 <= start <= {t}, got {start}")
     basis = _mod(basis, p)
     j = 0
-    while j < t and p ** (2 * j + 4) <= rows:
+    while j < t and p ** (2 * j + 4) <= _LINE_ROWS:
         j += 1
     small = np.min_scalar_type(2 * p - 2)
     low = np.zeros((p**j, width), dtype=small)
@@ -936,7 +802,7 @@ def _line_walk(
             _add_residues(low[(c - 1) * size : c * size], row, p, low[c * size : (c + 1) * size])
     high = basis[j:]
     powers = p ** np.arange(t - j, dtype=np.int64)
-    m = rows // len(low)
+    m = _LINE_ROWS // len(low)
     head = [i for k in range(start, j) for i in range(p**k, 2 * p**k)]
     per = max(1, _DECODE_CELLS // max(width, t - j, 1))
 
@@ -983,9 +849,7 @@ def _pack(a: np.ndarray, bits: int) -> np.ndarray:
     return packed
 
 
-def _line_weights(
-    basis: np.ndarray, p: int, rows: int = 1 << 16, start: int = 0
-) -> Iterator[np.ndarray]:
+def _line_weights(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndarray]:
     """The Hamming weights of the rows :func:`line_blocks` yields for the
     same arguments, one intp array per block, in the same blocks and
     order, refused as it is; the rows themselves are never formed.
@@ -996,10 +860,12 @@ def _line_weights(
     y_i != (-x)_i mod p, that is, when the two bits-wide fields of
     coordinate i differ; so its weight is the number of nonzero fields
     of (-x) XOR y.  The bits - 1 shifts of that XOR, each by less than a
-    field, are ORed onto each field's low bit, a mask keeps those bits,
-    and ``np.bitwise_count`` counts them, word by word.  Words lead the
-    axes, so each XOR runs along a block's low-table rows."""
-    low, head, tops = _line_walk(basis, p, rows, start)
+    field (a shift by bits or more would carry the next field's bits),
+    are ORed onto each field's low bit, a mask keeps those bits, and
+    ``np.bitwise_count`` (numpy >= 2.0) counts them, word by word.
+    Words lead the axes, so each XOR runs along a block's low-table
+    rows."""
+    low, head, tops = _line_walk(basis, p, start)
     bits = (p - 1).bit_length()
     table = _pack((p - low) % p, bits)
     field_lows = np.uint64(sum(1 << i for i in range(0, 64 // bits * bits, bits)))
@@ -1037,6 +903,12 @@ def _subspace_count(p: int, w: int) -> int:
     return total
 
 
+def _table_fits(p: int, w: int) -> bool:
+    """Whether the subspace table of GF(p)^w, states x codes, holds at
+    most ``_TABLE_CELLS_LIMIT`` cells, which is read at each call."""
+    return _subspace_count(p, w) * p**w <= _TABLE_CELLS_LIMIT
+
+
 @functools.lru_cache(maxsize=None)
 def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Transition table of the subspaces of GF(p)^w under adding a row.
@@ -1054,14 +926,14 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     by one more echelon row.  ``step`` is allocated at its exact size,
     :func:`_subspace_count` states in the smallest unsigned type that
     numbers them, and each state's row is written in place.  Both arrays
-    are read-only and shared by every caller.  Raises ValueError above
-    ``_TABLE_CELLS_LIMIT`` cells, before any row is built.
+    are read-only and shared by every caller.  Raises ValueError, before
+    any row is built, when the table does not fit (:func:`_table_fits`).
     """
     if w == 0:  # the zero space alone, stepped by the empty row
         return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.uint8))
-    ncodes, nstates = p**w, _subspace_count(p, w)
-    if nstates * ncodes > _TABLE_CELLS_LIMIT:
+    if not _table_fits(p, w):
         raise ValueError(f"subspace table of GF({p})^{w} exceeds {_TABLE_CELLS_LIMIT} cells")
+    ncodes, nstates = p**w, _subspace_count(p, w)
     step = np.empty((nstates, ncodes), dtype=np.min_scalar_type(nstates - 1))
     dim = np.empty(nstates, dtype=np.uint8)
     weights = p ** np.arange(w, dtype=np.int64)
@@ -1101,8 +973,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Most codes, p**(rows * w), of a whole-block rank table; the module
-# docstring has the measurements behind it.
+# Most codes, p**(rows * w), of a whole-block rank table (see
+# _table_rank).
 _BLOCK_CODES = 1 << 16
 
 
@@ -1110,8 +982,10 @@ _BLOCK_CODES = 1 << 16
 def _block_table(p: int, rows: int, w: int) -> np.ndarray:
     """The rank, uint8, of every rows x w matrix over GF(p), indexed by
     its code sum_ij m[i, j] p**(i w + j); read-only and shared.  The
-    cache keeps the last 64 shapes, at most 4 MiB under the cap; a
-    table rebuilds in about 1 ms at most.
+    cache keeps the last 64 shapes, at most 4 MiB under the cap.  Over
+    GF(3) the shapes under the cap are those up to 10 x 1, 5 x 2 and
+    3 x 3 (59049 bytes at most), over GF(5) up to 6 x 1 and 3 x 2, then
+    fewer rows as p grows, down to single entries from GF(257) on.
 
     Built from :func:`_subspace_table` of GF(p)^w, so by row reduction
     alone.  Row i is digit i of the code in base p**w, so the states

@@ -14,12 +14,9 @@ built directly from the factor blocks:
     d_mp = [[I (x) d2_mp, d1_pm (x) I], [d1_mp (x) I, -I (x) d2_pm]]
 
 With that ordering a plus-sector vector splits into two contiguous
-matrix blocks:
-
-    psi_plus  on  C1+ (x) C2+   (dim C1+ rows, dim C2+ columns)
-    psi_minus on  C1- (x) C2-
-
-which is what every rank and support argument downstream works with.
+matrix blocks (``ProductComplex.vector_to_blocks``), psi_plus on
+C1+ (x) C2+ (dim C1+ rows, dim C2+ columns) and psi_minus on
+C1- (x) C2-, which every rank and support argument downstream uses.
 """
 
 from __future__ import annotations
@@ -73,8 +70,8 @@ class ProductComplex:
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two 2-d arrays as one broadcast multiply and a
-    reshape: the same entries, without ``np.kron``'s general-rank set-up
-    (about 15 us against 4 us on 3 x 3 blocks)."""
+    reshape: the same entries, without ``np.kron``'s general-rank
+    set-up, which costs more than the product on small blocks."""
     (m, n), (k, l) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
 

@@ -11,12 +11,11 @@ assumed; reduce() checks it on the generators of S>.
 Because d swaps sectors and W preserves them, S> splits as a direct sum
 of sector pieces, and each sector is quotiented on its own: the plus
 piece is the column span of d_pm[:n', n':] and the minus piece that of
-d_mp[:n', n':].  Coset representatives are chosen canonically: row-reduce
-the generators of a piece, then represent each class by the non-pivot
-coordinates of its canonically reduced element.  This makes phi a
-concrete pair of sector matrices (phi+, phi-), the quotient is again a
-two-sector complex, and every downstream identity stays checkable
-exactly, one boundary block at a time.  The complex is called good for
+d_mp[:n', n':], each with canonical coset representatives
+(``_sector_quotient``).  So phi is a pair of sector matrices
+(phi+, phi-), the quotient is again a two-sector complex, and every
+identity is checked exactly, one boundary block at a time
+(``reduced_kerim_check``).  The complex is called good for
 n' when both pieces have the largest possible dimension n - n'; then
 each quotient sector has dimension K = 2n' - n.
 """

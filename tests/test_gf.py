@@ -344,7 +344,9 @@ def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, widt
         assert got.shape == (_line_count(order, t, start), width)
         lead = (top >= start) & (top_digit == 1)
         assert (got == coeffs[lead] @ basis % order).all()
-        small = list(line_blocks(basis, order, rows=1000, start=start))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_LINE_ROWS", 1000)
+            small = list(line_blocks(basis, order, start=start))
         assert all(len(b) <= 1000 for b in small)
         assert np.array_equal(_stacked(small, width), got)
 
@@ -402,7 +404,9 @@ def test_span_blocks_matches_reference(case) -> None:
     order, basis, rows = case
     t, width = basis.shape
     for start in range(t + 1):
-        blocks = list(line_blocks(basis, order, rows, start))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_LINE_ROWS", rows)
+            blocks = list(line_blocks(basis, order, start))
         for b in blocks:
             assert b.dtype == np.min_scalar_type(2 * order - 2)
             assert 1 <= len(b) <= rows
@@ -437,13 +441,6 @@ def test_span_blocks_matches_reference_at_the_enumeration_cap(order: int) -> Non
     for start in range(1, t + 1):
         tail = _stacked(list(line_blocks(basis, order, start=start)), 2)
         assert np.array_equal(tail, walked[_line_count(order, start, 0) :])
-
-
-@pytest.mark.parametrize("rows", [0, -1])
-def test_span_blocks_refuses_rows_below_one(rows: int) -> None:
-    for walk in (line_blocks, _line_weights):
-        with pytest.raises(ValueError, match=rf"^need rows >= 1, got {rows}$"):
-            walk(np.eye(2, dtype=np.int64), 3, rows)
 
 
 @pytest.mark.parametrize("start", [-1, 3])
@@ -484,8 +481,10 @@ def test_line_weights_are_the_weights_of_line_blocks(case) -> None:
     of a word boundary of the packed fields."""
     order, basis, rows = case
     for start in range(len(basis) + 1):
-        blocks = list(line_blocks(basis, order, rows, start))
-        weights = list(_line_weights(basis, order, rows, start))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_LINE_ROWS", rows)
+            blocks = list(line_blocks(basis, order, start))
+            weights = list(_line_weights(basis, order, start))
         assert len(weights) == len(blocks)
         for block, got in zip(blocks, weights):
             assert np.array_equal(got, np.count_nonzero(block, axis=1))
@@ -551,6 +550,26 @@ def test_subspace_table_refuses_oversized_width() -> None:
         _subspace_table(3, 6)  # 729 codes, but 56k states
     with pytest.raises(ValueError, match="exceeds"):
         _subspace_table(11, 9)  # 2.4e9 codes
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 163, 181, 65521])
+def test_table_fits_agrees_with_the_subspace_table_refusal(order: int) -> None:
+    """_table_fits(p, w) holds exactly when the table's states x codes
+    cells are within the cap; a table that does not fit is refused with
+    its message, and one that fits is built when it is small (at most
+    2^16 cells)."""
+    limit = gf._TABLE_CELLS_LIMIT
+    for width in range(6):
+        states = sum(gaussian_binomial(width, k, order) for k in range(width + 1))
+        cells = states * order**width
+        assert gf._table_fits(order, width) == (cells <= limit)
+        if cells > limit:
+            refusal = rf"^subspace table of GF\({order}\)\^{width} exceeds {limit} cells$"
+            with pytest.raises(ValueError, match=refusal):
+                _subspace_table(order, width)
+        elif cells <= 1 << 16:
+            step, _ = _subspace_table(order, width)
+            assert step.size == cells
 
 
 @pytest.mark.parametrize("order, width", [(3, 5), (5, 4)])
