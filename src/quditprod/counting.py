@@ -57,18 +57,27 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def count_rank_matrices(rows: int, cols: int, r: int, field: FieldSpec) -> int:
     """Number of rank-r matrices of size rows x cols over the field.
 
-    Zero outside 0 <= r <= min(rows, cols).  The formula picks the
-    column space (a Gaussian binomial) and then a surjection onto it.
+    Zero outside 0 <= r <= min(rows, cols).  With q = D, the count is
+
+        prod_{i<r} (q^rows - q^i)(q^cols - q^i) / (q^r - q^i),
+
+    since a rank-r matrix is B C, B an injective rows x r matrix and C a
+    surjective r x cols one, unique up to GL(r, q), whose order is the
+    denominator.  Computed as one exact product of Python ints, then one
+    exact division.
     """
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if r < 0 or r > min(rows, cols):
         return 0
     d = field.order
-    count = gaussian_binomial(rows, r, d)
-    for i in range(r):
-        count *= d**cols - d**i
-    return count
+    q_rows, q_cols, q_r = d**rows, d**cols, d**r
+    num = den = q_i = 1
+    for _ in range(r):
+        num *= (q_rows - q_i) * (q_cols - q_i)
+        den *= q_r - q_i
+        q_i *= d
+    return num // den
 
 
 def count_rank_extensions(

@@ -550,11 +550,20 @@ def _check_rank(n_prime: int, rank: int) -> None:
 
 def _uniform_low_weight(mats: np.ndarray, bound: Fraction) -> np.ndarray:
     """The uniform low weight condition per matrix of an (N, rows, cols)
-    stack: every row and column weight at most ``bound`` = c'n'."""
+    stack: every row and column weight at most ``bound`` = c'n'.
+
+    The support is written once, by one compare, as a batch-last
+    (rows, cols, N) uint8 array, so each weight is a sum over a leading
+    axis, adding contiguous rows of N bytes, in the smallest unsigned
+    type that holds max(rows, cols)."""
     # Weights are integers, so w <= bound is w <= floor(bound) exactly.
     ibound = math.floor(bound)
-    row_ok = (np.count_nonzero(mats, axis=2) <= ibound).all(axis=1)
-    col_ok = (np.count_nonzero(mats, axis=1) <= ibound).all(axis=1)
+    nmat, rows, cols = mats.shape
+    support = np.empty((rows, cols, nmat), dtype=np.uint8)
+    np.not_equal(mats.transpose(1, 2, 0), 0, out=support)
+    dtype = np.min_scalar_type(max(rows, cols))
+    row_ok = (support.sum(axis=1, dtype=dtype) <= ibound).all(axis=0)
+    col_ok = (support.sum(axis=0, dtype=dtype) <= ibound).all(axis=0)
     return row_ok & col_ok
 
 

@@ -23,6 +23,10 @@ Exactness bounds, each argued where it is used:
 - Subspace-table indices stay below the table's cell count, in int32
   (``_table_rank``).
 
+Factor size: ``_SMALL_CELLS`` = 150 cells is the one size rule of the
+kernels, read by ``_row_reduce``, ``_matmul`` and ``_mod``; each
+documents what it does on either side.
+
 Caps, each refused with ValueError before any work:
 
 - ``ENUMERATION_LIMIT`` = 10**7 vectors or matrices for every
@@ -222,8 +226,9 @@ class MatGF:
         return echelon
 
 
-# Matrices of at most this many cells are eliminated as lists of Python
-# ints, larger ones in numpy (see _row_reduce).
+# Factor size: on an array of at most this many cells numpy's fixed cost
+# per call exceeds the arithmetic, so _row_reduce eliminates it as
+# Python-int rows, _matmul multiplies it in int64 and _mod takes one %.
 _SMALL_CELLS = 150
 
 
@@ -233,12 +238,12 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Pivots are the first nonzero entry scanning down each column.  Two
     loops apply this rule, and the rref is unique, so both return the
-    same C-contiguous array.  A matrix of at most ``_SMALL_CELLS`` = 150
-    cells is eliminated as a list of Python-int rows, exact for every p
-    (:func:`_row_reduce_small`): below about 150 cells numpy's fixed
-    cost per call, some 15 calls per pivot, exceeds the arithmetic.  A
-    larger one is eliminated in numpy, in :func:`_work_dtype`, each step
-    subtracting a residue times a residue from a residue.  A pivot at
+    same C-contiguous array.  A matrix of at most ``_SMALL_CELLS`` cells
+    is eliminated as a list of Python-int rows, exact for every p
+    (:func:`_row_reduce_small`), in place of the numpy loop's some 15
+    calls per pivot.  A larger one is eliminated in numpy, in
+    :func:`_work_dtype`, each step subtracting a residue times a
+    residue from a residue.  A pivot at
     column c touches only columns c.. of the pivot row and of the rows
     nonzero there, in a C-contiguous work array whatever the layout of
     ``a``, so every row update is a contiguous slice.
@@ -528,9 +533,12 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    """A new array a mod p, for an integer array a: computed through floor
-    division, which numpy runs several times faster than ``%`` on
-    integers, with one temporary."""
+    """A new array a mod p, for an integer array a.  An array of at most
+    ``_SMALL_CELLS`` entries takes one ``%``; on a larger one numpy runs
+    floor division several times faster than ``%``, so it is computed
+    through ``//`` with one temporary."""
+    if a.size <= _SMALL_CELLS:
+        return a % p
     q = a // p
     q *= p
     return np.subtract(a, q, out=q)
@@ -555,16 +563,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """``a @ b`` mod p, as int64, for integer arrays with entries in
     0..p-1.
 
-    Multiplied in float64 through BLAS when k * (p - 1)**2 < 2**53, k
-    the inner dimension: every product and partial sum is then a
+    When either operand has more than ``_SMALL_CELLS`` cells and
+    k * (p - 1)**2 < 2**53, k the inner dimension, the product runs in
+    float64 through BLAS: every product and partial sum is then a
     nonnegative integer below 2**53, so each is exact in float64
-    whatever order BLAS adds in.  Otherwise multiplied in int64.
+    whatever order BLAS adds in.  Otherwise it runs in int64, which at
+    factor size costs less than the float64 round trip, on operands
+    widened first: a product of narrow residues wraps (uint8 from
+    p = 17 on).
     """
     k = a.shape[-1]
-    if k * (p - 1) ** 2 < _FLOAT_EXACT:
+    if max(a.size, b.size) > _SMALL_CELLS and k * (p - 1) ** 2 < _FLOAT_EXACT:
         prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     else:
-        prod = a @ b
+        prod = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return _mod(prod, p)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, homology_dimensions, validate
-from .gf import FieldSpec, MatGF, _block_diag
+from .gf import FieldSpec, MatGF, _block_diag, _mod
 
 __all__ = [
     "ProductComplex",
@@ -76,6 +76,26 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
 
 
+def _kron_grid(pairs) -> np.ndarray:
+    """``np.block`` of the 2 x 2 grid of ``np.kron(a, b)`` for the (a, b)
+    pairs of ``pairs``, as one new int64 array.  Each product is written
+    in place, by one broadcast multiply into its block viewed as
+    (a rows, b rows, a cols, b cols); splitting the two axes of a slice
+    is always a view, and the four blocks cover the array."""
+    heights = [a.shape[0] * b.shape[0] for a, b in (pairs[0][0], pairs[1][0])]
+    widths = [a.shape[1] * b.shape[1] for a, b in pairs[0]]
+    out = np.empty((sum(heights), sum(widths)), dtype=np.int64)
+    r = 0
+    for row, h in zip(pairs, heights):
+        c = 0
+        for (a, b), w in zip(row, widths):
+            block = out[r : r + h, c : c + w].reshape(a.shape[0], b.shape[0], a.shape[1], b.shape[1])
+            np.multiply(a[:, None, :, None], b[None, :, None, :], out=block)
+            c += w
+        r += h
+    return out
+
+
 def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     """The product complex of two complexes.
 
@@ -84,6 +104,9 @@ def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     whenever both factors square to zero, since d1 anticommutes with P1
     by the two-block form.  A factor that is not a complex is refused
     with ValueError.
+
+    Each block is a residue times 0 or 1, so only the two negated factor
+    blocks are reduced, at factor size, and the product never is.
     """
     if c1.field != c2.field:
         raise ValueError("factors must share a field")
@@ -98,18 +121,18 @@ def product(c1: InvolutiveComplex, c2: InvolutiveComplex) -> ProductComplex:
     )
     d1_pm, d1_mp = c1.d_pm.data, c1.d_mp.data
     d2_pm, d2_mp = c2.d_pm.data, c2.d_mp.data
-    d_pm = np.block([
-        [_kron(eye1p, d2_pm), _kron(d1_pm, eye2p)],
-        [_kron(d1_mp, eye2m), -_kron(eye1m, d2_mp)],
+    d_pm = _kron_grid([
+        [(eye1p, d2_pm), (d1_pm, eye2p)],
+        [(d1_mp, eye2m), (eye1m, _mod(-d2_mp, p))],
     ])
-    d_mp = np.block([
-        [_kron(eye1p, d2_mp), _kron(d1_pm, eye2m)],
-        [_kron(d1_mp, eye2p), -_kron(eye1m, d2_pm)],
+    d_mp = _kron_grid([
+        [(eye1p, d2_mp), (d1_pm, eye2m)],
+        [(d1_mp, eye2p), (eye1m, _mod(-d2_pm, p))],
     ])
     cx = InvolutiveComplex(
         field,
-        d_pm=MatGF(field, d_pm % p, _reduced=True),
-        d_mp=MatGF(field, d_mp % p, _reduced=True),
+        d_pm=MatGF(field, d_pm, _reduced=True),
+        d_mp=MatGF(field, d_mp, _reduced=True),
     )
     return ProductComplex(factor1=c1, factor2=c2, complex=cx)
 

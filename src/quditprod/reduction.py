@@ -187,13 +187,14 @@ def reduced_kerim_check(rc: ReducedComplex) -> list[str]:
         ("-+ block", c.d_mp, q.d_mp, phi_p, phi_m),
     )
     for label, d, d_q, phi_s, phi_t in blocks:
-        if phi_t @ d != d_q @ phi_s:
+        image = phi_t @ d
+        if image != d_q @ phi_s:
             problems.append(f"{label}: chain map fails, phi d != d' phi")
         preimage = _kernel_matrix(MatGF(c.field, d.data[:np1], _reduced=True))
         kernel = _kernel_matrix(d_q)
         if not _same_column_space(kernel, phi_s @ preimage, kernel.cols):
             problems.append(f"{label}: ker d' != phi(d^-1(V>))")
-        if not _same_column_space(d_q, phi_t @ d, rank(d_q)):
+        if not _same_column_space(d_q, image, rank(d_q)):
             problems.append(f"{label}: im d' != phi(im d)")
         if rc.good:
             base_rank = rank(d)

@@ -161,6 +161,28 @@ class TestCountRankMatrices:
         for r in range(min(rows, cols) + 1):
             assert hist.get(r, 0) == count_rank_matrices(rows, cols, r, field)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 65521])
+    def test_one_product_equals_the_column_space_form(self, d):
+        """The one-product count equals a column space (a Gaussian
+        binomial) times the surjections onto it, for every shape up to
+        6 x 6 and every rank, out-of-range ones included; and the
+        enumerated histogram wherever the enumeration and its subspace
+        table are allowed."""
+        field = FieldSpec(d)
+        for rows in range(7):
+            for cols in range(7):
+                top = min(rows, cols)
+                for r in range(-1, top + 2):
+                    want = gaussian_binomial(rows, r, d)
+                    for i in range(r):
+                        want *= d**cols - d**i
+                    assert count_rank_matrices(rows, cols, r, field) == want
+                if d ** (rows * cols) <= gf.ENUMERATION_LIMIT and gf._table_fits(d, top):
+                    hist = brute_count_rank_matrices(field, rows, cols)
+                    assert hist == {
+                        r: count_rank_matrices(rows, cols, r, field) for r in range(top + 1)
+                    }
+
 
 class TestCountRankExtensions:
     def test_goldens(self):

@@ -656,6 +656,48 @@ class TestExhaustiveUlw:
         assert not experiments._uniform_low_weight(m, Fraction(3, 2)).any()
         assert experiments._uniform_low_weight(np.zeros((1, 0, 3)), Fraction(0)).all()
 
+    @staticmethod
+    def _reference_low_weight(mats: np.ndarray, bound: Fraction) -> list[bool]:
+        """Per matrix, in Python ints: every row and column weight <= bound."""
+        out = []
+        for m in mats.tolist():
+            rows, cols = mats.shape[1:]
+            row_w = [sum(m[i][j] != 0 for j in range(cols)) for i in range(rows)]
+            col_w = [sum(m[i][j] != 0 for i in range(rows)) for j in range(cols)]
+            out.append(all(w <= bound for w in row_w + col_w))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 6)),
+        order=st.sampled_from([3, 5, 251]),
+        bound=st.fractions(-1, 7, max_denominator=3),
+        dtype=st.sampled_from([np.uint8, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_match_a_per_matrix_reference(self, shape, order, bound, dtype, seed):
+        """The batch-last weight test agrees with a per-matrix count on
+        every stack: none (N = 0), no rows or columns (n' = 0), square
+        and rectangular, sparse and dense."""
+        rng = np.random.default_rng(seed)
+        mats = rng.integers(0, order, shape) * (rng.random(shape) < rng.random())
+        mats = mats.astype(dtype)
+        got = experiments._uniform_low_weight(mats, bound)
+        assert got.dtype == bool and got.shape == (shape[0],)
+        assert got.tolist() == self._reference_low_weight(mats, bound)
+
+    @pytest.mark.parametrize("width", [255, 256, 300])
+    def test_weights_above_255_do_not_wrap(self, width):
+        """Weights are summed in a type that holds the width: a full row of
+        300 entries has weight 300, not 300 - 256 = 44."""
+        mats = np.zeros((3, 2, width), dtype=np.uint8)
+        mats[1, 0] = 1
+        mats[2, 1, : width // 2] = 2
+        for bound in (1, width // 2, width - 1, width):
+            want = self._reference_low_weight(mats, Fraction(bound))
+            assert experiments._uniform_low_weight(mats, Fraction(bound)).tolist() == want
+        assert experiments._uniform_low_weight(mats, Fraction(width - 1)).tolist() == [True, False, True]
+
     def test_full_rank_case(self):
         # 2x2 invertible with row/col weights <= 1: the 4 diagonal and
         # 4 antidiagonal invertibles out of 48.

@@ -1134,6 +1134,65 @@ def test_matmul_matches_int64(float_exact, order, shape, largest, seed) -> None:
         assert (vec == (a @ b[:, 0]) % order).all()
 
 
+# Values of _SMALL_CELLS that send every array to one side of the
+# factor-size rule of _matmul and _mod: -1 makes every array large,
+# empty ones included, and 2**62 every array small.
+_SIDES = {"large": -1, "small": 1 << 62}
+
+# Operand shapes around 150 cells: both small, both at the rule, one
+# on each side, both large, and empty.
+_MATMUL_SHAPES = [
+    ((3, 3), (3, 3)),
+    ((10, 15), (15, 10)),
+    ((12, 12), (12, 13)),
+    ((1, 151), (151, 1)),
+    ((151, 2), (2, 76)),
+    ((0, 5), (5, 7)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+@pytest.mark.parametrize("order", [3, 5, 17, 251, 65521])
+@pytest.mark.parametrize("shapes", _MATMUL_SHAPES, ids=str)
+def test_matmul_is_exact_on_both_sides_of_small_cells(dtype, order, shapes) -> None:
+    """_matmul of narrow residues, MatGF @ MatGF and MatGF @ a narrow
+    array all give the exact product mod p, as int64, on either side of
+    ``_SMALL_CELLS``: uint8 products wrap from p = 17 on unless they are
+    widened first."""
+    top = min(order, np.iinfo(dtype).max + 1)
+    rng = np.random.default_rng(order)
+    a, b = (rng.integers(0, top, shape).astype(dtype) for shape in shapes)
+    if a.size and b.size:  # the largest residues make the largest sums
+        a[0], b[:, 0] = top - 1, top - 1
+    want = (a.astype(object) @ b.astype(object)) % order
+    field = FieldSpec(order)
+    for small_cells in _SIDES.values():
+        with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+            got = _matmul(a, b, order)
+            of_matrices = MatGF(field, a) @ MatGF(field, b)
+            of_array = MatGF(field, a) @ b
+        assert got.dtype == of_array.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64))
+        assert np.array_equal(of_matrices.data, got) and np.array_equal(of_array, got)
+
+
+@pytest.mark.parametrize("dtype,order", [(np.int16, 3), (np.int16, 181), (np.int64, 3), (np.int64, 65521)])
+@pytest.mark.parametrize("shape", [(0,), (150,), (151,), (10, 15), (3, 51)], ids=str)
+def test_mod_is_exact_on_both_sides_of_small_cells(dtype, order, shape) -> None:
+    """_mod of negative and positive int16 and int64 arrays is a new
+    array of Python's residues, in the input dtype, on either side of
+    ``_SMALL_CELLS``."""
+    info = np.iinfo(dtype)
+    a = np.random.default_rng(order).integers(info.min, info.max, shape, endpoint=True).astype(dtype)
+    a.reshape(-1)[:3] = [info.min, -1, info.max][: a.size]
+    want = np.array([v % order for v in a.reshape(-1).tolist()], dtype=dtype).reshape(shape)
+    for small_cells in _SIDES.values():
+        with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+            got = gf._mod(a, order)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert not np.shares_memory(got, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     order=st.sampled_from(_ORDERS),

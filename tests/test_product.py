@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from quditprod import (
     trial_rng,
     validate,
 )
+from quditprod import gf
 from quditprod.gf import MatGF, inverse, random_invertible
 from quditprod.product import _kron
 from support import (
@@ -103,20 +106,26 @@ def _factor(data, field: FieldSpec) -> InvolutiveComplex:
         b = data.draw(st.integers(0 if a else 1, 3), label="dim C-")
         k = data.draw(st.integers(0, min(a, b)), label="rank d_pm")
         j = data.draw(st.integers(0, min(a, b) - k), label="rank d_mp")
-        # d_pm sends the first k C- coordinates to the first k of C+, d_mp
-        # the next j C+ coordinates to the next j of C-: both products vanish.
-        e_pm = np.zeros((a, b), dtype=np.int64)
-        e_mp = np.zeros((b, a), dtype=np.int64)
-        e_pm[range(k), range(k)] = 1
-        e_mp[range(k, k + j), range(k, k + j)] = 1
-        u_plus = random_invertible(field, a, rng)
-        u_minus = random_invertible(field, b, rng)
-        c = InvolutiveComplex(
-            field,
-            u_plus @ MatGF(field, e_pm) @ inverse(u_minus),
-            u_minus @ MatGF(field, e_mp) @ inverse(u_plus),
-        )
+        c = _two_sector_complex(field, a, b, k, j, rng)
     return flip_sectors(c) if data.draw(st.booleans(), label="flip") else c
+
+
+def _two_sector_complex(field: FieldSpec, a: int, b: int, k: int, j: int, rng) -> InvolutiveComplex:
+    """A complex with dim C+ = a and dim C- = b whose blocks have ranks k
+    and j, k + j <= min(a, b), conjugated by random invertibles."""
+    # d_pm sends the first k C- coordinates to the first k of C+, d_mp
+    # the next j C+ coordinates to the next j of C-: both products vanish.
+    e_pm = np.zeros((a, b), dtype=np.int64)
+    e_mp = np.zeros((b, a), dtype=np.int64)
+    e_pm[range(k), range(k)] = 1
+    e_mp[range(k, k + j), range(k, k + j)] = 1
+    u_plus = random_invertible(field, a, rng)
+    u_minus = random_invertible(field, b, rng)
+    return InvolutiveComplex(
+        field,
+        u_plus @ MatGF(field, e_pm) @ inverse(u_minus),
+        u_minus @ MatGF(field, e_mp) @ inverse(u_plus),
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,6 +155,48 @@ def test_product_refuses_a_factor_that_is_not_a_complex(position: int) -> None:
     with pytest.raises(ValueError) as info:
         product(*factors)
     assert str(info.value) == expected
+
+
+def _block_formula(c1: InvolutiveComplex, c2: InvolutiveComplex) -> tuple[np.ndarray, np.ndarray]:
+    """The module docstring's two boundary blocks, assembled by np.kron
+    and np.block and reduced mod p afterwards."""
+    p = c1.field.order
+    e1p, e1m, e2p, e2m = (
+        np.eye(k, dtype=np.int64) for k in (c1.dim_plus, c1.dim_minus, c2.dim_plus, c2.dim_minus)
+    )
+    (a_pm, a_mp), (b_pm, b_mp) = ((c.d_pm.data, c.d_mp.data) for c in (c1, c2))
+    d_pm = np.block([[np.kron(e1p, b_pm), np.kron(a_pm, e2p)], [np.kron(a_mp, e2m), -np.kron(e1m, b_mp)]])
+    d_mp = np.block([[np.kron(e1p, b_mp), np.kron(a_pm, e2m)], [np.kron(a_mp, e2p), -np.kron(e1m, b_pm)]])
+    return d_pm % p, d_mp % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from([3, 5, 7]), data=st.data())
+def test_product_blocks_match_kron_and_block(order: int, data) -> None:
+    """product's in-place blocks are the np.kron / np.block formula's
+    arrays, int64 and C-contiguous, for factors with unequal or empty
+    sectors and flipped ones, on either side of ``_SMALL_CELLS``."""
+    field = FieldSpec(order)
+    c1, c2 = (_factor(data, field) for _ in range(2))
+    want = _block_formula(c1, c2)
+    for small_cells in (-1, 1 << 62):
+        with mock.patch.object(gf, "_SMALL_CELLS", small_cells):
+            cx = product(c1, c2).complex
+        for got, ref in zip((cx.d_pm.data, cx.d_mp.data), want):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_product_blocks_match_kron_and_block_at_factor_size() -> None:
+    """Factors with dim C+ != dim C-, flipped and not, whose negated
+    blocks fall on both sides of ``_SMALL_CELLS`` (3 x 5 and 16 x 10)."""
+    rng = np.random.default_rng(41)
+    for a, b, k, j in ((3, 5, 1, 2), (16, 10, 4, 5)):
+        c = _two_sector_complex(FIELD5, a, b, k, j, rng)
+        for c1, c2 in ((c, flip_sectors(c)), (flip_sectors(c), c), (c, c)):
+            cx = product(c1, c2).complex
+            want = _block_formula(c1, c2)
+            assert np.array_equal(cx.d_pm.data, want[0]) and np.array_equal(cx.d_mp.data, want[1])
 
 
 def _sector_map(rng, field: FieldSpec, src: InvolutiveComplex, tgt: InvolutiveComplex):
