@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import InvolutiveComplex, is_good
+from .complexes import is_good
 from .gf import (
     FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, line_blocks,
 )

@@ -17,7 +17,8 @@ against each other as independent oracles:
   ``gf.ENUMERATION_LIMIT`` kernel vectors, p**(r + k) for r stabilizers
   and k logical qudits;
 - bounded (``_min_weight_logical_bounded``), weights 1..w_max by meet
-  in the middle, with no enumeration cap and flat memory: syndromes
+  in the middle, with no enumeration cap and flat memory in n and p:
+  both halves take their vectors from ``gf._weight_blocks``, syndromes
   come in blocks of ``_BLOCK_CELLS`` and tables in chunks of
   ``_TABLE_CELLS`` cells.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,7 +35,7 @@ import numpy as np
 from .complexes import InvolutiveComplex
 from .gf import (
     FieldSpec, MatGF, _check_enumeration, _line_weights, _matmul, _mod, _read_only, _row_reduce,
-    col_weights, kernel_basis, rank, row_weights, solve,
+    _weight_blocks, col_weights, kernel_basis, rank, row_weights, solve,
 )
 
 __all__ = [
@@ -180,19 +180,17 @@ def _keys(syn: np.ndarray, r: int) -> np.ndarray:
 
 
 def _syndromes(
-    cols: np.ndarray, h: int, values: np.ndarray, p: int, cells: int
+    cols: np.ndarray, h: int, p: int, cells: int, *, lead: bool
 ) -> Iterator[np.ndarray]:
-    """Syndromes of every weight-h vector whose values on its support are
-    a row of ``values``, in blocks of (vectors, checks) residues of at
-    most max(cells, one support) cells.  cols[i] is column i of the
-    checks, held in a dtype that holds a sum of h products of residues.
+    """Syndromes of every weight-h vector, with first value 1 when
+    ``lead`` is set, in the order and blocks of ``gf._weight_blocks``:
+    (vectors, checks) residues of at most max(cells, one vector) cells.
+    cols[i] is column i of the checks, held in a dtype that holds a sum
+    of h products of residues.
     """
     n, c = cols.shape
-    block = max(1, cells // (len(values) * c))
-    supports = itertools.combinations(range(n), h)
-    while batch := list(itertools.islice(supports, block)):
-        idx = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(batch) * h)
-        syn = np.einsum("vw,bwc->bvc", values, cols[idx.reshape(len(batch), h)])
+    for supports, values in _weight_blocks(n, p, h, max(1, cells // c), lead=lead):
+        syn = np.einsum("vw,bwc->bvc", values.astype(cols.dtype), cols[supports])
         yield _mod(syn, p).reshape(-1, c)
 
 
@@ -260,9 +258,10 @@ def _min_weight_logical_bounded(
     overlap its weight is below w, which the search has ruled out
     already; so the first w with a hit is the distance.
 
-    Both halves are built from columns of the checks, the stream in
-    blocks of ``_BLOCK_CELLS`` cells and the table in chunks of
-    ``_TABLE_CELLS``, each chunk met against the whole stream.
+    Both halves are built from columns of the checks over the vectors
+    of ``gf._weight_blocks``, the stream in blocks of ``_BLOCK_CELLS``
+    cells and the table in chunks of ``_TABLE_CELLS``, each chunk met
+    against the whole stream.
 
     Returns (d, lower): d is the exact distance when found, otherwise
     None with lower = w_max + 1.
@@ -274,13 +273,9 @@ def _min_weight_logical_bounded(
         # a syndrome block then moves a fraction of the int64 bytes.
         dtype = np.min_scalar_type(high * (p - 1) ** 2)
         cols = checks.T.astype(dtype)
-        every = np.array(list(itertools.product(range(1, p), repeat=low)), dtype=dtype)
-        led = np.array(
-            [(1, *rest) for rest in itertools.product(range(1, p), repeat=high - 1)], dtype=dtype
-        )
-        for chunk in _syndromes(cols, low, every, p, _TABLE_CELLS):
+        for chunk in _syndromes(cols, low, p, _TABLE_CELLS, lead=False):
             table = _group_table(chunk, r)
-            stream = _syndromes(cols, high, led, p, _BLOCK_CELLS)
+            stream = _syndromes(cols, high, p, _BLOCK_CELLS, lead=True)
             if any(_meets_logical(table, syn, r) for syn in stream):
                 return w, w
     return None, w_max + 1

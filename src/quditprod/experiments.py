@@ -21,7 +21,8 @@ fails them instead of silently moving estimates.
 The complex experiments read each trial's kernels off its conjugating
 matrices (``_kernel_bases``), with no boundary block and no inverse,
 and the kernel test searches them without walking a span
-(``_light_kernel_hits``).  Draws are held in the smallest unsigned type
+(``_light_kernel_hits``), over the fixed-weight coefficient vectors of
+``gf._weight_blocks``.  Draws are held in the smallest unsigned type
 holding D - 1; a product of them is widened first
 (``mc_uniform_low_weight``) or summed in a type that holds its bound
 (``_light_kernel_hits``).  Caps: at most 2**32 trials per run
@@ -50,6 +51,7 @@ from .gf import (
     _gauss_jordan_batch,
     _mod,
     _table_rank,
+    _weight_blocks,
     line_blocks,
     rank_batch,
     random_invertible,
@@ -391,30 +393,6 @@ def _kernel_bases(
         yield np.concatenate([u_plus, u_minus])[:, :, :t].transpose(0, 2, 1)
 
 
-def _coefficient_blocks(
-    t: int, p: int, j: int, rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every coefficient vector c in GF(p)^t of weight j whose leading
-    nonzero entry is 1, C(t, j) (p - 1)**(j - 1) in all, as pairs
-    (supports, values) of at most ``rows`` (>= 1) vectors: a (b, j)
-    intp array of supports in ``itertools.combinations`` order and a
-    (v, j) int64 array of the values on them, each a 1 and then a tail
-    of j - 1 nonzero residues, standing for the b v vectors that put
-    each row of values on each support.  A pair holds
-    rows // (p - 1)**(j - 1) whole supports, or a run of one support's
-    tails when it holds fewer than one."""
-    ntails = (p - 1) ** (j - 1)
-    powers = (p - 1) ** np.arange(j - 1, dtype=np.int64)
-    supports = itertools.combinations(range(t), j)
-    while batch := list(itertools.islice(supports, max(1, rows // ntails))):
-        idx = np.array(batch, dtype=np.intp)
-        for lo in range(0, ntails, rows):
-            tails = np.arange(lo, min(lo + rows, ntails), dtype=np.int64)
-            values = np.ones((len(tails), j), dtype=np.int64)
-            values[:, 1:] += tails[:, None] // powers % (p - 1)
-            yield idx, values
-
-
 def _check_light_search(t: int, p: int, w_max: int) -> None:
     """Refuse a light-vector search over t-row bases whose coefficient
     vectors of weight <= w_max number more than ``gf.ENUMERATION_LIMIT``."""
@@ -436,7 +414,8 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     column and wt(c @ R) >= wt(c) over the nonzero rows.  A vector of
     weight <= w_max is therefore c @ R for a c of weight <= w_max, and a
     nonzero multiple of it for a c with leading entry 1: the candidates
-    of :func:`_coefficient_blocks` for weights j = 1 .. min(w_max, t).
+    ``gf._weight_blocks`` yields with ``lead`` for weights
+    j = 1 .. min(w_max, t).
     A zero c @ R, which only dependent rows give, is no hit.
 
     Each block of at most ``_LIGHT_CELLS`` // (n N) candidates (at least
@@ -461,7 +440,7 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     live = np.arange(nmat)
     rows = max(1, _LIGHT_CELLS // max(1, n * nmat))
     for j in range(1, w + 1):
-        for supports, values in _coefficient_blocks(t, p, j, rows):
+        for supports, values in _weight_blocks(t, p, j, rows, lead=True):
             vecs = _mod(np.einsum("vj,bjkl->bvkl", values.astype(dtype), gens[supports]), p)
             weights = np.count_nonzero(vecs, axis=2)
             found = ((weights > 0) & (weights <= w_max)).any(axis=(0, 1))

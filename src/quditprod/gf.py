@@ -3,9 +3,10 @@
 Provides ``FieldSpec``, ``MatGF`` (a read-only matrix that keeps its
 echelon forms and shares them with its transposes), rank, kernel,
 solve, inverse, uniform invertible sampling, the text format, batched
-ranks (``rank_batch``) and the one enumeration of a span
-(``line_blocks``).  Every result is exact: ranks, kernels, solves and
-products are the same integers as in exact arithmetic mod D.
+ranks (``rank_batch``), the one enumeration of a span
+(``line_blocks``) and the one enumeration of the vectors of a fixed
+weight (``_weight_blocks``).  Every result is exact: ranks, kernels,
+solves and products are the same integers as in exact arithmetic mod D.
 
 Exactness bounds, each argued where it is used:
 
@@ -48,6 +49,7 @@ and any token ``int()`` reads.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -391,16 +393,6 @@ def row_weights(m: MatGF) -> np.ndarray:
 
 def col_weights(m: MatGF) -> np.ndarray:
     return np.count_nonzero(m.data, axis=0)
-
-
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """The int64 block-diagonal matrix of 2-d arrays, zero off the blocks."""
-    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=np.int64)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
 
 
 def matrix_to_text(m: MatGF) -> str:
@@ -897,6 +889,36 @@ def _line_weights(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndar
             yield weights(_pack(top, bits)[:, :, None] ^ table[:, None, :])
 
     return blocks()
+
+
+def _weight_blocks(
+    n: int, p: int, j: int, rows: int, *, lead: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every vector of GF(p)^n of weight exactly j (for j = 0 the zero
+    vector), in pairs (supports, values) of at most ``rows`` (>= 1)
+    vectors: a (b, j) intp array of supports in ``itertools.combinations``
+    order and a (v, j) array, of the smallest unsigned dtype holding
+    p - 1, of nonzero values in ``itertools.product`` order, standing for
+    the b v vectors that put each row of values on each support,
+    support-major.  With ``lead`` the first value is 1: one vector of
+    each line, C(n, j) (p - 1)**(j - 1) in all.  A pair holds rows // m
+    whole supports of m value rows each, or a run of at most ``rows`` of
+    one support's rows when m > rows, decoded from their indices one
+    digit base p - 1 at a time; so no array outgrows ``rows`` rows,
+    whatever p."""
+    free = max(j - lead, 0)
+    count = (p - 1) ** free
+    small = np.min_scalar_type(p - 1)
+    supports = itertools.combinations(range(n), j)
+    while batch := list(itertools.islice(supports, max(1, rows // count))):
+        idx = np.array(batch, dtype=np.intp).reshape(len(batch), j)
+        for lo in range(0, count, rows):
+            rest = np.arange(lo, min(lo + rows, count), dtype=np.min_scalar_type(count - 1))
+            values = np.ones((len(rest), j), dtype=small)
+            for i in range(j - 1, j - free - 1, -1):
+                rest, digit = np.divmod(rest, p - 1)
+                values[:, i] += digit.astype(small)
+            yield idx, values
 
 
 # Largest subspace-transition table built, in cells (states x codes).

@@ -32,7 +32,7 @@ from quditprod import (
     standard_boundary,
     trial_rng,
 )
-from quditprod.gf import MatGF, _block_diag, inverse, kernel_basis, rank
+from quditprod.gf import MatGF, inverse, kernel_basis, rank
 
 FIELD3 = FieldSpec(3)
 FIELD5 = FieldSpec(5)
@@ -414,7 +414,9 @@ def full_boundary(c: InvolutiveComplex) -> MatGF:
 def sector_map(pair: tuple[MatGF, MatGF]) -> MatGF:
     """The full block-diagonal matrix of a (plus, minus) chain map pair."""
     fp, fm = pair
-    return MatGF(fp.field, _block_diag(fp.data, fm.data))
+    zero_pm = np.zeros((fp.rows, fm.cols), dtype=np.int64)
+    zero_mp = np.zeros((fm.rows, fp.cols), dtype=np.int64)
+    return MatGF(fp.field, np.block([[fp.data, zero_pm], [zero_mp, fm.data]]))
 
 
 def reference_product_boundary(c1: InvolutiveComplex, c2: InvolutiveComplex) -> np.ndarray:

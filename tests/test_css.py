@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,11 +427,12 @@ def test_bounded_search_matches_reference_and_exhaustive(code) -> None:
 
 def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
     """Bounded reports for w_max = 1..w_max equal the reference search,
-    and equal themselves with ``_TABLE_CELLS`` and ``_BLOCK_CELLS`` at 1,
-    so that every table chunk and stream block holds one support.  A
-    side whose first logical weight is not 1 streams every weight-1
-    support at w = 1 and tabulates them at w = 2, so the search then
-    meets more than one chunk and more than one block."""
+    and equal themselves when every table chunk and stream block holds
+    one support: ``_syndromes`` gets a budget of one support's vectors,
+    c (p - 1)**(h - lead) cells for c checks.  A side whose first
+    logical weight is not 1 streams every weight-1 support at w = 1 and
+    tabulates them at w = 2, so the search then meets more than one
+    chunk and more than one block."""
     sides = ((code.x_gens, code.z_gens), (code.z_gens.T, code.x_gens.T))
     first = [bounded_logical_weight(k_of, i_of, w_max) for k_of, i_of in sides]
     whole = [min_distance(code, mode="bounded", w_max=w) for w in range(1, w_max + 1)]
@@ -439,14 +441,13 @@ def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
     chunks, blocks = [], []
     syndromes, group_table, meets = css._syndromes, css._group_table, css._meets_logical
 
-    def one_support(cols, h, values, p, cells):
-        for syn in syndromes(cols, h, values, p, cells):
-            assert len(syn) == len(values)
+    def one_support(cols, h, p, cells, *, lead):
+        vectors = (p - 1) ** (h - lead)
+        for syn in syndromes(cols, h, p, cols.shape[1] * vectors, lead=lead):
+            assert len(syn) == vectors
             yield syn
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(css, "_TABLE_CELLS", 1)
-        mp.setattr(css, "_BLOCK_CELLS", 1)
         mp.setattr(css, "_syndromes", one_support)
         mp.setattr(css, "_group_table", lambda syn, r: chunks.append(1) or group_table(syn, r))
         mp.setattr(css, "_meets_logical", lambda t, syn, r: blocks.append(1) or meets(t, syn, r))
@@ -482,6 +483,26 @@ def test_bounded_search_matches_reference_on_multi_byte_syndromes(shapes, seed) 
     c = product(*factors).complex
     for code in (extract_css(c), extract_css(flip_sectors(c))):
         _assert_bounded_search_agrees(code, 3)
+
+
+def test_bounded_search_table_chunk_stays_within_its_budget_at_gf131() -> None:
+    """At GF(131) and w_max = 6 the larger half has weight 3: one support
+    holds 130^3 = 2.2M vectors, more than a table chunk.  The first chunk
+    is the first ``_TABLE_CELLS`` // c vectors on support {0, 1, 2}, in
+    value order, with a traced peak under four times its own bytes; a
+    table of every support's values built up front peaked at 232 MiB."""
+    p, c = 131, 8
+    cols = np.random.default_rng(131).integers(0, p, (20, c)).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        chunk = next(css._syndromes(cols, 3, p, css._TABLE_CELLS, lead=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk.shape == (css._TABLE_CELLS // c, c)
+    assert peak < 4 * chunk.nbytes
+    values = np.array(list(itertools.islice(itertools.product(range(1, p), repeat=3), len(chunk))))
+    assert np.array_equal(chunk, values @ cols[:3].astype(np.int64) % p)
 
 
 def test_a_mixed_table_group_meets_each_of_its_dual_syndromes() -> None:

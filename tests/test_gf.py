@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +27,7 @@ from quditprod.gf import (
     _row_reduce,
     _subspace_table,
     _table_rank,
+    _weight_blocks,
     col_weights,
     inverse,
     kernel_basis,
@@ -528,6 +530,55 @@ def test_line_blocks_memory_peak_without_a_low_table(order: int, t: int) -> None
     finally:
         tracemalloc.stop()
     assert peak <= 4 * largest
+
+
+@pytest.mark.parametrize("order, n", [(3, 3), (5, 3), (17, 3), (65521, 1)])
+def test_weight_blocks_yield_every_weight_j_vector_once_in_order(order: int, n: int) -> None:
+    """Against a filter of all of GF(p)^n: for j = 0, 1, n and n + 1,
+    with and without ``lead``, and blocks of 1, p - 2, p - 1 and 2^16
+    vectors, the vectors of weight j (with first nonzero value 1 under
+    ``lead``) come once each, ordered by support and then by values,
+    in blocks of 1..rows vectors and values of the smallest unsigned
+    dtype holding p - 1."""
+    keyed = []
+    for v in itertools.product(range(order), repeat=n):
+        support = tuple(i for i, x in enumerate(v) if x)
+        keyed.append(((support, tuple(v[i] for i in support)), v))
+    keyed.sort()
+    for j in sorted({0, 1, n, n + 1}):
+        for lead in (False, True):
+            want = [
+                v for (support, vals), v in keyed
+                if len(support) == j and (not lead or vals[:1] in ((), (1,)))
+            ]
+            for rows in (1, order - 2, order - 1, 1 << 16):
+                got = []
+                for supports, values in _weight_blocks(n, order, j, rows, lead=lead):
+                    assert supports.dtype == np.intp and supports.shape[1:] == (j,)
+                    assert values.dtype == np.min_scalar_type(order - 1) and values.shape[1:] == (j,)
+                    assert 1 <= len(supports) * len(values) <= rows
+                    for support in supports.tolist():
+                        for vals in values.tolist():
+                            v = [0] * n
+                            for i, x in zip(support, vals):
+                                v[i] = x
+                            got.append(tuple(v))
+                assert got == want, (j, lead, rows)
+
+
+def test_weight_blocks_build_no_table_of_values() -> None:
+    """The first block of the weight-2 vectors of GF(65521)^30, of 2^16
+    vectors, is yielded within 2 MiB traced: no table of the
+    65520^2 = 4.3e9 value pairs of one support is built."""
+    tracemalloc.start()
+    try:
+        supports, values = next(_weight_blocks(30, 65521, 2, 1 << 16, lead=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert supports.tolist() == [[0, 1]] and values.shape == (1 << 16, 2)
+    assert values[-1].tolist() == [2, 16]
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("order, width, states", [(3, 4, 212), (5, 3, 64), (7, 2, 10), (3, 0, 1)])

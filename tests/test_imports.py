@@ -1,7 +1,9 @@
 """numpy stays the only runtime dependency: every module of the package
 imports only from the standard library, numpy and the package itself.
 And importing the package loads no more of numpy than importing numpy
-does."""
+does.  The package carries no dead code of two kinds: a module-level
+import no module reads, and a private top-level function, class or
+constant that nothing in the package refers to."""
 
 from __future__ import annotations
 
@@ -41,6 +43,90 @@ def test_sources_import_only_the_standard_library_and_numpy() -> None:
 def test_the_guard_refuses_a_third_party_import() -> None:
     tree = ast.parse("import numpy.linalg\nfrom scipy import stats\nfrom . import gf\nimport os")
     assert _foreign_imports(tree) == ["scipy"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names the module-level imports of the tree bind, ``from
+    __future__`` aside, that no name of the tree reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each private top-level function, class or
+    constant of the trees that no node of any tree names outside the
+    definition itself: as a name read, an attribute or an import."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, name, node) for name in names if name[:1] == "_" != name[1:2]]
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.alias):
+                refs.setdefault(node.name, []).append(node)
+    unreferenced = []
+    for module, name, node in defined:
+        inside = {id(sub) for sub in ast.walk(node)}
+        if all(id(ref) in inside for ref in refs.get(name, [])):
+            unreferenced.append(f"{module}.{name}")
+    return unreferenced
+
+
+def test_sources_carry_no_unused_import_or_private_name() -> None:
+    """Every module-level import is read, ``__init__``'s re-exports
+    aside, and every private top-level name is referred to somewhere
+    in the package.  Tests and benchmarks do not count as users."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in SOURCES
+    }
+    for module, tree in trees.items():
+        if module != "__init__":
+            assert _unused_imports(tree) == [], module
+    assert _unreferenced_privates(trees) == []
+
+
+def test_the_dead_code_guard_finds_an_unused_import_and_private_name() -> None:
+    """A sketch module: the unread import and the private function only
+    it calls itself are found; ``__future__``, a read import, a private
+    read elsewhere, an aliased import and a public name are not."""
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import numpy as np\n"
+        "from .gf import _mod as reduce\n"
+        "_LIMIT = 3\n"
+        "def _recurse(k):\n"
+        "    return _recurse(k - 1) if k else np.zeros(_LIMIT)\n"
+        "def _helper(a):\n"
+        "    return reduce(a, 3)\n"
+        "def public():\n"
+        "    return _helper(1)\n"
+    )
+    assert _unused_imports(tree) == ["itertools"]
+    assert _unreferenced_privates({"sketch": tree}) == ["sketch._recurse"]
 
 
 def test_import_leaves_numpy_random_unloaded() -> None:

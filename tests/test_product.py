@@ -24,7 +24,6 @@ from quditprod import (
 )
 from quditprod import gf
 from quditprod.gf import MatGF, inverse, random_invertible
-from quditprod.product import _kron
 from support import (
     FIELD3,
     FIELD5,
@@ -33,22 +32,6 @@ from support import (
     reference_product_boundary,
     reference_product_chain_map,
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    shapes=st.tuples(*[st.integers(0, 5)] * 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_kron_matches_numpy_kron(shapes, seed) -> None:
-    """The broadcast Kronecker product is np.kron's int64 array, empty
-    factors included."""
-    m, n, k, l = shapes
-    rng = np.random.default_rng(seed)
-    a, b = rng.integers(-8, 9, (m, n)), rng.integers(-8, 9, (k, l))
-    got, want = _kron(a, b), np.kron(a, b)
-    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
-    assert np.array_equal(got, want)
 
 
 def _standard_product():
