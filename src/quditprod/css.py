@@ -189,8 +189,9 @@ def _syndromes(
     of h products of residues.
     """
     n, c = cols.shape
-    for supports, values in _weight_blocks(n, p, h, max(1, cells // c), lead=lead):
-        syn = np.einsum("vw,bwc->bvc", values.astype(cols.dtype), cols[supports])
+    rows = max(1, cells // c)
+    for supports, values in _weight_blocks(n, p, h, rows, lead=lead, dtype=cols.dtype):
+        syn = np.einsum("vw,bwc->bvc", values, cols[supports])
         yield _mod(syn, p).reshape(-1, c)
 
 

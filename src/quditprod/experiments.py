@@ -440,8 +440,8 @@ def _light_kernel_hits(bases: np.ndarray, p: int, w_max: int) -> np.ndarray:
     live = np.arange(nmat)
     rows = max(1, _LIGHT_CELLS // max(1, n * nmat))
     for j in range(1, w + 1):
-        for supports, values in _weight_blocks(t, p, j, rows, lead=True):
-            vecs = _mod(np.einsum("vj,bjkl->bvkl", values.astype(dtype), gens[supports]), p)
+        for supports, values in _weight_blocks(t, p, j, rows, lead=True, dtype=dtype):
+            vecs = _mod(np.einsum("vj,bjkl->bvkl", values, gens[supports]), p)
             weights = np.count_nonzero(vecs, axis=2)
             found = ((weights > 0) & (weights <= w_max)).any(axis=(0, 1))
             if found.any():

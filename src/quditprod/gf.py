@@ -892,14 +892,14 @@ def _line_weights(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndar
 
 
 def _weight_blocks(
-    n: int, p: int, j: int, rows: int, *, lead: bool
+    n: int, p: int, j: int, rows: int, *, lead: bool, dtype: type
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every vector of GF(p)^n of weight exactly j (for j = 0 the zero
     vector), in pairs (supports, values) of at most ``rows`` (>= 1)
     vectors: a (b, j) intp array of supports in ``itertools.combinations``
-    order and a (v, j) array, of the smallest unsigned dtype holding
-    p - 1, of nonzero values in ``itertools.product`` order, standing for
-    the b v vectors that put each row of values on each support,
+    order and a (v, j) array, of the caller's ``dtype`` (which holds
+    p - 1), of nonzero values in ``itertools.product`` order, standing
+    for the b v vectors that put each row of values on each support,
     support-major.  With ``lead`` the first value is 1: one vector of
     each line, C(n, j) (p - 1)**(j - 1) in all.  A pair holds rows // m
     whole supports of m value rows each, or a run of at most ``rows`` of
@@ -908,16 +908,15 @@ def _weight_blocks(
     whatever p."""
     free = max(j - lead, 0)
     count = (p - 1) ** free
-    small = np.min_scalar_type(p - 1)
     supports = itertools.combinations(range(n), j)
     while batch := list(itertools.islice(supports, max(1, rows // count))):
         idx = np.array(batch, dtype=np.intp).reshape(len(batch), j)
         for lo in range(0, count, rows):
-            rest = np.arange(lo, min(lo + rows, count), dtype=np.min_scalar_type(count - 1))
-            values = np.ones((len(rest), j), dtype=small)
+            rest = np.arange(lo, min(lo + rows, count), dtype=np.intp)
+            values = np.ones((len(rest), j), dtype=dtype)
             for i in range(j - 1, j - free - 1, -1):
-                rest, digit = np.divmod(rest, p - 1)
-                values[:, i] += digit.astype(small)
+                values[:, i] += (rest % (p - 1)).astype(dtype)
+                rest //= p - 1
             yield idx, values
 
 

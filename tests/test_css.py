@@ -442,6 +442,7 @@ def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
     syndromes, group_table, meets = css._syndromes, css._group_table, css._meets_logical
 
     def one_support(cols, h, p, cells, *, lead):
+        assert cells in (css._TABLE_CELLS, css._BLOCK_CELLS)
         vectors = (p - 1) ** (h - lead)
         for syn in syndromes(cols, h, p, cols.shape[1] * vectors, lead=lead):
             assert len(syn) == vectors
@@ -483,6 +484,25 @@ def test_bounded_search_matches_reference_on_multi_byte_syndromes(shapes, seed) 
     c = product(*factors).complex
     for code in (extract_css(c), extract_css(flip_sectors(c))):
         _assert_bounded_search_agrees(code, 3)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_bounded_search_matches_reference_at_gf257(flip) -> None:
+    """Over GF(257), p - 1 = 256 is one past a byte.  The product of
+    the (1, 1, 0) and (3, 1, 1) factors has distance 2 on both sides, so
+    at w = 2 the table holds every value 1..256 of each position.
+    w_max = 1..2 against the reference search, in one chunk and block
+    and in one support per chunk and block."""
+    field = FieldSpec(257)
+    factors = [
+        random_boundary(ComplexShape(*shape), field, trial_rng(0, i))[0]
+        for i, shape in enumerate([(1, 1, 0), (3, 1, 1)])
+    ]
+    c = product(*factors).complex
+    code = extract_css(flip_sectors(c) if flip else c)
+    rep = min_distance(code, mode="bounded", w_max=2)
+    assert (rep.d_z, rep.d_x) == (2, 2)
+    _assert_bounded_search_agrees(code, 2)
 
 
 def test_bounded_search_table_chunk_stays_within_its_budget_at_gf131() -> None:

@@ -339,6 +339,9 @@ def light_kernel_cases(draw):
 # r_0 - r_1 = (1, 2, 0, 0, 0, 0) is the one vector of weight <= 2: found
 # only by the candidate whose tail is the last nonzero value.
 @example(case=(3, np.array([[[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 2, 0, 1]]]), 2))
+# Over GF(257) r_0 - r_1 = (1, 256, 0, 0) is the one vector of weight
+# <= 2: found at j = 2 by the last value, 256, one past a byte.
+@example(case=(257, np.array([[[1, 0, 5, 7], [0, 1, 5, 7]]]), 2))
 def test_light_kernel_hits_match_a_per_basis_oracle(cells, case) -> None:
     """The batched light-vector test gives each basis the answer of the
     scalar reference, with blocks of one candidate, of 999 // (n N)

@@ -532,14 +532,14 @@ def test_line_blocks_memory_peak_without_a_low_table(order: int, t: int) -> None
     assert peak <= 4 * largest
 
 
-@pytest.mark.parametrize("order, n", [(3, 3), (5, 3), (17, 3), (65521, 1)])
+@pytest.mark.parametrize("order, n", [(3, 3), (5, 3), (17, 3), (257, 2), (65521, 1)])
 def test_weight_blocks_yield_every_weight_j_vector_once_in_order(order: int, n: int) -> None:
     """Against a filter of all of GF(p)^n: for j = 0, 1, n and n + 1,
     with and without ``lead``, and blocks of 1, p - 2, p - 1 and 2^16
     vectors, the vectors of weight j (with first nonzero value 1 under
     ``lead``) come once each, ordered by support and then by values,
-    in blocks of 1..rows vectors and values of the smallest unsigned
-    dtype holding p - 1."""
+    in blocks of 1..rows vectors, values of the dtype asked for.  At
+    GF(257), p - 1 = 256 is one past a byte."""
     keyed = []
     for v in itertools.product(range(order), repeat=n):
         support = tuple(i for i, x in enumerate(v) if x)
@@ -553,9 +553,10 @@ def test_weight_blocks_yield_every_weight_j_vector_once_in_order(order: int, n: 
             ]
             for rows in (1, order - 2, order - 1, 1 << 16):
                 got = []
-                for supports, values in _weight_blocks(n, order, j, rows, lead=lead):
+                blocks = _weight_blocks(n, order, j, rows, lead=lead, dtype=np.uint16)
+                for supports, values in blocks:
                     assert supports.dtype == np.intp and supports.shape[1:] == (j,)
-                    assert values.dtype == np.min_scalar_type(order - 1) and values.shape[1:] == (j,)
+                    assert values.dtype == np.uint16 and values.shape[1:] == (j,)
                     assert 1 <= len(supports) * len(values) <= rows
                     for support in supports.tolist():
                         for vals in values.tolist():
@@ -572,7 +573,7 @@ def test_weight_blocks_build_no_table_of_values() -> None:
     65520^2 = 4.3e9 value pairs of one support is built."""
     tracemalloc.start()
     try:
-        supports, values = next(_weight_blocks(30, 65521, 2, 1 << 16, lead=False))
+        supports, values = next(_weight_blocks(30, 65521, 2, 1 << 16, lead=False, dtype=np.uint32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
