@@ -50,7 +50,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"q-binomial ({n} choose {k})_{q} is not an integer")
     return num // den
 
 

@@ -187,9 +187,13 @@ def _syndromes(
     (vectors, checks) residues of at most max(cells, one vector) cells.
     cols[i] is column i of the checks, held in a dtype that holds a sum
     of h products of residues.
+
+    A vector counts as at least 8 cells, however few checks there are:
+    beside its syndrome, a block holds each vector's run of value
+    indices and a decode temporary, whatever c is.
     """
     n, c = cols.shape
-    rows = max(1, cells // c)
+    rows = max(1, cells // max(c, 8))
     for supports, values in _weight_blocks(n, p, h, rows, lead=lead, dtype=cols.dtype):
         syn = np.einsum("vw,bwc->bvc", values, cols[supports])
         yield _mod(syn, p).reshape(-1, c)

@@ -9,8 +9,10 @@ most of these events live.
 
 The harnesses build no per-trial Generator.  Trials run in chunks of
 ``_CHUNK``, whose streams are reproduced in numpy arrays: seeded by
-``_pcg64_states``, decoded by ``_bounded_values`` and
-``_stream_values``, and cut into invertible pairs by
+``_pcg64_states``, which hashes a chunk's spawn words in a fixed number
+of array operations, drawn by ``_stream_values`` through one reused
+``_seed_words`` holder, decoded by ``_bounded_values`` (reordered only
+when a draw rejected a word), and cut into invertible pairs by
 ``_invertible_pairs``.  So each trial sees exactly the matrices that
 the single-draw samplers (``random_boundary``, ``sample_uniform_rank``)
 draw from its generator, and every estimate equals that of a
@@ -208,6 +210,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = (1 << 32) - 1
+# generate_state's hash constants for its eight output words, before
+# and after each step, as (8, 1) uint32 columns.
+_OUT_XOR = np.array(
+    [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(8)], dtype=np.uint32
+)[:, None]
+_OUT_MULT = _OUT_XOR * _MULT_B
 
 
 def _pcg64_states(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -222,40 +230,47 @@ def _pcg64_states(master_seed: int, start: int, stop: int) -> np.ndarray:
     spawn word is the same for each trial, and mixing them leaves the
     pool of SeedSequence(master_seed), which numpy exposes as ``pool``,
     after 4 max(4, w) steps of the hash constant.  Only the spawn word
-    and what follows run per trial, for every trial at once in uint32
-    arrays: the spawn word is hashed and mixed into each pool word, and
-    ``generate_state`` hashes the pool into eight words, which pair into
-    four uint64, low word first, as numpy pairs them.
+    and what follows run per trial, for every trial at once in a fixed
+    number of uint32 array operations: the spawn word is hashed and
+    mixed into the four pool words as one (4, N) array, against hash
+    constants stepped as Python ints, and ``generate_state`` hashes the
+    pool into eight words as one (8, N) array, against the constants of
+    ``_OUT_XOR`` and ``_OUT_MULT``.  The words pair into four uint64,
+    low word first, as numpy pairs them.
     """
     master_seed = operator.index(master_seed)
     pool = np.random.SeedSequence(master_seed).pool.tolist()
     run_words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
-    hash_const = _INIT_A * pow(_MULT_A, 4 * run_words, 1 << 32) & _MASK32
+    first = _INIT_A * pow(_MULT_A, 4 * run_words, 1 << 32) & _MASK32
+    consts = np.array(
+        [first * pow(_MULT_A, k, 1 << 32) & _MASK32 for k in range(_POOL_SIZE)], dtype=np.uint32
+    )[:, None]
     spawn = np.arange(start, stop).astype(np.uint32)
-    for dst in range(_POOL_SIZE):
-        hashed = spawn ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        hashed *= hash_const
-        hashed ^= hashed >> 16
-        mixed = (_MIX_MULT_L * pool[dst] & _MASK32) - _MIX_MULT_R * hashed
-        pool[dst] = mixed ^ (mixed >> 16)
-    hash_const = _INIT_B
-    words = np.empty((len(spawn), 8), dtype="<u4")
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= hash_const
-        words[:, k] = value ^ (value >> 16)
-    return words.view("<u8").astype(np.uint64, copy=False)
+    hashed = spawn ^ consts
+    hashed *= consts * _MULT_A
+    hashed ^= hashed >> 16
+    scaled = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)[:, None]
+    mixed = scaled - _MIX_MULT_R * hashed
+    mixed ^= mixed >> 16
+    # Output word k hashes pool word k mod 4.
+    words = np.concatenate([mixed, mixed])
+    words ^= _OUT_XOR
+    words *= _OUT_MULT
+    words ^= words >> 16
+    return np.ascontiguousarray(words.T).view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache
 def _seed_words() -> type:
     """An ``ISeedSequence`` that hands PCG64 the words it holds, defined
-    on first use: importing the package leaves numpy.random unloaded."""
+    on first use: importing the package leaves numpy.random unloaded.
+    Its one slot is reassigned per stream, so :func:`_stream_values`
+    seeds every stream of a draw through one instance."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
         def __init__(self, words):
             self.words = words
 
@@ -295,26 +310,30 @@ def _stream_values(seeds: np.ndarray, p: int, count: int) -> np.ndarray:
     from the 32-bit halves of the streams' outputs.
 
     A stream is what ``Generator.integers(0, p)`` draws from a PCG64
-    seeded by a row of ``seeds`` (:func:`_seed_words`), however the
-    draws are split into calls: the kept values of
-    :func:`_bounded_values` on its outputs, in order.  Each stream's
-    outputs come from one ``random_raw`` call;
-    when a row keeps fewer than ``count`` values, every stream is drawn
-    again with more outputs.
+    seeded by a row of ``seeds``: the kept values of
+    :func:`_bounded_values` on its outputs, in order, however the
+    draws are split into calls.  Each stream's outputs come from one
+    ``random_raw`` call of a PCG64 seeded through one reused
+    :func:`_seed_words` holder.  A draw that keeps every word is
+    returned as it is; when a row keeps fewer than ``count`` values,
+    every stream is drawn again with more outputs.
     """
     words = -(-count // 2)
+    holder, pcg64 = _seed_words()(None), np.random.PCG64
     while True:
         raw = np.empty((len(seeds), words), dtype=np.uint64)
-        for row, state in zip(raw, seeds):
-            row[:] = np.random.PCG64(_seed_words()(state)).random_raw(words)
+        for i, state in enumerate(seeds):
+            holder.words = state
+            raw[i] = pcg64(holder).random_raw(words)
         values, kept = _bounded_values(raw, p)
+        if kept.all():
+            return values[:, :count]
         short = count - int(kept.sum(axis=1).min())
         if short <= 0:
             break
         words += -(-short // 2)
-    if not kept.all():
-        # Kept values first, each row in stream order.
-        values = np.take_along_axis(values, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    # Kept values first, each row in stream order.
+    values = np.take_along_axis(values, np.argsort(~kept, axis=1, kind="stable"), axis=1)
     return values[:, :count]
 
 

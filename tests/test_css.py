@@ -429,7 +429,8 @@ def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
     """Bounded reports for w_max = 1..w_max equal the reference search,
     and equal themselves when every table chunk and stream block holds
     one support: ``_syndromes`` gets a budget of one support's vectors,
-    c (p - 1)**(h - lead) cells for c checks.  A side whose first
+    max(c, 8) (p - 1)**(h - lead) cells for c checks, since a vector
+    counts as at least 8 cells.  A side whose first
     logical weight is not 1 streams every weight-1 support at w = 1 and
     tabulates them at w = 2, so the search then meets more than one
     chunk and more than one block."""
@@ -444,7 +445,7 @@ def _assert_bounded_search_agrees(code: CssCode, w_max: int) -> None:
     def one_support(cols, h, p, cells, *, lead):
         assert cells in (css._TABLE_CELLS, css._BLOCK_CELLS)
         vectors = (p - 1) ** (h - lead)
-        for syn in syndromes(cols, h, p, cols.shape[1] * vectors, lead=lead):
+        for syn in syndromes(cols, h, p, max(cols.shape[1], 8) * vectors, lead=lead):
             assert len(syn) == vectors
             yield syn
 
@@ -505,13 +506,17 @@ def test_bounded_search_matches_reference_at_gf257(flip) -> None:
     _assert_bounded_search_agrees(code, 2)
 
 
-def test_bounded_search_table_chunk_stays_within_its_budget_at_gf131() -> None:
+@pytest.mark.parametrize("c", [1, 2, 4, 8])
+def test_bounded_search_table_chunk_stays_within_its_budget_at_gf131(c) -> None:
     """At GF(131) and w_max = 6 the larger half has weight 3: one support
     holds 130^3 = 2.2M vectors, more than a table chunk.  The first chunk
-    is the first ``_TABLE_CELLS`` // c vectors on support {0, 1, 2}, in
-    value order, with a traced peak under four times its own bytes; a
-    table of every support's values built up front peaked at 232 MiB."""
-    p, c = 131, 8
+    is the first ``_TABLE_CELLS`` // max(c, 8) vectors on support
+    {0, 1, 2}, in value order, with a traced peak under four times the
+    bytes of a full chunk of uint16 syndromes, whatever the check count
+    c: each vector's index run and decode temporary count as 8 cells.
+    With a budget of ``_TABLE_CELLS`` // c vectors, c = 1 traced 48 MiB;
+    a table of every support's values built up front peaked at 232 MiB."""
+    p = 131
     cols = np.random.default_rng(131).integers(0, p, (20, c)).astype(np.uint16)
     tracemalloc.start()
     try:
@@ -519,8 +524,8 @@ def test_bounded_search_table_chunk_stays_within_its_budget_at_gf131() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunk.shape == (css._TABLE_CELLS // c, c)
-    assert peak < 4 * chunk.nbytes
+    assert chunk.shape == (css._TABLE_CELLS // max(c, 8), c)
+    assert peak < 4 * css._TABLE_CELLS * 2
     values = np.array(list(itertools.islice(itertools.product(range(1, p), repeat=3), len(chunk))))
     assert np.array_equal(chunk, values @ cols[:3].astype(np.int64) % p)
 

@@ -489,17 +489,21 @@ class TestTrialStreams:
         p=st.sampled_from([3, 5, 7, 11, 13, 181, 65521]),
         count=st.integers(0, 40),
         master=st.integers(0, 2**64),
-        index=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 2**32 - 5),
+        rows=st.integers(1, 5),
     )
-    def test_stream_values_equal_integers(self, p, count, master, index):
-        seeds = experiments._pcg64_states(master, index, index + 1)
+    def test_stream_values_equal_integers(self, p, count, master, index, rows):
+        """Consecutive trials in one call, each row against its own
+        generator: the one seed holder carries nothing between rows."""
+        seeds = experiments._pcg64_states(master, index, index + rows)
         values = experiments._stream_values(seeds, p, count)
-        rng = trial_rng(master, index)
-        assert values.shape == (1, count)
-        # Split into two calls, so that numpy's carried half word is crossed.
-        half = count // 2
-        ref = np.concatenate([rng.integers(0, p, half), rng.integers(0, p, count - half)])
-        assert values[0].tolist() == ref.tolist()
+        assert values.shape == (rows, count)
+        for i, row in enumerate(values):
+            rng = trial_rng(master, index + i)
+            # Split into two calls, so that numpy's carried half word is crossed.
+            half = count // 2
+            ref = np.concatenate([rng.integers(0, p, half), rng.integers(0, p, count - half)])
+            assert row.tolist() == ref.tolist()
 
     @pytest.mark.parametrize("p", [3, 65521])
     def test_rejected_output_matches_random_invertible(self, monkeypatch, p):
@@ -509,28 +513,33 @@ class TestTrialStreams:
         half first, and sets inc = 2q + 1 and state = (inc + s) M + inc;
         a draw steps the state to state M + inc first.  So the state
         ``stepped`` comes from s = ((stepped - inc) / M - inc) / M - inc
-        mod 2**128."""
+        mod 2**128.  The crafted row sits between trials 0 and 1 of
+        master seed 5, so a draw of the three rows keeps fewer words in
+        one row than in the others and is reordered row by row."""
         mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier M
         inverse, mask = pow(mult, -1, 1 << 128), (1 << 128) - 1
         q = 0x0FEDCBA987654321_0123456789ABCDEF
         inc = 2 * q + 1 & mask
         stepped = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
         s = (((stepped - inc) * inverse - inc) * inverse - inc) & mask
-        seeds = np.array([[s >> 64, s & (2**64 - 1), q >> 64, q & (2**64 - 1)]], dtype=np.uint64)
+        crafted = [s >> 64, s & (2**64 - 1), q >> 64, q & (2**64 - 1)]
+        ordinary = experiments._pcg64_states(5, 0, 2)
+        seeds = np.array([ordinary[0], crafted, ordinary[1]], dtype=np.uint64)
 
-        def generator():
-            return np.random.Generator(np.random.PCG64(experiments._seed_words()(seeds[0])))
+        def generators():
+            crafted_rng = np.random.Generator(np.random.PCG64(experiments._seed_words()(seeds[1])))
+            return [trial_rng(5, 0), crafted_rng, trial_rng(5, 1)]
 
-        assert generator().bit_generator.state["state"]["inc"] == inc
-        assert generator().bit_generator.random_raw() == 0
+        assert generators()[1].bit_generator.state["state"]["inc"] == inc
+        assert generators()[1].bit_generator.random_raw() == 0
         values = experiments._stream_values(seeds, p, 9)
-        assert values[0].tolist() == generator().integers(0, p, 9).tolist()
+        assert values.tolist() == [rng.integers(0, p, 9).tolist() for rng in generators()]
         monkeypatch.setattr(experiments, "_pcg64_states", lambda *args: seeds)
-        ((u, v),) = experiments._invertible_pairs(FieldSpec(p), 3, 1, 0)
-        rng = generator()
+        ((u, v),) = experiments._invertible_pairs(FieldSpec(p), 3, 3, 0)
         field = FieldSpec(p)
-        assert (u[0] == random_invertible(field, 3, rng).data).all()
-        assert (v[0] == random_invertible(field, 3, rng).data).all()
+        for i, rng in enumerate(generators()):
+            assert (u[i] == random_invertible(field, 3, rng).data).all()
+            assert (v[i] == random_invertible(field, 3, rng).data).all()
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,9 @@ imports only from the standard library, numpy and the package itself.
 And importing the package loads no more of numpy than importing numpy
 does.  The package carries no dead code of two kinds: a module-level
 import no module reads, and a private top-level function, class or
-constant that nothing in the package refers to."""
+constant that nothing in the package refers to.  And it holds no
+``assert`` statement, which ``python -O`` strips: a broken invariant
+raises ``AssertionError`` explicitly."""
 
 from __future__ import annotations
 
@@ -127,6 +129,33 @@ def test_the_dead_code_guard_finds_an_unused_import_and_private_name() -> None:
     )
     assert _unused_imports(tree) == ["itertools"]
     assert _unreferenced_privates({"sketch": tree}) == ["sketch._recurse"]
+
+
+def _assert_statements(tree: ast.AST) -> list[int]:
+    """The line of each ``assert`` statement of the tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_sources_hold_no_assert_statement() -> None:
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert _assert_statements(tree) == [], path.name
+
+
+def test_the_assert_guard_finds_an_assert_statement() -> None:
+    """A sketch module: the nested ``assert`` is found; an explicit
+    raise, a name containing "assert" and an assert in a string are
+    not."""
+    tree = ast.parse(
+        "def check(n):\n"
+        "    if n < 0:\n"
+        "        raise AssertionError('negative')\n"
+        "    assert_ok = 'assert n'\n"
+        "    for k in range(n):\n"
+        "        assert k < n, k\n"
+        "    return assert_ok\n"
+    )
+    assert _assert_statements(tree) == [6]
 
 
 def test_import_leaves_numpy_random_unloaded() -> None:
