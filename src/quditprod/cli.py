@@ -30,6 +30,7 @@ from . import __version__
 from .complexes import (
     ComplexShape,
     InvolutiveComplex,
+    _shape_of,
     complex_from_text,
     complex_to_text,
     random_boundary,
@@ -59,40 +60,41 @@ from .product import product
 from .reduction import ReductionParams, reduce, reduced_kerim_check
 
 
-def _write_manifest(out_path: str, subcommand: str, params: dict, outputs: list[str]) -> None:
+def _json(obj: dict) -> str:
+    """Every JSON the CLI writes or prints: sorted keys, indent 2 and a
+    trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _save(out: str, text: str | None, subcommand: str, params: dict) -> None:
+    """Write ``text``, the output rendered in full, to ``out`` and then
+    ``<out>.manifest.json`` naming it; ``text`` is None for an output
+    its subcommand has written already.  No other function of this
+    module opens a file for writing."""
     manifest = {
         "tool": "quditprod",
         "version": __version__,
         "subcommand": subcommand,
         "parameters": params,
-        "outputs": outputs,
+        "outputs": [out],
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for path, body in ((out, text), (out + ".manifest.json", _json(manifest))):
+        if body is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
 
 
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _fraction(flag: str, text: str) -> Fraction:
-    """The value of a fraction flag such as ``--rho 1/3``; a zero
-    denominator is bad input like any other, so it raises ValueError."""
+def _fraction(flag: str, text: str | None) -> Fraction | None:
+    """The value of a fraction flag such as ``--rho 1/3``, or None when
+    the flag is not given; an empty or zero-denominator value is bad
+    input like any other, so it raises ValueError."""
+    if text is None:
+        return None
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"{flag} {text!r} has a zero denominator") from exc
-
-
-def _shape_from_args(args) -> ComplexShape:
-    if args.H is not None and args.rho is not None:
-        raise ValueError("give only one of --H or --rho")
-    if args.H is not None:
-        return ComplexShape.from_hom_dim(args.n, args.H)
-    if args.rho is not None:
-        return ComplexShape.from_rho(args.n, _fraction("--rho", args.rho))
-    raise ValueError("one of --H or --rho is required")
 
 
 def _check_seed(seed: int) -> None:
@@ -108,29 +110,16 @@ def _read_complex(path: str) -> InvolutiveComplex:
 
 def cmd_sample_complex(args) -> int:
     _check_seed(args.seed)
-    shape = _shape_from_args(args)
-    field = FieldSpec(args.dim)
-    rng = trial_rng(args.seed, 0)
-    c, _, _ = random_boundary(shape, field, rng)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(complex_to_text(c))
-    _write_manifest(
-        args.out,
-        "sample-complex",
-        {"dim": args.dim, "n": args.n, "H": args.H,
-         "rho": str(args.rho) if args.rho else None, "seed": args.seed},
-        [args.out],
-    )
+    shape = _shape_of(args.n, args.H, _fraction("--rho", args.rho))
+    c, _, _ = random_boundary(shape, FieldSpec(args.dim), trial_rng(args.seed, 0))
+    params = {"dim": args.dim, "n": args.n, "H": args.H, "rho": args.rho, "seed": args.seed}
+    _save(args.out, complex_to_text(c), "sample-complex", params)
     return 0
 
 
 def cmd_product(args) -> int:
     pc = product(_read_complex(args.in1), _read_complex(args.in2))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(complex_to_text(pc.complex))
-    _write_manifest(
-        args.out, "product", {"in1": args.in1, "in2": args.in2}, [args.out]
-    )
+    _save(args.out, complex_to_text(pc.complex), "product", {"in1": args.in1, "in2": args.in2})
     return 0
 
 
@@ -144,9 +133,7 @@ def cmd_css_extract(args) -> int:
         "z_gens": matrix_to_text(code.z_gens),
         "x_gens": matrix_to_text(code.x_gens),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, "css-extract", {"in": args.infile}, [args.out])
+    _save(args.out, _json(payload), "css-extract", {"in": args.infile})
     return 0
 
 
@@ -164,16 +151,9 @@ def cmd_distance(args) -> int:
     }
     if args.out:
         # The saved report is deterministic; timing goes to stdout only.
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write_manifest(
-            args.out,
-            "distance",
-            {"in": args.infile, "mode": args.mode, **given},
-            [args.out],
-        )
+        _save(args.out, _json(payload), "distance", {"in": args.infile, "mode": args.mode, **given})
     if args.json or not args.out:
-        _print_json({**payload, "elapsed": elapsed})
+        print(_json({**payload, "elapsed": elapsed}), end="")
     return 0
 
 
@@ -187,16 +167,8 @@ def cmd_reduce(args) -> int:
             for item in problems:
                 print(f"check failed: {item}", file=sys.stderr)
             return 1
-    # Rendered before the file is opened, so a refusal leaves no file.
-    text = complex_to_text(rc.quotient)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _write_manifest(
-        args.out,
-        "reduce",
-        {"in": args.infile, "nprime": args.nprime, "check": bool(args.check)},
-        [args.out],
-    )
+    params = {"in": args.infile, "nprime": args.nprime, "check": bool(args.check)}
+    _save(args.out, complex_to_text(rc.quotient), "reduce", params)
     return 0
 
 
@@ -320,7 +292,7 @@ def cmd_count(args) -> int:
         print("all count oracles agree" + (note if skipped else ""))
         return 0
     if args.what is None:
-        raise ValueError("--what is required (one of E, Eext, Z, Gamma)")
+        raise ValueError(f"--what is required (one of {', '.join(_COUNTS)})")
     params = _mode_flags(args, args.what, f"count --what {args.what}")
     value = _COUNTS[args.what](*params.values(), field)
     # An exact count can pass Python's int-to-str digit limit (3.11+),
@@ -329,7 +301,7 @@ def cmd_count(args) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        _print_json({"what": args.what, "dim": args.dim, "params": params, "count": value})
+        print(_json({"what": args.what, "dim": args.dim, "params": params, "count": value}), end="")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -340,38 +312,31 @@ def cmd_mc(args) -> int:
     _check_seed(args.seed)
     field = FieldSpec(args.dim)
     given = _mode_flags(args, args.experiment, f"{args.experiment} experiment")
-    if args.experiment == "kernel":
-        cfg = TrialConfig(
-            field=field, n=args.n, trials=args.trials, master_seed=args.seed,
-            H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
-            c=_fraction("--c", args.c),
-        )
-        report = mc_low_weight_kernel(cfg)
-    elif args.experiment == "goodness":
-        cfg = TrialConfig(
-            field=field, n=args.n, trials=args.trials, master_seed=args.seed,
-            H=args.H, rho=_fraction("--rho", args.rho) if args.rho else None,
-        )
-        report = mc_goodness(cfg, args.nprime)
-    else:
+    if args.experiment == "ulw":
         report = mc_uniform_low_weight(
             field, args.nprime, args.rank, _fraction("--cprime", args.cprime), args.trials,
             args.seed,
         )
+    else:
+        # MODE_FLAGS refuses --c for goodness, so c is None there.
+        cfg = TrialConfig(
+            field=field, n=args.n, trials=args.trials, master_seed=args.seed, H=args.H,
+            rho=_fraction("--rho", args.rho), c=_fraction("--c", args.c),
+        )
+        if args.experiment == "kernel":
+            report = mc_low_weight_kernel(cfg)
+        else:
+            report = mc_goodness(cfg, args.nprime)
     payload = asdict(report)
     payload["params"] = {k: str(v) for k, v in report.params.items() if v is not None}
-    _print_json(payload)
+    print(_json(payload), end="")
     if args.csv:
         emit_csv([report], args.csv)
         # Every flag given, as its command-line string: the manifest's
         # parameters are the argv that re-runs this CSV.
-        _write_manifest(
-            args.csv,
-            "mc",
-            {"experiment": args.experiment, "dim": args.dim, "trials": args.trials,
-             "seed": args.seed, **{f: str(v) for f, v in given.items()}},
-            [args.csv],
-        )
+        params = {"experiment": args.experiment, "dim": args.dim, "trials": args.trials,
+                  "seed": args.seed, **{f: str(v) for f, v in given.items()}}
+        _save(args.csv, None, "mc", params)
     return 0
 
 
@@ -428,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     re_.set_defaults(func=cmd_reduce)
 
     co = sub.add_parser("count", help="exact rank-enumeration counts")
-    co.add_argument("--what", choices=["E", "Eext", "Z", "Gamma"], default=None)
+    co.add_argument("--what", choices=list(_COUNTS), default=None)
     co.add_argument("--dim", type=int, default=3)
     co.add_argument("--verify", action="store_true",
                     help="compare closed forms against brute force and exit")

@@ -92,6 +92,15 @@ class ComplexShape:
         return cls(n=n, H=H, L=(n - H) // 2)
 
 
+def _shape_of(n: int, H: int | None, rho) -> ComplexShape:
+    """The shape from exactly one of H and rho."""
+    if H is None and rho is None:
+        raise ValueError("one of H or rho must be given")
+    if H is not None and rho is not None:
+        raise ValueError("give only one of H or rho")
+    return ComplexShape.from_hom_dim(n, H) if rho is None else ComplexShape.from_rho(n, rho)
+
+
 @dataclass(frozen=True, eq=False)
 class InvolutiveComplex:
     """The pair of boundary blocks; the involution is the sector split."""

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf
-from .complexes import ComplexShape
+from .complexes import ComplexShape, _shape_of
 from .gf import (
     FieldSpec,
     MatGF,
@@ -94,10 +94,11 @@ _LIGHT_CELLS = 1 << 20
 class TrialConfig:
     """Shared knobs for the complex-sampling experiments.
 
-    The shape comes from exactly one of H and rho.  The weight
-    density c, when set, must satisfy c < 1 - 1/D; beyond that point
-    even a uniformly random kernel vector is likely to be light and the
-    decay regime being probed does not exist.
+    The shape comes from exactly one of H and rho, and is checked on
+    construction.  The weight density c, when set, must satisfy
+    c < 1 - 1/D; beyond that point even a uniformly random kernel
+    vector is likely to be light and the decay regime being probed does
+    not exist.
     """
 
     field: FieldSpec
@@ -110,21 +111,16 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         _check_run(self.trials, self.master_seed)
-        if self.H is None and self.rho is None:
-            raise ValueError("one of H or rho must be given")
-        if self.H is not None and self.rho is not None:
-            raise ValueError("give only one of H or rho")
+        if self.rho is not None:
+            object.__setattr__(self, "rho", Fraction(self.rho))
+        self.shape()
         if self.c is not None:
             object.__setattr__(self, "c", Fraction(self.c))
             if not 0 < self.c < 1 - Fraction(1, self.field.order):
                 raise ValueError(f"need 0 < c < 1 - 1/D, got c = {self.c}")
-        if self.rho is not None:
-            object.__setattr__(self, "rho", Fraction(self.rho))
 
     def shape(self) -> ComplexShape:
-        if self.H is not None:
-            return ComplexShape.from_hom_dim(self.n, self.H)
-        return ComplexShape.from_rho(self.n, self.rho)
+        return _shape_of(self.n, self.H, self.rho)
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ class TestSampleComplex:
         out = tmp_path / "x.txt"
         assert run(["sample-complex", "--dim", 3, "--n", 3,
                     "--seed", 1, "--out", out]) == 1
-        assert "--H or --rho" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: one of H or rho must be given\n"
 
     def test_h_and_rho_together_refused(self, tmp_path):
         out = tmp_path / "x.txt"
@@ -168,7 +168,7 @@ class TestSampleComplex:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: give only one of --H or --rho\n"
+        assert proc.stderr == "error: give only one of H or rho\n"
         assert not out.exists()
 
     def test_composite_dim_rejected(self, tmp_path, capsys):
@@ -320,6 +320,62 @@ def test_damaged_input_file_exits_1(text, command):
             assert run(argv) == 1
         assert err.getvalue().startswith("error: ")
         assert not out.exists()
+        assert not (root / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["sample-complex", "product", "css-extract", "distance", "reduce", "mc"]
+)
+def test_manifest_names_its_one_output(command, tmp_path):
+    """Every file-writing subcommand's manifest records the subcommand,
+    its parameters and the one output it wrote."""
+    c1, c2 = sample(tmp_path, "c1.txt", seed=0), sample(tmp_path, "c2.txt", seed=1)
+    out = tmp_path / "out"
+    argv, params = {
+        "sample-complex": (
+            ["--dim", 3, "--n", 3, "--H", 1, "--seed", 4, "--out", out],
+            {"dim": 3, "n": 3, "H": 1, "rho": None, "seed": 4},
+        ),
+        "product": (["--in1", c1, "--in2", c2, "--out", out], {"in1": str(c1), "in2": str(c2)}),
+        "css-extract": (["--in", c1, "--out", out], {"in": str(c1)}),
+        "distance": (["--in", c1, "--out", out], {"in": str(c1), "mode": "exhaustive"}),
+        # trial_rng(0, 0) draws a complex that is good for n' = 2
+        "reduce": (
+            ["--in", c1, "--nprime", 2, "--out", out], {"in": str(c1), "nprime": 2, "check": False}
+        ),
+        "mc": (
+            ["--experiment", "ulw", "--dim", 3, "--nprime", 2, "--rank", 1, "--cprime", "1/2",
+             "--trials", 5, "--seed", 0, "--csv", out],
+            {"experiment": "ulw", "dim": 3, "trials": 5, "seed": 0,
+             "nprime": "2", "rank": "1", "cprime": "1/2"},
+        ),
+    }[command]
+    assert run([command, *argv]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["subcommand"] == command
+    assert manifest["parameters"] == params
+    assert manifest["outputs"] == [str(out)]
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("H", [[], ["--H", "1"]], ids=["rho-alone", "with-H"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-complex", "--dim", "3", "--n", "3", "--seed", "0", "--out"],
+        ["mc", "--experiment", "goodness", "--dim", "3", "--n", "3", "--nprime", "2",
+         "--trials", "3", "--seed", "0", "--csv"],
+    ],
+    ids=["sample-complex", "mc-goodness"],
+)
+def test_empty_rho_is_a_bad_fraction(argv, H, tmp_path, capsys):
+    """An empty --rho is given, so it is parsed, with --H or without:
+    both subcommands refuse it before any output or manifest."""
+    out = tmp_path / "out"
+    assert run([*argv, out, *H, "--rho", ""]) == 1
+    assert capsys.readouterr() == ("", "error: Invalid literal for Fraction: ''\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 class TestDistance:

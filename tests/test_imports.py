@@ -5,7 +5,9 @@ does.  The package carries no dead code of two kinds: a module-level
 import no module reads, and a private top-level function, class or
 constant that nothing in the package refers to.  And it holds no
 ``assert`` statement, which ``python -O`` strips: a broken invariant
-raises ``AssertionError`` explicitly."""
+raises ``AssertionError`` explicitly.  And the CLI opens files for
+writing in one function only, the one that also writes each output's
+manifest."""
 
 from __future__ import annotations
 
@@ -156,6 +158,68 @@ def test_the_assert_guard_finds_an_assert_statement() -> None:
         "    return assert_ok\n"
     )
     assert _assert_statements(tree) == [6]
+
+
+def _file_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level function, line), in line order, of each call of the
+    tree that writes a file: ``open`` with a mode that is not a constant read mode, or a
+    ``write_text`` / ``write_bytes`` method; calls outside any function
+    name ``<module>``."""
+    owner = {
+        id(node): top.name
+        for top in tree.body if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+    }
+    writes = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            reads = all(
+                isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+                for mode in modes
+            )
+            if reads:
+                continue
+        elif not (isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")):
+            continue
+        writes.append((owner.get(id(node), "<module>"), node.lineno))
+    return sorted(writes, key=lambda write: write[1])
+
+
+def test_cli_opens_files_for_writing_only_in_its_writer() -> None:
+    """``cli._save`` writes every CLI output it is handed and then that
+    output's manifest; no other code of ``cli`` opens a file to write."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writes = _file_writes(tree)
+    assert writes, "the writer's own open() is not found"
+    assert [fn for fn, _ in writes if fn != "_save"] == []
+
+
+def test_the_writer_guard_finds_a_write_outside_the_writer() -> None:
+    """A sketch module: an ``open`` in "w", "a" or "x" mode, by position
+    or keyword or with a mode only known at run time, and a
+    ``write_text`` are found, with their function; reads with or without
+    a mode, and a write inside ``_save``, are reported under ``_save``
+    or not at all."""
+    tree = ast.parse(
+        "def _save(path, text):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "def read(path):\n"
+        "    with open(path, encoding='utf-8') as fh, open(path, 'rb') as raw:\n"
+        "        return fh.read(), raw.read()\n"
+        "def cmd(path, mode):\n"
+        "    open(path, 'a').close()\n"
+        "    open(path, mode=mode).close()\n"
+        "    path.write_text('x')\n"
+        "open('log', mode='x')\n"
+    )
+    assert _file_writes(tree) == [
+        ("_save", 2), ("cmd", 8), ("cmd", 9), ("cmd", 10), ("<module>", 11)
+    ]
 
 
 def test_import_leaves_numpy_random_unloaded() -> None:
