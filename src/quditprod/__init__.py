@@ -78,5 +78,5 @@ from .experiments import (
     sample_uniform_rank,
     mc_uniform_low_weight,
     exhaustive_ulw_probability,
-    emit_csv,
+    csv_text,
 )

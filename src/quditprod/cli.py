@@ -8,14 +8,16 @@ timestamp).  ``count``, ``mc`` and ``distance`` have modes (``--what``
 or ``--verify``, ``--experiment``, ``--mode``); ``MODE_FLAGS`` lists the
 flags each mode reads, and any flag of another mode is refused.
 
-Exit codes: 0 success; 1 failed verification, bad input data or a
-stdout closed early (silently); 2 usage error.
+Exit codes: 0 success; 1 failed verification, bad input data (output
+paths and seeds are checked before any work), a size the machine
+cannot allocate or a stdout closed early (silently); 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -44,17 +46,17 @@ from .counting import (
     count_rank_matrices,
     count_reduced_cycles,
     enumerate_plus_cycle_ranks,
+    enumerate_reduced_cycles,
 )
 from .css import extract_css, min_distance
 from .experiments import (
     TrialConfig,
-    emit_csv,
+    csv_text,
     mc_goodness,
     mc_low_weight_kernel,
     mc_uniform_low_weight,
     trial_rng,
 )
-from . import gf
 from .gf import FieldSpec, MatGF, matrix_to_text
 from .product import product
 from .reduction import ReductionParams, reduce, reduced_kerim_check
@@ -66,11 +68,10 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _save(out: str, text: str | None, subcommand: str, params: dict) -> None:
+def _save(out: str, text: str, subcommand: str, params: dict) -> None:
     """Write ``text``, the output rendered in full, to ``out`` and then
-    ``<out>.manifest.json`` naming it; ``text`` is None for an output
-    its subcommand has written already.  No other function of this
-    module opens a file for writing."""
+    ``<out>.manifest.json`` naming it.  No other function of the package
+    opens a file for writing."""
     manifest = {
         "tool": "quditprod",
         "version": __version__,
@@ -80,9 +81,23 @@ def _save(out: str, text: str | None, subcommand: str, params: dict) -> None:
         "created": datetime.now(timezone.utc).isoformat(),
     }
     for path, body in ((out, text), (out + ".manifest.json", _json(manifest))):
-        if body is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(body)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
+
+
+def _check_args(args) -> None:
+    """Refuse, by name and before any work, a negative ``--seed`` and an
+    ``--out`` or ``--csv`` that is empty, a directory, or in a directory
+    that does not exist."""
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not path or os.path.isdir(path) or not os.path.isdir(folder):
+            raise ValueError(f"--{flag} {path!r} is not a file in an existing directory")
 
 
 def _fraction(flag: str, text: str | None) -> Fraction | None:
@@ -97,19 +112,12 @@ def _fraction(flag: str, text: str | None) -> Fraction | None:
         raise ValueError(f"{flag} {text!r} has a zero denominator") from exc
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a negative --seed by name, before any draw."""
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-
-
 def _read_complex(path: str) -> InvolutiveComplex:
     with open(path, encoding="utf-8") as fh:
         return complex_from_text(fh.read())
 
 
 def cmd_sample_complex(args) -> int:
-    _check_seed(args.seed)
     shape = _shape_of(args.n, args.H, _fraction("--rho", args.rho))
     c, _, _ = random_boundary(shape, FieldSpec(args.dim), trial_rng(args.seed, 0))
     params = {"dim": args.dim, "n": args.n, "H": args.H, "rho": args.rho, "seed": args.seed}
@@ -149,10 +157,10 @@ def cmd_distance(args) -> int:
         "stab_weight": code.stab_weight,
         **asdict(report),
     }
-    if args.out:
+    if args.out is not None:
         # The saved report is deterministic; timing goes to stdout only.
         _save(args.out, _json(payload), "distance", {"in": args.infile, "mode": args.mode, **given})
-    if args.json or not args.out:
+    if args.json or args.out is None:
         print(_json({**payload, "elapsed": elapsed}), end="")
     return 0
 
@@ -174,59 +182,51 @@ def cmd_reduce(args) -> int:
 
 def _verify_counts(field: FieldSpec) -> tuple[list[str], int]:
     """Closed forms vs brute-force enumeration at smoke-test sizes: the
-    mismatches, and how many enumerations were skipped because the
-    oracle would refuse them, for spanning more than
-    ``gf.ENUMERATION_LIMIT`` vectors or ranking with a subspace table of
-    more than ``gf._TABLE_CELLS_LIMIT`` cells."""
-    p = field.order
+    mismatches, and how many instances an oracle refused.  Each oracle
+    refuses with ValueError, before any enumeration, above the
+    enumeration cap or the subspace-table cap."""
     failures: list[str] = []
     skipped = 0
 
-    def within(cells: int, width: int) -> bool:
+    def compare(label: str, census, form, keys) -> None:
+        # form(key) against the histogram census() returns, at each key;
+        # both are called here, before the caller's loop moves on.
         nonlocal skipped
-        fits = p**cells <= gf.ENUMERATION_LIMIT and gf._table_fits(p, width)
-        skipped += not fits
-        return fits
+        try:
+            hist = census()
+        except ValueError:
+            skipped += 1
+            return
+        for key in keys:
+            got, expected = form(key), hist.get(key, 0)
+            if got != expected:
+                failures.append(f"{label.format(key)}: {got} != {expected}")
 
     for A in range(1, 4):
         for B in range(1, 4):
-            if not within(A * B, min(A, B)):
-                continue
-            hist = brute_count_rank_matrices(field, A, B)
-            for R in range(0, min(A, B) + 1):
-                expected = hist.get(R, 0)
-                got = count_rank_matrices(A, B, R, field)
-                if got != expected:
-                    failures.append(f"rank count ({A},{B},{R}): {got} != {expected}")
-    for a in range(1, 3):
-        for b in range(1, 3):
-            for r in range(0, min(a, b) + 1):
-                core = np.zeros((a, b), dtype=np.int64)
-                core[:r, :r] = np.eye(r, dtype=np.int64)
-                fixed = MatGF(field, core, _reduced=True)
-                for A in range(a, 4):
-                    for B in range(b, 4):
-                        if not within(A * B - a * b, min(A, B)):
-                            continue
-                        hist = brute_count_rank_extensions(field, fixed, A, B)
-                        for R in range(0, min(A, B) + 1):
-                            expected = hist.get(R, 0)
-                            got = count_rank_extensions(a, b, r, A, B, R, field)
-                            if got != expected:
-                                failures.append(
-                                    f"extension count ({a},{b},{r})->({A},{B},{R}): "
-                                    f"{got} != {expected}"
-                                )
-    shape = ComplexShape(n=3, H=1, L=1)
-    std = standard_boundary(shape, field)
+            compare(f"rank count ({A},{B},{{}})", lambda: brute_count_rank_matrices(field, A, B),
+                    lambda R: count_rank_matrices(A, B, R, field), range(min(A, B) + 1))
+    for a, b in itertools.product(range(1, 3), repeat=2):
+        for r in range(0, min(a, b) + 1):
+            core = np.zeros((a, b), dtype=np.int64)
+            core[:r, :r] = np.eye(r, dtype=np.int64)
+            fixed = MatGF(field, core, _reduced=True)
+            for A, B in itertools.product(range(a, 4), range(b, 4)):
+                compare(f"extension count ({a},{b},{r})->({A},{B},{{}})",
+                        lambda: brute_count_rank_extensions(field, fixed, A, B),
+                        lambda R: count_rank_extensions(a, b, r, A, B, R, field),
+                        range(min(A, B) + 1))
+    # The standard (3, 1, 1) product: its plus-sector cycles, and its
+    # reduced cycles at n' = 2.
+    std = standard_boundary(ComplexShape(n=3, H=1, L=1), field)
     pc = product(std, std)
-    d_mp = pc.complex.d_mp
-    if within(d_mp.cols - gf.rank(d_mp), shape.n):
-        census = enumerate_plus_cycle_ranks(pc)
-        for (rp, rm), expected in census.items():
-            got = count_cycles_by_rank(1, 1, rp, rm, field)
-            if got != expected:
-                failures.append(f"cycle count (1,1,{rp},{rm}): {got} != {expected}")
+    compare("cycle count (1,1,{0[0]},{0[1]})", lambda: enumerate_plus_cycle_ranks(pc),
+            lambda key: count_cycles_by_rank(1, 1, *key, field),
+            itertools.product(range(4), repeat=2))
+    compare("reduced cycle count (3,2,1,1,{0[0]},{0[1]})",
+            lambda: enumerate_reduced_cycles(pc, ReductionParams(n=3, n_prime=2)),
+            lambda key: count_reduced_cycles(3, 2, 1, 1, *key, field),
+            itertools.product(range(3), repeat=2))
     return failures, skipped
 
 
@@ -309,7 +309,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    _check_seed(args.seed)
     field = FieldSpec(args.dim)
     given = _mode_flags(args, args.experiment, f"{args.experiment} experiment")
     if args.experiment == "ulw":
@@ -327,16 +326,15 @@ def cmd_mc(args) -> int:
             report = mc_low_weight_kernel(cfg)
         else:
             report = mc_goodness(cfg, args.nprime)
-    payload = asdict(report)
-    payload["params"] = {k: str(v) for k, v in report.params.items() if v is not None}
-    print(_json(payload), end="")
-    if args.csv:
-        emit_csv([report], args.csv)
+    if args.csv is not None:
         # Every flag given, as its command-line string: the manifest's
         # parameters are the argv that re-runs this CSV.
         params = {"experiment": args.experiment, "dim": args.dim, "trials": args.trials,
                   "seed": args.seed, **{f: str(v) for f, v in given.items()}}
-        _save(args.csv, None, "mc", params)
+        _save(args.csv, csv_text([report]), "mc", params)
+    payload = asdict(report)
+    payload["params"] = {k: str(v) for k, v in report.params.items() if v is not None}
+    print(_json(payload), end="")
     return 0
 
 
@@ -419,20 +417,19 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        _check_args(args)
         code = args.func(args)
         # Flushed here so that a closed stdout is caught below.
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # The reader closed stdout early, which is not bad input.  Point
         # stdout at devnull so the interpreter's final flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A MemoryError raised by Python itself carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

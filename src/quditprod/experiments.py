@@ -69,7 +69,7 @@ __all__ = [
     "sample_uniform_rank",
     "mc_uniform_low_weight",
     "exhaustive_ulw_probability",
-    "emit_csv",
+    "csv_text",
     "CSV_COLUMNS",
 ]
 
@@ -646,14 +646,12 @@ def exhaustive_ulw_probability(
     return Fraction(hits, stratum)
 
 
-def emit_csv(reports: Iterable[EstimateReport], path: str) -> None:
-    """Write one row per report with a fixed column order.
+def csv_text(reports: Iterable[EstimateReport]) -> str:
+    """The CSV of the reports: a ``CSV_COLUMNS`` header, then one row per
+    report, each line ending in ``\n``.
 
-    Pure function of the reports, so identical inputs produce identical
-    files byte for byte.
+    Pure function of the reports, so identical inputs render identical
+    text byte for byte.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
-        lines.append(",".join(rep.as_row()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [CSV_COLUMNS, *(rep.as_row() for rep in reports)]
+    return "".join(",".join(row) + "\n" for row in rows)

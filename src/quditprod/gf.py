@@ -942,7 +942,7 @@ def _table_fits(p: int, w: int) -> bool:
     return _subspace_count(p, w) * p**w <= _TABLE_CELLS_LIMIT
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Transition table of the subspaces of GF(p)^w under adding a row.
 
@@ -959,8 +959,10 @@ def _subspace_table(p: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     by one more echelon row.  ``step`` is allocated at its exact size,
     :func:`_subspace_count` states in the smallest unsigned type that
     numbers them, and each state's row is written in place.  Both arrays
-    are read-only and shared by every caller.  Raises ValueError, before
-    any row is built, when the table does not fit (:func:`_table_fits`).
+    are read-only and shared by every caller.  The cache keeps the last
+    16 tables, under 100 MB: the largest table under the cap, GF(17)^3's,
+    is 6.1 MB.  Raises ValueError, before any row is built, when the
+    table does not fit (:func:`_table_fits`).
     """
     if w == 0:  # the zero space alone, stepped by the empty row
         return _read_only(np.zeros((1, 1), dtype=np.uint8)), _read_only(np.zeros(1, dtype=np.uint8))

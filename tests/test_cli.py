@@ -38,6 +38,7 @@ from quditprod import (
     trial_rng,
     validate,
 )
+from quditprod import gf
 from quditprod.gf import FieldSpec
 from quditprod import cli
 from quditprod.cli import MODE_FLAGS, build_parser, main
@@ -358,6 +359,85 @@ def test_manifest_names_its_one_output(command, tmp_path):
     assert out.stat().st_size > 0
 
 
+@pytest.mark.parametrize("target", ["", "nodir/out", "folder"], ids=["empty", "no-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "command", ["sample-complex", "product", "css-extract", "distance", "reduce", "mc"]
+)
+def test_unwritable_output_path_refused_before_any_work(command, target, tmp_path, monkeypatch,
+                                                        capsys):
+    """An ``--out`` or ``--csv`` that is empty, names a directory, or
+    lies in a directory that does not exist is refused by name before
+    the subcommand runs: exit 1, one error line, nothing on stdout and
+    no file written, manifest included (an empty path would put it at
+    ``.manifest.json`` in the working directory)."""
+    c1 = sample(tmp_path, "c1.txt", seed=0)
+    (tmp_path / "folder").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    argv, flag = {
+        "sample-complex": (["--dim", 3, "--n", 3, "--H", 1, "--seed", 4], "--out"),
+        "product": (["--in1", c1, "--in2", c1], "--out"),
+        "css-extract": (["--in", c1], "--out"),
+        "distance": (["--in", c1], "--out"),
+        "reduce": (["--in", c1, "--nprime", 2], "--out"),
+        "mc": (["--experiment", "ulw", "--dim", 3, "--nprime", 2, "--rank", 1, "--cprime", "1/2",
+                "--trials", 5, "--seed", 0], "--csv"),
+    }[command]
+    assert run([command, *argv, flag, target]) == 1
+    message = f"error: {flag} {target!r} is not a file in an existing directory\n"
+    assert capsys.readouterr() == ("", message)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_mc_that_cannot_save_prints_no_report(tmp_path, monkeypatch, capsys):
+    """mc saves its CSV before it prints its report, so a write that
+    fails late leaves one error line and no report."""
+    def full(out, text, subcommand, params):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_save", full)
+    assert run(["mc", "--experiment", "ulw", "--dim", 3, "--nprime", 2, "--rank", 1,
+                "--cprime", "1/2", "--trials", 5, "--seed", 0, "--csv", tmp_path / "u.csv"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-complex", "--H", "0", "--seed", "0", "--out"],
+        ["mc", "--experiment", "goodness", "--H", "0", "--nprime", "5", "--trials", "2",
+         "--seed", "0", "--csv"],
+    ],
+    ids=["sample-complex", "mc-goodness"],
+)
+def test_size_the_machine_cannot_allocate_exits_1(argv, tmp_path, capsys):
+    """A sector dimension of 10^8 asks numpy for blocks of petabytes,
+    beyond any address space, so the allocation fails at once, with
+    nothing allocated: one error line and no output, manifest or
+    report."""
+    out = tmp_path / "out"
+    assert run([argv[0], "--dim", 3, "--n", 10**8, *argv[1:], out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_without_a_message_names_itself(tmp_path, monkeypatch, capsys):
+    """A MemoryError raised by Python itself has no message; the error
+    line still says what failed."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "product", exhausted)
+    c1 = sample(tmp_path, "c1.txt")
+    capsys.readouterr()
+    assert run(["product", "--in1", c1, "--in2", c1, "--out", tmp_path / "p.txt"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("H", [[], ["--H", "1"]], ids=["rho-alone", "with-H"])
 @pytest.mark.parametrize(
     "argv",
@@ -476,12 +556,13 @@ class TestCount:
         assert run(["count", "--dim", 3, "--verify"]) == 0
         assert "all count oracles agree" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("dim, skipped", [(3, 0), (5, 0), (7, 2), (19, 13)])
+    @pytest.mark.parametrize("dim, skipped", [(3, 0), (5, 0), (7, 2), (19, 14)])
     def test_verify_skips_only_what_the_oracles_refuse(self, dim, skipped, capsys):
         """GF(3) and GF(5) check every instance.  Over GF(7) the full 3x3
         space (7^9) and the cycle census (7^10) are above the enumeration
         limit.  Over GF(19) a 3-wide subspace table is above its cap, so
-        even a 3x3 extension of 5 free entries (19^5) is skipped."""
+        even a 3x3 extension of 5 free entries (19^5) is skipped, and the
+        reduced-cycle census (19^8) is above the enumeration limit."""
         assert run(["count", "--dim", dim, "--verify"]) == 0
         note = f" ({skipped} enumerations over the enumeration or subspace-table cap skipped)"
         assert capsys.readouterr().out == "all count oracles agree" + (note if skipped else "") + "\n"
@@ -496,6 +577,33 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mismatch: rank count (1,1,0)" in captured.err
+
+    @pytest.mark.parametrize(
+        "form, first",
+        [
+            ("count_rank_extensions", "extension count (1,1,0)->(1,1,0)"),
+            ("count_cycles_by_rank", "cycle count (1,1,0,0)"),
+            ("count_reduced_cycles", "reduced cycle count (3,2,1,1,0,0)"),
+        ],
+    )
+    def test_verify_checks_every_closed_form(self, form, first, capsys, monkeypatch):
+        """Each closed form the test above leaves out, made wrong, fails
+        the run at its first instance."""
+        right = getattr(cli, form)
+        monkeypatch.setattr(cli, form, lambda *args: right(*args) + 1)
+        assert run(["count", "--dim", 3, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mismatch: {first}: ")
+
+    def test_verify_counts_each_refusal_as_a_skip(self, capsys, monkeypatch):
+        """With no enumeration allowed, every oracle refuses: the 9 rank
+        counts, the 54 extension counts and the two cycle censuses are
+        skipped, and nothing fails."""
+        monkeypatch.setattr(gf, "ENUMERATION_LIMIT", 0)
+        assert run(["count", "--dim", 3, "--verify"]) == 0
+        note = " (65 enumerations over the enumeration or subspace-table cap skipped)"
+        assert capsys.readouterr().out == "all count oracles agree" + note + "\n"
 
     def test_count_above_the_int_digit_limit_prints(self, capsys):
         """A count of about 4770 digits prints whole, and main leaves the

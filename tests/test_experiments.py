@@ -20,7 +20,7 @@ from scipy.stats import chi2
 from quditprod import (
     ComplexShape,
     TrialConfig,
-    emit_csv,
+    csv_text,
     exhaustive_ulw_probability,
     mc_goodness,
     mc_low_weight_kernel,
@@ -759,25 +759,21 @@ class TestExhaustiveUlw:
 
 
 class TestCsvEmission:
-    def test_header_and_determinism(self, tmp_path):
+    def test_header_and_determinism(self):
         reports = [
             mc_uniform_low_weight(FIELD3, 2, 1, Fraction(1, 2), 50, 21),
             mc_goodness(TrialConfig(field=FIELD3, n=3, trials=20, master_seed=5, H=1), 2),
         ]
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        emit_csv(reports, str(p1))
-        emit_csv(reports, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
+        text = csv_text(reports)
+        assert csv_text(reports) == text
+        assert text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
-    def test_rows_round_trip_key_fields(self, tmp_path):
+    def test_rows_round_trip_key_fields(self):
         rep = mc_uniform_low_weight(FIELD3, 2, 1, Fraction(1, 2), 50, 21)
-        path = tmp_path / "r.csv"
-        emit_csv([rep], str(path))
-        header, row = path.read_text().splitlines()
+        header, row = csv_text([rep]).splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["experiment"] == "ulw"
         assert cells["successes"] == str(rep.successes)

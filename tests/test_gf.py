@@ -641,6 +641,19 @@ def test_subspace_table_build_memory_peak(order: int, width: int) -> None:
     assert peak < 2 * 2**20
 
 
+def test_subspace_table_cache_stays_at_its_bound() -> None:
+    """A walk over more fields than the cache holds, each oracle call
+    building a table, leaves exactly the bound's number of tables."""
+    bound = _subspace_table.cache_info().maxsize
+    assert bound is not None
+    orders = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
+    assert len(orders) > bound
+    for order in orders:
+        brute_count_rank_matrices(FieldSpec(order), 1, 1)
+        assert _subspace_table.cache_info().currsize <= bound
+    assert _subspace_table.cache_info().currsize == bound
+
+
 @st.composite
 def small_matrices(draw):
     order = draw(st.sampled_from([3, 5, 7, 11]))
