@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import is_good
 from .gf import (
     FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, line_blocks,
 )
@@ -188,14 +187,13 @@ def enumerate_reduced_cycles(
     n = params.n
     if c1.dim_plus != n or c1.dim_minus != n or c2.dim_plus != n or c2.dim_minus != n:
         raise ValueError(f"factors must have sector dimension {n}")
-    for i, c in enumerate((c1, c2), start=1):
-        if not is_good(c, params.n_prime):
+    rc1, rc2 = reduce(c1, params), reduce(c2, params)
+    for i, rc in enumerate((rc1, rc2), start=1):
+        if not rc.good:
             raise ValueError(f"factor {i} is not good for n' = {params.n_prime}")
     p = pc.field.order
     np1 = params.n_prime
 
-    rc1 = reduce(c1, params)
-    rc2 = reduce(c2, params)
     qprod = product(rc1.quotient, rc2.quotient)
     phi_plus, _ = product_chain_map(rc1.phi, rc2.phi, source=pc, target=qprod)
 
@@ -325,6 +323,8 @@ def brute_count_rank_extensions(
 ) -> dict[int, int]:
     """Rank histogram of all rows x cols matrices extending the given
     top-left block.  Oracle for count_rank_extensions."""
+    if fixed.field != field:
+        raise ValueError(f"field mismatch: GF({field.order}) vs GF({fixed.field.order})")
     if fixed.rows > rows or fixed.cols > cols:
         raise ValueError("fixed block does not fit")
     return _enumerate_ranks(field, rows, cols, fixed.data)

@@ -35,7 +35,7 @@ import numpy as np
 from .complexes import InvolutiveComplex
 from .gf import (
     FieldSpec, MatGF, _check_enumeration, _line_weights, _matmul, _mod, _read_only, _row_reduce,
-    _weight_blocks, col_weights, kernel_basis, rank, row_weights, solve,
+    _weight_blocks, col_weights, kernel_basis, rank, row_weights,
 )
 
 __all__ = [
@@ -339,7 +339,12 @@ def vanishing_reduced_implies_boundary(
     cols_minus: Sequence[int],
 ) -> bool:
     """Whether a plus-sector cycle with vanishing reduced matrix is a
-    boundary; decided exactly by solving d_pm x = h.
+    boundary.
+
+    Decided exactly by the rule of ``_coset_bases``, im d_pm =
+    (ker d_pm^T)^perp: h is a boundary exactly when it is orthogonal to
+    every kernel vector of d_pm^T, the orientation whose echelon form
+    the complex keeps (``complexes._block_ranks``).
 
     The index sets pick the reduced submatrix of each block, and h must
     vanish there.  When both factor codes (for either sign of the
@@ -358,4 +363,4 @@ def vanishing_reduced_implies_boundary(
         raise ValueError("reduced matrix of the plus block does not vanish")
     if psi_minus.submatrix(rows_minus, cols_minus).data.any():
         raise ValueError("reduced matrix of the minus block does not vanish")
-    return solve(cx.d_pm, vec) is not None
+    return not _matmul(kernel_basis(cx.d_pm.T), vec, p).any()

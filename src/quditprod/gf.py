@@ -2,11 +2,11 @@
 
 Provides ``FieldSpec``, ``MatGF`` (a read-only matrix that keeps its
 echelon forms and shares them with its transposes), rank, kernel,
-solve, inverse, uniform invertible sampling, the text format, batched
+inverse, uniform invertible sampling, the text format, batched
 ranks (``rank_batch``), the one enumeration of a span
 (``line_blocks``) and the one enumeration of the vectors of a fixed
 weight (``_weight_blocks``).  Every result is exact: ranks, kernels,
-solves and products are the same integers as in exact arithmetic mod D.
+inverses and products are the same integers as in exact arithmetic mod D.
 
 Exactness bounds, each argued where it is used:
 
@@ -60,7 +60,6 @@ __all__ = [
     "MatGF",
     "rank",
     "kernel_basis",
-    "solve",
     "inverse",
     "random_invertible",
     "row_weights",
@@ -109,12 +108,34 @@ class FieldSpec:
             raise ValueError(f"field order must be an odd prime >= 3, got {self.order!r}")
 
 
+def _int64_entries(data) -> np.ndarray:
+    """``data`` as a new int64 array.  Raises ValueError for an entry
+    that is not an integer of int64 range, so none is truncated, parsed
+    from text or wrapped; an integral float is an integer."""
+    arr = np.asarray(data)
+    kind = arr.dtype.kind
+    if kind in "biu" and arr.dtype != np.uint64:
+        return arr.astype(np.int64)
+    ints = []
+    for v in arr.ravel().tolist():
+        try:
+            i = int(v) if kind in "fuO" else None
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v or not -(1 << 63) <= i < 1 << 63:
+            raise ValueError(f"entries must be integers of int64 range, got {v!r}")
+        ints.append(i)
+    return np.array(ints, dtype=np.int64).reshape(arr.shape)
+
+
 class MatGF:
     """A dense matrix over GF(D) with entries held reduced mod D.
 
-    The underlying array is marked read-only; every operation returns a
-    fresh matrix.  ``@`` acts mod D and requires matching fields; with
-    an integer array on the right it returns the int64 product mod D.
+    The constructor takes integer entries, reduced mod D, and refuses
+    any other (``_int64_entries``).  The underlying array is marked
+    read-only; every operation returns a fresh matrix.  ``@`` acts mod D
+    and requires matching fields; with an integer array on the right it
+    returns the int64 product mod D.
     ``_reduced=True`` is for library code holding an int64 array already
     reduced mod D: it is taken without a copy and marked read-only, so
     the caller must not write to it (or to an array it views) afterwards.
@@ -139,7 +160,7 @@ class MatGF:
         if _reduced:
             arr = np.asarray(data, dtype=np.int64)
         else:
-            arr = np.array(data, dtype=np.int64) % field.order
+            arr = _int64_entries(data) % field.order
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         arr.flags.writeable = False
@@ -207,8 +228,17 @@ class MatGF:
         return not self._data.any()
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatGF":
-        sub = self._data[np.ix_(np.asarray(row_idx, dtype=np.intp), np.asarray(col_idx, dtype=np.intp))]
-        return MatGF(self.field, sub, _reduced=True)
+        """The given rows and columns, in the given order.  An index
+        that is not an integer (``_int64_entries``) or lies outside the
+        matrix, a negative one included, is refused with ValueError, not
+        truncated or wrapped."""
+        picks = []
+        for idx, size, axis in ((row_idx, self.rows, "row"), (col_idx, self.cols, "column")):
+            idx = _int64_entries(idx)
+            if idx.size and not 0 <= idx.min() <= idx.max() < size:
+                raise ValueError(f"{axis} indices must lie in [0, {size}), got {idx.tolist()}")
+            picks.append(idx)
+        return MatGF(self.field, self._data[np.ix_(*picks)], _reduced=True)
 
     def __repr__(self) -> str:
         return f"MatGF(GF({self.field.order}), {self.rows}x{self.cols})"
@@ -338,25 +368,6 @@ def kernel_basis(m: MatGF) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-rref[:, free].T) % p
     return basis
-
-
-def solve(m: MatGF, b) -> np.ndarray | None:
-    """One solution x of m x = b with free variables set to 0, else None.
-
-    Returns None exactly when the system is inconsistent.  ``b`` must
-    have length ``m.rows``.
-    """
-    p = m.field.order
-    rhs = np.asarray(b, dtype=np.int64) % p
-    if rhs.shape != (m.rows,):
-        raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({m.rows},)")
-    aug = np.concatenate([m.data, rhs.reshape(-1, 1)], axis=1)
-    rref, pivots = _row_reduce(aug, p)
-    if m.cols in pivots:
-        return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    x[pivots] = rref[: len(pivots), -1]
-    return x
 
 
 def inverse(m: MatGF) -> MatGF:

@@ -18,6 +18,13 @@ identity is checked exactly, one boundary block at a time
 (``reduced_kerim_check``).  The complex is called good for
 n' when both pieces have the largest possible dimension n - n'; then
 each quotient sector has dimension K = 2n' - n.
+
+For a complex this is ``complexes.is_good``, which asks only that d be
+injective on the trailing coordinates V> of each sector: W d is then
+injective there too, since W d v = 0 puts d v on the trailing
+coordinates of the other sector, where it is a cycle (d d v = 0), so
+d v = 0 and v = 0.  So ``ReducedComplex.good`` decides goodness, with
+no separate rank of the trailing blocks.
 """
 
 from __future__ import annotations

@@ -264,6 +264,13 @@ class TestCountRankExtensions:
         with pytest.raises(ValueError, match="does not fit"):
             brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 3, 3), 2, 2)
 
+    def test_brute_extension_rejects_a_corner_over_another_field(self):
+        """A GF(5) corner is refused, not reduced mod 3: the corner 4
+        would be counted as the corner 1, {1: 9, 2: 18}."""
+        with pytest.raises(ValueError, match=r"field mismatch: GF\(3\) vs GF\(5\)"):
+            brute_count_rank_extensions(FIELD3, MatGF(FIELD5, [[4]]), 2, 2)
+        assert brute_count_rank_extensions(FIELD3, MatGF(FIELD3, [[1]]), 2, 2) == {1: 9, 2: 18}
+
 
 class TestCountCyclesByRank:
     def test_frozen_census_h1_l1_gf3(self):

@@ -27,7 +27,7 @@ from quditprod import css, gf
 from quditprod.gf import FieldSpec, MatGF, kernel_basis, rank
 from support import (
     FIELD3, FIELD5, SHAPE3, SHAPE5, bounded_logical_weight, distance3_complex,
-    reference_coset_basis, reference_row_reduce, reference_span,
+    reference_coset_basis, reference_rank, reference_row_reduce, reference_span,
 )
 
 
@@ -611,3 +611,77 @@ def test_vanishing_reduced_lemma_single_instance() -> None:
     assert len(joint) >= 1
     for h in joint:
         assert vanishing_reduced_implies_boundary(pc, h, range(4), range(4), range(4), range(4))
+
+
+@pytest.mark.parametrize(
+    "index_sets, message",
+    [
+        (([-1], [0], [0], [0]), r"row indices must lie in \[0, 5\), got \[-1\]"),
+        (([0], [5], [0], [0]), r"column indices must lie in \[0, 5\), got \[5\]"),
+        (([0], [0], [0, 5], [0]), r"row indices must lie in \[0, 5\), got \[0, 5\]"),
+        (([0], [0], [0], [-5]), r"column indices must lie in \[0, 5\), got \[-5\]"),
+        (([1.5], [0], [0], [0]), r"integers of int64 range, got 1.5"),
+    ],
+)
+def test_vanishing_reduced_refuses_indices_outside_the_blocks(index_sets, message) -> None:
+    """An index outside a 5 x 5 block is refused: a negative one is not
+    wrapped to count from the end, one past the end does not escape as
+    an IndexError, and a fractional one is not truncated."""
+    pc = product(distance3_complex(trial_rng(53, 0)), distance3_complex(trial_rng(53, 1)))
+    zero = np.zeros(pc.complex.dim_plus, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        vanishing_reduced_implies_boundary(pc, zero, *index_sets)
+
+
+@st.composite
+def vanishing_cycles(draw):
+    """A product of two random GF(3/5/7) factors with H = 1..2 and
+    L = 0..1, an index set on each side of each block, a random cycle
+    that vanishes on the blocks those sets pick, and a random C- vector."""
+    field = FieldSpec(draw(st.sampled_from([3, 5, 7])))
+    p = field.order
+    seed = draw(st.integers(0, 2**32 - 1))
+    factors = []
+    for i in range(2):
+        H, L = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        factors.append(random_boundary(ComplexShape(H + 2 * L, H, L), field, trial_rng(seed, i))[0])
+    pc = product(*factors)
+    cx = pc.complex
+    (p1, p2), (m1, m2) = pc.block_shapes
+    index_sets = [
+        draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+        for size in (p1, p2, m1, m2)
+    ]
+    rows_plus, cols_plus, rows_minus, cols_minus = index_sets
+    picks = [i * p2 + j for i in rows_plus for j in cols_plus]
+    picks += [p1 * p2 + i * m2 + j for i in rows_minus for j in cols_minus]
+    stacked = np.vstack([cx.d_mp.data, np.eye(cx.dim_plus, dtype=np.int64)[picks]])
+    basis = kernel_basis(MatGF(field, stacked))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)))
+    h = np.array(coeffs, dtype=np.int64) @ basis % p
+    g = trial_rng(seed, 2).integers(0, p, cx.dim_minus)
+    return pc, h, index_sets, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(vanishing_cycles())
+def test_boundary_membership_matches_the_reference_rank(case) -> None:
+    """h is reported a boundary exactly when rank [d_pm | h] = rank
+    d_pm, by the reference elimination.  With no index sets every cycle
+    qualifies: each logical row of the product's coset basis is
+    reported no boundary, and d_pm g a boundary."""
+    pc, h, index_sets, g = case
+    cx = pc.complex
+    p = cx.field.order
+    d_pm = cx.d_pm.data
+
+    def is_boundary(v: np.ndarray) -> bool:
+        return reference_rank(np.column_stack([d_pm, v]), p) == reference_rank(d_pm, p)
+
+    assert vanishing_reduced_implies_boundary(pc, h, *index_sets) is is_boundary(h)
+    z_basis, r = css._coset_bases(extract_css(cx))[0]
+    assert len(z_basis) > r
+    for row in z_basis[r:]:
+        assert not is_boundary(row)
+        assert vanishing_reduced_implies_boundary(pc, row, [], [], [], []) is False
+    assert vanishing_reduced_implies_boundary(pc, cx.d_pm @ g, [], [], [], []) is True

@@ -7,7 +7,9 @@ constant that nothing in the package refers to.  And it holds no
 ``assert`` statement, which ``python -O`` strips: a broken invariant
 raises ``AssertionError`` explicitly.  And the package opens files for
 writing in one function only, the CLI's writer, which also writes each
-output's manifest."""
+output's manifest.  And the package exports exactly the union of its
+modules' ``__all__``, with no name in two of them, so no star import
+shadows another."""
 
 from __future__ import annotations
 
@@ -131,6 +133,61 @@ def test_the_dead_code_guard_finds_an_unused_import_and_private_name() -> None:
     )
     assert _unused_imports(tree) == ["itertools"]
     assert _unreferenced_privates({"sketch": tree}) == ["sketch._recurse"]
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The names of the tree's top-level ``__all__`` list or tuple, or
+    none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _shared_exports(trees: dict[str, ast.Module]) -> list[str]:
+    """``name: module, module, ...`` for each name that the ``__all__``
+    of more than one tree lists, in name order."""
+    owners: dict[str, list[str]] = {}
+    for module, tree in trees.items():
+        for name in _exports(tree):
+            owners.setdefault(name, []).append(module)
+    return [f"{name}: {', '.join(mods)}" for name, mods in sorted(owners.items()) if len(mods) > 1]
+
+
+def test_no_name_is_exported_by_two_modules() -> None:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sum(map(len, map(_exports, trees.values()))) > 40
+    assert _shared_exports(trees) == []
+
+
+def test_the_export_guard_finds_a_name_two_modules_export() -> None:
+    """Sketch modules: ``y`` is listed by a list and by a tuple and
+    found; a name one module lists, or another only defines, is not."""
+    trees = {
+        "a": ast.parse("__all__ = ['x', 'y']\nx = y = 1\n"),
+        "b": ast.parse("y = 2\n__all__ = ('y', 'z')\nz = 3\n"),
+        "c": ast.parse("x = 4\n"),
+    }
+    assert _shared_exports(trees) == ["y: a, b"]
+
+
+def test_package_exports_exactly_the_modules_all() -> None:
+    """The package's public names, its submodules aside, are the union
+    of the modules' ``__all__``, each bound to its module's object."""
+    modules = [
+        importlib.import_module(f"quditprod.{path.stem}")
+        for path in SOURCES
+        if path.stem not in ("__init__", "__main__")
+    ]
+    exported = {name: getattr(mod, name) for mod in modules for name in getattr(mod, "__all__", ())}
+    public = {
+        name: value for name, value in vars(quditprod).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public.keys() == exported.keys()
+    assert all(public[name] is exported[name] for name in public)
 
 
 def _assert_statements(tree: ast.AST) -> list[int]:

@@ -148,7 +148,8 @@ def test_reduce_properties(order: int, n: int, seed: int, data) -> None:
     """For every n' in (n/2, n], good or not (L = 0 is never good below
     n' = n): the kernel/image description holds, each sector block of
     phi maps the n base coordinates onto its quotient sector, embed is a
-    section of phi per sector, and rc.good is is_good."""
+    section of phi per sector, and rc.good is is_good (the reduced-cycle
+    census decides goodness by rc.good alone)."""
     L = data.draw(st.integers(0, n // 2), label="L")
     field = FieldSpec(order)
     c, _, _ = random_boundary(ComplexShape(n, n - 2 * L, L), field, trial_rng(seed, 0))
