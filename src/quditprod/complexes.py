@@ -193,6 +193,12 @@ def homology_dimensions(c: InvolutiveComplex) -> tuple[int, int]:
     return h_plus, h_minus
 
 
+def _check_n_prime(n_prime: int, n: int) -> None:
+    """Refuse a goodness size n' outside 0..n."""
+    if not 0 <= n_prime <= n:
+        raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
+
+
 def is_good(c: InvolutiveComplex, n_prime: int) -> bool:
     """True iff no nonzero kernel vector is supported entirely on the
     trailing n - n_prime coordinates of either sector.
@@ -203,8 +209,7 @@ def is_good(c: InvolutiveComplex, n_prime: int) -> bool:
     n = c.dim_plus
     if c.dim_minus != n:
         raise ValueError("goodness is defined for equal sector dimensions")
-    if not 0 <= n_prime <= n:
-        raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
+    _check_n_prime(n_prime, n)
     tail = n - n_prime
     if tail == 0:
         return True

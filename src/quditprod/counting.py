@@ -205,8 +205,8 @@ def enumerate_reduced_cycles(
     )
     embed_cols = np.concatenate([corner, n * n + corner])
 
-    constraint = (qprod.complex.d_mp.data @ phi_plus.data) % p
-    basis = kernel_basis(MatGF(pc.field, constraint[:, embed_cols], _reduced=True))
+    constraint = (qprod.complex.d_mp @ phi_plus).data[:, embed_cols]
+    basis = kernel_basis(MatGF(pc.field, constraint, _reduced=True))
     return _block_rank_census(basis, p, (np1, np1), (np1, np1))
 
 
@@ -260,7 +260,7 @@ def _enumerate_ranks(
     fixed: np.ndarray | None,
 ) -> dict[int, int]:
     """Rank histogram over all matrices with an optional fixed top-left
-    block, by direct enumeration of the free entries.
+    block of residues, by direct enumeration of the free entries.
 
     Every matrix is ranked on its own: the states of the subspace table
     are stepped through the Cartesian product of each row's codes (a row
@@ -274,7 +274,7 @@ def _enumerate_ranks(
     more than ``gf.ENUMERATION_LIMIT`` matrices.
     """
     p = field.order
-    corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else np.asarray(fixed) % p
+    corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else fixed
     fr, fc = corner.shape
     _check_enumeration(p, rows * cols - fr * fc)
     if cols > rows:

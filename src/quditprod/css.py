@@ -346,21 +346,18 @@ def vanishing_reduced_implies_boundary(
     every kernel vector of d_pm^T, the orientation whose echelon form
     the complex keeps (``complexes._block_ranks``).
 
-    The index sets pick the reduced submatrix of each block, and h must
-    vanish there.  When both factor codes (for either sign of the
-    involution) have distance at least 2(n - n_prime) + 1, the answer
-    is always True.
+    h is split by ``ProductComplex.vector_to_blocks``, and the index sets
+    pick the reduced submatrix of each block, where h must vanish.  When
+    both factor codes (for either sign of the involution) have distance
+    at least 2(n - n_prime) + 1, the answer is always True.
     """
     cx = pc.complex
-    p = cx.field.order
-    vec = np.asarray(h, dtype=np.int64) % p
-    if vec.shape != (cx.dim_plus,):
-        raise ValueError(f"expected a C+ vector of length {cx.dim_plus}")
+    psi_plus, psi_minus = pc.vector_to_blocks(h)
+    vec = np.concatenate((psi_plus.data, psi_minus.data), axis=None)
     if (cx.d_mp @ vec).any():
         raise ValueError("h is not a cycle")
-    psi_plus, psi_minus = pc.vector_to_blocks(vec)
     if psi_plus.submatrix(rows_plus, cols_plus).data.any():
         raise ValueError("reduced matrix of the plus block does not vanish")
     if psi_minus.submatrix(rows_minus, cols_minus).data.any():
         raise ValueError("reduced matrix of the minus block does not vanish")
-    return not _matmul(kernel_basis(cx.d_pm.T), vec, p).any()
+    return not _matmul(kernel_basis(cx.d_pm.T), vec, cx.field.order).any()

@@ -45,12 +45,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf
-from .complexes import ComplexShape, _shape_of
+from .complexes import ComplexShape, _check_n_prime, _shape_of
 from .gf import (
     FieldSpec,
     MatGF,
     _check_enumeration,
     _gauss_jordan_batch,
+    _matmul,
     _mod,
     _table_rank,
     _weight_blocks,
@@ -514,9 +515,7 @@ def mc_goodness(cfg: TrialConfig, n_prime: int) -> EstimateReport:
     """
     shape = cfg.shape()
     field = cfg.field
-    n = shape.n
-    if not 0 <= n_prime <= n:
-        raise ValueError(f"n_prime must lie in [0, {n}], got {n_prime}")
+    _check_n_prime(n_prime, shape.n)
     t = shape.H + shape.L
     successes = 0
     for bases in _kernel_bases(shape, field, cfg.trials, cfg.master_seed):
@@ -599,9 +598,7 @@ def mc_uniform_low_weight(
     p = field.order
     successes = 0
     for u, v in _invertible_pairs(field, n_prime, trials, master_seed):
-        # Widened first: draws are as narrow as uint8, whose products
-        # overflow from p = 17 on.
-        mats = u[:, :, :rank].astype(np.int64) @ v[:, :rank, :] % p
+        mats = _matmul(u[:, :, :rank], v[:, :rank, :], p)
         successes += int(_uniform_low_weight(mats, c_prime * n_prime).sum())
     return _report(
         "ulw",

@@ -7,6 +7,8 @@ ranks (``rank_batch``), the one enumeration of a span
 (``line_blocks``) and the one enumeration of the vectors of a fixed
 weight (``_weight_blocks``).  Every result is exact: ranks, kernels,
 inverses and products are the same integers as in exact arithmetic mod D.
+Outside ``gf`` no module multiplies or reduces residues by hand, and
+every caller array enters through ``_int64_entries``.
 
 Exactness bounds, each argued where it is used:
 
@@ -114,7 +116,7 @@ def _int64_entries(data) -> np.ndarray:
     from text or wrapped; an integral float is an integer."""
     arr = np.asarray(data)
     kind = arr.dtype.kind
-    if kind in "biu" and arr.dtype != np.uint64:
+    if kind in "biu" and (arr.dtype != np.uint64 or not arr.size or arr.max() < 1 << 63):
         return arr.astype(np.int64)
     ints = []
     for v in arr.ravel().tolist():
@@ -134,8 +136,8 @@ class MatGF:
     The constructor takes integer entries, reduced mod D, and refuses
     any other (``_int64_entries``).  The underlying array is marked
     read-only; every operation returns a fresh matrix.  ``@`` acts mod D
-    and requires matching fields; with an integer array on the right it
-    returns the int64 product mod D.
+    and requires matching fields; with an array on the right, read by
+    the constructor's rule, it returns the int64 product mod D.
     ``_reduced=True`` is for library code holding an int64 array already
     reduced mod D: it is taken without a copy and marked read-only, so
     the caller must not write to it (or to an array it views) afterwards.
@@ -211,7 +213,7 @@ class MatGF:
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch for @: {self.shape} and {other.shape}")
             return MatGF(self.field, _matmul(self._data, other._data, p), _reduced=True)
-        return _matmul(self._data, _mod(np.asarray(other, dtype=np.int64), p), p)
+        return _matmul(self._data, _mod(_int64_entries(other), p), p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatGF):
@@ -627,8 +629,9 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """The (N,) ranks of a stack (N, rows, cols) over GF(p), int64.
 
     A wide stack is transposed first, so cols <= rows, and held as a
-    contiguous (rows, cols, N) array in :func:`_work_dtype`; an unsigned
-    input narrower than that type is reduced there, any other in int64.
+    contiguous (rows, cols, N) array in :func:`_work_dtype`, reduced in
+    the promotion of an integer input's dtype and that type, never first
+    widened; any other input, uint64 included, is read by ``_int64_entries``.
 
     Forward elimination runs over the leading cols - w columns, w =
     min(cols, :func:`_tail_width`).  At column c each matrix's lead row
@@ -648,18 +651,16 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     m = np.asarray(mats)
     if m.ndim != 3:
         raise ValueError("expected a (N, rows, cols) array")
-    narrow = m.dtype.kind == "u" and m.dtype.itemsize < np.dtype(dtype).itemsize
-    if not narrow:
-        m = _mod(m.astype(np.int64, copy=False), p)
+    if m.dtype.kind not in "biu" or m.dtype == np.uint64:
+        m = _int64_entries(m)
     if m.shape[2] > m.shape[1]:
         m = m.transpose(0, 2, 1)
     nmat, nrows, ncols = m.shape
     ranks = np.zeros(nmat, dtype=np.int64)
     if ncols == 0:
         return ranks
-    m = np.array(m.transpose(1, 2, 0), dtype=dtype, order="C")
-    if narrow:
-        m = _mod(m, p)
+    wide = np.array(m.transpose(1, 2, 0), dtype=np.promote_types(m.dtype, dtype), order="C")
+    m = _mod(wide, p).astype(dtype, copy=False)
     w = min(ncols, _tail_width(p))
     for c in range(ncols - w):
         col = m[:, c]
@@ -751,8 +752,9 @@ def line_blocks(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndarra
     ``_LINE_ROWS`` = 2**16 rows of residues in the dtype their sums run
     in.  Rows come in the order of the index sum_i c_i p**i: the indices
     [p**k, 2 p**k) for k = start .. t - 1.  Refused with ValueError,
-    before any block is built, when start lies outside 0..t or p**t
-    exceeds ``ENUMERATION_LIMIT``, although the walk is shorter.
+    before any block is built, when an entry of the basis is not an
+    integer of int64 range (``_int64_entries``), start lies outside 0..t
+    or p**t exceeds ``ENUMERATION_LIMIT``, although the walk is shorter.
 
     Every nonzero combination is a nonzero multiple of exactly one of
     them, and the zero combination is walked by none, so a count of a
@@ -800,7 +802,7 @@ def _line_walk(
     later block in order, the decoded combinations of the trailing rows
     for its high indices; the block is each of them plus every row of
     ``low``, top-major."""
-    basis = np.asarray(basis, dtype=np.int64)
+    basis = _int64_entries(basis)
     t, width = basis.shape
     _check_enumeration(p, t)
     if not 0 <= start <= t:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, homology_dimensions, validate
-from .gf import FieldSpec, MatGF, _mod
+from .gf import FieldSpec, MatGF, _int64_entries, _mod
 
 __all__ = [
     "ProductComplex",
@@ -58,9 +58,9 @@ class ProductComplex:
         )
 
     def vector_to_blocks(self, v: np.ndarray) -> tuple[MatGF, MatGF]:
-        """Split a C+ vector into its two matrix blocks."""
+        """Split a C+ vector into its two matrix blocks, reading it as ``MatGF`` does."""
         (p1, p2), (m1, m2) = self.block_shapes
-        vec = np.asarray(v, dtype=np.int64) % self.field.order
+        vec = _mod(_int64_entries(v), self.field.order)
         if vec.shape != (self.complex.dim_plus,):
             raise ValueError(f"expected a C+ vector of length {self.complex.dim_plus}")
         psi_plus = MatGF(self.field, vec[: p1 * p2].reshape(p1, p2), _reduced=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import InvolutiveComplex, validate
-from .gf import MatGF, _row_reduce, kernel_basis, rank
+from .gf import MatGF, _matmul, _mod, _row_reduce, kernel_basis, rank
 
 __all__ = [
     "ReductionParams",
@@ -95,11 +95,9 @@ def _sector_quotient(gens: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.n
     np1 = gens.shape[0]
     s_rref, piv = _row_reduce(gens.T, p)
     sel_v = np.eye(np1, n, dtype=np.int64)
-    canon = (sel_v - s_rref[: len(piv)].T @ sel_v[piv]) % p
+    canon = _mod(sel_v - _matmul(s_rref[: len(piv)].T, sel_v[piv], p), p)
     rep = sorted(set(range(np1)) - set(piv))
-    embed = np.zeros((n, len(rep)), dtype=np.int64)
-    embed[rep, np.arange(len(rep))] = 1
-    return canon[rep], embed
+    return canon[rep], sel_v.T[:, rep]
 
 
 def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
@@ -131,16 +129,15 @@ def reduce(c: InvolutiveComplex, params: ReductionParams) -> ReducedComplex:
     # d_pm the minus part to C+.  Checked, not assumed.
     sectors = ((phi_p, gens_p, phi_m, c.d_mp.data), (phi_m, gens_m, phi_p, c.d_pm.data))
     for phi_s, gens, phi_t, d in sectors:
-        if (phi_s[:, :np1] @ gens % p).any():
+        if _matmul(phi_s[:, :np1], gens, p).any():
             raise AssertionError("phi does not kill S>")
-        descent = (phi_t @ d[:, :np1] % p) @ gens % p
-        if descent.any():
+        if _matmul(_matmul(phi_t, d[:, :np1], p), gens, p).any():
             raise AssertionError("boundary does not descend to the quotient")
 
     quotient = InvolutiveComplex(
         field=c.field,
-        d_pm=MatGF(c.field, (phi_p @ c.d_pm.data % p) @ embed_m, _reduced=True),
-        d_mp=MatGF(c.field, (phi_m @ c.d_mp.data % p) @ embed_p, _reduced=True),
+        d_pm=MatGF(c.field, _matmul(_matmul(phi_p, c.d_pm.data, p), embed_m, p), _reduced=True),
+        d_mp=MatGF(c.field, _matmul(_matmul(phi_m, c.d_mp.data, p), embed_p, p), _reduced=True),
     )
     problems = validate(quotient)
     if problems:

@@ -633,6 +633,41 @@ def test_vanishing_reduced_refuses_indices_outside_the_blocks(index_sets, messag
         vanishing_reduced_implies_boundary(pc, zero, *index_sets)
 
 
+# Each array entry point of the library, with the shape of the array it
+# takes; a pair of GF(3) standard factors of dimension 3 gives an 18-entry
+# C+ vector.
+_ARRAY_ENTRY_POINTS = {
+    "matmul": ((2,), lambda a: MatGF.identity(FIELD3, 2) @ a),
+    "rank_batch": ((1, 2, 2), lambda a: gf.rank_batch(a, 3)),
+    "line_blocks": ((2, 3), lambda a: gf.line_blocks(a, 3)),
+    "vector_to_blocks": ((18,), lambda a: _standard_product(FIELD3).vector_to_blocks(a)),
+    "vanishing_reduced": (
+        (18,),
+        lambda a: vanishing_reduced_implies_boundary(_standard_product(FIELD3), a, [], [], [], []),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ARRAY_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "value, dtype", [(1.5, np.float64), (10**30, object), (2**63, np.uint64)],
+    ids=["fraction", "object-10^30", "uint64-2^63"],
+)
+def test_array_entry_points_refuse_entries_that_are_not_int64_integers(
+    entry, value, dtype
+) -> None:
+    """Every public function that takes an array of residues reads it by
+    the ``MatGF`` constructor's rule: a fraction is refused, not
+    truncated, a huge object entry is refused with ValueError, not
+    OverflowError, and a uint64 entry from 2^63 on is refused, not
+    wrapped."""
+    shape, call = _ARRAY_ENTRY_POINTS[entry]
+    a = np.zeros(shape, dtype=dtype)
+    a.flat[0] = value
+    with pytest.raises(ValueError, match=rf"^entries must be integers of int64 range, got {value}$"):
+        call(a)
+
+
 @st.composite
 def vanishing_cycles(draw):
     """A product of two random GF(3/5/7) factors with H = 1..2 and

@@ -419,7 +419,7 @@ def span_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(span_cases())
-def test_span_blocks_matches_reference(case) -> None:
+def test_line_blocks_matches_reference(case) -> None:
     """The built lines are the decoded ones, row for row in index order,
     for every block size and every start 0..t; each block holds 1..rows
     rows of residues in the unsigned dtype its sums run in, the smallest
@@ -514,7 +514,7 @@ def test_line_weights_are_the_weights_of_line_blocks(case) -> None:
 
 
 @pytest.mark.parametrize("order, t, decoded_mib", [(3, 10, 16.67), (5, 8, 27.50)])
-def test_span_blocks_memory_peak(order: int, t: int, decoded_mib: float) -> None:
+def test_line_blocks_memory_peak(order: int, t: int, decoded_mib: float) -> None:
     """Walking the lines of a t x 18 basis stays below the traced peak of
     decoding every index of the span and multiplying by the basis
     (16.67 MiB for GF(3) 10x18, 27.50 MiB for GF(5) 8x18): no
@@ -1020,7 +1020,9 @@ _ORDERS = [3, 5, 7, 181, 191, 65521]
     ),
     largest=st.booleans(),
     low_rank=st.booleans(),
-    entries=st.sampled_from(["reduced", "unreduced", "uint8", "uint16"]),
+    entries=st.sampled_from(
+        ["reduced", "unreduced", "int8", "int32", "uint8", "uint16", "uint32", "uint64", "bool"]
+    ),
     planted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -1032,10 +1034,11 @@ def test_rank_batch_matches_scalar_rank(
     GF(191/65521) (in int64), whatever width of subspace table finishes
     it: tall, wide and square stacks, with no rows or no columns, and of
     no matrices.  Entries may be int64 residues, int64 negative or >= p,
-    uint8 (cast to int16 and reduced there where p <= 181) or uint16
-    holding values >= p (reduced in int64); a stack may hold an all-zero
-    matrix and one whose first column is zero beside matrices with
-    pivots there.  The subspace-table rank agrees wherever its table
+    or int8, int32, uint8, uint16, uint32 or uint64 (below 2^63) holding
+    values >= p, each reduced in the promotion of its dtype and the
+    elimination dtype (uint64 read as int64), or bool; a stack may hold
+    an all-zero matrix and one whose first column is zero beside
+    matrices with pivots there.  The subspace-table rank agrees wherever its table
     (up to GF(3)^5 or GF(5)^4) is built; wide stacks take its
     transposed walk."""
     rows, cols = shape
@@ -1051,9 +1054,11 @@ def test_rank_batch_matches_scalar_rank(
         mats[1, :, :1] = 0
     if entries == "unreduced":  # the same residues, shifted by multiples of p
         mats = mats + rng.integers(-3, 4, mats.shape) * order
+    elif entries == "bool":
+        mats = mats.astype(bool)
     elif entries != "reduced":
         # Entries the type holds, each shifted by a multiple of p it has room for.
-        top = np.iinfo(entries).max
+        top = min(np.iinfo(entries).max, 2**63 - 1)
         mats = np.minimum(mats, top)
         room = (top - mats) // order + 1
         mats = (mats + rng.integers(0, 1 << 16, mats.shape) % room * order).astype(entries)
@@ -1095,6 +1100,16 @@ def test_gauss_jordan_batch_gives_the_reduced_echelon_rows(
         led.sort(key=lambda row: next(j for j, v in enumerate(row) if v))
         rref, pivots = reference_row_reduce(m, order)
         assert led == rref[: len(pivots)].tolist()
+
+
+def test_rank_batch_reads_uint64_entries_without_wrapping() -> None:
+    """uint64 entries are read as integers, not wrapped into int64: over
+    GF(3), [[2^64 - 1, 0], [0, 1]] (of rank 1, as 2^64 - 1 = 0 mod 3) is
+    refused, not ranked 2 as [[-1, 0], [0, 1]], and an entry below 2^63
+    is reduced exactly."""
+    with pytest.raises(ValueError, match="integers of int64 range, got 18446744073709551615"):
+        rank_batch(np.array([[[2**64 - 1, 0], [0, 1]]], dtype=np.uint64), 3)
+    assert rank_batch(np.array([[[2**63 - 2, 0], [0, 1]]], dtype=np.uint64), 3).tolist() == [1]
 
 
 def test_rank_batch_refuses_a_stack_that_is_not_3d() -> None:

@@ -9,7 +9,8 @@ raises ``AssertionError`` explicitly.  And the package opens files for
 writing in one function only, the CLI's writer, which also writes each
 output's manifest.  And the package exports exactly the union of its
 modules' ``__all__``, with no name in two of them, so no star import
-shadows another."""
+shadows another.  And no module but ``gf`` reduces an array mod p by
+hand."""
 
 from __future__ import annotations
 
@@ -316,3 +317,74 @@ def test_public_callables_are_plain_functions_or_classes() -> None:
         if callable(obj) and not inspect.isclass(obj):
             assert inspect.isfunction(obj), f"{module.__name__}.{name} is not a plain function"
             assert obj.__module__ == module.__name__, f"{module.__name__}.{name} is defined elsewhere"
+
+
+def _is_constant(node: ast.AST) -> bool:
+    """Whether the expression is built from constants by operators alone."""
+    if isinstance(node, ast.UnaryOp):
+        return _is_constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return isinstance(node, ast.Constant)
+
+
+def _is_order(node: ast.AST) -> bool:
+    """Whether the expression is ``p`` or ``<x>.order``, a field order."""
+    return (isinstance(node, ast.Name) and node.id == "p") or (
+        isinstance(node, ast.Attribute) and node.attr == "order"
+    )
+
+
+def _hand_reductions(tree: ast.AST) -> list[int]:
+    """The line of each reduction of the tree by a field order: a ``%``
+    of an expression that is not a constant one, a ``%=``, or an
+    ``np.mod`` / ``np.remainder`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            hit = _is_order(node.right) and not _is_constant(node.left)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+            hit = _is_order(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            hit = (
+                isinstance(func.value, ast.Name) and func.value.id == "np"
+                and func.attr in ("mod", "remainder")
+                and any(map(_is_order, node.args[1:]))
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_gf_reduces_residues_by_hand() -> None:
+    """``gf`` owns GF(p) array arithmetic: every other module reduces
+    through ``gf._mod`` or ``gf._matmul``.  The guard sees ``gf``'s own
+    reductions, so it is not blind."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _hand_reductions(trees.pop("gf"))
+    assert {module: _hand_reductions(tree) for module, tree in trees.items()} == {
+        module: [] for module in trees
+    }
+
+
+def test_the_reduction_guard_finds_a_reduction_by_hand() -> None:
+    """A sketch module: ``x @ y % p``, ``%=``, a reduction by a field's
+    order and ``np.mod`` / ``np.remainder`` by either are found; a
+    constant expression mod p, a format string and a reduction by
+    another modulus are not."""
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(x, y, p, field, n):\n"
+        "    a = x @ y % p\n"
+        "    x %= p\n"
+        "    b = y % field.order\n"
+        "    c = np.mod(x, p)\n"
+        "    d = np.remainder(x, field.order)\n"
+        "    keep = (1 << 32) % p, -(3) % p, 'GF(%d)' % p\n"
+        "    other = x % n, x % 2, np.mod(x, n)\n"
+        "    return a, b, c, d, keep, other\n"
+    )
+    assert _hand_reductions(tree) == [3, 4, 5, 6, 7]
