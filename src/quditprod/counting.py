@@ -4,11 +4,11 @@ Every count here is an exact Python integer; nothing is ever truncated
 to machine precision.  The closed forms are validated against direct
 enumeration of the full matrix space on every instance small enough to
 enumerate.  The oracles rank each enumerated matrix on its own, through
-the subspace tables of ``gf`` (``gf._table_rank``), which are built by
-row reduction and share nothing with the closed forms.  Every oracle is
-refused above ``gf.ENUMERATION_LIMIT`` matrices or vectors, the one cap
-on enumeration in the library, and above the subspace-table cap
-(``gf._table_fits``).
+the subspace tables of ``gf`` (``gf._rank_walk`` and ``gf._table_rank``),
+which are built by row reduction and share nothing with the closed
+forms.  Every oracle is refused above ``gf.ENUMERATION_LIMIT`` matrices
+or vectors, the one cap on enumeration in the library, and above the
+subspace-table cap (``gf._table_fits``).
 
 The headline identity: the number of pairs of reduced cycles with
 prescribed block ranks factors through the rank distribution of the
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import (
-    FieldSpec, MatGF, _check_enumeration, _subspace_table, _table_rank, kernel_basis, line_blocks,
+    FieldSpec, MatGF, _check_enumeration, _rank_walk, _table_rank, kernel_basis, line_blocks,
 )
 from .product import ProductComplex, product, product_chain_map
 from .reduction import ReductionParams, reduce
@@ -249,10 +249,6 @@ def _block_rank_census(
     return {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
 
 
-# Largest batch of matrices ranked in one array.
-_CHUNK = 1 << 20
-
-
 def _enumerate_ranks(
     field: FieldSpec,
     rows: int,
@@ -262,16 +258,11 @@ def _enumerate_ranks(
     """Rank histogram over all matrices with an optional fixed top-left
     block of residues, by direct enumeration of the free entries.
 
-    Every matrix is ranked on its own: the states of the subspace table
-    are stepped through the Cartesian product of each row's codes (a row
-    in the fixed corner has its fixed part plus every value of its free
-    digits).  The last row steps through ``dim`` of its move, straight
-    to the rank reached, so the final array holds one uint8 rank per
-    matrix (with no rows, state 0 is the zero subspace, of rank 0).  A
-    wide space is walked along its columns.  The trailing rows are
-    enumerated in blocks from each state of the leading rows, so no
-    array outgrows _CHUNK entries.  Refused when the free entries span
-    more than ``gf.ENUMERATION_LIMIT`` matrices.
+    Every matrix is ranked on its own by ``gf._rank_walk``: a row in the
+    fixed corner has its fixed part plus every value of its free digits
+    as codes, any other row every code.  A wide space is walked along
+    its columns.  Refused, before any table is built, when the free
+    entries span more than ``gf.ENUMERATION_LIMIT`` matrices.
     """
     p = field.order
     corner = np.zeros((0, 0), dtype=np.int64) if fixed is None else fixed
@@ -279,33 +270,14 @@ def _enumerate_ranks(
     _check_enumeration(p, rows * cols - fr * fc)
     if cols > rows:
         rows, cols, fr, fc, corner = cols, rows, fc, fr, corner.T
-    step, dim = _subspace_table(p, cols)
     free = p**fc * np.arange(p ** (cols - fc))
     fixed_codes = corner @ p ** np.arange(fc)
-    moves = [step[:, fixed_codes[i] + free if i < fr else slice(None)] for i in range(rows)]
-    if moves:
-        moves[-1] = dim[moves[-1]]
-
-    # The trailing rows are the longest suffix, of at least one row,
-    # whose code counts multiply to at most _CHUNK.
-    split, block = rows, 1
-    while split and (split == rows or block * moves[split - 1].shape[1] <= _CHUNK):
-        split -= 1
-        block *= moves[split].shape[1]
-    leading = np.zeros(1, dtype=step.dtype)
-    for move in moves[:split]:
-        leading = move[leading].ravel()
-
+    codes = [fixed_codes[i] + free if i < fr else slice(None) for i in range(rows)]
     hist = np.zeros(cols + 1, dtype=np.int64)
-    per = max(1, _CHUNK // block)
-    for start in range(0, leading.size, per):
-        state = leading[start : start + per]
-        for move in moves[split:]:
-            state = move[state].ravel()
-        # Every rank is at most cols, so the last bucket is what the
-        # others leave: one compare pass fewer.
-        counts = [np.count_nonzero(state == r) for r in range(cols)]
-        hist += [*counts, state.size - sum(counts)]
+    for ranks in _rank_walk(p, cols, codes):
+        # Ranks are at most cols: the last bucket is what the others leave.
+        counts = [np.count_nonzero(ranks == r) for r in range(cols)]
+        hist += [*counts, ranks.size - sum(counts)]
     return {r: int(c) for r, c in enumerate(hist) if c}
 
 

@@ -4,8 +4,9 @@ Provides ``FieldSpec``, ``MatGF`` (a read-only matrix that keeps its
 echelon forms and shares them with its transposes), rank, kernel,
 inverse, uniform invertible sampling, the text format, batched
 ranks (``rank_batch``), the one enumeration of a span
-(``line_blocks``) and the one enumeration of the vectors of a fixed
-weight (``_weight_blocks``).  Every result is exact: ranks, kernels,
+(``line_blocks``), of the vectors of a fixed weight (``_weight_blocks``)
+and of a product of row codes (``_rank_walk``, for the whole-block rank
+tables and the count oracles).  Every result is exact: ranks, kernels,
 inverses and products are the same integers as in exact arithmetic mod D.
 Outside ``gf`` no module multiplies or reduces residues by hand, and
 every caller array enters through ``_int64_entries``.
@@ -737,7 +738,7 @@ def _add_residues(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray) -> None
     np.minimum(out, s, out=out)
 
 
-# Most rows of one block of line_blocks.
+# Most rows of one block of line_blocks, and ranks of one of _rank_walk.
 _LINE_ROWS = 1 << 16
 # Most int64 cells of one decode of trailing-row combinations in
 # line_blocks: with a one-row low table (p >= 17) a block is all decode.
@@ -876,21 +877,20 @@ def _line_weights(basis: np.ndarray, p: int, start: int = 0) -> Iterator[np.ndar
     block's decoded tops y.  A row x + y is nonzero at i exactly when
     y_i != (-x)_i mod p, that is, when the two bits-wide fields of
     coordinate i differ; so its weight is the number of nonzero fields
-    of (-x) XOR y.  The bits - 1 shifts of that XOR, each by less than a
-    field (a shift by bits or more would carry the next field's bits),
-    are ORed onto each field's low bit, a mask keeps those bits, and
-    ``np.bitwise_count`` (numpy >= 2.0) counts them, word by word.
-    Words lead the axes, so each XOR runs along a block's low-table
-    rows."""
+    of (-x) XOR y.  That XOR and its shifts by 1 .. bits - 1, each by
+    less than a field (a shift by bits or more would carry the next
+    field's bits), are ORed onto each field's low bit, a mask keeps
+    those bits, and ``np.bitwise_count`` (numpy >= 2.0) counts them,
+    word by word.  Words lead the axes, so each XOR runs along a
+    block's low-table rows."""
     low, head, tops = _line_walk(basis, p, start)
     bits = (p - 1).bit_length()
     table = _pack((p - low) % p, bits)
     field_lows = np.uint64(sum(1 << i for i in range(0, 64 // bits * bits, bits)))
 
     def weights(diff: np.ndarray) -> np.ndarray:
-        fold = diff >> np.uint64(1)
-        fold |= diff
-        for s in range(2, bits):
+        fold = diff.copy()
+        for s in range(1, bits):
             fold |= diff >> np.uint64(s)
         fold &= field_lows
         return np.bitwise_count(fold).sum(axis=0, dtype=np.intp).reshape(-1)
@@ -1035,19 +1035,45 @@ def _block_table(p: int, rows: int, w: int) -> np.ndarray:
     3 x 3 (59049 bytes at most), over GF(5) up to 6 x 1 and 3 x 2, then
     fewer rows as p grows, down to single entries from GF(257) on.
 
-    Built from :func:`_subspace_table` of GF(p)^w, so by row reduction
-    alone.  Row i is digit i of the code in base p**w, so the states
-    after rows 0..i, in code order, are the transposed step table
-    gathered at the states after rows 0..i-1: one gather per row in the
-    step table's own dtype, the last from its ranks ``dim[step]``."""
-    if rows * w == 0:  # one code, the empty matrix, of rank 0
-        return _read_only(np.zeros(1, dtype=np.uint8))
+    :func:`_rank_walk` over every code of every row, so built by row
+    reduction alone.  The walk varies row 0 slowest, not fastest, but a
+    matrix's rank does not depend on the order of its rows."""
+    return _read_only(np.concatenate([*_rank_walk(p, w, [slice(None)] * rows)]))
+
+
+def _rank_walk(p: int, w: int, codes: Sequence[np.ndarray | slice]) -> Iterator[np.ndarray]:
+    """The rank, uint8, of every matrix of width w over GF(p) whose row i
+    has a code sum_j m[i, j] p**j in ``codes[i]``, in blocks, in
+    ``itertools.product`` order over the rows (row 0 slowest); with no
+    rows, one rank 0.  A row's codes are an index array or every code as
+    ``slice(None)``, a view of the step table that an index array would
+    copy at each call.
+
+    The states of :func:`_subspace_table` step through each row's codes,
+    the last row through ``dim`` of its step, straight to the rank.  The
+    trailing rows are the longest suffix whose code counts multiply to
+    at most ``_LINE_ROWS``; the leading ones are stepped once, and a
+    block of at most ``_LINE_ROWS`` ranks steps the trailing ones from
+    the next ``_LINE_ROWS`` // (that product) leading states.  Under the
+    table cap a row has fewer than 2**16 codes; so where counts never
+    fall along the rows, as in every caller, that product exceeds 2**8
+    if a row leads, and a walk of at most ``ENUMERATION_LIMIT`` matrices
+    has fewer than 2**16 leading states."""
     step, dim = _subspace_table(p, w)
-    moves = np.ascontiguousarray(step.T)
-    state = np.zeros(1, dtype=step.dtype)
-    for _ in range(rows - 1):
-        state = moves.take(state, axis=1).ravel()
-    return _read_only(dim[moves].take(state, axis=1).ravel())
+    moves = [step[:, c] for c in codes[:-1]] + [dim[step[:, c]] for c in codes[-1:]]
+    split, block = len(moves), 1
+    while split and block * moves[split - 1].shape[1] <= _LINE_ROWS:
+        split -= 1
+        block *= moves[split].shape[1]
+    leading = np.zeros(1, dtype=np.uint8)
+    for move in moves[:split]:
+        leading = move[leading].ravel()
+    per = max(1, _LINE_ROWS // block)
+    for start in range(0, leading.size, per):
+        state = leading[start : start + per]
+        for move in moves[split:]:
+            state = move[state].ravel()
+        yield state
 
 
 def _table_rank(mats: np.ndarray, p: int) -> np.ndarray:

@@ -250,7 +250,7 @@ class TestCountRankExtensions:
         def untouched(*args):
             raise AssertionError("the subspace table was built")
 
-        monkeypatch.setattr(counting, "_subspace_table", untouched)
+        monkeypatch.setattr(gf, "_subspace_table", untouched)
         # 15 free cells: 3^15 is above the 10^7 limit
         with pytest.raises(ValueError, match=r"3\^15 vectors, above the limit"):
             brute_count_rank_extensions(FIELD3, MatGF.zeros(FIELD3, 1, 1), 4, 4)
@@ -469,7 +469,8 @@ def enumeration_cases(draw):
     """A rows x cols space over GF(3/5/7), tall, wide or empty, narrow
     enough for its subspace table (5, 4 or 3), with a fixed top-left
     corner of random residues (or none), of at most 3^6, 5^4 or 7^3
-    free entries, and a chunk of 1, a small odd size or the default."""
+    free entries, and a block size of 1, a small odd size or the
+    default."""
     p = draw(st.sampled_from([3, 5, 7]))
     widest, most = {3: (5, 6), 5: (4, 4), 7: (3, 3)}[p]
     rows = draw(st.integers(0, 5))
@@ -479,20 +480,21 @@ def enumeration_cases(draw):
     fc = draw(st.integers(max(0, -(-(rows * cols - most) // fr)) if fr else 0, cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fixed = rng.integers(0, p, (fr, fc)) if draw(st.booleans()) or fr * fc else None
-    chunk = draw(st.sampled_from([1, counting._CHUNK]) | st.integers(1, 20).map(lambda c: 2 * c + 1))
-    return p, rows, cols, fixed, chunk
+    block = draw(st.sampled_from([1, gf._LINE_ROWS]) | st.integers(1, 20).map(lambda c: 2 * c + 1))
+    return p, rows, cols, fixed, block
 
 
 @settings(max_examples=250, deadline=None)
 @given(enumeration_cases())
 def test_enumerate_ranks_matches_a_per_matrix_reference(case) -> None:
     """The walk's histogram is that of ranking every matrix on its own
-    by plain row reduction, for every chunk size: a chunk of 1 steps
-    one leading state at a time, a small odd chunk splits the rows
-    between leading and trailing, and the default keeps them trailing."""
-    p, rows, cols, fixed, chunk = case
+    by plain row reduction, for every block size of ``gf._rank_walk``: a
+    block of 1 leaves every row of more than one code leading and yields
+    one rank at a time, a small odd size splits the rows between leading
+    and trailing, and the default keeps them trailing."""
+    p, rows, cols, fixed, block = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_CHUNK", chunk)
+        mp.setattr(gf, "_LINE_ROWS", block)
         hist = counting._enumerate_ranks(FieldSpec(p), rows, cols, fixed)
     assert hist == reference_rank_histogram(p, rows, cols, fixed)
 

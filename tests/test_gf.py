@@ -349,7 +349,7 @@ def _stacked(blocks: list[np.ndarray], width: int) -> np.ndarray:
     "order, t, width",
     [(3, 3, 5), (5, 2, 4), (7, 2, 3), (3, 11, 12), (5, 0, 4), (181, 2, 6), (65521, 1, 4)],
 )
-def test_span_blocks_enumerates_the_span_in_index_order(order: int, t: int, width: int) -> None:
+def test_line_blocks_enumerates_the_span_in_index_order(order: int, t: int, width: int) -> None:
     """From every start, the combinations whose coefficients
     (idx // order**i) % order have their last nonzero entry 1 at i >=
     start, in increasing idx; every block but the first and the last
@@ -441,7 +441,7 @@ def test_line_blocks_matches_reference(case) -> None:
 
 
 @pytest.mark.parametrize("order", _SPAN_ORDERS)
-def test_span_blocks_matches_reference_at_the_enumeration_cap(order: int) -> None:
+def test_line_blocks_matches_reference_at_the_enumeration_cap(order: int) -> None:
     """The largest span the cap allows (3^14, 5^10, 7^8, 181^3, 65521^1
     combinations): the walk from 0 equals the reference block by block,
     and the walk from each start is its tail from row
@@ -475,13 +475,15 @@ def test_line_blocks_refuses_a_start_outside_the_basis(start: int) -> None:
 
 @st.composite
 def weight_cases(draw):
-    """A (t, width) basis over GF(3/5/7/17/131/181/65521), independent
+    """A (t, width) basis over GF(2/3/5/7/17/131/181/65521), independent
     or of lower rank, as wide as one word of packed fields, one field
     either side of it, or two words and a field (per = 64 // bits fields
-    a word: 32 for GF(3), 21 for GF(5) and GF(7), 12 for GF(17), 8 for
-    GF(131) and GF(181), 4 for GF(65521)), and a block size of 1, 2, p
-    or 2^16.  Spans hold at most 2^16 rows in 300 blocks."""
-    order = draw(st.sampled_from([3, 5, 7, 17, 131, 181, 65521]))
+    a word: 64 for GF(2), 32 for GF(3), 21 for GF(5) and GF(7), 12 for
+    GF(17), 8 for GF(131) and GF(181), 4 for GF(65521)), and a block
+    size of 1, 2, p or 2^16.  Spans hold at most 2^16 rows in 300
+    blocks.  GF(2), which ``FieldSpec`` refuses, packs one bit a field:
+    no shift of the XOR is needed."""
+    order = draw(st.sampled_from([2, 3, 5, 7, 17, 131, 181, 65521]))
     per = 64 // (order - 1).bit_length()
     width = draw(st.sampled_from([0, 1, per - 1, per, per + 1, 2 * per + 1]))
     rows = draw(st.sampled_from([1, 2, order, 1 << 16]))
@@ -724,11 +726,36 @@ def test_block_tables_hold_the_rank_of_every_code(order: int) -> None:
     shapes = _block_shapes(order)
     largest = max(order ** (rows * w) for rows, w in shapes)
     assert largest <= gf._BLOCK_CODES < largest * order
-    for rows, w in shapes + [(0, 0), (3, 0)]:
+    for rows, w in shapes + [(0, 0), (3, 0), (0, 2)]:
         table = gf._block_table(order, rows, w)
         assert table.dtype == np.uint8 and not table.flags.writeable
         want = reference_rank_batch(_every_matrix(order, rows, w), order)
         assert table.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("order, w", [(3, 3), (5, 2)])
+@pytest.mark.parametrize("block", [1, 7, gf._LINE_ROWS])
+def test_rank_walk_yields_ranks_in_product_order(order: int, w: int, block: int) -> None:
+    """The walk's blocks, concatenated, are the elimination ranks of the
+    matrices whose rows run through each row's codes in
+    ``itertools.product`` order, row 0 slowest, for rows of different
+    code counts: a fixed-corner row (first entry 1, the rest free), a
+    single code, every code, and no rows at all.  A block size of 1
+    leaves every row of more than one code leading, a small odd size
+    splits the rows, and the default keeps them trailing."""
+    corner = 1 + order * np.arange(order ** (w - 1))
+    single = np.array([order**w - 2])
+    every = slice(None)
+    cases = [[], [single], [every], [corner, single, every], [every, corner, single, every]]
+    for codes in cases:
+        rows = [range(order**w) if isinstance(c, slice) else c.tolist() for c in codes]
+        combos = np.array(list(itertools.product(*rows)), dtype=np.int64)
+        mats = combos[:, :, None] // order ** np.arange(w) % order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_LINE_ROWS", block)
+            blocks = list(gf._rank_walk(order, w, codes))
+        assert all(b.dtype == np.uint8 and 1 <= len(b) <= block for b in blocks)
+        assert np.concatenate(blocks).tolist() == reference_rank_batch(mats, order).tolist()
 
 
 @pytest.mark.parametrize("order", _BLOCK_ORDERS)

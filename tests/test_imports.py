@@ -10,7 +10,7 @@ writing in one function only, the CLI's writer, which also writes each
 output's manifest.  And the package exports exactly the union of its
 modules' ``__all__``, with no name in two of them, so no star import
 shadows another.  And no module but ``gf`` reduces an array mod p by
-hand."""
+hand or imports a subspace-table builder."""
 
 from __future__ import annotations
 
@@ -388,3 +388,48 @@ def test_the_reduction_guard_finds_a_reduction_by_hand() -> None:
         "    return a, b, c, d, keep, other\n"
     )
     assert _hand_reductions(tree) == [3, 4, 5, 6, 7]
+
+
+# The builders of gf's subspace and whole-block rank tables, whose
+# layout only gf reads.
+_TABLE_BUILDERS = {"_subspace_table", "_block_table"}
+
+
+def _table_imports(tree: ast.AST) -> list[int]:
+    """The line of each import of a table builder, by name (aliased or
+    not) or as an attribute of an imported module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name in _TABLE_BUILDERS for alias in node.names)
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr in _TABLE_BUILDERS
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_gf_reads_the_subspace_tables() -> None:
+    """``gf`` owns the walk of its subspace tables: every other module
+    ranks through ``gf._rank_walk`` or ``gf._table_rank`` and imports
+    neither table builder."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    del trees["gf"]
+    assert {module: _table_imports(tree) for module, tree in trees.items()} == {
+        module: [] for module in trees
+    }
+
+
+def test_the_table_guard_finds_an_import_of_a_builder() -> None:
+    """A sketch module: a builder imported by name, under an alias, or
+    read off an imported module is found; the walk and another private
+    name of ``gf`` are not."""
+    tree = ast.parse(
+        "from .gf import _rank_walk, _subspace_table\n"
+        "from quditprod.gf import _block_table as table\n"
+        "from . import gf\n"
+        "def f(p, w):\n"
+        "    step, dim = gf._subspace_table(p, w)\n"
+        "    return gf._table_rank, gf._LINE_ROWS, _rank_walk, table\n"
+    )
+    assert _table_imports(tree) == [1, 2, 5]
